@@ -279,6 +279,22 @@ def _drainer(chan, elements, sink):
         sink[element] = yield chan
 
 
+def _round_robin(moving_io, counts):
+    """``(cin, cout)`` of every soak (or drain) pass: one element per moving
+    stream per round, in declaration order.  One stream at a time can
+    deadlock on bounded channels: a neighbour blocked midway through
+    another stream never reaches its repeater, which emits one element of
+    every stream per statement."""
+    order, done = [], 0
+    for limit in sorted(set(counts)):
+        # rounds done .. limit-1 each pass one element of every stream
+        # whose count reaches limit
+        live = [(cin, cout) for (_n, cin, cout), c in zip(moving_io, counts) if c >= limit]
+        order += live * (limit - done)
+        done = limit
+    return order
+
+
 def _compute(point, sizes, env, in_chan, out_chan):
     stationary = [s for s in STREAMS if s['stationary']]
     moving = [s for s in STREAMS if not s['stationary']]
@@ -291,17 +307,14 @@ def _compute(point, sizes, env, in_chan, out_chan):
         for _ in range(_cnt(s['drain'](env))):  # loading passes = drain
             value = yield cin
             cout.put(value)
-    for s in moving:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
-        for _ in range(_cnt(s['soak'](env))):
-            value = yield cin
-            cout.put(value)
-    # -- the repeater: the basic statements of this process ----------------
     moving_io = [
         (s['name'], in_chan[s['name']][point], out_chan[s['name']][point])
         for s in moving
     ]
+    for cin, cout in _round_robin(moving_io, [_cnt(s['soak'](env)) for s in moving]):
+        value = yield cin
+        cout.put(value)
+    # -- the repeater: the basic statements of this process ----------------
     x = _first(env)
     for _ in range(_cnt(_count(env))):
         stmt_env = dict(sizes)
@@ -317,12 +330,9 @@ def _compute(point, sizes, env, in_chan, out_chan):
             cout.put(values[name])
         x = _add(x, INCREMENT)
     # -- post phase: moving drains, then stationary recoveries -------------
-    for s in moving:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
-        for _ in range(_cnt(s['drain'](env))):
-            value = yield cin
-            cout.put(value)
+    for cin, cout in _round_robin(moving_io, [_cnt(s['drain'](env)) for s in moving]):
+        value = yield cin
+        cout.put(value)
     for s in stationary:
         name = s['name']
         cin, cout = in_chan[name][point], out_chan[name][point]

@@ -9,7 +9,8 @@ one instance deterministically:
   shape the ``repro compile`` design-spec files use;
 * ``env`` -- the concrete problem-size binding;
 * ``harness`` -- the harness knobs the failure was observed under (input
-  seed, planted mutation, if any);
+  seed, planted mutation, if any, and optionally ``check_threaded`` to
+  replay through the threaded engine);
 * ``expect`` -- ``"pass"`` for checked-in regression pins (the bug the file
   minimizes is fixed in-tree), ``"fail"`` for freshly minimized output.
 
@@ -120,7 +121,9 @@ def load_reproducer(path):
         raise ValueError(f"{path}: unsupported reproducer format {data.get('format')!r}")
     harness = data.get("harness") or {}
     config = HarnessConfig(
-        seed=int(harness.get("seed", 0)), mutate=harness.get("mutate")
+        seed=int(harness.get("seed", 0)),
+        mutate=harness.get("mutate"),
+        check_threaded=bool(harness.get("check_threaded", False)),
     )
     return instance_from_json(data), config, data
 

@@ -32,7 +32,7 @@ symbolic work entirely:
 * a :class:`NetworkPlan` captures everything derivable from ``(sp, env)``
   alone -- chain enumeration, channel names and endpoints, per-node
   amounts, pipe element lists, pre-bound process factories -- and is
-  memoized per compiled program (:func:`network_plan`);
+  memoized by content in a bounded LRU (:func:`network_plan`);
 * :meth:`NetworkPlan.instantiate` wires fresh channels and generators into
   a runnable :class:`ProcessNetwork` in one linear pass, preserving the
   exact channel/process creation order (and hence the deterministic FIFO
@@ -41,13 +41,15 @@ symbolic work entirely:
 
 from __future__ import annotations
 
+import threading
 import time
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
 from repro import profiling
 
+from repro.core.memo import program_fingerprint, stable_key
 from repro.core.program import StreamPlan, SystolicProgram
 from repro.geometry.point import Point
 from repro.lang.expr import RuntimeValue
@@ -526,51 +528,51 @@ class _PlanBuilder:
 # ----------------------------------------------------------------------
 # plan cache
 # ----------------------------------------------------------------------
-#: id(compiled program) -> (weakref to it, {env key: NetworkPlan}).  Keyed
-#: by identity -- SystolicProgram carries unhashable members -- with a
-#: finalizer evicting the entry when the program dies, so plans never pin
-#: every design a campaign ever built.  The stored weakref guards against
-#: id reuse: a recycled id with a dangling ref rebuilds instead of serving
-#: another program's plan.
-_plans: dict[int, tuple["weakref.ref", dict]] = {}
-_PLAN_STATS = {"builds": 0, "reuses": 0}
-_PLANS_PER_PROGRAM = 8
+#: content key -> NetworkPlan, least recently used first.  Every compile of
+#: one design shares a key, a planted mutation does not; bounded LRU.
+_plans: "OrderedDict[tuple, NetworkPlan]" = OrderedDict()
+_plans_lock = threading.Lock()
+_PLAN_LIMIT = 64
+_PLAN_STATS = {"builds": 0, "reuses": 0, "evictions": 0}
 
 
 def plan_stats() -> dict:
-    """Build/reuse counters of the plan cache (reset never; monotonic)."""
-    return dict(_PLAN_STATS)
+    """Build/reuse/eviction counters (monotonic) and the cache size."""
+    with _plans_lock:
+        return dict(_PLAN_STATS, size=len(_plans))
 
 
 profiling.register("network_plans", plan_stats)
 
 
-def network_plan(
-    sp: SystolicProgram, env: Mapping[str, Numeric]
-) -> NetworkPlan:
-    """The memoized :class:`NetworkPlan` for ``(sp, env)``.
+def _plan_key(sp: SystolicProgram, env: Mapping[str, Numeric]) -> tuple:
+    """Source text, every derived quantity the builder reads, and the size
+    binding; forms by ``stable_key`` since their ``==`` ignores order."""
+    streams = tuple((p.name, p.stationary, p.hop, p.denominator, p.increment_s,
+                     *map(stable_key, (p.first_s, p.last_s, p.soak, p.drain, p.pass_amount)))
+                    for p in sp.streams)
+    forms = tuple(map(stable_key, (sp.first, sp.last, sp.count)))
+    return (program_fingerprint(sp.source), sp.coords, sp.ps_min, sp.ps_max,
+            sp.increment, forms, streams, tuple(sorted(env.items())))
 
-    Keyed on the compiled program *object* and the concrete size binding,
-    so every execution path of one instance -- the simulator, the
-    capacity-invariance re-run, the LSGP fold -- shares one plan.
-    """
-    key_id = id(sp)
-    entry = _plans.get(key_id)
-    if entry is None or entry[0]() is not sp:
-        per_program: dict = {}
-        _plans[key_id] = (weakref.ref(sp), per_program)
-        weakref.finalize(sp, _plans.pop, key_id, None)
-    else:
-        per_program = entry[1]
-    key = tuple(sorted(env.items()))
-    plan = per_program.get(key)
-    if plan is None:
-        if len(per_program) >= _PLANS_PER_PROGRAM:
-            per_program.clear()
-        plan = per_program[key] = NetworkPlan(sp, env)
+
+def network_plan(sp: SystolicProgram, env: Mapping[str, Numeric]) -> NetworkPlan:
+    """The memoized :class:`NetworkPlan` for ``(sp, env)``; a miss builds
+    outside the lock, and a racing duplicate build is dropped."""
+    key = _plan_key(sp, env)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            _PLAN_STATS["reuses"] += 1
+            return plan
+    built = NetworkPlan(sp, env)
+    with _plans_lock:
         _PLAN_STATS["builds"] += 1
-    else:
-        _PLAN_STATS["reuses"] += 1
+        plan = _plans.setdefault(key, built)
+        if len(_plans) > _PLAN_LIMIT:
+            _plans.popitem(last=False)
+            _PLAN_STATS["evictions"] += 1
     return plan
 
 

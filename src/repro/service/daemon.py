@@ -461,6 +461,7 @@ class CompileService:
 
     async def _handle_stats(self, request: Mapping[str, Any]) -> dict:
         from repro.core.memo import MEMO
+        from repro.runtime.network import plan_stats
         from repro.target.pygen import MODULE_CACHE
 
         stats: dict[str, Any] = {
@@ -473,6 +474,7 @@ class CompileService:
                 for name, (h, m) in sorted(MEMO.counters_snapshot().items())
             },
             "module_cache": MODULE_CACHE.stats(),
+            "network_plans": plan_stats(),
         }
         try:
             from repro.analysis.wavefront import SCHEDULE_CACHE

@@ -272,6 +272,9 @@ class TestOperationalEndpoints:
             assert endpoint["latency"]["p95_s"] >= endpoint["latency"]["p50_s"]
             assert "memo" in stats and "module_cache" in stats
             assert "memo_tables" in stats
+            plans = stats["network_plans"]
+            assert set(plans) == {"builds", "reuses", "evictions", "size"}
+            assert plans["size"] <= 64
 
         service_run(scenario)
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import compile_systolic, run_sequential
 from repro.runtime import execute
+from repro.fuzz.generator import generate_instance
 from repro.systolic import all_paper_designs
 from repro.target import execute_python
 from repro.verify import random_inputs
@@ -59,3 +60,14 @@ class TestThreadedEngine:
         fast = execute_python(sp, {"n": 2}, inputs)
         threaded = execute_python(sp, {"n": 2}, inputs, threaded=True)
         assert fast == threaded
+
+    @pytest.mark.parametrize("seed", [10002030019, 10018030067])
+    def test_round_robin_soak_and_drain(self, seed):
+        """Fuzz instances on which soaking and draining one moving stream at
+        a time deadlocked the threaded engine's bounded queues."""
+        instance = generate_instance(seed)
+        prog, env = instance.program, instance.env
+        sp = compile_systolic(prog, instance.array)
+        inputs = random_inputs(prog, env, seed=0)
+        oracle = _tupled(run_sequential(prog, env, inputs))
+        assert execute_python(sp, env, inputs, threaded=True) == oracle
