@@ -9,9 +9,11 @@ collects results in iteration order, then shrinks any failures serially
 process).  Results are byte-identical for every ``--jobs`` value.
 
 Expensive metamorphic checks are *sampled* on a deterministic schedule so
-a default campaign stays fast but still covers them: the threaded engine
-every 7th iteration, capacity invariance every 5th, the pool-vs-serial
-sweep comparison every 25th.
+a default campaign stays fast but still covers them: the NumPy wavefront
+backend every 3rd iteration, partitioned execution every 4th, capacity
+invariance every 5th, the threaded engine every 7th, the pool-vs-serial
+sweep comparison every 25th, and each of the four cache-stack invariants
+every 4th (staggered, so an iteration carries about one of them).
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ NPGEN_EVERY = 3
 #: partitioned execution re-runs the whole folded simulation (plus the
 #: banded npgen pass) -- comparable cost to the plain simulator check
 PARTITION_EVERY = 4
-#: the scheduler-engine A/B (fast single-op vs generic slots) runs the
-#: simulation twice with tracing -- two extra simulator-cost passes
-SCHED_AB_EVERY = 6
 #: the metamorphic cache-stack invariants (memo A/B, pickle round-trip,
 #: render cache, repeated execution) re-render or recompile the whole
 #: module; each runs on every 4th instance, staggered so each iteration
@@ -149,8 +148,6 @@ def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
         or iteration % NPGEN_EVERY == NPGEN_EVERY - 1,
         check_partition=base.check_partition
         or iteration % PARTITION_EVERY == PARTITION_EVERY - 1,
-        check_sched_ab=base.check_sched_ab
-        or iteration % SCHED_AB_EVERY == SCHED_AB_EVERY - 1,
         check_memo_ab=base.check_memo_ab and m == 0,
         check_pickle=base.check_pickle and m == 1,
         check_render_cache=base.check_render_cache and m == 2,
@@ -356,7 +353,6 @@ def fuzz_run(
                 check_threaded=False,
                 check_capacity=False,
                 check_partition=False,
-                check_sched_ab=False,
                 check_pool=False,
             )
             instance = instance_from_json(failure.original_json)

@@ -188,10 +188,6 @@ class HarnessConfig:
     #: through both the partitioned simulator and, when NumPy is present,
     #: the banded npgen executor -- results must stay bit-identical
     check_partition: bool = False
-    #: run the simulator under both scheduler engines (fast single-op vs
-    #: generic slots, ``REPRO_SCHED_FAST``) and require identical final
-    #: values, stats, trace streams, and deadlock reports
-    check_sched_ab: bool = False
     #: full pool-vs-serial ``sweep_designs`` comparison (expensive)
     check_pool: bool = False
     #: metamorphic cache-stack invariants; on by default for direct harness
@@ -465,48 +461,6 @@ def run_instance(
                 raise AssertionError("; ".join(mism))
 
         checked("capacity", check_capacity)
-
-    if config.check_sched_ab:
-
-        def check_sched_ab():
-            # metamorphic: the specialized single-op engine and the generic
-            # slot engine must execute the identical interleaving.  Both
-            # instantiations come from the same cached NetworkPlan; the
-            # engine is chosen at Scheduler construction, so toggling the
-            # flag around instantiate() is the whole A/B.  Deadlocks (e.g.
-            # planted mutations) must agree too -- same report text.
-            from repro.runtime.trace import attach_tracer
-            from repro.util.errors import DeadlockError
-
-            plan = compiled.plan()
-            runs = {}
-            for label, flag in (("fast", "1"), ("generic", "0")):
-                with _env_flag("REPRO_SCHED_FAST", flag):
-                    network = plan.instantiate(inputs)
-                trace = attach_tracer(network)
-                try:
-                    stats = network.run()
-                    deadlock = None
-                except DeadlockError as exc:
-                    stats = None
-                    deadlock = str(exc)
-                runs[label] = (network.host.final, stats, trace.events, deadlock)
-            fast, generic = runs["fast"], runs["generic"]
-            if fast[3] != generic[3]:
-                raise AssertionError(
-                    "engines disagree on deadlock: "
-                    f"fast={fast[3]!r} generic={generic[3]!r}"
-                )
-            if fast[0] != generic[0]:
-                raise AssertionError("engines disagree on final values")
-            if fast[1] != generic[1]:
-                raise AssertionError(
-                    f"engines disagree on stats: {fast[1]} vs {generic[1]}"
-                )
-            if fast[2] != generic[2]:
-                raise AssertionError("engines disagree on trace streams")
-
-        checked("sched_ab", check_sched_ab)
 
     if config.check_partition:
 

@@ -21,8 +21,8 @@ from typing import Any
 from repro.util.errors import RuntimeSimulationError
 
 
-# slots=True: one Message per carried element; the scheduler's fast engine
-# also constructs these directly when it inlines the push transition
+# slots=True: one Message per carried element; the scheduler also
+# constructs these directly when it inlines the push of a bare Send
 # (scheduler._single_send), so keep the two fields in sync with push().
 @dataclass(slots=True)
 class Message:

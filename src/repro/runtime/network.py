@@ -131,11 +131,7 @@ class ProcessNetwork:
 
 
 #: a process factory: given the instantiation's channel list and host,
-#: return the live generator for one process.  The plan stores each with a
-#: ``single_op`` flag -- True when the factory's body only ever yields bare
-#: Send/Recv requests -- forwarded to ``Scheduler.spawn`` so the fast
-#: engine's dispatch test is hoisted out of every yield for those
-#: processes.
+#: return the live generator for one process.
 _Factory = Callable[[list[Channel], Host], Any]
 
 
@@ -161,7 +157,7 @@ class NetworkPlan:
         self.env = dict(env)
         self.channel_names: list[str] = []
         self.channel_ends: list[tuple[Point | None, Point | None]] = []
-        self.processes: list[tuple[str, _Factory, bool]] = []
+        self.processes: list[tuple[str, _Factory]] = []
         self.node_counts = {
             "compute": 0, "buffer": 0, "latch": 0, "input": 0, "output": 0
         }
@@ -228,8 +224,8 @@ class NetworkPlan:
                 channels.append(Channel(name, capacity=capacity))
         for chan in channels:
             scheduler.add_channel(chan)
-        for name, factory, single in self.processes:
-            scheduler.spawn(name, factory(channels, host), single_op=single)
+        for name, factory in self.processes:
+            scheduler.spawn(name, factory(channels, host))
         return ProcessNetwork(
             program=self.sp,
             env=self.env,
@@ -343,7 +339,6 @@ class _PlanBuilder:
                         (
                             f"L:{name}{y}#{k}",
                             self._latch_factory(feed, buffered, total),
-                            True,
                         )
                     )
                     self.plan.node_counts["latch"] += 1
@@ -375,8 +370,8 @@ class _PlanBuilder:
 
                 return body()
 
-            self.plan.processes.append((f"IN:{name}{start}", make_input, True))
-            self.plan.processes.append((f"OUT:{name}{end}", make_output, True))
+            self.plan.processes.append((f"IN:{name}{start}", make_input))
+            self.plan.processes.append((f"OUT:{name}{end}", make_output))
             self.plan.node_counts["input"] += 1
             self.plan.node_counts["output"] += 1
 
@@ -407,7 +402,7 @@ class _PlanBuilder:
             cin = self.in_chan[plan.name][y]
             cout = self.out_chan[plan.name][y]
             self.plan.processes.append(
-                (f"B:{plan.name}{y}", self._latch_factory(cin, cout, amount), True)
+                (f"B:{plan.name}{y}", self._latch_factory(cin, cout, amount))
             )
         self.plan.node_counts["buffer"] += 1
 
@@ -508,10 +503,7 @@ class _PlanBuilder:
 
             return body()
 
-        # A compute node with moving streams yields Par requests in its
-        # repeater; only the no-moving-stream (fully stationary) case is
-        # single-op throughout.
-        self.plan.processes.append((f"P{y}", make, not moving))
+        self.plan.processes.append((f"P{y}", make))
         self.plan.node_counts["compute"] += 1
 
     # ------------------------------------------------------------------

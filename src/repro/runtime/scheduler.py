@@ -21,31 +21,26 @@ array's synchronous step count.  (Backpressure stalls -- a sender waiting
 for channel space -- are not charged to the clock; the metric tracks data
 dependences only.)
 
-Two execution engines share this machinery:
+Two request paths share the channel machinery:
 
-* the **generic engine** handles every request through the ``_Slot`` list
-  -- one slot per sub-operation, ``all(slot.done)`` completion scans, and
-  a per-slot parking loop;
-* the **fast engine** (default) specializes the dominant request shape --
-  a bare ``Send`` or ``Recv``, which a measured D.1 run is ~3/4 of all
-  yields -- by completing or parking the operation directly against the
-  channel: rendezvous, push and drain transitions are inlined, the slot
-  list and every completion scan are skipped, and the resume path reads a
-  single precomputed flag instead of re-inspecting the request.  ``Par``
-  requests fall through to the generic machinery unchanged, and the two
-  engines interoperate freely on the same channels (a parked ``Par`` slot
-  is woken by a fast-path sender and vice versa).
+* a bare ``Send`` or ``Recv`` -- the pass-throughs of latches, buffers and
+  i/o processes, and about three quarters of all yields on a paper design
+  -- completes or parks directly against its channel through one reused
+  slot per process, with rendezvous, push and drain transitions inlined;
+* a ``Par`` -- the paper's ``par ... end par`` around the basic
+  statement's communications -- is validated, then dispatched member by
+  member into a reused slot vector; a counter of its not-yet-completed
+  members decides when the process is ready again.
 
-``REPRO_SCHED_FAST=0`` selects the generic engine for every request -- the
-A/B baseline the fuzz harness and ``tools/bench_sched.py`` compare against.
-Both engines execute the identical FIFO interleaving: values, stats, trace
-streams and deadlock reports are bit-identical by construction (enforced by
-the sampled ``sched_ab`` metamorphic check).
+The two paths interoperate on the same channels: a parked ``Par`` member
+is woken by a bare sender and vice versa.  The resulting values, stats,
+trace streams and deadlock reports are pinned by digest in
+``tests/runtime/test_sched_golden.py``; the sequential oracle stays the
+reference for values.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator
@@ -55,16 +50,6 @@ from repro.runtime.ops import Op, Par, Recv, Send
 from repro.util.errors import DeadlockError, RuntimeSimulationError
 
 ProcessBody = Generator[Op, Any, None]
-
-
-def fast_engine_enabled() -> bool:
-    """Whether new schedulers use the specialized single-op engine.
-
-    Read per :class:`Scheduler` construction, so ``REPRO_SCHED_FAST=0``
-    toggled around an instantiation (the harness A/B check does exactly
-    that) selects the generic engine for that run only.
-    """
-    return os.environ.get("REPRO_SCHED_FAST", "1") != "0"
 
 
 class _Slot:
@@ -79,43 +64,33 @@ class _Slot:
 
 
 class _ProcState:
-    __slots__ = ("name", "gen", "slots", "was_par", "clock", "yield_clock",
-                 "finished", "steps", "own_slot", "own_list", "single",
-                 "is_send", "par1", "par_slots", "pending", "advance")
+    __slots__ = ("name", "gen", "slots", "clock", "yield_clock", "finished",
+                 "own_slot", "own_list", "single", "is_send", "par_slots",
+                 "pending")
 
     def __init__(self, name: str, gen: ProcessBody) -> None:
         self.name = name
         self.gen = gen
         self.slots: list[_Slot] | None = None
-        self.was_par = False
         self.clock = 0
         self.yield_clock = 0
         self.finished = False
-        self.steps = 0
-        # Reused for every non-Par request: a completed slot is always
+        # Reused for every bare request: a completed slot is always
         # unparked before its process resumes, so by the time the next
         # request resets these no live reference can remain (see _drain_*).
         self.own_slot = _Slot(None)
         self.own_list = [self.own_slot]
-        #: current request went through the fast single-op path; the resume
-        #: loop then reads ``own_slot`` directly instead of scanning slots
+        #: current request is a bare Send/Recv (else a Par); the resume
+        #: loop then reads ``own_slot`` directly
         self.single = False
-        #: fast path only: trace kind of the current request without an
-        #: isinstance test at resume time
+        #: trace kind of the current bare request without an isinstance
+        #: test at resume time
         self.is_send = False
-        #: fast path only: the request was a one-member Par riding the
-        #: single-op machinery -- resume list-wraps the result and traces
-        #: as "par" (identical to the generic engine's handling)
-        self.par1 = False
-        #: fast path only: reusable slot vector for multi-member Pars (the
-        #: Par analogue of own_slot -- safe for the same reason) and the
-        #: count of its not-yet-completed slots (replaces the all() scans)
+        #: reusable slot vector for Pars (the Par analogue of own_slot --
+        #: safe for the same reason) and the count of its not-yet-completed
+        #: slots, which decides when the process is ready again
         self.par_slots: list[_Slot] | None = None
         self.pending = 0
-        #: the advance routine driving this process, bound at spawn time --
-        #: plan-declared single-op processes skip the engine dispatch test
-        #: entirely (see Scheduler.spawn)
-        self.advance: Any = None
 
 
 @dataclass
@@ -151,8 +126,6 @@ class Scheduler:
         self._trace: Any = None
         #: whether the current run maintains Lamport clocks (set by run())
         self._timing: bool = True
-        #: engine selection, fixed at construction (REPRO_SCHED_FAST)
-        self._fast: bool = fast_engine_enabled()
         #: a scheduler runs exactly once; re-entry raises
         self._ran: bool = False
 
@@ -186,29 +159,15 @@ class Scheduler:
         """Names of all spawned processes."""
         return tuple(p.name for p in self._procs)
 
-    def spawn(self, name: str, gen: ProcessBody, *, single_op: bool = False) -> None:
-        """Register a process.
-
-        ``single_op=True`` declares that the generator only ever yields
-        bare ``Send``/``Recv`` requests (the :class:`~repro.runtime.network.
-        NetworkPlan` pre-binds this for latch, buffer and i/o processes, and
-        for compute processes without moving streams), hoisting the engine
-        dispatch test out of every yield.  The declaration is a hint, not a
-        contract: a ``Par`` from a declared process still takes the generic
-        path with identical semantics.
-        """
+    def spawn(self, name: str, gen: ProcessBody) -> None:
+        """Register a process."""
         if name in self._names:
             raise RuntimeSimulationError(f"duplicate process name {name!r}")
         self._names.add(name)
-        proc = _ProcState(name, gen)
-        if self._fast and single_op:
-            proc.advance = self._advance_single
-        else:
-            proc.advance = self._advance
-        self._procs.append(proc)
+        self._procs.append(_ProcState(name, gen))
 
     # ------------------------------------------------------------------
-    # communication machinery (generic engine / Par slots)
+    # communication machinery (Par members, drain sweeps)
     # ------------------------------------------------------------------
     def _try_send(self, proc: _ProcState, slot: _Slot) -> bool:
         """Complete a send: direct handoff to a parked receiver (rendezvous)
@@ -290,37 +249,31 @@ class Scheduler:
         """Move a parked process back to ready when its request completed.
 
         Every caller has just completed exactly one of ``proc``'s slots, so
-        on the fast engine the Par branch is a counter decrement instead of
-        an ``all(slot.done)`` scan; the generic engine keeps the scan.
+        for a ``Par`` the test is a counter decrement.
         """
-        slots = proc.slots
-        if slots is None:
+        if proc.slots is None:
             return
         if proc.single:
             if proc.own_slot.done:
                 self._ready.append(proc)
-        elif self._fast:
-            pending = proc.pending - 1
-            proc.pending = pending
-            if pending == 0:
-                self._ready.append(proc)
-        elif all(s.done for s in slots):
+            return
+        pending = proc.pending - 1
+        proc.pending = pending
+        if pending == 0:
             self._ready.append(proc)
 
     # ------------------------------------------------------------------
-    # fast engine: single-op complete-or-park, no slot list, no scans
+    # bare requests: complete or park against the channel directly
     # ------------------------------------------------------------------
     def _single_send(self, proc: _ProcState, op) -> None:
         """Inlined ``_try_send`` + park for a bare ``Send``.
 
-        Completion/wake order matches the generic engine exactly: the
-        counterpart (or drained receivers) enqueue *before* this process,
-        so the FIFO interleaving -- and hence every stat and trace stream
-        -- is unchanged.
+        The counterpart (or drained receivers) enqueue *before* this
+        process, exactly as for a ``Par`` member, so a send behaves the
+        same whichever request shape carries it.
         """
         proc.single = True
         proc.is_send = True
-        proc.par1 = False
         slot = proc.own_slot
         slot.result = None
         proc.slots = proc.own_list
@@ -340,9 +293,9 @@ class Scheduler:
                 if stamp > other.clock:
                     other.clock = stamp
             slot.done = True
-            # inlined _maybe_wake: rslot just completed, so a single-op
-            # peer is ready by construction; a fast-Par peer decrements
-            # its pending counter exactly as _maybe_wake would
+            # inlined _maybe_wake: rslot just completed, so a bare-request
+            # peer is ready by construction; a Par peer decrements its
+            # pending counter exactly as _maybe_wake would
             if other.single:
                 ready.append(other)
             elif other.slots is not None:
@@ -378,7 +331,6 @@ class Scheduler:
         """Inlined ``_try_recv`` + park for a bare ``Recv``."""
         proc.single = True
         proc.is_send = False
-        proc.par1 = False
         slot = proc.own_slot
         proc.slots = proc.own_list
         chan: Channel = op.channel
@@ -423,23 +375,36 @@ class Scheduler:
         slot.result = None
         chan.waiting_receivers.append((proc, slot))
 
-    def _fast_par(self, proc: _ProcState, ops) -> None:
-        """Multi-member ``Par`` on the fast engine.
+    def _request_par(self, proc: _ProcState, op: Any) -> None:
+        """Validate a ``Par`` (any other non-bare yield is an error), then
+        dispatch its members and park the incomplete ones.
 
-        Same dispatch-then-park order as the generic slot path (identical
-        interleaving), but the slot vector is reused across requests (the
-        Par analogue of ``own_slot`` -- every slot is completed and
-        unparked before the process resumes, so no live reference remains),
-        the per-sub-op dispatch is a class test instead of ``isinstance``,
-        and completion is tracked by the ``pending`` counter consumed in
-        :meth:`_maybe_wake` instead of ``all(slot.done)`` scans.
+        The slot vector is reused across requests (the Par analogue of
+        ``own_slot`` -- every slot is completed and unparked before the
+        process resumes, so no live reference remains), and completion is
+        tracked by the ``pending`` counter consumed in :meth:`_maybe_wake`.
         """
+        if not isinstance(op, Par):
+            raise RuntimeSimulationError(
+                f"process {proc.name} yielded {op!r}, expected Send/Recv/Par"
+            )
+        ops = op.ops
+        if not ops:
+            raise RuntimeSimulationError(
+                f"process {proc.name} yielded an empty Par: a parallel "
+                "request needs at least one Send/Recv"
+            )
+        for sub in ops:
+            if not isinstance(sub, (Send, Recv)):
+                raise RuntimeSimulationError(
+                    f"process {proc.name} yielded Par containing {sub!r}; "
+                    "every Par member must be a Send or Recv"
+                )
         k = len(ops)
         slots = proc.par_slots
         if slots is None or len(slots) != k:
             slots = proc.par_slots = [_Slot(None) for _ in range(k)]
         proc.single = False
-        proc.was_par = True
         proc.slots = slots
         pending = 0
         for i, sub in enumerate(ops):
@@ -452,11 +417,10 @@ class Scheduler:
                     pending += 1
             elif not self._try_recv(proc, slot):
                 pending += 1
+        proc.pending = pending
         if pending == 0:
-            proc.pending = 0
             self._ready.append(proc)
             return
-        proc.pending = pending
         for slot in slots:
             if slot.done:
                 continue
@@ -476,30 +440,6 @@ class Scheduler:
         except StopIteration:
             proc.finished = True
             return
-        proc.steps += 1
-        proc.yield_clock = proc.clock
-        if self._fast:
-            tp = op.__class__
-            if tp is Send:
-                self._single_send(proc, op)
-                return
-            if tp is Recv:
-                self._single_recv(proc, op)
-                return
-        self._request_generic(proc, op)
-
-    def _advance_single(self, proc: _ProcState, value: Any) -> None:
-        """:meth:`_advance` for plan-declared single-op processes: the fast
-        engine's dispatch is hoisted -- a bare ``Send``/``Recv`` goes
-        straight to its inlined transition, anything else (a mis-declared
-        ``Par``, an invalid yield) falls back to the generic handler with
-        identical semantics."""
-        try:
-            op = proc.gen.send(value)
-        except StopIteration:
-            proc.finished = True
-            return
-        proc.steps += 1
         proc.yield_clock = proc.clock
         tp = op.__class__
         if tp is Send:
@@ -507,72 +447,7 @@ class Scheduler:
         elif tp is Recv:
             self._single_recv(proc, op)
         else:
-            self._request_generic(proc, op)
-
-    def _request_generic(self, proc: _ProcState, op: Any) -> None:
-        """The generic slot-based request path (every ``Par``, and every
-        request when the fast engine is disabled)."""
-        if isinstance(op, Par):
-            ops = op.ops
-            if not ops:
-                raise RuntimeSimulationError(
-                    f"process {proc.name} yielded an empty Par: a parallel "
-                    "request needs at least one Send/Recv"
-                )
-            for sub in ops:
-                if not isinstance(sub, (Send, Recv)):
-                    raise RuntimeSimulationError(
-                        f"process {proc.name} yielded Par containing {sub!r}; "
-                        "every Par member must be a Send or Recv"
-                    )
-            if self._fast:
-                if len(ops) == 1:
-                    # a one-member Par is a bare op that resumes with a
-                    # one-element list and traces as "par": ride the
-                    # single-op machinery (same completion/park/wake order,
-                    # so the interleaving is unchanged) and mark it for
-                    # list-wrapping
-                    sub = ops[0]
-                    if sub.__class__ is Send:
-                        self._single_send(proc, sub)
-                    else:
-                        self._single_recv(proc, sub)
-                    proc.par1 = True
-                else:
-                    self._fast_par(proc, ops)
-                return
-            proc.was_par = True
-            proc.single = False
-            slots = [_Slot(sub) for sub in ops]
-        elif isinstance(op, (Send, Recv)):
-            proc.was_par = False
-            proc.single = False
-            slot = proc.own_slot
-            slot.op = op
-            slot.done = False
-            slot.result = None
-            slots = proc.own_list
-        else:
-            raise RuntimeSimulationError(
-                f"process {proc.name} yielded {op!r}, expected Send/Recv/Par"
-            )
-        proc.slots = slots
-        for slot in slots:
-            if isinstance(slot.op, Send):
-                self._try_send(proc, slot)
-            else:
-                self._try_recv(proc, slot)
-        if all(s.done for s in slots):
-            self._ready.append(proc)
-        else:
-            for slot in slots:
-                if slot.done:
-                    continue
-                chan: Channel = slot.op.channel
-                if isinstance(slot.op, Send):
-                    chan.waiting_senders.append((proc, slot))
-                else:
-                    chan.waiting_receivers.append((proc, slot))
+            self._request_par(proc, op)
 
     def run(
         self, max_rounds: int | None = None, *, timing: bool = True
@@ -612,8 +487,9 @@ class Scheduler:
         worker_of = self._worker_of
         worker_clock = self._worker_clock
         rounds = 0
+        advance = self._advance
         for proc in self._procs:
-            proc.advance(proc, None)
+            advance(proc, None)
         while ready:
             rounds += 1
             if max_rounds is not None and rounds > max_rounds:
@@ -623,54 +499,26 @@ class Scheduler:
                 continue
             if proc.single:
                 slot = proc.own_slot
-                if not slot.done:
-                    raise RuntimeSimulationError(
-                        f"process {proc.name} resumed with incomplete request"
-                    )
-                proc.slots = None
-                if timing:
-                    if worker_of is None:
-                        proc.clock += 1
-                    else:
-                        self._charge_worker(proc, worker_of, worker_clock)
+                incomplete = not slot.done
                 value = slot.result
-                if proc.par1:
-                    value = [value]
-                if trace is not None:
-                    trace(
-                        proc.name,
-                        proc.clock,
-                        "par"
-                        if proc.par1
-                        else ("send" if proc.is_send else "recv"),
-                    )
-                proc.advance(proc, value)
-                continue
-            if self._fast:
-                if proc.pending:
-                    raise RuntimeSimulationError(
-                        f"process {proc.name} resumed with incomplete request"
-                    )
-            elif not all(s.done for s in proc.slots):
+                kind = "send" if proc.is_send else "recv"
+            else:
+                incomplete = proc.pending
+                value = [s.result for s in proc.slots]
+                kind = "par"
+            if incomplete:
                 raise RuntimeSimulationError(
                     f"process {proc.name} resumed with incomplete request"
                 )
-            slots = proc.slots
             proc.slots = None
             if timing:
                 if worker_of is None:
                     proc.clock += 1
                 else:
                     self._charge_worker(proc, worker_of, worker_clock)
-            value = [s.result for s in slots] if proc.was_par else slots[0].result
             if trace is not None:
-                kind = (
-                    "par"
-                    if proc.was_par
-                    else ("send" if isinstance(slots[0].op, Send) else "recv")
-                )
                 trace(proc.name, proc.clock, kind)
-            proc.advance(proc, value)
+            advance(proc, value)
         unfinished = [p for p in self._procs if not p.finished]
         if unfinished:
             raise DeadlockError(self._deadlock_report(unfinished))

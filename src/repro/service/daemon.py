@@ -447,6 +447,23 @@ class CompileService:
                 400, f"problem sizes must be integers, got {sizes!r}"
             ) from None
 
+    @staticmethod
+    def _int_of(
+        request: Mapping[str, Any], key: str, default: int, minimum: int | None = None
+    ) -> int:
+        """An optional integer request field; a malformed or out-of-range
+        value is a 400 naming the field, not an internal error."""
+        value = request.get(key, default)
+        try:
+            number = int(value)
+        except (TypeError, ValueError):
+            raise _HttpError(
+                400, f"request field {key!r} must be an integer, got {value!r}"
+            ) from None
+        if minimum is not None and number < minimum:
+            raise _HttpError(400, f"{key} must be >= {minimum}, got {number}")
+        return number
+
     # -- endpoint handlers --------------------------------------------------
 
     async def _handle_healthz(self, request: Mapping[str, Any]) -> dict:
@@ -545,12 +562,10 @@ class CompileService:
         entry = await self._design_for(request)
         env = self._sizes_of(request)
         backend = request.get("backend", "sim")
-        seed = int(request.get("seed", 0))
-        batch = int(request.get("batch", 1))
+        seed = self._int_of(request, "seed", 0)
+        batch = self._int_of(request, "batch", 1, minimum=1)
         check = bool(request.get("check", True))
         shape = request.get("array")
-        if batch < 1:
-            raise _HttpError(400, f"batch must be >= 1, got {batch}")
         if shape is not None:
             try:
                 shape = tuple(int(s) for s in shape)
@@ -625,8 +640,8 @@ class CompileService:
         entry = await self._design_for(request)
         env = self._sizes_of(request)
         backend = request.get("backend", "sim")
-        seed = int(request.get("seed", 0))
-        capacity = int(request.get("capacity", 1))
+        seed = self._int_of(request, "seed", 0)
+        capacity = self._int_of(request, "capacity", 1, minimum=0)
         return await self._run_blocking(
             self._verify_design, entry, env, backend, seed, capacity
         )
@@ -671,8 +686,8 @@ class CompileService:
             raise _HttpError(
                 400, "request field 'source' must be a non-empty string"
             )
-        bound = int(request.get("bound", 2))
-        limit = int(request.get("limit", 12))
+        bound = self._int_of(request, "bound", 2)
+        limit = self._int_of(request, "limit", 12)
         sizes = request.get("sizes")
         return await self._run_blocking(
             self._explore, source, bound, limit, sizes

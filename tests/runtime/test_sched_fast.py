@@ -1,170 +1,25 @@
-"""A/B identity of the two scheduler engines, and request-validation fixes.
+"""Request validation on the scheduler's hot path, in both run modes.
 
-The fast single-op engine (``REPRO_SCHED_FAST=1``, the default) must be
-*behaviorally invisible*: for every network the fast and generic engines
-produce identical final values, identical :class:`SchedulerStats`,
-identical trace event streams, and -- on deadlocking networks -- identical
-report text.  This module pins that bar on all four paper designs, on the
-historical corpus deadlock seed, and on hand-built networks, plus the
-request-validation bugfixes that landed with the engine:
+Each case runs once with Lamport-clock bookkeeping off (``[0]``, the mode
+differential checks use) and once with it on (``[1]``); the checks must
+not depend on the mode:
 
 * a malformed ``Par`` (nested ``Par``, non-op member, zero members) raises
   a named :class:`RuntimeSimulationError` at yield time instead of dying
   with an ``AttributeError`` deep in the rendezvous machinery;
-* a worker assignment that misses spawned processes raises at ``run()``
-  start instead of silently skipping them (wrong makespans);
 * a second ``run()`` raises instead of silently returning zero-round stats
   computed from stale state.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from pathlib import Path
-
 import pytest
 
-from repro import compile_systolic, run_sequential
-from repro.fuzz.compiled import CompiledInstance
-from repro.fuzz.corpus import load_reproducer
 from repro.runtime import Channel, Par, Recv, Scheduler, Send
-from repro.runtime.network import network_plan
-from repro.runtime.scheduler import fast_engine_enabled
-from repro.runtime.trace import attach_tracer
-from repro.systolic import all_paper_designs
-from repro.util.errors import DeadlockError, RuntimeSimulationError
-from repro.verify import random_inputs
+from repro.util.errors import RuntimeSimulationError
 
-CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
-PINNED_DEADLOCK_CASE = CORPUS / "seed_2c6a5806697e.json"
-
-
-@contextmanager
-def _engine(flag: str):
-    """Select the scheduler engine for Schedulers constructed inside."""
-    prior = os.environ.get("REPRO_SCHED_FAST")
-    os.environ["REPRO_SCHED_FAST"] = flag
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_SCHED_FAST", None)
-        else:
-            os.environ["REPRO_SCHED_FAST"] = prior
-
-
-def _traced_run(plan, inputs, *, timing=True):
-    """(final values, stats, trace events, deadlock text) of one run."""
-    network = plan.instantiate(inputs)
-    trace = attach_tracer(network)
-    try:
-        stats = network.run(timing=timing)
-        deadlock = None
-    except DeadlockError as exc:
-        stats = None
-        deadlock = str(exc)
-    return network.host.final, stats, trace.events, deadlock
-
-
-def _ab(plan, inputs, *, timing=True):
-    with _engine("1"):
-        fast = _traced_run(plan, inputs, timing=timing)
-    with _engine("0"):
-        generic = _traced_run(plan, inputs, timing=timing)
-    return fast, generic
-
-
-class TestEngineIdentityOnPaperDesigns:
-    @pytest.mark.parametrize(
-        "exp_id", [d[0] for d in all_paper_designs()]
-    )
-    def test_values_stats_and_trace_identical(self, exp_id):
-        """Byte-stable A/B on every paper design: values, stats, trace."""
-        prog, array = next(
-            (p, a) for eid, p, a in all_paper_designs() if eid == exp_id
-        )
-        n = 3
-        sp = compile_systolic(prog, array)
-        inputs = random_inputs(prog, {"n": n}, seed=0)
-        oracle = run_sequential(prog, {"n": n}, inputs)
-        plan = network_plan(sp, {"n": n})
-        fast, generic = _ab(plan, inputs)
-        assert fast[3] is None and generic[3] is None
-        assert fast[0] == oracle
-        assert fast[0] == generic[0]
-        # dataclass equality covers makespan, rounds, per-channel messages,
-        # per-process clocks -- the whole stats surface
-        assert fast[1] == generic[1]
-        assert fast[2] == generic[2]
-        assert len(fast[2]) > 0
-
-    def test_timing_off_identical_on_fast_path(self):
-        """timing=False on the fast engine: same values/messages, no clock."""
-        exp_id, prog, array = all_paper_designs()[0]
-        sp = compile_systolic(prog, array)
-        inputs = random_inputs(prog, {"n": 3}, seed=1)
-        plan = network_plan(sp, {"n": 3})
-        fast_t, generic_t = _ab(plan, inputs, timing=True)
-        fast_u, generic_u = _ab(plan, inputs, timing=False)
-        assert fast_u[0] == fast_t[0] == generic_u[0]
-        assert fast_u[1] == generic_u[1]
-        assert fast_u[1].makespan == 0
-        assert fast_u[1].total_messages == fast_t[1].total_messages
-        assert fast_u[1].scheduler_rounds == fast_t[1].scheduler_rounds
-
-
-class TestEngineIdentityOnDeadlocks:
-    def test_pinned_corpus_seed_identical_on_both_engines(self):
-        """The historical deadlock pin runs clean and identically A/B."""
-        instance, _config, _raw = load_reproducer(PINNED_DEADLOCK_CASE)
-        compiled = CompiledInstance.build(instance)
-        inputs = compiled.inputs(0)
-        fast, generic = _ab(compiled.plan(), inputs)
-        assert fast[3] is None and generic[3] is None
-        assert fast[0] == generic[0]
-        assert fast[1] == generic[1]
-        assert fast[2] == generic[2]
-
-    def test_planted_deadlock_report_text_identical(self):
-        """A planted deadlock yields byte-identical report text A/B."""
-        instance, _config, _raw = load_reproducer(PINNED_DEADLOCK_CASE)
-        compiled = CompiledInstance.build(instance, mutate="soak_plus_one")
-        inputs = compiled.inputs(0)
-        fast, generic = _ab(compiled.plan(), inputs)
-        assert fast[3] is not None
-        assert fast[3] == generic[3]
-        assert "cannot progress" in fast[3]
-        # the event streams up to the deadlock must match too
-        assert fast[2] == generic[2]
-
-    def test_hand_built_deadlock_report_identical(self):
-        """Mixed parked shapes (bare ops and a Par) report identically."""
-
-        def build():
-            sched = Scheduler()
-            c1 = sched.add_channel(Channel("c1"))
-            c2 = sched.add_channel(Channel("c2"))
-
-            def starved():
-                yield Recv(c1)
-
-            def stuck_par():
-                yield Par([Send(c2, 7), Recv(c1)])
-
-            sched.spawn("starved", starved(), single_op=True)
-            sched.spawn("stuck", stuck_par())
-            return sched
-
-        reports = {}
-        for flag in ("1", "0"):
-            with _engine(flag):
-                sched = build()
-            with pytest.raises(DeadlockError) as info:
-                sched.run()
-            reports[flag] = str(info.value)
-        assert reports["1"] == reports["0"]
-        assert "starved: waiting on recv c1" in reports["1"]
+#: 0 = ``run(timing=False)``, 1 = ``run(timing=True)``
+TIMING_MODES = [0, 1]
 
 
 class TestParValidation:
@@ -172,7 +27,7 @@ class TestParValidation:
 
     ``Par.__init__`` already validates, so the malformed shapes are built
     via ``__new__`` -- modelling a corrupted or hand-rolled request object,
-    which previously fell through to a raw ``AttributeError`` inside
+    which would otherwise fall through to a raw ``AttributeError`` inside
     ``_try_recv``.
     """
 
@@ -182,176 +37,68 @@ class TestParValidation:
         par.ops = tuple(ops)
         return par
 
-    @pytest.mark.parametrize("engine", ["1", "0"])
-    def test_nested_par_rejected(self, engine):
-        with _engine(engine):
-            sched = Scheduler()
-            chan = sched.add_channel(Channel("c"))
-            inner = self._raw_par([Recv(chan)])
-            bad = self._raw_par([Send(chan, 1), inner])
-
-            def proc():
-                yield bad
-
-            sched.spawn("offender", proc())
-        with pytest.raises(RuntimeSimulationError, match="offender.*Par"):
-            sched.run()
-
-    @pytest.mark.parametrize("engine", ["1", "0"])
-    def test_non_op_member_rejected(self, engine):
-        with _engine(engine):
-            sched = Scheduler()
-            chan = sched.add_channel(Channel("c"))
-            bad = self._raw_par([Recv(chan), "not an op"])
-
-            def proc():
-                yield bad
-
-            sched.spawn("offender", proc())
-        with pytest.raises(
-            RuntimeSimulationError, match="offender.*not an op"
-        ):
-            sched.run()
-
-    @pytest.mark.parametrize("engine", ["1", "0"])
-    def test_empty_par_rejected(self, engine):
-        with _engine(engine):
-            sched = Scheduler()
-            bad = self._raw_par([])
-
-            def proc():
-                yield bad
-
-            sched.spawn("offender", proc())
-        with pytest.raises(RuntimeSimulationError, match="offender.*empty Par"):
-            sched.run()
-
-    def test_no_channel_side_effects_before_error(self):
-        """Validation fires before any sub-op touches a channel."""
+    @pytest.mark.parametrize("timing", TIMING_MODES)
+    def test_nested_par_rejected(self, timing):
         sched = Scheduler()
-        chan = sched.add_channel(Channel("c", capacity=4))
-        bad = self._raw_par([Send(chan, 1), object()])
+        chan = sched.add_channel(Channel("c"))
+        inner = self._raw_par([Recv(chan)])
+        bad = self._raw_par([Send(chan, 1), inner])
 
         def proc():
             yield bad
 
         sched.spawn("offender", proc())
-        with pytest.raises(RuntimeSimulationError):
-            sched.run()
-        assert chan.messages_carried == 0
-        assert not chan.queue
+        with pytest.raises(RuntimeSimulationError, match="offender.*Par"):
+            sched.run(timing=bool(timing))
 
-
-class TestWorkerAssignmentValidation:
-    def test_uncovered_process_raises_named_error(self):
+    @pytest.mark.parametrize("timing", TIMING_MODES)
+    def test_non_op_member_rejected(self, timing):
         sched = Scheduler()
         chan = sched.add_channel(Channel("c"))
+        bad = self._raw_par([Recv(chan), "not an op"])
 
-        def ping():
-            yield Send(chan, 1)
+        def proc():
+            yield bad
 
-        def pong():
-            yield Recv(chan)
+        sched.spawn("offender", proc())
+        with pytest.raises(
+            RuntimeSimulationError, match="offender.*not an op"
+        ):
+            sched.run(timing=bool(timing))
 
-        sched.spawn("ping", ping())
-        sched.spawn("pong", pong())
-        sched.assign_workers({"ping": 0})  # typo'd/partial assignment
-        with pytest.raises(RuntimeSimulationError, match="uncovered: pong"):
-            sched.run()
-
-    def test_full_assignment_still_runs(self):
+    @pytest.mark.parametrize("timing", TIMING_MODES)
+    def test_empty_par_rejected(self, timing):
         sched = Scheduler()
-        chan = sched.add_channel(Channel("c"))
+        bad = self._raw_par([])
 
-        def ping():
-            yield Send(chan, 1)
+        def proc():
+            yield bad
 
-        def pong():
-            yield Recv(chan)
-
-        sched.spawn("ping", ping())
-        sched.spawn("pong", pong())
-        sched.assign_workers({"ping": 0, "pong": 0})
-        stats = sched.run()
-        assert stats.total_messages == 1
+        sched.spawn("offender", proc())
+        with pytest.raises(RuntimeSimulationError, match="offender.*empty Par"):
+            sched.run(timing=bool(timing))
 
 
 class TestRunReentry:
-    @pytest.mark.parametrize("engine", ["1", "0"])
-    def test_second_run_raises_and_first_stats_survive(self, engine):
-        with _engine(engine):
-            sched = Scheduler()
-            chan = sched.add_channel(Channel("c"))
-
-            def producer():
-                for i in range(3):
-                    yield Send(chan, i)
-
-            def consumer():
-                for _ in range(3):
-                    yield Recv(chan)
-
-            sched.spawn("p", producer())
-            sched.spawn("c", consumer())
-        stats = sched.run()
-        rounds, messages = stats.scheduler_rounds, stats.total_messages
-        with pytest.raises(RuntimeSimulationError, match="already ran"):
-            sched.run()
-        # the failed re-entry must not have touched the first run's stats
-        assert stats.scheduler_rounds == rounds > 0
-        assert stats.total_messages == messages == 3
-
-    def test_reentry_raises_even_after_deadlock(self):
+    @pytest.mark.parametrize("timing", TIMING_MODES)
+    def test_second_run_raises_and_first_stats_survive(self, timing):
         sched = Scheduler()
         chan = sched.add_channel(Channel("c"))
 
-        def lonely():
-            yield Recv(chan)
+        def producer():
+            for i in range(3):
+                yield Send(chan, i)
 
-        sched.spawn("lonely", lonely())
-        with pytest.raises(DeadlockError):
-            sched.run()
+        def consumer():
+            for _ in range(3):
+                yield Recv(chan)
+
+        sched.spawn("p", producer())
+        sched.spawn("c", consumer())
+        stats = sched.run(timing=bool(timing))
+        rounds, messages = stats.scheduler_rounds, stats.total_messages
         with pytest.raises(RuntimeSimulationError, match="already ran"):
-            sched.run()
-
-
-class TestSingleOpDeclaration:
-    def test_mis_declared_par_still_works(self):
-        """single_op is a hint: a Par from a declared process is correct."""
-
-        def build():
-            sched = Scheduler()
-            c1 = sched.add_channel(Channel("c1"))
-            c2 = sched.add_channel(Channel("c2"))
-            got = []
-
-            def fanout():
-                # declared single-op below, but yields a Par anyway
-                yield Par([Send(c1, 10), Send(c2, 20)])
-
-            def sink():
-                a = yield Recv(c1)
-                b = yield Recv(c2)
-                got.append((a, b))
-
-            sched.spawn("fanout", fanout(), single_op=True)
-            sched.spawn("sink", sink(), single_op=True)
-            return sched, got
-
-        results = {}
-        for flag in ("1", "0"):
-            with _engine(flag):
-                sched, got = build()
-            stats = sched.run()
-            results[flag] = (got[0], stats)
-        assert results["1"][0] == results["0"][0] == (10, 20)
-        assert results["1"][1] == results["0"][1]
-
-    def test_engine_flag_is_read_at_construction(self):
-        with _engine("0"):
-            sched = Scheduler()
-            assert not sched._fast
-        with _engine("1"):
-            assert fast_engine_enabled()
-            sched = Scheduler()
-            assert sched._fast
+            sched.run(timing=bool(timing))
+        # the failed re-entry must not have touched the first run's stats
+        assert stats.scheduler_rounds == rounds > 0
+        assert stats.total_messages == messages == 3

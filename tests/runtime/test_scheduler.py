@@ -1,4 +1,8 @@
-"""Unit tests for the channel/scheduler substrate."""
+"""Unit tests for the channel/scheduler substrate.
+
+Behaviour on real networks (values, stats, trace streams, deadlock
+reports) is pinned by digest in ``test_sched_golden.py``.
+"""
 
 import pytest
 
@@ -343,3 +347,108 @@ class TestSpawnScaling:
             sched.spawn(f"p{i}", noop())
         with pytest.raises(RuntimeSimulationError):
             sched.spawn("p42", noop())
+
+
+class TestParValidation:
+    """Malformed Par requests fail before touching any channel.
+
+    The per-shape error messages are checked, in both run modes, in
+    ``test_sched_fast.py``; the malformed request is built via
+    ``Par.__new__`` because ``Par.__init__`` already validates.
+    """
+
+    def test_no_channel_side_effects_before_error(self):
+        """Validation fires before any sub-op touches a channel."""
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c", capacity=4))
+        bad = Par.__new__(Par)
+        bad.ops = (Send(chan, 1), object())
+
+        def proc():
+            yield bad
+
+        sched.spawn("offender", proc())
+        with pytest.raises(RuntimeSimulationError):
+            sched.run()
+        assert chan.messages_carried == 0
+        assert not chan.queue
+
+
+class TestWorkerAssignmentValidation:
+    def test_uncovered_process_raises_named_error(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c"))
+
+        def ping():
+            yield Send(chan, 1)
+
+        def pong():
+            yield Recv(chan)
+
+        sched.spawn("ping", ping())
+        sched.spawn("pong", pong())
+        sched.assign_workers({"ping": 0})  # typo'd/partial assignment
+        with pytest.raises(RuntimeSimulationError, match="uncovered: pong"):
+            sched.run()
+
+    def test_full_assignment_still_runs(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c"))
+
+        def ping():
+            yield Send(chan, 1)
+
+        def pong():
+            yield Recv(chan)
+
+        sched.spawn("ping", ping())
+        sched.spawn("pong", pong())
+        sched.assign_workers({"ping": 0, "pong": 0})
+        stats = sched.run()
+        assert stats.total_messages == 1
+
+
+class TestRunReentry:
+    # a clean run followed by re-entry: test_sched_fast.py, both run modes
+    def test_reentry_raises_even_after_deadlock(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c"))
+
+        def lonely():
+            yield Recv(chan)
+
+        sched.spawn("lonely", lonely())
+        with pytest.raises(DeadlockError):
+            sched.run()
+        with pytest.raises(RuntimeSimulationError, match="already ran"):
+            sched.run()
+
+
+class TestLifetime:
+    def test_finished_scheduler_is_freed_without_the_cycle_collector(self):
+        """No process state points back at its scheduler, so a network is
+        released as soon as its last reference goes."""
+        import gc
+        import weakref
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sched = make_sched()
+            chan = sched.add_channel(Channel("c"))
+
+            def ping():
+                yield Send(chan, 1)
+
+            def pong():
+                yield Recv(chan)
+
+            sched.spawn("ping", ping())
+            sched.spawn("pong", pong())
+            sched.run()
+            ref = weakref.ref(sched)
+            del sched
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -241,6 +241,43 @@ class TestErrorMapping:
 
         service_run(scenario)
 
+    @pytest.mark.parametrize(
+        "endpoint, field, value",
+        [
+            ("verify", "capacity", -1),
+            ("verify", "capacity", "x"),
+            ("verify", "seed", "x"),
+            ("execute", "seed", "x"),
+            ("execute", "batch", "x"),
+            ("explore", "bound", "x"),
+            ("explore", "limit", "x"),
+        ],
+    )
+    def test_bad_integer_field_400(self, service_run, endpoint, field, value):
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            call = getattr(client, endpoint)
+            status, payload = await call(
+                source=source, design=design, sizes={"n": 2}, **{field: value}
+            )
+            assert status == 400
+            assert field in payload["error"]
+
+        service_run(scenario)
+
+    def test_zero_capacity_still_verifies(self, service_run):
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            status, payload = await client.verify(
+                source=source, design=design, sizes={"n": 2}, capacity=0
+            )
+            assert status == 200
+            assert payload["matched"] is True
+
+        service_run(scenario)
+
     def test_oversized_body_413(self, service_run):
         async def scenario(client, service):
             status, payload = await client.request(
