@@ -22,17 +22,17 @@ Two layers share the same mathematics (group the index space by
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro import profiling
 from repro.core.program import SystolicProgram
 from repro.geometry.point import Point
 from repro.runtime.trace import Trace
 from repro.symbolic.affine import Numeric
-from repro.util import env_int, require_numpy
+from repro.util import require_numpy
+from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import CompilationError, ReproError
 
 
@@ -301,76 +301,9 @@ def build_wavefront_schedule(
     )
 
 
-DEFAULT_SCHEDULE_CACHE_SIZE = 32
-
-
-class ScheduleCache:
-    """Bounded LRU of wavefront schedules keyed by (fingerprint, sizes).
-
-    Shared by the compile service's executor threads: the LRU structure is
-    mutated only under one lock; a missed schedule is built outside it (a
-    racing duplicate build is benign -- the schedules are equal and one
-    wins).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_SCHEDULE_CACHE_SIZE) -> None:
-        if capacity < 1:
-            raise ReproError(f"cache capacity must be >= 1, got {capacity}")
-        self._entries: "OrderedDict[tuple, WavefrontSchedule]" = OrderedDict()
-        self._capacity = capacity
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def schedule_for(
-        self, sp: SystolicProgram, env: Mapping[str, Numeric]
-    ) -> WavefrontSchedule:
-        from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
-        key = (
-            design_fingerprint(sp),
-            tuple(sorted((k, int(v)) for k, v in env.items())),
-        )
-        with self._lock:
-            schedule = self._entries.get(key)
-            if schedule is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return schedule
-            self.misses += 1
-        schedule = build_wavefront_schedule(sp, env)
-        with self._lock:
-            self._entries[key] = schedule
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return schedule
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self._capacity,
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-SCHEDULE_CACHE = ScheduleCache(
-    capacity=env_int(
-        "REPRO_WAVEFRONT_CACHE_SIZE", DEFAULT_SCHEDULE_CACHE_SIZE, minimum=1
-    )
-)
+#: wavefront schedules keyed by (design fingerprint, sizes)
+SCHEDULE_CACHE = BoundedLRU(32)
+profiling.register("wavefront_schedules", SCHEDULE_CACHE.stats)
 
 
 def wavefront_schedule(
@@ -379,7 +312,12 @@ def wavefront_schedule(
     """The (cached) vectorized execution plan of ``sp`` at size ``env``."""
     if not use_cache:
         return build_wavefront_schedule(sp, env)
-    return SCHEDULE_CACHE.schedule_for(sp, env)
+    from repro.target.pygen import design_fingerprint  # lazy: import cycle
+
+    return SCHEDULE_CACHE.get_or_build(
+        (design_fingerprint(sp), size_key(env)),
+        lambda: build_wavefront_schedule(sp, env),
+    )
 
 
 def activity_histogram(trace: Trace, *, width: int = 60, bins: int = 20) -> str:

@@ -72,14 +72,19 @@ def load_design(path: str) -> SystolicArray:
     )
 
 
+def parse_size_pair(pair: str) -> tuple[str, int]:
+    """``"n=4"`` -> ``("n", 4)``; a malformed pair raises :class:`ReproError`."""
+    name, sep, value = pair.partition("=")
+    try:
+        if sep:
+            return name.strip(), int(value)
+    except ValueError:
+        pass
+    raise ReproError(f"size must be name=value with an integer value, got {pair!r}")
+
+
 def parse_sizes(pairs: list[str]) -> dict[str, int]:
-    env: dict[str, int] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ReproError(f"size must be name=value, got {pair!r}")
-        name, _, value = pair.partition("=")
-        env[name.strip()] = int(value)
-    return env
+    return dict(map(parse_size_pair, pairs))
 
 
 def parse_array_shape(text: str) -> tuple[int, ...]:
@@ -105,11 +110,8 @@ def parse_size_sweep(pairs: list[str]) -> list[dict[str, int]]:
     """
     values: dict[str, list[int]] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ReproError(f"size must be name=value, got {pair!r}")
-        name, _, value = pair.partition("=")
-        bucket = values.setdefault(name.strip(), [])
-        v = int(value)
+        name, v = parse_size_pair(pair)
+        bucket = values.setdefault(name, [])
         if v not in bucket:
             bucket.append(v)
     envs: list[dict[str, int]] = [{}]

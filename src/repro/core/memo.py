@@ -35,7 +35,6 @@ import weakref
 from typing import Any, Callable, Hashable
 
 from repro import profiling
-from repro.symbolic.intern import counter
 
 __all__ = ["DerivationMemo", "MEMO", "program_fingerprint", "stable_key"]
 
@@ -89,7 +88,7 @@ class DerivationMemo:
     def __init__(self, limit: int = _TABLE_LIMIT) -> None:
         self.tables: dict[str, dict[Hashable, Any]] = {}
         self.limit = limit
-        self._stats = counter("derivation_memo")
+        self._stats = profiling.counter("derivation_memo")
         #: per-table (hits, misses) -- lets callers prove a specific
         #: derivation (e.g. the symbolic partition compilation) was reused
         #: rather than re-run, independent of unrelated memo traffic
@@ -142,7 +141,7 @@ class DerivationMemo:
                 self.tables.setdefault(name, {}).update(entries)
 
     def counters_snapshot(self) -> dict[str, tuple[int, int]]:
-        """All per-table ``(hits, misses)`` pairs (service ``/stats``)."""
+        """All per-table ``(hits, misses)`` pairs."""
         with self._lock:
             return {name: (s[0], s[1]) for name, s in self._table_stats.items()}
 
@@ -154,6 +153,9 @@ class DerivationMemo:
             }
             for name, entries in sorted(self.tables.items()):
                 out[f"table_{name}"] = len(entries)
+            for name, (hits, misses) in sorted(self._table_stats.items()):
+                out[f"table_{name}_hits"] = hits
+                out[f"table_{name}_misses"] = misses
         return out
 
 

@@ -42,19 +42,18 @@ exactly the slabs the fold assigns.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from repro import profiling
 from repro.core.memo import MEMO
 from repro.core.program import SystolicProgram
 from repro.geometry.point import Point
 from repro.runtime.network import build_network
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
-from repro.util import env_int
+from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import RuntimeSimulationError
 
 Assignment = Callable[[str, int], int]  # (process name, workers) -> worker
@@ -508,86 +507,12 @@ class PartitionedSchedule:
         return "\n".join(lines)
 
 
-DEFAULT_PARTITION_CACHE_SIZE = 32
-
-
-class PartitionCache:
-    """Bounded LRU of specialized partitioned schedules.
-
-    Keyed by ``(design_fingerprint, shape, sizes)``; the symbolic stage
-    underneath is memoized separately (per design + shape, size-free), so
-    a miss here on a *new size* is a pure specialization -- formula
-    evaluation plus wavefront binning -- never a re-derivation.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_PARTITION_CACHE_SIZE) -> None:
-        if capacity < 1:
-            raise RuntimeSimulationError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        self._entries: "OrderedDict[tuple, PartitionedSchedule]" = OrderedDict()
-        self._capacity = capacity
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def schedule_for(
-        self,
-        sp: SystolicProgram,
-        env: Mapping[str, Numeric],
-        shape: tuple[int, ...],
-    ) -> PartitionedSchedule:
-        from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
-        shape = tuple(int(s) for s in shape)
-        key = (
-            design_fingerprint(sp),
-            shape,
-            tuple(sorted((k, int(v)) for k, v in env.items())),
-        )
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return found
-            self.misses += 1
-        # outside the lock: the symbolic stage underneath is memoized in
-        # MEMO (itself thread-safe) and a racing duplicate specialize is
-        # pure, so last-write-wins is benign
-        schedule = compile_partition(sp, shape).specialize(sp, env)
-        with self._lock:
-            self._entries[key] = schedule
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return schedule
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self._capacity,
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-PARTITION_CACHE = PartitionCache(
-    capacity=env_int(
-        "REPRO_PARTITION_CACHE_SIZE", DEFAULT_PARTITION_CACHE_SIZE, minimum=1
-    )
-)
+#: specialized partitioned schedules keyed by (design fingerprint, shape,
+#: sizes).  The symbolic stage underneath is memoized separately (per design
+#: + shape, size-free), so a miss on a *new size* is a pure specialization --
+#: formula evaluation plus wavefront binning -- never a re-derivation.
+PARTITION_CACHE = BoundedLRU(32)
+profiling.register("partition_schedules", PARTITION_CACHE.stats)
 
 
 def partitioned_schedule(
@@ -598,11 +523,15 @@ def partitioned_schedule(
     use_cache: bool = True,
 ) -> PartitionedSchedule:
     """The (cached) fold of ``sp`` onto a fixed array at size ``env``."""
+    shape = tuple(int(s) for s in shape)
     if not use_cache:
-        return compile_partition(sp, tuple(int(s) for s in shape)).specialize(
-            sp, env
-        )
-    return PARTITION_CACHE.schedule_for(sp, env, shape)
+        return compile_partition(sp, shape).specialize(sp, env)
+    from repro.target.pygen import design_fingerprint  # lazy: import cycle
+
+    return PARTITION_CACHE.get_or_build(
+        (design_fingerprint(sp), shape, size_key(env)),
+        lambda: compile_partition(sp, shape).specialize(sp, env),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import profiling
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
 from repro.lang.interpreter import run_sequential
@@ -46,6 +47,9 @@ STATS = {
 def stats() -> dict:
     """A snapshot of the pipeline reuse counters."""
     return dict(STATS)
+
+
+profiling.register("fuzz_pipeline", stats)
 
 
 @dataclass

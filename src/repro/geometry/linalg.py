@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar
 
 from repro.geometry.point import Point, Scalar
+from repro.profiling import counter
 from repro.util.errors import GeometryError, SingularMatrixError
 
 T = TypeVar("T")
@@ -33,8 +34,9 @@ _ELIM_CACHE_LIMIT = 16384
 _rank_cache: dict = {}
 _null_basis_cache: dict = {}
 _inverse_cache: dict = {}
-_elim_stats = {"rank_hits": 0, "rank_misses": 0, "null_hits": 0,
-               "null_misses": 0, "inv_hits": 0, "inv_misses": 0}
+_rank_stats = counter("linalg_rank")
+_null_stats = counter("linalg_null")
+_inverse_stats = counter("linalg_inverse")
 
 
 def _elim_cache_put(cache: dict, key, value):
@@ -187,9 +189,9 @@ class Matrix:
         """The rank of the matrix (exact; memoized on the rows)."""
         cached = _rank_cache.get(self.rows)
         if cached is not None:
-            _elim_stats["rank_hits"] += 1
+            _rank_stats.hits += 1
             return cached
-        _elim_stats["rank_misses"] += 1
+        _rank_stats.misses += 1
         result = sum(1 for row in self._echelon() if any(c != 0 for c in row))
         return _elim_cache_put(_rank_cache, self.rows, result)
 
@@ -203,9 +205,9 @@ class Matrix:
         """
         cached = _null_basis_cache.get(self.rows)
         if cached is not None:
-            _elim_stats["null_hits"] += 1
+            _null_stats.hits += 1
             return list(cached)
-        _elim_stats["null_misses"] += 1
+        _null_stats.misses += 1
         reduced = self._echelon()
         ncols = self.ncols
         pivots: dict[int, int] = {}
@@ -261,9 +263,9 @@ class Matrix:
         """
         cached = _inverse_cache.get(self.rows)
         if cached is not None:
-            _elim_stats["inv_hits"] += 1
+            _inverse_stats.hits += 1
             return cached
-        _elim_stats["inv_misses"] += 1
+        _inverse_stats.misses += 1
         n = self.nrows
         if n != self.ncols:
             raise GeometryError(f"inverse of non-square {self.shape} matrix")
@@ -285,11 +287,6 @@ class Matrix:
         return _elim_cache_put(
             _inverse_cache, self.rows, Matrix(row[n:] for row in work)
         )
-
-
-from repro import profiling  # noqa: E402
-
-profiling.register("linalg_elim", lambda: dict(_elim_stats))
 
 
 def identity(n: int) -> Matrix:

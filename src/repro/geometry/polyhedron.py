@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from repro.profiling import counter
 from repro.util.errors import GeometryError
 
 #: global feasibility memo keyed by the canonicalized integer rows; see
 #: :func:`fourier_motzkin_feasible`
 _fm_cache: dict = {}
-_FM_STATS = {"hits": 0, "misses": 0}
+_fm_stats = counter("fm_feasible")
 _FM_CACHE_LIMIT = 32768
 
 
@@ -170,9 +171,9 @@ def feasible_int_rows(rows: Sequence[tuple[int, ...]], dim: int) -> bool:
     key = (dim, tuple(sorted(set(rows))))
     cached = _fm_cache.get(key)
     if cached is not None:
-        _FM_STATS["hits"] += 1
+        _fm_stats.hits += 1
         return cached
-    _FM_STATS["misses"] += 1
+    _fm_stats.misses += 1
     work = list(rows)
     feasible = True
     for var in range(dim):

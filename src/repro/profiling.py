@@ -1,16 +1,28 @@
-"""Lightweight opt-in profiling for the symbolic core and the explorer.
+"""Opt-in profiling: every cache counter and stage timing in one registry.
 
 Set ``REPRO_PROFILE=1`` and every run prints a per-stage timing / counter
-table to stderr at interpreter exit: expression-intern hits, compiled-form
-cache hits, guard/piecewise memo hits, cross-design derivation memo hits,
-the pygen module-cache stats, and the sweep stage timings.  The hooks are
-plain integer increments, cheap enough to stay enabled unconditionally;
-only the report itself is gated on the environment variable.
+table to stderr at interpreter exit.  The hooks are plain integer
+increments, cheap enough to stay enabled unconditionally; only the report
+itself is gated on the environment variable.
 
-Subsystems *register* a named provider (a zero-argument callable returning
-a flat ``{counter: value}`` dict) instead of pushing values here, so the
-report always reflects live state and importing this module never drags in
-the rest of the package.
+Two kinds of counters feed the report:
+
+* hit/miss pairs from :func:`counter` -- the symbolic intern tables, the
+  compiled-form and guard/piecewise memos, the cross-design derivation
+  memo's total, the Fourier-Motzkin feasibility memo (``fm_feasible``) and
+  the linear-algebra elimination memos (``linalg_rank``, ``linalg_null``,
+  ``linalg_inverse``) -- all reported under the ``symbolic`` section;
+* named providers (a zero-argument callable returning a flat
+  ``{counter: value}`` dict) passed to :func:`register`: each
+  :class:`~repro.util.cache.BoundedLRU` registers its ``stats`` --
+  ``pygen_modules``, ``wavefront_schedules``, ``partition_schedules``,
+  ``network_plans`` -- next to ``derivation_memo`` (per-table counters and
+  sizes), ``fuzz_pipeline`` (compile-once reuse of fuzz instances) and,
+  once a compile service exists, ``design_store``.
+
+Providers are read at report time, so the report reflects live state, and
+importing this module never drags in the rest of the package.  The
+compile service's ``/stats`` is :func:`snapshot` plus its HTTP metrics.
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ import sys
 from typing import Callable, Mapping
 
 __all__ = [
+    "Counter",
+    "counter",
     "enabled",
     "register",
     "add_stage",
@@ -41,6 +55,43 @@ def enabled() -> bool:
 def register(name: str, provider: Callable[[], Mapping[str, object]]) -> None:
     """Register a named counter provider (later registrations replace)."""
     _providers[name] = provider
+
+
+class Counter:
+    """A hit/miss pair cheap enough for the construction hot path."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    def reset(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+
+_counters: dict[str, Counter] = {}
+
+
+def counter(name: str) -> Counter:
+    """The named hit/miss counter, created on first use (one per memo)."""
+    try:
+        return _counters[name]
+    except KeyError:
+        c = _counters[name] = Counter()
+        return c
+
+
+def _counter_snapshot() -> dict[str, int]:
+    out: dict[str, int] = {}
+    for name, c in sorted(_counters.items()):
+        out[f"{name}_hits"] = c.hits
+        out[f"{name}_misses"] = c.misses
+    return out
+
+
+register("symbolic", _counter_snapshot)
 
 
 def add_stage(name: str, seconds: float) -> None:

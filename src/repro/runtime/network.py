@@ -41,9 +41,7 @@ symbolic work entirely:
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
@@ -58,6 +56,7 @@ from repro.runtime.host import Host
 from repro.runtime.ops import Par, Recv, Send
 from repro.runtime.scheduler import Scheduler, SchedulerStats
 from repro.symbolic.affine import Numeric
+from repro.util.cache import BoundedLRU
 from repro.util.errors import RuntimeSimulationError
 
 
@@ -520,18 +519,16 @@ class _PlanBuilder:
 # ----------------------------------------------------------------------
 # plan cache
 # ----------------------------------------------------------------------
-#: content key -> NetworkPlan, least recently used first.  Every compile of
-#: one design shares a key, a planted mutation does not; bounded LRU.
-_plans: "OrderedDict[tuple, NetworkPlan]" = OrderedDict()
-_plans_lock = threading.Lock()
-_PLAN_LIMIT = 64
-_PLAN_STATS = {"builds": 0, "reuses": 0, "evictions": 0}
+#: content key -> NetworkPlan.  Every compile of one design shares a key, a
+#: planted mutation does not.
+PLAN_CACHE = BoundedLRU(64)
 
 
 def plan_stats() -> dict:
-    """Build/reuse/eviction counters (monotonic) and the cache size."""
-    with _plans_lock:
-        return dict(_PLAN_STATS, size=len(_plans))
+    """Build/reuse/eviction counters and the cache size."""
+    s = PLAN_CACHE.stats()
+    return {"builds": s["misses"], "reuses": s["hits"],
+            "evictions": s["evictions"], "size": s["size"]}
 
 
 profiling.register("network_plans", plan_stats)
@@ -549,23 +546,8 @@ def _plan_key(sp: SystolicProgram, env: Mapping[str, Numeric]) -> tuple:
 
 
 def network_plan(sp: SystolicProgram, env: Mapping[str, Numeric]) -> NetworkPlan:
-    """The memoized :class:`NetworkPlan` for ``(sp, env)``; a miss builds
-    outside the lock, and a racing duplicate build is dropped."""
-    key = _plan_key(sp, env)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            _PLAN_STATS["reuses"] += 1
-            return plan
-    built = NetworkPlan(sp, env)
-    with _plans_lock:
-        _PLAN_STATS["builds"] += 1
-        plan = _plans.setdefault(key, built)
-        if len(_plans) > _PLAN_LIMIT:
-            _plans.popitem(last=False)
-            _PLAN_STATS["evictions"] += 1
-    return plan
+    """The memoized :class:`NetworkPlan` for ``(sp, env)``."""
+    return PLAN_CACHE.get_or_build(_plan_key(sp, env), lambda: NetworkPlan(sp, env))
 
 
 def build_network(

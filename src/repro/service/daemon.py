@@ -38,9 +38,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Awaitable, Callable, Mapping
 
+# the partitioned and wavefront engines /execute and /verify dispatch to,
+# loaded with the daemon so /stats lists their caches from the first request
+import repro.analysis.wavefront  # noqa: F401
+import repro.extensions.partition  # noqa: F401
+from repro import profiling
 from repro.service.metrics import ServiceMetrics
 from repro.service.ratelimit import RateLimiter
 from repro.service.store import DesignStore, StoredDesign
+from repro.util.cache import size_key
 from repro.util.errors import ReproError, http_status
 
 __all__ = ["CompileService", "ServiceConfig", "state_to_json"]
@@ -94,6 +100,14 @@ class _HttpError(Exception):
         self.extra = extra
 
 
+def _size_env(sizes: Mapping[str, Any]) -> dict[str, int]:
+    """A request's problem sizes; a non-integer one is a 400 naming them."""
+    try:
+        return dict(size_key(sizes))
+    except ReproError as exc:
+        raise _HttpError(400, f"request field 'sizes': {exc}") from None
+
+
 def _json_value(value: Any) -> Any:
     """A JSON-safe scalar: ints pass through, Fractions become 'p/q'."""
     if isinstance(value, bool) or value is None:
@@ -141,6 +155,7 @@ class CompileService:
         self.store = DesignStore(
             executor=self.executor, max_designs=self.config.max_designs
         )
+        profiling.register("design_store", self.store.snapshot)
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._started = time.monotonic()
@@ -418,9 +433,7 @@ class CompileService:
     async def _design_for(self, request: Mapping[str, Any]) -> StoredDesign:
         """Resolve a request's design: by fingerprint or source+design."""
         if "fingerprint" in request and "source" not in request:
-            entry = self.store.lookup(request["fingerprint"])
-            self.store.hits += 1
-            return entry
+            return self.store.lookup(request["fingerprint"])
         if "source" not in request or "design" not in request:
             raise _HttpError(
                 400,
@@ -432,20 +445,15 @@ class CompileService:
         )
 
     @staticmethod
-    def _sizes_of(request: Mapping[str, Any], key: str = "sizes") -> dict:
-        sizes = request.get(key)
+    def _sizes_of(request: Mapping[str, Any]) -> dict:
+        sizes = request.get("sizes")
         if not isinstance(sizes, Mapping) or not sizes:
             raise _HttpError(
                 400,
-                f"request field {key!r} must be a non-empty object "
+                "request field 'sizes' must be a non-empty object "
                 'of problem sizes, e.g. {"n": 8}',
             )
-        try:
-            return {str(name): int(value) for name, value in sizes.items()}
-        except (TypeError, ValueError):
-            raise _HttpError(
-                400, f"problem sizes must be integers, got {sizes!r}"
-            ) from None
+        return _size_env(sizes)
 
     @staticmethod
     def _int_of(
@@ -477,35 +485,12 @@ class CompileService:
         }
 
     async def _handle_stats(self, request: Mapping[str, Any]) -> dict:
-        from repro.core.memo import MEMO
-        from repro.runtime.network import plan_stats
-        from repro.target.pygen import MODULE_CACHE
-
-        stats: dict[str, Any] = {
+        return {
             "service": self.metrics.snapshot(),
             "store": self.store.snapshot(),
             "rate_limiter": self.limiter.snapshot(),
-            "memo": MEMO.stats_snapshot(),
-            "memo_tables": {
-                name: {"hits": h, "misses": m}
-                for name, (h, m) in sorted(MEMO.counters_snapshot().items())
-            },
-            "module_cache": MODULE_CACHE.stats(),
-            "network_plans": plan_stats(),
+            **profiling.snapshot(),
         }
-        try:
-            from repro.analysis.wavefront import SCHEDULE_CACHE
-
-            stats["wavefront_cache"] = SCHEDULE_CACHE.stats()
-        except Exception:  # pragma: no cover -- cache module unavailable
-            pass
-        try:
-            from repro.extensions.partition import PARTITION_CACHE
-
-            stats["partition_cache"] = PARTITION_CACHE.stats()
-        except Exception:  # pragma: no cover
-            pass
-        return stats
 
     async def _handle_compile(self, request: Mapping[str, Any]) -> dict:
         emit = request.get("emit", "none")
@@ -715,9 +700,9 @@ class CompileService:
                 syms |= lp.lower.free_symbols | lp.upper.free_symbols
             envs = [{s: 4 for s in syms}]
         elif isinstance(sizes, Mapping):
-            envs = [{str(k): int(v) for k, v in sizes.items()}]
-        elif isinstance(sizes, list):
-            envs = [{str(k): int(v) for k, v in e.items()} for e in sizes]
+            envs = [_size_env(sizes)]
+        elif isinstance(sizes, list) and all(isinstance(e, Mapping) for e in sizes):
+            envs = [_size_env(e) for e in sizes]
         else:
             raise _HttpError(
                 400, "'sizes' must be an object or a list of objects"

@@ -23,7 +23,6 @@ retries from scratch, mirroring the memo's only-cache-success rule.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -36,6 +35,7 @@ from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
 from repro.systolic.spec import SystolicArray
 from repro.target.pygen import fingerprint_of
+from repro.util.cache import BoundedLRU
 from repro.util.errors import ReproError
 
 __all__ = ["DesignStore", "StoredDesign", "array_from_spec"]
@@ -90,7 +90,12 @@ class StoredDesign:
 
 
 class DesignStore:
-    """Bounded LRU of compiled designs + coalesced in-flight compiles."""
+    """Bounded LRU of compiled designs + coalesced in-flight compiles.
+
+    ``hits`` are store lookups answered by a cached design; ``misses``
+    count compilations started (coalesced waiters and unknown-fingerprint
+    lookups are not misses).
+    """
 
     def __init__(
         self,
@@ -98,20 +103,15 @@ class DesignStore:
         executor: Executor | None = None,
         max_designs: int = DEFAULT_MAX_DESIGNS,
     ) -> None:
-        if max_designs < 1:
-            raise ReproError(f"max_designs must be >= 1, got {max_designs}")
-        self._entries: "OrderedDict[str, StoredDesign]" = OrderedDict()
+        self._designs = BoundedLRU(max_designs)
         self._inflight: dict[str, asyncio.Future] = {}
         self._executor = executor
-        self._max_designs = max_designs
-        self.hits = 0
         self.misses = 0
         self.coalesced = 0
         self.failures = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._designs)
 
     @property
     def inflight(self) -> int:
@@ -134,15 +134,12 @@ class DesignStore:
         return program, array, fingerprint_of(program, array)
 
     def get(self, fingerprint: str) -> StoredDesign | None:
-        """The cached design, bumping LRU recency; None when absent."""
-        entry = self._entries.get(fingerprint)
-        if entry is not None:
-            self._entries.move_to_end(fingerprint)
-        return entry
+        """The cached design (a hit, bumping LRU recency); None when absent."""
+        return self._designs.get(fingerprint)
 
     def peek(self, fingerprint: str) -> StoredDesign | None:
         """Like :meth:`get` without touching recency or counters."""
-        return self._entries.get(fingerprint)
+        return self._designs.peek(fingerprint)
 
     def lookup(self, fingerprint: str) -> StoredDesign:
         """Like :meth:`get` but raising the daemon-facing 4xx error."""
@@ -171,7 +168,6 @@ class DesignStore:
         program, array, fingerprint = self.parse_request(source_text, design_spec)
         entry = self.get(fingerprint)
         if entry is not None:
-            self.hits += 1
             return entry
         future = self._inflight.get(fingerprint)
         if future is None:
@@ -221,32 +217,25 @@ class DesignStore:
             source_text=source_text,
             design_spec=dict(design_spec),
         )
-        self._insert(entry)
+        self._designs.put(fingerprint, entry)
         self._inflight.pop(fingerprint, None)
         if not future.cancelled():
             future.set_result(entry)
 
-    def _insert(self, entry: StoredDesign) -> None:
-        self._entries[entry.fingerprint] = entry
-        self._entries.move_to_end(entry.fingerprint)
-        while len(self._entries) > self._max_designs:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
     def clear(self) -> None:
         """Drop cached designs (in-flight compiles finish undisturbed)."""
-        self._entries.clear()
-        self.hits = self.misses = self.coalesced = 0
-        self.failures = self.evictions = 0
+        self._designs.clear()
+        self.misses = self.coalesced = self.failures = 0
 
     def snapshot(self) -> dict:
+        lru = self._designs.stats()
         return {
-            "designs": len(self._entries),
-            "capacity": self._max_designs,
+            "designs": lru["size"],
+            "capacity": lru["capacity"],
             "inflight": len(self._inflight),
-            "hits": self.hits,
+            "hits": lru["hits"],
             "misses": self.misses,
             "coalesced": self.coalesced,
             "failures": self.failures,
-            "evictions": self.evictions,
+            "evictions": lru["evictions"],
         }

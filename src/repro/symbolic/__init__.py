@@ -8,10 +8,14 @@ inequalities and combined into piecewise case analyses (the paper's
 ``if .. [] .. fi`` alternatives).  This package implements exactly that
 expression language, with exact rational arithmetic.
 
-All expression classes are hash-consed (:mod:`repro.symbolic.intern`):
-structurally equal instances are pointer-equal, expensive normalization
-queries are memoized on the canonical instance, and evaluation runs through
-compiled flat closures (:mod:`repro.symbolic.compile`).
+All expression classes are hash-consed: each class interns its instances in
+a per-class :class:`weakref.WeakValueDictionary` keyed by the structural
+content, so structurally equal instances are pointer-equal (``__eq__`` is
+an identity check in the common case), expensive normalization queries are
+memoized on the canonical instance, and evaluation runs through compiled
+flat closures (:mod:`repro.symbolic.compile`).  An entry dies with the last
+external reference, so interning never pins memory.  Intern and memo
+hit/miss pairs are :func:`repro.profiling.counter` instances.
 """
 
 from repro.symbolic.affine import Affine, AffineVec

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
 from repro.geometry.point import Point
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
 Numeric = Union[int, Fraction]

@@ -7,7 +7,7 @@ points, so this module lowers each form once into a single ``compile()``-d
 function over an ``env`` mapping -- guard chains become ``if``/``elif``
 lines, affine terms become inline arithmetic on ``env[...]`` lookups.  The
 compiled function is cached on the hash-consed instance (see
-:mod:`repro.symbolic.intern`), so every structural copy of a form shares
+:mod:`repro.symbolic`), so every structural copy of a form shares
 one compiled body.
 
 The *lowering* itself (:func:`render_affine`, :func:`render_guard`,
@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.geometry.point import Point
 from repro.symbolic.affine import Affine, AffineVec
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
 __all__ = [

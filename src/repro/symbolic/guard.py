@@ -9,7 +9,7 @@ Feasibility (used by the optional guard-pruning optimisation pass) reduces
 to rational Fourier-Motzkin over the guard's free symbols; callers supply
 standing *assumptions* such as ``n >= 1``.
 
-Both classes are hash-consed (see :mod:`repro.symbolic.intern`): a guard's
+Both classes are hash-consed (see :mod:`repro.symbolic`): a guard's
 intern key is its order-preserving constraint tuple, so printing order is
 stable, and the expensive queries (:meth:`Guard.feasible`,
 :meth:`Guard.implies`, :meth:`Guard.simplify`) are memoized on the one
@@ -29,7 +29,7 @@ from repro.geometry.polyhedron import (
     feasible_int_rows,
 )
 from repro.symbolic.affine import Affine, AffineLike, Numeric
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.util.errors import GuardError
 
 _MISSING = object()

@@ -37,7 +37,7 @@ from weakref import WeakValueDictionary
 
 from repro.symbolic.affine import Affine, AffineLike, Numeric, register_vec_passthrough
 from repro.symbolic.guard import Constraint
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
 #: Anything accepted where a loop/variable bound is expected.

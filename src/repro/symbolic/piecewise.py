@@ -11,7 +11,7 @@ scheme only ever produces case analyses whose overlapping alternatives agree
 Values may be affine expressions, affine vectors, nested piecewise values
 (Appendix E.2.5's soak/drain code), or ``None`` for the paper's ``null``.
 
-Both classes are hash-consed (see :mod:`repro.symbolic.intern`), evaluation
+Both classes are hash-consed (see :mod:`repro.symbolic`), evaluation
 routes through a compiled flat closure cached on the canonical instance
 (:mod:`repro.symbolic.compile`), and :meth:`simplify`/:meth:`prune`/
 :meth:`subs` are memoized on the interned identity.
@@ -25,7 +25,7 @@ from weakref import WeakValueDictionary
 
 from repro.symbolic.affine import Affine, AffineLike, AffineVec, Numeric
 from repro.symbolic.guard import Guard
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
 Value = Any  # Affine | AffineVec | Piecewise | None

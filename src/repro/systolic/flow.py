@@ -18,7 +18,7 @@ from fractions import Fraction
 from repro.geometry.point import Point
 from repro.lang.program import SourceProgram
 from repro.lang.stream import Stream
-from repro.symbolic.intern import counter
+from repro.profiling import counter
 from repro.systolic.spec import SystolicArray
 from repro.util.errors import RequirementViolation, SystolicSpecError
 

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
+from repro import profiling
 from repro.core.program import SystolicProgram
 from repro.lang.expr import Affine, BinOp, Body, Const, IndexExpr, StreamRead
 from repro.lang.interpreter import initial_state
@@ -44,7 +43,7 @@ from repro.symbolic.affine import AffineVec
 from repro.symbolic.compile import guard_chain_lines, render_affine, render_guard
 from repro.symbolic.minmax import render_bound
 from repro.symbolic.piecewise import Piecewise
-from repro.util import env_int
+from repro.util.cache import BoundedLRU
 from repro.util.errors import CompilationError
 
 
@@ -514,105 +513,9 @@ def run_threaded(sizes, inputs):
 #: design fingerprint so a stale disk cache can never resurface old code
 PYGEN_FORMAT_VERSION = "2"
 
-DEFAULT_MODULE_CACHE_SIZE = 64
-
-
-class ModuleCache:
-    """Bounded LRU of compiled module namespaces, keyed by source hash.
-
-    Exposes ``hits`` / ``misses`` / ``evictions`` counters so sweeps and
-    benchmarks can report cache effectiveness.
-
-    Safe to share across the compile service's executor threads: lookups
-    and inserts hold one lock; the compile+exec of a missed module runs
-    outside it (a racing duplicate compile produces an equivalent
-    namespace, and last-write-wins keeps exactly one).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_MODULE_CACHE_SIZE) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
-        self._capacity = capacity
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def key_of(source: str) -> str:
-        return hashlib.sha256(source.encode()).hexdigest()
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, source: str) -> bool:
-        return self.key_of(source) in self._entries
-
-    def namespace_for(self, source: str) -> dict:
-        """The compiled+exec'd namespace of ``source`` (compiling on miss).
-
-        Every rendered module ends with the constant :data:`_RUNNER` engine
-        text, which dominates compile time; on a miss only the per-design
-        head is compiled fresh and the engine's code object (compiled once
-        per process) is exec'd after it into the same namespace.  The
-        generated process functions reach the engine helpers through module
-        globals at call time, so the split is invisible to the module.
-        """
-        key = self.key_of(source)
-        with self._lock:
-            namespace = self._entries.get(key)
-            if namespace is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return namespace
-            self.misses += 1
-        namespace = {}
-        if source.endswith(_RUNNER):
-            head = source[: -len(_RUNNER)]
-            exec(compile(head, "<repro.target.pygen>", "exec"), namespace)
-            exec(_runner_code(), namespace)
-        else:
-            exec(compile(source, "<repro.target.pygen>", "exec"), namespace)
-        with self._lock:
-            self._entries[key] = namespace
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return namespace
-
-    def discard(self, source: str) -> None:
-        """Drop one entry (used by benchmarks to force a cold run)."""
-        with self._lock:
-            self._entries.pop(self.key_of(source), None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def resize(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            while len(self._entries) > capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def stats(self) -> dict:
-        return {
-            "capacity": self._capacity,
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
+#: compiled module namespaces keyed by :func:`module_key` of their source
+MODULE_CACHE = BoundedLRU(64)
+profiling.register("pygen_modules", MODULE_CACHE.stats)
 
 #: the runner engine's code object, compiled once per process and shared by
 #: every cached module (the engine text never varies across designs)
@@ -626,15 +529,34 @@ def _runner_code():
     return _RUNNER_CODE
 
 
-MODULE_CACHE = ModuleCache(
-    capacity=env_int(
-        "REPRO_PYGEN_CACHE_SIZE", DEFAULT_MODULE_CACHE_SIZE, minimum=1
-    )
-)
+def module_key(source: str) -> str:
+    """The :data:`MODULE_CACHE` key of a generated source: its sha-256."""
+    return hashlib.sha256(source.encode()).hexdigest()
 
 
-def _module_for(source: str) -> dict:
-    return MODULE_CACHE.namespace_for(source)
+def _exec_module(source: str) -> dict:
+    """The compiled+exec'd namespace of ``source``.
+
+    Every rendered module ends with the constant :data:`_RUNNER` engine
+    text, which dominates compile time; only the per-design head is
+    compiled fresh and the engine's code object (compiled once per
+    process) is exec'd after it into the same namespace.  The generated
+    process functions reach the engine helpers through module globals at
+    call time, so the split is invisible to the module.
+    """
+    namespace: dict = {}
+    if source.endswith(_RUNNER):
+        head = source[: -len(_RUNNER)]
+        exec(compile(head, "<repro.target.pygen>", "exec"), namespace)
+        exec(_runner_code(), namespace)
+    else:
+        exec(compile(source, "<repro.target.pygen>", "exec"), namespace)
+    return namespace
+
+
+def module_for(source: str) -> dict:
+    """The cached namespace of ``source``, compiled on a miss."""
+    return MODULE_CACHE.get_or_build(module_key(source), lambda: _exec_module(source))
 
 
 def design_fingerprint(sp: SystolicProgram) -> str:
@@ -725,7 +647,7 @@ def execute_python(
     the on-disk render cache.
     """
     source = render_python_cached(sp, cache_dir)
-    module = _module_for(source)
+    module = module_for(source)
     state = initial_state(sp.source, env, inputs)
     dense = {
         name: {tuple(int(c) for c in p): v for p, v in values.items()}

@@ -20,7 +20,6 @@ from repro.util.errors import (
 )
 
 __all__ = [
-    "env_int",
     "ReproError",
     "GeometryError",
     "SingularMatrixError",
@@ -39,33 +38,6 @@ __all__ = [
     "VerificationError",
     "require_numpy",
 ]
-
-
-def env_int(name: str, default: int, *, minimum: int | None = None) -> int:
-    """Read an integer configuration knob from the environment.
-
-    An unset or empty variable yields ``default``.  A malformed value --
-    or one below ``minimum`` when given -- raises :class:`ReproError`
-    *naming the variable*, instead of the bare ``ValueError`` a plain
-    ``int(os.environ[...])`` would throw from deep inside whatever cache
-    or pool the knob configures.
-    """
-    import os
-
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ReproError(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ReproError(
-            f"environment variable {name} must be >= {minimum}, got {value}"
-        )
-    return value
 
 
 def require_numpy(feature: str = "this feature"):

@@ -30,8 +30,7 @@ D1 = all_paper_designs()[0]
 
 @pytest.fixture(autouse=True)
 def empty_cache():
-    with network._plans_lock:
-        network._plans.clear()
+    network.PLAN_CACHE.clear()
 
 
 def _delta(before: dict, after: dict) -> dict:
@@ -90,8 +89,9 @@ def test_bounded_and_releases_programs():
         execute(compile_systolic(prog, array), env, random_inputs(prog, env))
     gc.collect()
     after = plan_stats()
-    assert after["size"] == network._PLAN_LIMIT
-    assert after["evictions"] - before["evictions"] == len(jobs) + 1 - network._PLAN_LIMIT
+    limit = network.PLAN_CACHE.capacity
+    assert after["size"] == limit
+    assert after["evictions"] - before["evictions"] == len(jobs) + 1 - limit
     assert first() is None
 
 

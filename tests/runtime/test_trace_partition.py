@@ -16,7 +16,7 @@ from repro.geometry import Point
 from repro.runtime import build_network
 from repro.runtime.trace import Trace, TraceEvent, attach_tracer, trace_run
 from repro.systolic import all_paper_designs
-from repro.util.errors import RuntimeSimulationError
+from repro.util.errors import ReproError, RuntimeSimulationError
 from repro.verify import random_inputs
 
 ALL = all_paper_designs()
@@ -287,6 +287,14 @@ class TestSymbolicPartitionedExecution:
         partitioned_schedule(sp, {"n": 4}, (3,))
         assert PARTITION_CACHE.stats()["hits"] >= 1
         assert MEMO.table_counters("partition_symbolic") == (h2, m2)
+
+    @pytest.mark.parametrize("bad", [4.5, True])
+    def test_non_integral_size_is_not_keyed_onto_a_neighbour(self, bad):
+        """``int()`` in the key once served the n=4 schedule for n=4.5."""
+        sp, *_ = setup_design(idx=0, n=4)
+        partitioned_schedule(sp, {"n": 4}, (2,))
+        with pytest.raises(ReproError, match="problem size n="):
+            partitioned_schedule(sp, {"n": bad}, (2,))
 
     def test_schedule_bands_describe_soak_and_drain(self):
         sp, prog, inputs, oracle, n = setup_design(idx=0, n=4)

@@ -266,6 +266,22 @@ class TestErrorMapping:
 
         service_run(scenario)
 
+    @pytest.mark.parametrize("endpoint", ["execute", "verify", "explore"])
+    @pytest.mark.parametrize("value", [4.5, True, "x", None])
+    def test_non_integer_size_400(self, service_run, endpoint, value):
+        """A fractional or boolean size once ran silently at int(value)."""
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            call = getattr(client, endpoint)
+            status, payload = await call(
+                source=source, design=design, sizes={"n": value}
+            )
+            assert status == 400
+            assert "sizes" in payload["error"]
+
+        service_run(scenario)
+
     def test_zero_capacity_still_verifies(self, service_run):
         _, source, design = paper_requests()[0]
 
@@ -307,11 +323,51 @@ class TestOperationalEndpoints:
             assert endpoint["requests"] == 1
             assert endpoint["latency"]["count"] == 1
             assert endpoint["latency"]["p95_s"] >= endpoint["latency"]["p50_s"]
-            assert "memo" in stats and "module_cache" in stats
-            assert "memo_tables" in stats
-            plans = stats["network_plans"]
+            assert set(stats) == {
+                "service", "store", "rate_limiter", "counters", "stages"
+            }
+            assert stats["counters"]["design_store"] == stats["store"]
+            assert stats["counters"]["derivation_memo"]["misses"] > 0
+            plans = stats["counters"]["network_plans"]
             assert set(plans) == {"builds", "reuses", "evictions", "size"}
             assert plans["size"] <= 64
+
+        service_run(scenario)
+
+    def test_every_cache_is_reported(self, service_run):
+        """Each bounded cache, the Fourier-Motzkin memo and the fuzz
+        pipeline are read from the one registry, in-process and via /stats."""
+        import importlib
+
+        from repro import profiling
+
+        for module in (
+            "repro.analysis.wavefront",
+            "repro.extensions.partition",
+            "repro.fuzz.compiled",
+            "repro.geometry.polyhedron",
+            "repro.runtime.network",
+            "repro.service.store",
+            "repro.target.pygen",
+        ):
+            importlib.import_module(module)
+        sections = {
+            "pygen_modules",
+            "wavefront_schedules",
+            "partition_schedules",
+            "network_plans",
+            "design_store",
+            "fuzz_pipeline",
+        }
+
+        async def scenario(client, service):
+            status, stats = await client.stats()
+            assert status == 200
+            for counters in (profiling.snapshot()["counters"], stats["counters"]):
+                assert sections <= set(counters)
+                assert {"fm_feasible_hits", "fm_feasible_misses"} <= set(
+                    counters["symbolic"]
+                )
 
         service_run(scenario)
 

@@ -12,83 +12,93 @@ from repro.systolic.designs import (
     polyprod_design_d1,
     polyprod_design_d2,
 )
+from repro.target import pygen
 from repro.target.pygen import (
     MODULE_CACHE,
-    ModuleCache,
     design_fingerprint,
     execute_python,
+    module_for,
+    module_key,
     render_python,
     render_python_cached,
 )
+from repro.util.cache import BoundedLRU
+from repro.util.errors import ReproError
+
+
+@pytest.fixture
+def module_cache(monkeypatch):
+    """Install a fresh module cache of the given capacity for one test."""
+
+    def install(capacity: int) -> BoundedLRU:
+        cache = BoundedLRU(capacity)
+        monkeypatch.setattr(pygen, "MODULE_CACHE", cache)
+        return cache
+
+    return install
+
+
+def cached(cache: BoundedLRU, source: str) -> bool:
+    return module_key(source) in cache
 
 
 class TestModuleCacheLRU:
-    def test_miss_then_hit(self):
-        cache = ModuleCache(capacity=4)
-        ns1 = cache.namespace_for("X = 1")
+    def test_miss_then_hit(self, module_cache):
+        cache = module_cache(4)
+        ns1 = module_for("X = 1")
         assert (cache.hits, cache.misses) == (0, 1)
-        ns2 = cache.namespace_for("X = 1")
+        ns2 = module_for("X = 1")
         assert (cache.hits, cache.misses) == (1, 1)
         assert ns1 is ns2
         assert ns1["X"] == 1
 
-    def test_eviction_at_capacity(self):
-        cache = ModuleCache(capacity=2)
-        cache.namespace_for("X = 1")
-        cache.namespace_for("X = 2")
+    def test_eviction_at_capacity(self, module_cache):
+        cache = module_cache(2)
+        module_for("X = 1")
+        module_for("X = 2")
         assert len(cache) == 2 and cache.evictions == 0
-        cache.namespace_for("X = 3")  # evicts the oldest ("X = 1")
+        module_for("X = 3")  # evicts the oldest ("X = 1")
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert "X = 1" not in cache
-        assert "X = 2" in cache and "X = 3" in cache
+        assert not cached(cache, "X = 1")
+        assert cached(cache, "X = 2") and cached(cache, "X = 3")
 
-    def test_lru_order_respects_hits(self):
-        cache = ModuleCache(capacity=2)
-        cache.namespace_for("X = 1")
-        cache.namespace_for("X = 2")
-        cache.namespace_for("X = 1")  # refresh: "X = 2" is now oldest
-        cache.namespace_for("X = 3")
-        assert "X = 1" in cache
-        assert "X = 2" not in cache
+    def test_lru_order_respects_hits(self, module_cache):
+        cache = module_cache(2)
+        module_for("X = 1")
+        module_for("X = 2")
+        module_for("X = 1")  # refresh: "X = 2" is now oldest
+        module_for("X = 3")
+        assert cached(cache, "X = 1")
+        assert not cached(cache, "X = 2")
 
-    def test_identical_namespace_after_eviction(self):
-        cache = ModuleCache(capacity=1)
-        first = dict(cache.namespace_for("VALUE = [1, 2, 3]"))
-        cache.namespace_for("VALUE = 'other'")  # evicts
+    def test_identical_namespace_after_eviction(self, module_cache):
+        cache = module_cache(1)
+        first = dict(module_for("VALUE = [1, 2, 3]"))
+        module_for("VALUE = 'other'")  # evicts
         assert cache.evictions == 1
-        again = cache.namespace_for("VALUE = [1, 2, 3]")
+        again = module_for("VALUE = [1, 2, 3]")
         assert again["VALUE"] == first["VALUE"]
         assert cache.misses == 3 and cache.hits == 0
 
-    def test_discard_and_clear(self):
-        cache = ModuleCache(capacity=4)
-        cache.namespace_for("X = 1")
-        cache.discard("X = 1")
+    def test_discard_and_clear(self, module_cache):
+        cache = module_cache(4)
+        module_for("X = 1")
+        cache.discard(module_key("X = 1"))
         assert len(cache) == 0
-        cache.discard("X = 1")  # absent: no error
-        cache.namespace_for("X = 1")
+        cache.discard(module_key("X = 1"))  # absent: no error
+        module_for("X = 1")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["misses"] == 0
 
-    def test_resize_evicts(self):
-        cache = ModuleCache(capacity=3)
-        for i in range(3):
-            cache.namespace_for(f"X = {i}")
-        cache.resize(1)
-        assert len(cache) == 1 and cache.capacity == 1
-        assert "X = 2" in cache  # newest survives
-        with pytest.raises(ValueError):
-            cache.resize(0)
-
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ModuleCache(capacity=0)
+        with pytest.raises(ReproError):
+            BoundedLRU(0)
 
     def test_stats_shape(self):
-        cache = ModuleCache(capacity=2)
-        assert cache.stats() == {
+        assert MODULE_CACHE.capacity == 64
+        assert BoundedLRU(2).stats() == {
             "capacity": 2,
             "size": 0,
             "hits": 0,
@@ -97,30 +107,28 @@ class TestModuleCacheLRU:
         }
 
     def test_key_is_source_hash(self):
-        assert ModuleCache.key_of("a") != ModuleCache.key_of("b")
-        assert ModuleCache.key_of("a") == ModuleCache.key_of("a")
+        assert module_key("a") != module_key("b")
+        assert module_key("a") == module_key("a")
 
 
 class TestExecuteThroughBoundedCache:
     """Generated-program results must be byte-identical before and after
     eviction: eviction costs a recompile, never correctness."""
 
-    def test_results_stable_across_eviction(self):
+    def test_results_stable_across_eviction(self, module_cache):
         exp_id, prog, arr = all_paper_designs()[0]
         sp = compile_systolic(prog, arr)
         source = render_python(sp)
-        old_capacity = MODULE_CACHE.capacity
-        try:
-            before = execute_python(sp, {"n": 3})
-            MODULE_CACHE.resize(1)
-            # exercise the module through a capacity-1 cache: each foreign
-            # compile evicts it
-            MODULE_CACHE.namespace_for("X = 1")
-            assert source not in MODULE_CACHE
-            after = execute_python(sp, {"n": 3})
-            assert after == before
-        finally:
-            MODULE_CACHE.resize(old_capacity)
+        before = execute_python(sp, {"n": 3})
+        # exercise the module through a capacity-1 cache: each foreign
+        # compile evicts it
+        cache = module_cache(1)
+        execute_python(sp, {"n": 3})
+        module_for("X = 1")
+        assert not cached(cache, source)
+        after = execute_python(sp, {"n": 3})
+        assert after == before
+        assert cache.misses == 3
 
     def test_global_cache_hit_counter_moves(self):
         exp_id, prog, arr = all_paper_designs()[0]

@@ -18,17 +18,19 @@ import pytest
 from repro import compile_systolic, run_sequential
 from repro.lang.expr import BinOp, Body, Const, StreamRead
 from repro.systolic import all_paper_designs
+from repro.util.cache import BoundedLRU
 from repro.util.errors import (
     BackendUnsupportedError,
     MissingDependencyError,
+    ReproError,
 )
 from repro.verify import random_inputs, verify_design
 
 numpy = pytest.importorskip("numpy")
 
-from repro.analysis.wavefront import (  # noqa: E402  (needs numpy)
+from repro.analysis import wavefront  # noqa: E402  (needs numpy)
+from repro.analysis.wavefront import (  # noqa: E402
     SCHEDULE_CACHE,
-    ScheduleCache,
     wavefront_schedule,
 )
 from repro.target.npgen import (  # noqa: E402
@@ -153,16 +155,31 @@ class TestScheduleCache:
         assert a.fingerprint != b.fingerprint
         assert SCHEDULE_CACHE.stats()["size"] == 2
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
         _, sp = compiled("D1")
-        cache = ScheduleCache(capacity=2)
+        cache = BoundedLRU(2)
+        monkeypatch.setattr(wavefront, "SCHEDULE_CACHE", cache)
         for n in (2, 3, 4):
-            cache.schedule_for(sp, {"n": n})
+            wavefront_schedule(sp, {"n": n})
         stats = cache.stats()
         assert stats["size"] == 2 and stats["evictions"] == 1
         # n=2 was evicted; n=4 still resident
-        cache.schedule_for(sp, {"n": 4})
+        wavefront_schedule(sp, {"n": 4})
         assert cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("bad", [4.5, True, "4"])
+    def test_non_integral_size_is_not_keyed_onto_a_neighbour(self, bad):
+        """``int()`` in the key once served the n=4 schedule for n=4.5."""
+        _, sp = compiled("D1")
+        wavefront_schedule(sp, {"n": 4})
+        with pytest.raises(ReproError, match="problem size n="):
+            wavefront_schedule(sp, {"n": bad})
+        assert SCHEDULE_CACHE.stats()["size"] == 1
+
+    def test_integral_non_int_size_shares_the_entry(self):
+        _, sp = compiled("D1")
+        first = wavefront_schedule(sp, {"n": 4})
+        assert wavefront_schedule(sp, {"n": Fraction(4)}) is first
 
 
 class TestValueDomain:

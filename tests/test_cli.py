@@ -44,6 +44,12 @@ class TestHelpers:
         with pytest.raises(ReproError):
             parse_size_sweep(["n:4"])
 
+    @pytest.mark.parametrize("parse", [parse_sizes, parse_size_sweep])
+    @pytest.mark.parametrize("pair", ["n=4.5", "n=abc", "n=", "n=1e3"])
+    def test_non_integer_size_is_a_named_error(self, parse, pair):
+        with pytest.raises(ReproError, match=repr(pair)):
+            parse([pair])
+
     def test_load_design(self):
         array = load_design(DESIGN)
         assert array.step.rows[0] == (2, 1)
@@ -213,6 +219,14 @@ class TestExecuteErrorPaths:
         assert main(["execute", SOURCE, DESIGN, "-s", "n:2"]) == 2
         err = capsys.readouterr().err
         assert "name=value" in err
+
+    @pytest.mark.parametrize("pair", ["n=4.5", "n=abc"])
+    @pytest.mark.parametrize("command", ["execute", "verify"])
+    def test_non_integer_size_exits_2(self, command, pair, capsys):
+        assert main([command, SOURCE, DESIGN, "-s", pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(pair) in err
+        assert "Traceback" not in err
 
 
 class TestServeFlagValidation:

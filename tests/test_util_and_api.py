@@ -6,69 +6,6 @@ import repro
 from repro.util import errors
 
 
-class TestEnvInt:
-    """Cache-size environment knobs must fail with a clear, named error."""
-
-    def test_default_when_unset(self, monkeypatch):
-        from repro.util import env_int
-
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_int("REPRO_TEST_KNOB", 17) == 17
-
-    def test_blank_means_default(self, monkeypatch):
-        from repro.util import env_int
-
-        monkeypatch.setenv("REPRO_TEST_KNOB", "   ")
-        assert env_int("REPRO_TEST_KNOB", 17) == 17
-
-    def test_parses_with_whitespace(self, monkeypatch):
-        from repro.util import env_int
-
-        monkeypatch.setenv("REPRO_TEST_KNOB", " 42 ")
-        assert env_int("REPRO_TEST_KNOB", 17) == 42
-
-    def test_malformed_names_the_variable(self, monkeypatch):
-        from repro.util import env_int
-
-        monkeypatch.setenv("REPRO_TEST_KNOB", "banana")
-        with pytest.raises(errors.ReproError, match="REPRO_TEST_KNOB"):
-            env_int("REPRO_TEST_KNOB", 17)
-
-    def test_minimum_enforced(self, monkeypatch):
-        from repro.util import env_int
-
-        monkeypatch.setenv("REPRO_TEST_KNOB", "0")
-        with pytest.raises(errors.ReproError, match="REPRO_TEST_KNOB"):
-            env_int("REPRO_TEST_KNOB", 17, minimum=1)
-
-    @pytest.mark.parametrize(
-        "name, module",
-        [
-            ("REPRO_PYGEN_CACHE_SIZE", "repro.target.pygen"),
-            ("REPRO_WAVEFRONT_CACHE_SIZE", "repro.analysis.wavefront"),
-            ("REPRO_PARTITION_CACHE_SIZE", "repro.extensions.partition"),
-        ],
-    )
-    def test_real_knobs_raise_named_errors(self, name, module):
-        """Importing a cache module under a malformed size knob fails with
-        a ReproError naming the variable, not a bare ValueError."""
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, **{name: "not-a-number"})
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import {module}"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode != 0
-        assert name in proc.stderr
-        assert "ReproError" in proc.stderr
-        assert "ValueError" not in proc.stderr
-
-
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in errors.__dict__:

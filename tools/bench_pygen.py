@@ -36,7 +36,7 @@ from repro.runtime import execute
 from repro.systolic import all_paper_designs
 from repro.target import execute_python, render_python
 from repro.target.npgen import HAVE_NUMPY, execute_numpy
-from repro.target.pygen import MODULE_CACHE
+from repro.target.pygen import MODULE_CACHE, module_key
 
 SIZES = (2, 3, 4, 5, 6)
 SCALING_SIZES = (2, 4, 6, 8)
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
             sim_ok = {v: {tuple(k): x for k, x in m.items()}
                       for v, m in sim_final.items()} == want
 
-            MODULE_CACHE.discard(render_python(sp))  # force a cold run
+            MODULE_CACHE.discard(module_key(render_python(sp)))  # force a cold run
             cold_s, cold_final = _best(execute_python, sp, env, inputs,
                                        repeats=1)
             warm_s, warm_final = _best(execute_python, sp, env, inputs)
