@@ -19,8 +19,8 @@ picklable via :meth:`DerivationMemo.export_state` /
 ``parallel.sweep_designs`` ships the warm driver-side memo to its worker
 processes once per batch.
 
-Set ``REPRO_DISABLE_MEMO=1`` to bypass every table (the correctness gate in
-``tools/bench_explore.py`` compares cached vs uncached ranked tables).
+Set ``REPRO_DISABLE_MEMO=1`` to bypass every table (the golden ranked-table
+test in ``tests/systolic/test_explore.py`` runs with the memo on and off).
 
 This module must stay import-light: it is imported from both ``core`` and
 ``systolic`` and may not import either.

@@ -32,7 +32,7 @@ from repro.runtime.network import NetworkPlan, network_plan
 from repro.target.pygen import render_python
 from repro.verify.equivalence import random_inputs
 
-#: monotonic pipeline counters; read by tests and tools/bench_fuzz.py
+#: monotonic pipeline counters; read by tests via :func:`stats`
 STATS = {
     "builds": 0,
     "render_builds": 0,

@@ -243,8 +243,17 @@ def fuzz_run(
             f"fuzz batch size must be >= 1, got {batch_size} "
             "(--batch-size / fuzz_run(batch_size=...))"
         )
-
+    if iterations < 1:
+        raise ReproError(
+            f"fuzz iterations must be >= 1, got {iterations} "
+            "(--iterations / fuzz_run(iterations=...))"
+        )
     base_config = config or HarnessConfig()
+    if base_config.input_sets < 1:
+        raise ReproError(
+            f"fuzz input sets must be >= 1, got {base_config.input_sets} "
+            "(--input-sets / HarnessConfig(input_sets=...))"
+        )
     summary = FuzzSummary(seed=seed, feature=feature)
     t0 = time.perf_counter()
 

@@ -218,7 +218,7 @@ class InstanceReport:
     instance: object
     failures: list[CheckFailure] = field(default_factory=list)
     checks_run: list[str] = field(default_factory=list)
-    #: per-check wall-clock seconds (for tools/bench_fuzz.py)
+    #: per-check wall-clock seconds (campaign check_seconds; bench/spans.py)
     timings: dict = field(default_factory=dict)
 
     @property

@@ -8,8 +8,8 @@ loading)``, so workers need no shared state.  This module fans
 design space with a :mod:`multiprocessing` pool and batches *multi-size*
 sweeps so each design is compiled exactly once and its symbolic closed
 forms are evaluated at every requested size (compilation dominates the
-per-candidate cost, so the batching alone is a measured win even on one
-core -- see ``tools/bench_explore.py``).
+per-candidate cost, so the batching alone is a win even on one core;
+``tests/test_parallel.py`` pins the one-compile-per-candidate count).
 
 The heavyweight context ``(program, step, envs)`` travels to each worker
 once via the pool initializer -- together with a snapshot of the driver's
@@ -21,8 +21,8 @@ deterministic key as the serial path, so ``jobs=N`` produces
 byte-identical tables for every N.
 
 Degenerate-parallelism guard: a pool cannot beat the serial path on a
-single-CPU machine (BENCH_explore.json's PR-2 numbers show jobs=2 at 0.93x
-serial there), and workers beyond the candidate count are pure overhead.
+single-CPU machine (jobs=2 measured 0.93x serial there), and workers
+beyond the candidate count are pure overhead.
 ``sweep_designs`` therefore clamps the worker count to the task count and
 falls back to the serial path (with a :class:`RuntimeWarning`) when only
 one CPU is available; ``force_pool=True`` overrides the CPU check for

@@ -1,10 +1,10 @@
 """A minimal asyncio JSON client for the compile service.
 
-Used by the in-process test fixture, ``tools/bench_service.py``, and any
-script that wants to talk to a running ``repro serve`` daemon without
-pulling in an HTTP library.  One client holds one keep-alive connection
-(reconnecting transparently when the server closed it); independent
-concurrency is achieved by creating several clients.
+Used by the in-process test fixture and by any script that wants to talk
+to a running ``repro serve`` daemon without pulling in an HTTP library.
+One client holds one keep-alive connection (reconnecting transparently
+when the server closed it); independent concurrency is achieved by
+creating several clients.
 
 Every call returns ``(status, payload)`` -- the client never raises on
 HTTP-level errors, because the tests exist precisely to assert on them.

@@ -168,3 +168,21 @@ class TestVerifyDesignPartition:
         prog, arr = DESIGNS["D1"]
         with pytest.raises(VerificationError):
             verify_design(prog, arr, {"n": 3}, backend="pygen", partition=(2,))
+
+
+class TestFuzzFolds:
+    def test_fuzz_programs_fold_onto_two_bands(self):
+        """120 generated programs folded onto a 2-band array -- through the
+        partitioned simulator and the banded npgen executor -- each equal
+        to the sequential oracle on every element of every variable."""
+        from repro.fuzz import HarnessConfig, fuzz_run
+
+        summary = fuzz_run(
+            seed=0,
+            iterations=120,
+            config=HarnessConfig(check_partition=True),
+            shrink=False,
+        )
+        assert summary.ok, [f.messages for f in summary.failures]
+        assert summary.check_counts["partition"] == 120
+        assert summary.check_counts["partition_npgen"] == 120

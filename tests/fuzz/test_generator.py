@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.fuzz.corpus import instance_from_json, instance_to_json
+from repro.fuzz.driver import fuzz_run
 from repro.fuzz.generator import (
     FEATURES,
     FuzzInstance,
@@ -125,6 +126,17 @@ class TestFeatureStrata:
             found += 1
             assert feature in program_features(inst.program)
         assert found >= 10, f"stratum {feature} starved"
+
+    @pytest.mark.parametrize(
+        "k, feature",
+        [(1, "negative_step"), (2, "minmax_bound"), (3, "multi_branch")],
+    )
+    def test_stratum_campaign_is_clean(self, k, feature):
+        summary = fuzz_run(
+            seed=1000 * k, iterations=10, feature=feature, shrink=False
+        )
+        assert summary.ok
+        assert summary.feature_counts.get(feature, 0) > 0
 
     def test_restricted_generation_is_deterministic(self):
         a = generate_instance(4, feature="negative_step")

@@ -30,6 +30,7 @@ from repro.fuzz.harness import (
 )
 from repro.fuzz.shrink import shrink_instance
 from repro.systolic.designs import all_paper_designs
+from repro.util.errors import ReproError
 
 ENGINE_CHECKS = {"simulator", "pygen", "cross_check"}
 
@@ -133,9 +134,10 @@ class TestMutationsCaught:
 
 
 class TestShrinker:
-    def test_shrinks_to_two_loops_and_replays(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shrinks_to_two_loops_and_replays(self, seed, tmp_path):
         config = HarnessConfig(mutate="drain_plus_one")
-        instance = _skip_if_unschedulable(generate_instance(0))
+        instance = _skip_if_unschedulable(generate_instance(seed))
         original = run_instance(instance, config)
         assert not original.ok
 
@@ -224,3 +226,15 @@ class TestDriver:
         summary = fuzz_run(seed=0, iterations=500, time_budget=0.0, shrink=False)
         assert summary.stopped_early
         assert summary.iterations < 500
+
+    @pytest.mark.parametrize(
+        "kwargs, needle",
+        [
+            ({"iterations": 0}, "iterations"),
+            ({"iterations": -1}, "iterations"),
+            ({"config": HarnessConfig(input_sets=0)}, "input sets"),
+        ],
+    )
+    def test_vacuous_campaign_rejected(self, kwargs, needle):
+        with pytest.raises(ReproError, match=needle):
+            fuzz_run(seed=0, shrink=False, **kwargs)

@@ -1,5 +1,8 @@
 """Tests for design-space exploration."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.geometry import Matrix, Point
@@ -18,6 +21,12 @@ from repro.systolic import (
 from repro.systolic.designs import tensor_contraction_program
 from repro.systolic.spec import SystolicArray
 from repro.util.errors import ReproError
+
+GOLDEN_E2_N4 = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "golden_explore_e2_n4.json"
+)
 
 
 class TestCostOf:
@@ -85,6 +94,19 @@ class TestExplore:
         costs = explore_designs(prog, Matrix([[2, 1]]), {"n": 3}, bound=1)
         assert all(isinstance(c, DesignCost) for c in costs)
         assert all("place" in c.row() for c in costs)
+
+    @pytest.mark.parametrize("memo", ["on", "off"])
+    def test_e2_ranked_table_matches_golden(self, memo, monkeypatch):
+        """The full E2 ranked table at n=4 equals the committed golden one,
+        with the derivation memo in use and bypassed: every caching layer
+        must leave the table bit-for-bit unchanged."""
+        monkeypatch.setenv("REPRO_DISABLE_MEMO", "1" if memo == "off" else "0")
+        golden = json.loads(GOLDEN_E2_N4.read_text())
+        prog = matrix_product_program()
+        costs = explore_designs(
+            prog, Matrix([[1, 1, 1]]), {"n": golden["n"]}, bound=1
+        )
+        assert [c.row() for c in costs] == golden["table"]
 
 
 class TestLoadingAxisFallback:

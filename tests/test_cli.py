@@ -229,6 +229,20 @@ class TestExecuteErrorPaths:
         assert "Traceback" not in err
 
 
+class TestFuzzFlagValidation:
+    """A campaign that would check nothing is refused, not reported clean."""
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--iterations", "-1"], "--iterations"),
+         (["--input-sets", "0"], "--input-sets")],
+    )
+    def test_vacuous_campaign_exits_2(self, flags, needle, capsys):
+        assert main(["fuzz", "--seed", "0", "--no-shrink", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+
+
 class TestServeFlagValidation:
     """``repro serve`` flag validation: exit 2 naming the offending flag."""
 

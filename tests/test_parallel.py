@@ -80,9 +80,24 @@ class TestSweepDesigns:
         result = sweep_designs(prog, POLY_STEP, [{"n": 3}], bound=1)
         assert result.costs_at({"n": 3}) == serial
 
-    def test_multi_size_shares_compilation(self):
+    def test_multi_size_shares_compilation(self, monkeypatch):
+        import repro.systolic.explore as explore
+
+        calls = []
+        real = explore.compile_candidate
+
+        def counting(program, step, place):
+            calls.append(place.rows)
+            return real(program, step, place)
+
+        monkeypatch.setattr(explore, "compile_candidate", counting)
         prog = polynomial_product_program()
+        sweep_designs(prog, POLY_STEP, [{"n": 3}], bound=1)
+        one_size = len(calls)
+        calls.clear()
         result = sweep_designs(prog, POLY_STEP, [{"n": 3}, {"n": 5}], bound=1)
+        # each candidate is compiled once, however many sizes it is costed at
+        assert one_size > 0 and len(calls) == one_size
         assert len(result.by_size) == 2
         per_size = {tuple(env.items()): costs for env, costs in result.by_size}
         assert per_size[(("n", 3),)] != per_size[(("n", 5),)]
