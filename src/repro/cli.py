@@ -19,8 +19,8 @@ Subcommands
                 cross-check, with shrinking of any failure;
 ``serve``       run the asyncio compile-service daemon: HTTP/JSON endpoints
                 (compile / explore / execute / verify / fuzz-replay) over a
-                content-addressed design store with request coalescing,
-                per-tenant rate limits and per-request timeouts.
+                content-addressed design store with request coalescing
+                and per-request timeouts.
 
 A *design spec* is a JSON file::
 
@@ -379,18 +379,10 @@ def validate_serve_args(args: argparse.Namespace) -> None:
         raise ReproError(
             f"--port must be in 0..65535 (0 = ephemeral), got {args.port}"
         )
-    if args.rate < 0:
-        raise ReproError(
-            f"--rate must be >= 0 (0 disables limiting), got {args.rate:g}"
-        )
-    if args.burst < 1:
-        raise ReproError(f"--burst must be >= 1, got {args.burst}")
-    if args.timeout <= 0:
+    if not args.timeout > 0:  # NaN compares false both ways
         raise ReproError(f"--timeout must be positive, got {args.timeout:g}")
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.max_tenants < 1:
-        raise ReproError(f"--max-tenants must be >= 1, got {args.max_tenants}")
     if args.max_designs < 1:
         raise ReproError(f"--max-designs must be >= 1, got {args.max_designs}")
 
@@ -404,11 +396,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        rate=args.rate,
-        burst=args.burst,
         timeout_s=args.timeout,
         workers=args.workers,
-        max_tenants=args.max_tenants,
         max_designs=args.max_designs,
         corpus_dir=args.corpus_dir,
     )
@@ -416,15 +405,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         await service.start()
-        limits = (
-            f"{config.rate:g}/s burst {config.burst}"
-            if config.rate > 0
-            else "off"
-        )
         print(
             f"repro compile service on http://{config.host}:{service.port} "
-            f"(workers {config.workers}, timeout {config.timeout_s:g}s, "
-            f"rate limit {limits})",
+            f"(workers {config.workers}, timeout {config.timeout_s:g}s)",
             file=sys.stderr,
         )
         try:
@@ -444,7 +427,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{store['designs']} design(s) cached "
             f"(hits {store['hits']}, misses {store['misses']}, "
             f"coalesced {store['coalesced']}); "
-            f"rate-limited {snapshot['rate_limited']}, "
             f"timeouts {snapshot['timeouts']}",
             file=sys.stderr,
         )
@@ -641,15 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8642, help="TCP port (0 = ephemeral)"
     )
     p.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="per-tenant requests/s (token bucket; 0 disables limiting)",
-    )
-    p.add_argument(
-        "--burst", type=int, default=8, help="token-bucket burst capacity"
-    )
-    p.add_argument(
         "--timeout",
         type=float,
         default=30.0,
@@ -662,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="executor threads for pipeline stages",
     )
-    p.add_argument("--max-tenants", type=int, default=1024)
     p.add_argument("--max-designs", type=int, default=512)
     p.add_argument(
         "--corpus-dir",

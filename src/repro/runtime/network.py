@@ -75,6 +75,35 @@ def _as_count(value: Any) -> int:
     return int(value)
 
 
+def _check_conservation(
+    sp: SystolicProgram,
+    amounts: Mapping[Point, tuple[int, Mapping[str, tuple[int, int]]]],
+    chain_totals: Mapping[tuple[str, Point], int],
+) -> None:
+    """At every computation process, the derived per-node amounts account
+    exactly for its chain's elements:
+
+    * moving stream:     soak + count + drain == chain total,
+    * stationary stream: soak +   1   + drain == chain total.
+
+    A violation means the symbolic derivations disagree with the pipe
+    enumeration and the run would deadlock; raising here gives a much
+    better diagnostic.
+    """
+    for y, (count, per_stream) in amounts.items():
+        for plan in sp.streams:
+            total = chain_totals.get((plan.name, y))
+            if total is None:
+                raise RuntimeSimulationError(f"no chain covers {plan.name} at {y}")
+            soak, drain = per_stream[plan.name]
+            middle = 1 if plan.stationary else count
+            if soak + middle + drain != total:
+                raise RuntimeSimulationError(
+                    f"conservation violated for {plan.name} at {y}: "
+                    f"{soak} + {middle} + {drain} != {total}"
+                )
+
+
 @dataclass
 class ProcessNetwork:
     """A fully instantiated network, ready to run."""
@@ -98,35 +127,15 @@ class ProcessNetwork:
         return self.scheduler.run(max_rounds=max_rounds, timing=timing)
 
     def validate_topology(self) -> None:
-        """Pre-flight conservation check: at every computation process, the
-        derived per-node amounts account exactly for its chain's elements:
-
-        * moving stream:     soak + count + drain == chain total,
-        * stationary stream: soak +   1   + drain == chain total.
-
-        A violation means the symbolic derivations disagree with the pipe
-        enumeration and the run would deadlock; raising here gives a much
-        better diagnostic.  (Per-channel producer/consumer uniqueness holds
-        by construction of the builder.)
+        """Pre-flight :func:`_check_conservation` of this network.
+        (Per-channel producer/consumer uniqueness holds by construction of
+        the builder.)
 
         The per-node amounts come from :attr:`amounts`, evaluated once by
         the builder while wiring the compute nodes; the chain totals are
         read live so later corruption is still caught.
         """
-        for y, (count, per_stream) in self.amounts.items():
-            for plan in self.program.streams:
-                total = self.chain_totals.get((plan.name, y))
-                if total is None:
-                    raise RuntimeSimulationError(
-                        f"no chain covers {plan.name} at {y}"
-                    )
-                soak, drain = per_stream[plan.name]
-                middle = 1 if plan.stationary else count
-                if soak + middle + drain != total:
-                    raise RuntimeSimulationError(
-                        f"conservation violated for {plan.name} at {y}: "
-                        f"{soak} + {middle} + {drain} != {total}"
-                    )
+        _check_conservation(self.program, self.amounts, self.chain_totals)
 
 
 #: a process factory: given the instantiation's channel list and host,
@@ -167,24 +176,11 @@ class NetworkPlan:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """The conservation check of ``ProcessNetwork.validate_topology``,
-        run once per plan instead of once per execution."""
+        """:func:`_check_conservation`, run once per plan instead of once
+        per execution."""
         if self._validated:
             return
-        for y, (count, per_stream) in self.amounts.items():
-            for plan in self.sp.streams:
-                total = self.chain_totals.get((plan.name, y))
-                if total is None:
-                    raise RuntimeSimulationError(
-                        f"no chain covers {plan.name} at {y}"
-                    )
-                soak, drain = per_stream[plan.name]
-                middle = 1 if plan.stationary else count
-                if soak + middle + drain != total:
-                    raise RuntimeSimulationError(
-                        f"conservation violated for {plan.name} at {y}: "
-                        f"{soak} + {middle} + {drain} != {total}"
-                    )
+        _check_conservation(self.sp, self.amounts, self.chain_totals)
         self._validated = True
 
     def instantiate(

@@ -22,12 +22,9 @@ __all__ = ["ServiceClient"]
 class ServiceClient:
     """One keep-alive connection to a compile service daemon."""
 
-    def __init__(
-        self, host: str, port: int, *, tenant: str | None = None
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.tenant = tenant
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -85,8 +82,6 @@ class ServiceClient:
             f"Content-Length: {len(body)}",
             "Content-Type: application/json",
         ]
-        if self.tenant is not None:
-            lines.append(f"X-Repro-Tenant: {self.tenant}")
         for name, value in (headers or {}).items():
             lines.append(f"{name}: {value}")
         self._writer.write("\r\n".join(lines).encode() + b"\r\n\r\n" + body)

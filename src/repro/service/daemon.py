@@ -44,7 +44,6 @@ import repro.analysis.wavefront  # noqa: F401
 import repro.extensions.partition  # noqa: F401
 from repro import profiling
 from repro.service.metrics import ServiceMetrics
-from repro.service.ratelimit import RateLimiter
 from repro.service.store import DesignStore, StoredDesign
 from repro.util.cache import size_key
 from repro.util.errors import ReproError, http_status
@@ -67,24 +66,19 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is ``service.port``)
-    rate: float = 0.0  # tokens/s per tenant; <= 0 disables limiting
-    burst: int = 8  # bucket capacity once limiting is on
     timeout_s: float = 30.0  # per-request wall clock
     workers: int = 1  # executor threads for pipeline stages
-    max_tenants: int = 1024
     max_body_bytes: int = 4 * 1024 * 1024
     max_designs: int = 512
     corpus_dir: str = "tests/fuzz_corpus"
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:  # NaN compares false both ways
             raise ReproError(
                 f"request timeout must be positive, got {self.timeout_s}"
             )
         if self.workers < 1:
             raise ReproError(f"workers must be >= 1, got {self.workers}")
-        if self.rate > 0 and self.burst < 1:
-            raise ReproError(f"burst must be >= 1, got {self.burst}")
         if self.max_body_bytes < 1024:
             raise ReproError(
                 f"max body size must be >= 1024 bytes, got {self.max_body_bytes}"
@@ -138,16 +132,11 @@ def state_to_json(final: Mapping[str, Mapping[tuple, Any]]) -> dict:
 
 
 class CompileService:
-    """One daemon instance: a design store, a limiter, and the routes."""
+    """One daemon instance: a design store and the routes."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics()
-        self.limiter = RateLimiter(
-            rate=self.config.rate,
-            burst=self.config.burst,
-            max_tenants=self.config.max_tenants,
-        )
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
@@ -231,9 +220,7 @@ class CompileService:
                     return
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
+                status, payload = await self._dispatch(method, path, body)
                 try:
                     await self._respond(
                         writer, status, payload, close=not keep_alive
@@ -306,7 +293,6 @@ class CompileService:
         payload: dict,
         *,
         close: bool,
-        extra_headers: Mapping[str, str] | None = None,
     ) -> None:
         reason = {
             200: "OK",
@@ -315,7 +301,6 @@ class CompileService:
             405: "Method Not Allowed",
             413: "Payload Too Large",
             422: "Unprocessable Entity",
-            429: "Too Many Requests",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error",
             501: "Not Implemented",
@@ -328,8 +313,6 @@ class CompileService:
             f"Content-Length: {len(body)}",
             f"Connection: {'close' if close else 'keep-alive'}",
         ]
-        for name, value in (extra_headers or {}).items():
-            headers.append(f"{name}: {value}")
         writer.write("\r\n".join(headers).encode() + b"\r\n\r\n" + body)
         await writer.drain()
 
@@ -339,20 +322,18 @@ class CompileService:
         return path.split("?", 1)[0].strip("/") or "root"
 
     async def _dispatch(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes
+        self, method: str, path: str, body: bytes
     ) -> tuple[int, dict]:
         name = self._endpoint_name(path)
         started = time.perf_counter()
-        status, payload = await self._dispatch_inner(
-            method, path, headers, body
-        )
+        status, payload = await self._dispatch_inner(method, path, body)
         elapsed = time.perf_counter() - started
         self.metrics.record(name, status, elapsed)
         self.requests_served += 1
         return status, payload
 
     async def _dispatch_inner(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes
+        self, method: str, path: str, body: bytes
     ) -> tuple[int, dict]:
         route = path.split("?", 1)[0]
         handler = self._routes.get((method, route))
@@ -366,20 +347,6 @@ class CompileService:
                 }
             return 404, {"error": f"unknown endpoint {route!r}",
                          "endpoints": sorted({r for _, r in self._routes})}
-        if route not in ("/healthz", "/stats"):
-            tenant = headers.get("x-repro-tenant", "default")
-            if not self.limiter.allow(tenant):
-                self.metrics.rate_limited += 1
-                retry = self.limiter.retry_after(tenant)
-                return 429, {
-                    "error": (
-                        f"tenant {tenant!r} exceeded "
-                        f"{self.limiter.rate:g} requests/s "
-                        f"(burst {self.limiter.burst})"
-                    ),
-                    "tenant": tenant,
-                    "retry_after_s": round(retry, 4),
-                }
         if method == "POST":
             try:
                 request = json.loads(body.decode() or "{}")
@@ -488,7 +455,6 @@ class CompileService:
         return {
             "service": self.metrics.snapshot(),
             "store": self.store.snapshot(),
-            "rate_limiter": self.limiter.snapshot(),
             **profiling.snapshot(),
         }
 

@@ -130,7 +130,6 @@ class ServiceMetrics:
 
     def __init__(self) -> None:
         self.endpoints: dict[str, EndpointMetrics] = {}
-        self.rate_limited = 0
         self.timeouts = 0
         self.malformed = 0
         self.connections = 0
@@ -146,7 +145,6 @@ class ServiceMetrics:
 
     def snapshot(self) -> dict:
         return {
-            "rate_limited": self.rate_limited,
             "timeouts": self.timeouts,
             "malformed": self.malformed,
             "connections": self.connections,

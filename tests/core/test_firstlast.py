@@ -11,9 +11,11 @@ from repro.core import (
     is_simple_place,
 )
 from repro.geometry import Matrix, Point
-from repro.symbolic import Affine, AffineVec
+from repro.runtime import execute
+from repro.symbolic import Affine, AffineVec, Piecewise
 from repro.systolic import (
     SystolicArray,
+    all_paper_designs,
     matmul_design_e1,
     matmul_design_e2,
     matrix_product_program,
@@ -21,6 +23,7 @@ from repro.systolic import (
     polyprod_design_d1,
     polyprod_design_d2,
 )
+from repro.verify import random_inputs
 
 n = Affine.var("n")
 col = Affine.var("col")
@@ -71,6 +74,38 @@ class TestD1FirstLast:
     def test_count(self):
         sp = compiled(polynomial_product_program, polyprod_design_d1)
         assert sp.count.evaluate({"col": 2, "n": 5}) == 6
+        assert sp.simple
+        assert sp.count.collapse() == n + 1
+
+
+class TestPruneAblation:
+    """The Fourier-Motzkin pruning pass is the paper's by-hand
+    "optimisation before translation": it may shrink the case analyses,
+    never change what the program computes."""
+
+    def test_pruning_shrinks_guards(self):
+        def guard_atoms(pw):
+            return sum(len(case.guard.constraints) for case in pw.cases)
+
+        prog, array = matrix_product_program(), matmul_design_e2()
+        raw = compile_systolic(prog, array, prune=False)
+        slim = compile_systolic(prog, array)
+        for name in ("a", "b", "c"):
+            assert guard_atoms(slim.plan(name).first_s) < guard_atoms(
+                raw.plan(name).first_s
+            )
+        # the pruned D1 repeater collapses to a single unguarded form
+        d1 = compiled(polynomial_product_program, polyprod_design_d1)
+        assert not isinstance(d1.plan("a").first_s.collapse(), Piecewise)
+
+    @pytest.mark.parametrize("design_idx", [0, 1, 2, 3])
+    def test_semantics_unchanged_by_pruning(self, design_idx):
+        exp_id, prog, array = all_paper_designs()[design_idx]
+        raw = compile_systolic(prog, array, prune=False)
+        slim = compile_systolic(prog, array)
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=design_idx)
+        assert execute(raw, env, inputs)[0] == execute(slim, env, inputs)[0]
 
 
 class TestD2FirstLast:
@@ -124,6 +159,7 @@ class TestE1FirstLast:
         assert sp.last.cases[0].value == AffineVec.of(col, row, n)
         assert sp.simple
         assert sp.count.evaluate({"col": 0, "row": 0, "n": 7}) == 8
+        assert sp.count.collapse() == n + 1
 
 
 class TestE2FirstLast:

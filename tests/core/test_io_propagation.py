@@ -81,6 +81,20 @@ class TestD1IO:
         assert sp.plan("b").increment_s == Point.of(1)
         assert sp.plan("c").increment_s == Point.of(1)
 
+    def test_closed_forms(self):
+        """The repeaters and D.1.5's soak/drain as symbolic forms, valid
+        for every n and col."""
+        sp = compiled(polynomial_product_program, polyprod_design_d1)
+        assert sp.plan("a").first_s.collapse() == AffineVec.of(0)
+        assert sp.plan("a").last_s.collapse() == AffineVec.of(n)
+        assert sp.plan("c").last_s.collapse() == AffineVec.of(2 * n)
+        assert sp.plan("b").soak.collapse() == Affine.constant(0)
+        assert sp.plan("b").drain.collapse() == Affine.constant(0)
+        assert sp.plan("c").soak.collapse() == col
+        assert sp.plan("c").drain.collapse() == n - col
+        assert sp.plan("a").drain.collapse() == n - col  # loading passes
+        assert sp.plan("a").soak.collapse() == col  # recovery passes
+
 
 class TestD2IO:
     """D.2.4: increment_a = 1, increment_b = -1, increment_c = 0 (stationary,
@@ -89,9 +103,12 @@ class TestD2IO:
     def test_b_reversed(self):
         sp = compiled(polynomial_product_program, polyprod_design_d2)
         env = {"col": 0, "n": 5}
+        assert sp.plan("a").increment_s == Point.of(1)
         assert sp.plan("b").increment_s == Point.of(-1)
         assert sp.plan("b").first_s.evaluate(env) == Point.of(5)
         assert sp.plan("b").last_s.evaluate(env) == Point.of(0)
+        assert sp.plan("b").first_s.collapse() == AffineVec.of(n)
+        assert sp.plan("b").last_s.collapse() == AffineVec.of(0)
 
     def test_c_stationary_uses_loading_vector(self):
         sp = compiled(polynomial_product_program, polyprod_design_d2)
@@ -100,6 +117,7 @@ class TestD2IO:
         env = {"col": 0, "n": 5}
         assert sp.plan("c").first_s.evaluate(env) == Point.of(0)
         assert sp.plan("c").last_s.evaluate(env) == Point.of(10)
+        assert sp.plan("c").last_s.collapse() == AffineVec.of(2 * n)
 
 
 class TestE1IO:
@@ -122,14 +140,33 @@ class TestE1IO:
         assert sp.plan("b").increment_s == Point.of(1, 0)
         assert sp.plan("c").increment_s == Point.of(1, 0)  # loading vector
 
+    def test_closed_forms(self):
+        """The E.1.4 table and E.1.5's soak/drain as symbolic forms."""
+        sp = compiled(matrix_product_program, matmul_design_e1)
+        assert sp.plan("a").first_s.collapse() == AffineVec.of(col, 0)
+        assert sp.plan("a").last_s.collapse() == AffineVec.of(col, n)
+        assert sp.plan("b").first_s.collapse() == AffineVec.of(0, row)
+        assert sp.plan("b").last_s.collapse() == AffineVec.of(n, row)
+        assert sp.plan("c").first_s.collapse() == AffineVec.of(0, row)
+        assert sp.plan("c").last_s.collapse() == AffineVec.of(n, row)
+        for name in ("a", "b"):
+            assert sp.plan(name).soak.collapse() == Affine.constant(0)
+            assert sp.plan(name).drain.collapse() == Affine.constant(0)
+        assert sp.plan("c").drain.collapse() == n - col  # loading
+        assert sp.plan("c").soak.collapse() == col  # recovery
+
 
 class TestE2IO:
     """E.2.4: first_a = (0,-col) | (col,0); last_a = (n+col,n) | (n,n-col);
     symmetrically for b; first_c = (0,row-col) | (col-row,0)."""
 
+    def test_increments(self):
+        sp = compiled(matrix_product_program, matmul_design_e2)
+        for name in ("a", "b", "c"):
+            assert sp.plan(name).increment_s == Point.of(1, 1)
+
     def test_first_a(self):
         sp = compiled(matrix_product_program, matmul_design_e2)
-        assert sp.plan("a").increment_s == Point.of(1, 1)
         assert sp.plan("a").first_s.evaluate({"col": -2, "row": 0, "n": 4}) == Point.of(0, 2)
         assert sp.plan("a").first_s.evaluate({"col": 2, "row": 0, "n": 4}) == Point.of(2, 0)
 

@@ -7,10 +7,12 @@ so agreement with the oracle validates every derivation at once.
 
 import pytest
 
+from repro import profiling
 from repro.core import compile_systolic
 from repro.geometry import Point
 from repro.lang import run_sequential
 from repro.runtime import build_network, execute
+from repro.runtime.network import network_plan
 from repro.systolic import all_paper_designs
 from repro.util.errors import RuntimeSimulationError
 
@@ -66,6 +68,40 @@ class TestEndToEnd:
         for var in oracle:
             assert final[var] == oracle[var]
 
+    @pytest.mark.parametrize("design_idx", [0, 1, 2, 3])
+    def test_capacity_does_not_change_makespan(self, design_idx):
+        """Virtual time tracks dependences, not buffering."""
+        exp_id, prog, array = ALL[design_idx]
+        sp = compile_systolic(prog, array)
+        inputs = inputs_for(exp_id, 3)
+        spans = {
+            execute(sp, {"n": 3}, inputs, channel_capacity=capacity)[1].makespan
+            for capacity in (0, 1, 2, 8)
+        }
+        assert len(spans) == 1
+
+    def test_second_size_adds_no_symbolic_miss(self):
+        """The derived program is symbolic in n: running it at a new size
+        only evaluates its compiled forms -- no derivation, guard or
+        piecewise table misses."""
+        exp_id, prog, array = ALL[3]
+        sp = compile_systolic(prog, array)
+        execute(sp, {"n": 2}, inputs_for(exp_id, 2))
+        before = profiling.snapshot()["counters"]["symbolic"]
+        execute(sp, {"n": 5}, inputs_for(exp_id, 5))
+        after = profiling.snapshot()["counters"]["symbolic"]
+        misses = [k for k in after.keys() | before.keys() if k.endswith("_misses")]
+        assert "derivation_memo_misses" in misses
+        changed = {
+            k: after.get(k, 0) - before.get(k, 0)
+            for k in misses
+            if after.get(k, 0) != before.get(k, 0)
+        }
+        assert changed == {}
+        # the counters are live: the new size did evaluate compiled forms
+        hits = "piecewise_compiled_cache_hits"
+        assert after[hits] > before[hits]
+
     def test_degenerate_n0(self):
         """n = 0: single-statement programs still work."""
         for exp_id, prog, array in ALL:
@@ -118,6 +154,37 @@ class TestNetworkShape:
         assert net.node_counts["buffer"] == 0
         assert net.node_counts["latch"] == 0
         assert net.node_counts["compute"] == 9
+        # one input and one output process per pipe: 3 streams x (n+1)
+        assert net.node_counts["input"] == net.node_counts["output"] == 9
+        assert net.run().process_count == 9 + 2 * 9
+
+    def test_d2_process_inventory(self):
+        """D.2: CS = PS = 0..2n, so 2n+1 compute processes and no buffers."""
+        exp_id, prog, array = ALL[1]
+        sp = compile_systolic(prog, array)
+        n = 4
+        net = build_network(sp, {"n": n}, poly_inputs(n))
+        assert net.node_counts["compute"] == 2 * n + 1
+        assert net.node_counts["buffer"] == 0
+
+    @pytest.mark.parametrize("design_idx", [0, 1, 2, 3])
+    def test_head_links_carry_eq10_totals(self, design_idx):
+        """Every pipe's head link carries exactly the Eq. 10 pass amount
+        of that pipe (zero for a pipe that misses the computation space)."""
+        exp_id, prog, array = ALL[design_idx]
+        sp = compile_systolic(prog, array)
+        env = {"n": 3}
+        plan = network_plan(sp, env)
+        net = plan.instantiate(inputs_for(exp_id, 3))
+        net.run()
+        heads = 0
+        for chan, (src, dst) in zip(net.scheduler._channels, plan.channel_ends):
+            if src is None and dst is not None:
+                stream = sp.plan(chan.name.split("_chan[")[0])
+                expected = stream.pass_amount.evaluate(sp.bind(dst, env))
+                assert chan.messages_carried == (expected or 0), chan.name
+                heads += 1
+        assert heads == net.node_counts["input"]
 
     def test_channel_occupancy_bounded(self):
         """No channel ever holds more than its capacity."""

@@ -181,12 +181,16 @@ class TestPartitionedExecution:
         assert stats.makespan > 0
 
     def test_makespan_monotone_in_workers(self):
+        """The Section 8 "not enough processors" curve on E1: makespan
+        never grows with more workers, and the first doubling helps by
+        more than a quarter."""
         sp, prog, inputs, oracle, n = setup_design(idx=2, n=4)
         spans = []
-        for w in (1, 2, 4, 16):
+        for w in (1, 2, 4, 8, 16, 64):
             _, stats = partitioned_execute(sp, {"n": n}, inputs, workers=w)
             spans.append(stats.makespan)
         assert spans == sorted(spans, reverse=True)
+        assert spans[1] < 0.75 * spans[0]
         assert spans[0] > 2 * spans[-1]  # folding to 1 worker hurts a lot
 
     def test_single_worker_serializes_everything(self):

@@ -3,8 +3,8 @@
 ``service_run`` boots a real daemon on an ephemeral loopback port inside
 ``asyncio.run``, hands the scenario coroutine a connected client (or a
 factory for many), and tears everything down -- no subprocesses, no port
-collisions, deterministic counters.  Service state (design store, metrics,
-rate limiter) is fresh per scenario; the *global* caches underneath
+collisions, deterministic counters.  Service state (design store and
+metrics) is fresh per scenario; the *global* caches underneath
 (``MEMO``, module/schedule caches) are process-wide by design, so tests
 assert on counter deltas, never absolutes.
 """

@@ -323,9 +323,7 @@ class TestOperationalEndpoints:
             assert endpoint["requests"] == 1
             assert endpoint["latency"]["count"] == 1
             assert endpoint["latency"]["p95_s"] >= endpoint["latency"]["p50_s"]
-            assert set(stats) == {
-                "service", "store", "rate_limiter", "counters", "stages"
-            }
+            assert set(stats) == {"service", "store", "counters", "stages"}
             assert stats["counters"]["design_store"] == stats["store"]
             assert stats["counters"]["derivation_memo"]["misses"] > 0
             plans = stats["counters"]["network_plans"]

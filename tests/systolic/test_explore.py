@@ -72,6 +72,13 @@ class TestExplore:
         assert frozenset({(1, 0, 0), (0, 1, 0)}) in row_sets  # E.1
         assert frozenset({(1, 0, -1), (0, 1, -1)}) in row_sets  # E.2
 
+    def test_polyprod_paper_designs_present(self):
+        prog = polynomial_product_program()
+        costs = explore_designs(prog, Matrix([[2, 1]]), {"n": 4}, bound=1)
+        row_sets = {frozenset(c.place.rows) for c in costs}
+        assert frozenset({(1, 0)}) in row_sets  # D.1
+        assert frozenset({(1, 1)}) in row_sets  # D.2
+
     def test_e1_family_beats_e2_family(self):
         """The compact grid with a stationary accumulator costs fewer cells
         than the Kung-Leiserson hexagon -- the trade-off the paper's two

@@ -249,12 +249,12 @@ class TestServeFlagValidation:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (["--rate", "-0.5"], "--rate"),
-            (["--burst", "0"], "--burst"),
+            (["--port", "65536"], "--port"),
+            (["--timeout", "nan"], "--timeout"),
             (["--timeout", "0"], "--timeout"),
             (["--timeout", "-3"], "--timeout"),
             (["--workers", "0"], "--workers"),
-            (["--max-tenants", "0"], "--max-tenants"),
+            (["--workers", "-1"], "--workers"),
             (["--max-designs", "0"], "--max-designs"),
             (["--port", "70000"], "--port"),
             (["--port", "-1"], "--port"),
