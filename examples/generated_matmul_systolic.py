@@ -4,11 +4,13 @@ Generated by repro.target.pygen; requires only the standard library.
 
 run(sizes, inputs)           -- fast cooperative engine
                                 (generator processes, unbounded FIFOs)
-run_threaded(sizes, inputs)  -- threads + bounded queues
+run_threaded(sizes, inputs)  -- threads + capacity-1 channels
                                 (the paper's distributed target model)
 
 The network is a Kahn process network (one producer and one consumer
-per channel), so both engines produce identical results.
+per channel), so both engines produce identical results.  Either
+engine raises Deadlock, naming the blocked processes, when none
+can move.
 """
 
 COORDS = ('col', 'row')
@@ -222,8 +224,20 @@ STREAMS = [
 
 # ---------------------------------------------------------------- runner --
 from collections import deque as _deque
-import queue as _queue
 import threading as _threading
+
+
+class Deadlock(RuntimeError):
+    """No process can make progress; ``blocked`` names every unfinished one."""
+
+    def __init__(self, procs):
+        self.blocked = [label for label, gen in procs if gen.gi_frame is not None]
+        RuntimeError.__init__(
+            self,
+            'generated program deadlocked: %d process(es) blocked: %s%s'
+            % (len(self.blocked), ', '.join(self.blocked[:20]),
+               ', ...' if len(self.blocked) > 20 else ''),
+        )
 
 
 def _box_points(lo, hi):
@@ -343,7 +357,8 @@ def _compute(point, sizes, env, in_chan, out_chan):
 
 
 def _build(sizes, inputs, new_chan):
-    """Instantiate the process network: generators + channels."""
+    """Instantiate the process network: ``(label, generator)`` pairs +
+    channels.  Labels name processes the way the simulator does."""
     lo = tuple(int(c) for c in _ps_min(sizes))
     hi = tuple(int(c) for c in _ps_max(sizes))
     order = _box_points(lo, hi)
@@ -378,9 +393,11 @@ def _build(sizes, inputs, new_chan):
                     link = new_chan()
                     out_chan[name][chain[idx - 1]] = link
                     feed = link
-                for _ in range(spec['latches']):
+                for k in range(spec['latches']):
                     buffered = new_chan()
-                    procs.append(_passer(feed, buffered, total))
+                    procs.append(
+                        ('L:%s%r#%d' % (name, y, k), _passer(feed, buffered, total))
+                    )
                     feed = buffered
                 in_chan[name][y] = feed
             tail = new_chan()
@@ -391,18 +408,24 @@ def _build(sizes, inputs, new_chan):
                 for _ in range(total):
                     elements.append(cur)
                     cur = _add(cur, spec['inc_s'])
-            procs.append(_feeder(head, elements, inputs[name]))
-            procs.append(_drainer(tail, elements, final[name]))
+            procs.append(
+                ('IN:%s%r' % (name, start), _feeder(head, elements, inputs[name]))
+            )
+            procs.append(
+                ('OUT:%s%r' % (name, chain[-1]), _drainer(tail, elements, final[name]))
+            )
     for point in order:
         if cs[point]:
-            procs.append(_compute(point, sizes, envs[point], in_chan, out_chan))
+            procs.append(
+                ('P%r' % (point,), _compute(point, sizes, envs[point], in_chan, out_chan))
+            )
         else:
             for s in STREAMS:  # PS \ CS: one pass loop per stream
-                procs.append(_passer(
+                procs.append(('B:%s%r' % (s['name'], point), _passer(
                     in_chan[s['name']][point],
                     out_chan[s['name']][point],
                     chain_total[(s['name'], point)],
-                ))
+                )))
     return procs, final
 
 
@@ -429,10 +452,8 @@ def run(sizes, inputs):
     """Execute with the fast cooperative engine; returns final contents."""
     ready = _deque()
     procs, final = _build(sizes, inputs, lambda: _Chan(ready))
-    blocked = 0
 
     def step(gen, value):
-        nonlocal blocked
         send = gen.send
         while True:
             try:
@@ -444,59 +465,118 @@ def run(sizes, inputs):
                 value = buf.popleft()
             else:
                 chan.waiter = gen
-                blocked += 1
                 return
 
-    for gen in procs:
+    for _label, gen in procs:
         step(gen, None)
     while ready:
         gen, chan = ready.popleft()
-        blocked -= 1
         step(gen, chan.buf.popleft())
-    if blocked:
-        raise RuntimeError(
-            'generated program deadlocked: %d process(es) blocked' % blocked
-        )
+    if any(gen.gi_frame is not None for _label, gen in procs):
+        raise Deadlock(procs)
     return final
 
 
 # ------------------------------------------------------ threaded engine --
-class _QChan:
-    """Bounded queue channel (transputer-style, capacity 1)."""
-
-    __slots__ = ('q',)
+class _Net:
+    """The one lock every channel of a threaded run shares, and the count
+    of process threads blocked on it.  Once every live thread is blocked,
+    no message can ever move again: all of them are released at once."""
 
     def __init__(self):
-        self.q = _queue.Queue(maxsize=1)
+        self.lock = _threading.Lock()
+        self.live = self.blocked = 0
+        self.procs = self.deadlock = None
+        self.chans = []
+
+    def check(self):
+        """Declare the deadlock if every live thread is blocked (lock held)."""
+        if self.live and self.blocked == self.live and self.deadlock is None:
+            self.deadlock = Deadlock(self.procs)
+            for chan in self.chans:
+                chan.cond.notify()
+
+
+class _Released(Exception):
+    """Unwinds a process thread once the run has deadlocked."""
+
+
+class _TChan:
+    """Capacity-1 channel (transputer-style) of the threaded engine."""
+
+    __slots__ = ('net', 'buf', 'cond', 'waiter')
+
+    def __init__(self, net):
+        self.net = net
+        self.buf = _deque()
+        self.cond = _threading.Condition(net.lock)
+        self.waiter = None
+        net.chans.append(self)
+
+    def _park(self):
+        net = self.net
+        me = self.waiter = object()
+        net.blocked += 1
+        net.check()
+        # the other end may park here before this thread runs again
+        while self.waiter is me and net.deadlock is None:
+            self.cond.wait()
+        if net.deadlock is not None:
+            raise _Released()
+
+    def _wake(self):
+        if self.waiter is not None:
+            self.waiter = None
+            self.net.blocked -= 1
+            self.cond.notify()
 
     def put(self, value):
-        self.q.put(value)
+        with self.net.lock:
+            while self.buf:
+                self._park()
+            self.buf.append(value)
+            self._wake()
 
     def get(self):
-        return self.q.get()
+        with self.net.lock:
+            while not self.buf:
+                self._park()
+            value = self.buf.popleft()
+            self._wake()
+            return value
 
 
-def _drive(gen):
+def _drive(net, gen, errors):
     value = None
     try:
         while True:
-            chan = gen.send(value)
-            value = chan.get()
-    except StopIteration:
+            value = gen.send(value).get()
+    except (StopIteration, _Released):
         pass
+    except Exception as exc:  # re-raised by run_threaded
+        errors.append(exc)
+    finally:
+        with net.lock:
+            net.live -= 1
+            net.check()
 
 
 def run_threaded(sizes, inputs):
-    """Execute with one thread per process and bounded queues."""
-    procs, final = _build(sizes, inputs, _QChan)
+    """Execute with one thread per process and capacity-1 channels."""
+    net = _Net()
+    net.procs, final = _build(sizes, inputs, lambda: _TChan(net))
+    net.live = len(net.procs)
+    errors = []
     threads = [
-        _threading.Thread(target=_drive, args=(gen,), daemon=True)
-        for gen in procs
+        _threading.Thread(target=_drive, args=(net, gen, errors), daemon=True)
+        for _label, gen in net.procs
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout=120)
-        if t.is_alive():
-            raise RuntimeError('generated program deadlocked (threaded mode)')
+        t.join()
+    if errors:
+        raise errors[0]
+    if net.deadlock is not None:
+        raise net.deadlock
     return final

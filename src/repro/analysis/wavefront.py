@@ -17,7 +17,7 @@ Two layers share the same mathematics (group the index space by
   all statements of one wavefront are independent, so each step can run as
   one batched array operation.  Schedules are cached per
   ``(design_fingerprint, problem size)`` in a bounded LRU, mirroring the
-  pygen render cache, so sweeps and batch executions amortize the build.
+  pygen module cache, so sweeps and batch executions amortize the build.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The scheme's whole value is that every derived quantity (repeaters, i/o
 endpoints, soak/drain, buffers) is *exact* -- and after several rounds of
 aggressive caching (interning, cross-design memoization, compiled guard
-closures, render caches) the realistic risk is a cache layer silently
+closures, module caches) the realistic risk is a cache layer silently
 diverging on a program shape nobody hand-wrote.  This package generates
 those shapes:
 
@@ -13,10 +13,10 @@ those shapes:
   designs drawn from the bounded synthesis space;
 * :mod:`repro.fuzz.harness` -- a differential harness that runs each
   instance through the sequential oracle, the coroutine simulator, the
-  compiled Python backend and the enumerative cross-check, and asserts
-  metamorphic invariants (memo on/off, pickled re-interning, render-cache
-  hit vs miss, repeated execution, optionally pool-vs-serial sweeps,
-  threaded engine and channel capacities);
+  compiled Python backend and the enumerative cross-check, checks that a
+  pickle round-trip re-interns to the same program, and optionally runs
+  the NumPy, threaded and partitioned engines, larger channel capacities
+  and pool-vs-serial sweeps;
 * :mod:`repro.fuzz.shrink` -- a greedy shrinker that minimizes failing
   instances (drop loops, shrink bounds and sizes, drop branches/streams,
   simplify expressions) and writes deterministic reproducers;

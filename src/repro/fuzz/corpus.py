@@ -8,9 +8,8 @@ one instance deterministically:
 * ``design`` -- exact ``step``/``place`` rows and loading vectors, the same
   shape the ``repro compile`` design-spec files use;
 * ``env`` -- the concrete problem-size binding;
-* ``harness`` -- the harness knobs the failure was observed under (input
-  seed, planted mutation, if any, and optionally ``check_threaded`` to
-  replay through the threaded engine);
+* ``harness`` -- every ``HarnessConfig`` field the failure was observed
+  under (older files hold only some; a missing one takes its default);
 * ``expect`` -- ``"pass"`` for checked-in regression pins (the bug the file
   minimizes is fixed in-tree), ``"fail"`` for freshly minimized output.
 
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.geometry.linalg import Matrix
@@ -94,12 +94,11 @@ def write_reproducer(
     expect: str = "fail",
 ) -> Path:
     """Serialize a (usually shrunk) failing instance; returns the path."""
+    from repro.fuzz.harness import HarnessConfig
+
     data = instance_to_json(instance)
     data["expect"] = expect
-    data["harness"] = {
-        "seed": 0 if config is None else config.seed,
-        "mutate": None if config is None else config.mutate,
-    }
+    data["harness"] = asdict(config or HarnessConfig())
     if report is not None and report.failures:
         data["failure"] = {
             "checks": sorted({f.check for f in report.failures}),
@@ -120,11 +119,8 @@ def load_reproducer(path):
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported reproducer format {data.get('format')!r}")
     harness = data.get("harness") or {}
-    config = HarnessConfig(
-        seed=int(harness.get("seed", 0)),
-        mutate=harness.get("mutate"),
-        check_threaded=bool(harness.get("check_threaded", False)),
-    )
+    known = {f.name for f in fields(HarnessConfig)}
+    config = HarnessConfig(**{k: v for k, v in harness.items() if k in known})
     return instance_from_json(data), config, data
 
 

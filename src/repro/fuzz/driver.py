@@ -8,12 +8,15 @@ collects results in iteration order, then shrinks any failures serially
 (shrinking re-runs the harness many times and wants the warm caches of one
 process).  Results are byte-identical for every ``--jobs`` value.
 
-Expensive metamorphic checks are *sampled* on a deterministic schedule so
-a default campaign stays fast but still covers them: the NumPy wavefront
-backend every 3rd iteration, partitioned execution every 4th, capacity
-invariance every 5th, the threaded engine every 7th, the pool-vs-serial
-sweep comparison every 25th, and each of the four cache-stack invariants
-every 4th (staggered, so an iteration carries about one of them).
+Expensive checks are *sampled* on a deterministic schedule so a default
+campaign stays fast but still covers them: the NumPy wavefront backend
+every 3rd iteration, partitioned execution every 4th, capacity invariance
+every 5th, the threaded engine every 7th and the pool-vs-serial sweep
+comparison every 25th.  The simulator, pygen, the enumerative cross-check
+and the pickle round-trip run on every instance.  A failure is shrunk with
+the sampled checks that caught it still on, and its reproducer records
+every ``HarnessConfig`` field, so the minimized file replays the same
+failure.
 """
 
 from __future__ import annotations
@@ -40,11 +43,15 @@ NPGEN_EVERY = 3
 #: partitioned execution re-runs the whole folded simulation (plus the
 #: banded npgen pass) -- comparable cost to the plain simulator check
 PARTITION_EVERY = 4
-#: the metamorphic cache-stack invariants (memo A/B, pickle round-trip,
-#: render cache, repeated execution) re-render or recompile the whole
-#: module; each runs on every 4th instance, staggered so each iteration
-#: carries about one of them
-METAMORPHIC_EVERY = 4
+
+#: sampled ``HarnessConfig`` flag -> the checks it switches on
+_SAMPLED_CHECKS = {
+    "check_threaded": {"threaded"},
+    "check_capacity": {"capacity"},
+    "check_partition": {"partition", "partition_npgen"},
+    "check_pool": {"pool_sweep"},
+    "check_npgen": {"npgen"},
+}
 
 #: adaptive batching aims for roughly this much work per pool fan-out --
 #: long enough to amortize dispatch, short enough that the time budget and
@@ -128,15 +135,8 @@ class FuzzSummary:
 
 
 def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
-    """The sampled per-iteration harness configuration.
-
-    The expensive extras (threaded engine, capacity, partition, pool) are
-    *enabled* on their cadence; the metamorphic cache-stack invariants --
-    on by default for direct harness use -- are *thinned* to a staggered
-    every-4th-iteration schedule, so a campaign still covers each one
-    constantly without paying all four on every instance.
-    """
-    m = iteration % METAMORPHIC_EVERY
+    """The sampled per-iteration harness configuration: each expensive
+    extra is *enabled* on its cadence (a flag set in ``base`` stays on)."""
     return replace(
         base,
         check_threaded=base.check_threaded
@@ -148,10 +148,6 @@ def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
         or iteration % NPGEN_EVERY == NPGEN_EVERY - 1,
         check_partition=base.check_partition
         or iteration % PARTITION_EVERY == PARTITION_EVERY - 1,
-        check_memo_ab=base.check_memo_ab and m == 0,
-        check_pickle=base.check_pickle and m == 1,
-        check_render_cache=base.check_render_cache and m == 2,
-        check_repeat=base.check_repeat and m == 3,
     )
 
 
@@ -354,24 +350,24 @@ def fuzz_run(
         from repro.fuzz.corpus import instance_from_json
 
         for failure in summary.failures:
-            iter_config = iteration_config(base_config, failure.iteration)
-            # Shrinking re-runs the cheap checks only: sampled extras are
-            # disabled so the minimized reproducer replays them cheaply.
-            shrink_config = replace(
-                iter_config,
-                check_threaded=False,
-                check_capacity=False,
-                check_partition=False,
-                check_pool=False,
+            # Shrinking re-runs the harness many times: of the sampled
+            # extras, only those that caught the failure stay on (without
+            # them the reproducer would replay green).
+            failure_config = replace(
+                iteration_config(base_config, failure.iteration),
+                **{
+                    flag: bool(checks & set(failure.checks))
+                    for flag, checks in _SAMPLED_CHECKS.items()
+                },
             )
             instance = instance_from_json(failure.original_json)
             shrunk, report = shrink_instance(
-                instance, shrink_config, max_steps=max_shrink_steps
+                instance, failure_config, max_steps=max_shrink_steps
             )
             failure.shrunk_json = instance_to_json(shrunk)
             if corpus_dir is not None:
                 path = write_reproducer(
-                    shrunk, report, corpus_dir, config=shrink_config
+                    shrunk, report, corpus_dir, config=failure_config
                 )
                 failure.reproducer = str(path)
                 if log:

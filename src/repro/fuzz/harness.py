@@ -15,21 +15,18 @@ For a :class:`~repro.fuzz.generator.FuzzInstance` the harness
 4. runs the **enumerative cross-check**
    (:func:`repro.verify.enumerative.cross_check`) of every symbolic closed
    form against its brute-force definition;
-5. checks **metamorphic invariants** -- different paths through the cache
-   stack must be byte-/value-identical:
+5. checks that a **pickle round-trip** (what ``parallel.sweep_designs``
+   does to ship work) re-interns to the identical rendering and identical
+   :class:`~repro.systolic.explore.DesignCost`;
+6. optionally: the vectorized NumPy backend, the threaded engine, larger
+   channel capacities, the partitioned executors, and a real
+   pool-vs-serial ``sweep_designs`` comparison (sampled by the driver --
+   they dominate runtime).
 
-   * compiling with ``REPRO_DISABLE_MEMO=1`` must render the identical
-     Python module (cross-design memo A/B);
-   * a pickle round-trip (what ``parallel.sweep_designs`` does to ship
-     work) must re-intern to the identical rendering and identical
-     :class:`~repro.systolic.explore.DesignCost`;
-   * a render-cache miss, the subsequent hit, and the uncached rendering
-     must agree byte-for-byte;
-   * executing the module twice (second run hits the module cache) must
-     be value-identical;
-   * optionally: the threaded engine, larger channel capacities, and a
-     real pool-vs-serial ``sweep_designs`` comparison (sampled by the
-     driver -- they dominate runtime).
+Which checks exist is decided by a kill matrix
+(``tests/fuzz/test_kill_matrix.py``): every planted fault x every check,
+with exact catch counts.  A check that is not the only check of its own
+engine stays only while it is the sole catcher of some planted fault.
 
 Failures are *recorded*, not raised: the shrinker needs to re-run the
 harness on mutated instances and compare failure kinds.
@@ -41,11 +38,8 @@ the harness actually catches the class of bug it exists for.
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.core.program import SystolicProgram
@@ -54,7 +48,7 @@ from repro.fuzz.compiled import CompiledInstance
 from repro.runtime.network import execute
 from repro.symbolic.piecewise import Piecewise
 from repro.systolic.explore import cost_of_compiled
-from repro.target.pygen import execute_python, render_python, render_python_cached
+from repro.target.pygen import execute_python, render_python
 from repro.verify.enumerative import cross_check
 
 
@@ -190,12 +184,6 @@ class HarnessConfig:
     check_partition: bool = False
     #: full pool-vs-serial ``sweep_designs`` comparison (expensive)
     check_pool: bool = False
-    #: metamorphic cache-stack invariants; on by default for direct harness
-    #: use, sampled on a deterministic cadence by the campaign driver
-    check_memo_ab: bool = True
-    check_pickle: bool = True
-    check_render_cache: bool = True
-    check_repeat: bool = True
     #: mismatches quoted per failure
     max_mismatches: int = 5
 
@@ -232,19 +220,6 @@ class InstanceReport:
     def __str__(self) -> str:
         status = "OK" if self.ok else "; ".join(str(f) for f in self.failures[:3])
         return f"harness[{len(self.checks_run)} checks]: {status}"
-
-
-@contextmanager
-def _env_flag(name: str, value: str):
-    prior = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = prior
 
 
 def _compare_state(oracle, got, *, tuple_keys: bool, limit: int) -> list[str]:
@@ -341,8 +316,6 @@ def run_instance(
 
     checked("simulator", check_simulator)
 
-    pygen_result: dict = {}
-
     def check_pygen():
         # every input set runs against the one cached module compilation
         for seed in seeds:
@@ -352,8 +325,6 @@ def run_instance(
             )
             if mism:
                 raise AssertionError(f"inputs seed {seed}: " + "; ".join(mism))
-            if seed == seeds[0]:
-                pygen_result["final"] = got
 
     checked("pygen", check_pygen)
 
@@ -389,54 +360,20 @@ def run_instance(
         if HAVE_NUMPY:
             checked("npgen", check_npgen)
 
-    # -- metamorphic invariants -----------------------------------------
-    if config.check_memo_ab:
+    def check_round_trip():
+        """A pickle round-trip keeps the rendering and the design cost.
 
-        def check_memo_ab():
-            with _env_flag("REPRO_DISABLE_MEMO", "1"):
-                sp_cold = apply_mutation(
-                    compile_systolic(program, instance.array), config.mutate
-                )
-            if render_python(sp_cold) != compiled.rendered:
-                raise AssertionError(
-                    "rendered module differs with REPRO_DISABLE_MEMO=1"
-                )
+        The only check that sees a corrupted ``__reduce__``.  Skipping the
+        re-interning itself is invisible here and to every other check:
+        interning decides identity and speed, never values.
+        """
+        sp2 = pickle.loads(pickle.dumps(sp))
+        if render_python(sp2) != compiled.rendered:
+            raise AssertionError("pickle round-trip changes the rendering")
+        if cost_of_compiled(sp2, env) != cost_of_compiled(sp, env):
+            raise AssertionError("pickle round-trip changes the design cost")
 
-        checked("memo_ab", check_memo_ab)
-
-    if config.check_pickle:
-
-        def check_pickle_reintern():
-            sp2 = pickle.loads(pickle.dumps(sp))
-            if render_python(sp2) != compiled.rendered:
-                raise AssertionError("pickle round-trip changes the rendering")
-            if cost_of_compiled(sp2, env) != cost_of_compiled(sp, env):
-                raise AssertionError("pickle round-trip changes the design cost")
-
-        checked("pickle_reintern", check_pickle_reintern)
-
-    if config.check_render_cache:
-
-        def check_render_cache():
-            with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as d:
-                miss = render_python_cached(sp, d)
-                hit = render_python_cached(sp, d)
-            if miss != compiled.rendered:
-                raise AssertionError(
-                    "render-cache miss differs from direct render"
-                )
-            if hit != compiled.rendered:
-                raise AssertionError("render-cache hit differs from direct render")
-
-        checked("render_cache", check_render_cache)
-
-    def check_repeat_execution():
-        again = execute_python(sp, env, inputs)  # module-cache hit
-        if again != pygen_result.get("final", again):
-            raise AssertionError("repeated execution (module-cache hit) differs")
-
-    if config.check_repeat and "final" in pygen_result:
-        checked("repeat_execution", check_repeat_execution)
+    checked("pickle_reintern", check_round_trip)
 
     if config.check_threaded:
 

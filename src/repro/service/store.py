@@ -3,7 +3,7 @@
 The store is the service's unit of memoization *above* the symbolic core:
 each entry is one fully compiled design -- source program, array spec and
 the derived ``SystolicProgram`` -- keyed by ``design_fingerprint`` (the
-same sha256 the render cache and partition memo key on, computable from
+same sha256 the schedule caches and partition memo key on, computable from
 the request before compilation).  Clients may submit ``{source, design}``
 pairs or refer back to an earlier compile by bare ``{fingerprint}``.
 

@@ -13,15 +13,18 @@ The emitted module offers two engines over the same process network:
   unbounded FIFOs.  No per-message scheduler bookkeeping, no Lamport
   clocks -- this is the compiled fast path.
 * ``run_threaded(sizes, inputs)`` -- the paper's target model: one thread
-  per process, bounded queues as channels (transputer-style rendezvous
-  approximated by ``queue.Queue(maxsize=1)``).
+  per process, capacity-1 channels (transputer-style rendezvous) sharing
+  one lock that counts blocked threads, so a deadlock is detected the
+  moment every live process is blocked instead of by a timeout.
 
 Both engines execute the *same* generator processes and are bit-for-bit
 equal to the coroutine simulator and to the sequential oracle: the network
 is a Kahn process network (single producer and single consumer per
 channel), so results depend only on the per-channel FIFO sequences, never
 on scheduling or capacities -- the capacity-invariance property the test
-suite asserts for the simulator.
+suite asserts for the simulator.  A deadlock raises the module's own
+``Deadlock`` (the module imports nothing from ``repro``), naming every
+unfinished process the way the simulator does.
 
 :func:`execute_python` renders, compiles (with a per-source cache), and
 runs the module on dense inputs, returning tuple-keyed final contents.
@@ -30,9 +33,7 @@ runs the module on dense inputs, returning tuple-keyed final contents.
 from __future__ import annotations
 
 import hashlib
-import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping
 
 from repro import profiling
@@ -44,7 +45,7 @@ from repro.symbolic.compile import guard_chain_lines, render_affine, render_guar
 from repro.symbolic.minmax import render_bound
 from repro.symbolic.piecewise import Piecewise
 from repro.util.cache import BoundedLRU
-from repro.util.errors import CompilationError
+from repro.util.errors import CompilationError, DeadlockError
 
 
 def _no_match_line(pad: str) -> str:
@@ -199,11 +200,13 @@ def render_python(sp: SystolicProgram) -> str:
         "",
         "run(sizes, inputs)           -- fast cooperative engine",
         "                                (generator processes, unbounded FIFOs)",
-        "run_threaded(sizes, inputs)  -- threads + bounded queues",
+        "run_threaded(sizes, inputs)  -- threads + capacity-1 channels",
         "                                (the paper's distributed target model)",
         "",
         "The network is a Kahn process network (one producer and one consumer",
-        "per channel), so both engines produce identical results.",
+        "per channel), so both engines produce identical results.  Either",
+        "engine raises Deadlock, naming the blocked processes, when none",
+        "can move.",
         '"""',
     ]
     if r.needs_fraction:
@@ -215,8 +218,20 @@ _RUNNER = '''
 
 # ---------------------------------------------------------------- runner --
 from collections import deque as _deque
-import queue as _queue
 import threading as _threading
+
+
+class Deadlock(RuntimeError):
+    """No process can make progress; ``blocked`` names every unfinished one."""
+
+    def __init__(self, procs):
+        self.blocked = [label for label, gen in procs if gen.gi_frame is not None]
+        RuntimeError.__init__(
+            self,
+            'generated program deadlocked: %d process(es) blocked: %s%s'
+            % (len(self.blocked), ', '.join(self.blocked[:20]),
+               ', ...' if len(self.blocked) > 20 else ''),
+        )
 
 
 def _box_points(lo, hi):
@@ -336,7 +351,8 @@ def _compute(point, sizes, env, in_chan, out_chan):
 
 
 def _build(sizes, inputs, new_chan):
-    """Instantiate the process network: generators + channels."""
+    """Instantiate the process network: ``(label, generator)`` pairs +
+    channels.  Labels name processes the way the simulator does."""
     lo = tuple(int(c) for c in _ps_min(sizes))
     hi = tuple(int(c) for c in _ps_max(sizes))
     order = _box_points(lo, hi)
@@ -371,9 +387,11 @@ def _build(sizes, inputs, new_chan):
                     link = new_chan()
                     out_chan[name][chain[idx - 1]] = link
                     feed = link
-                for _ in range(spec['latches']):
+                for k in range(spec['latches']):
                     buffered = new_chan()
-                    procs.append(_passer(feed, buffered, total))
+                    procs.append(
+                        ('L:%s%r#%d' % (name, y, k), _passer(feed, buffered, total))
+                    )
                     feed = buffered
                 in_chan[name][y] = feed
             tail = new_chan()
@@ -384,18 +402,24 @@ def _build(sizes, inputs, new_chan):
                 for _ in range(total):
                     elements.append(cur)
                     cur = _add(cur, spec['inc_s'])
-            procs.append(_feeder(head, elements, inputs[name]))
-            procs.append(_drainer(tail, elements, final[name]))
+            procs.append(
+                ('IN:%s%r' % (name, start), _feeder(head, elements, inputs[name]))
+            )
+            procs.append(
+                ('OUT:%s%r' % (name, chain[-1]), _drainer(tail, elements, final[name]))
+            )
     for point in order:
         if cs[point]:
-            procs.append(_compute(point, sizes, envs[point], in_chan, out_chan))
+            procs.append(
+                ('P%r' % (point,), _compute(point, sizes, envs[point], in_chan, out_chan))
+            )
         else:
             for s in STREAMS:  # PS \\ CS: one pass loop per stream
-                procs.append(_passer(
+                procs.append(('B:%s%r' % (s['name'], point), _passer(
                     in_chan[s['name']][point],
                     out_chan[s['name']][point],
                     chain_total[(s['name'], point)],
-                ))
+                )))
     return procs, final
 
 
@@ -422,10 +446,8 @@ def run(sizes, inputs):
     """Execute with the fast cooperative engine; returns final contents."""
     ready = _deque()
     procs, final = _build(sizes, inputs, lambda: _Chan(ready))
-    blocked = 0
 
     def step(gen, value):
-        nonlocal blocked
         send = gen.send
         while True:
             try:
@@ -437,80 +459,134 @@ def run(sizes, inputs):
                 value = buf.popleft()
             else:
                 chan.waiter = gen
-                blocked += 1
                 return
 
-    for gen in procs:
+    for _label, gen in procs:
         step(gen, None)
     while ready:
         gen, chan = ready.popleft()
-        blocked -= 1
         step(gen, chan.buf.popleft())
-    if blocked:
-        raise RuntimeError(
-            'generated program deadlocked: %d process(es) blocked' % blocked
-        )
+    if any(gen.gi_frame is not None for _label, gen in procs):
+        raise Deadlock(procs)
     return final
 
 
 # ------------------------------------------------------ threaded engine --
-class _QChan:
-    """Bounded queue channel (transputer-style, capacity 1)."""
-
-    __slots__ = ('q',)
+class _Net:
+    """The one lock every channel of a threaded run shares, and the count
+    of process threads blocked on it.  Once every live thread is blocked,
+    no message can ever move again: all of them are released at once."""
 
     def __init__(self):
-        self.q = _queue.Queue(maxsize=1)
+        self.lock = _threading.Lock()
+        self.live = self.blocked = 0
+        self.procs = self.deadlock = None
+        self.chans = []
+
+    def check(self):
+        """Declare the deadlock if every live thread is blocked (lock held)."""
+        if self.live and self.blocked == self.live and self.deadlock is None:
+            self.deadlock = Deadlock(self.procs)
+            for chan in self.chans:
+                chan.cond.notify()
+
+
+class _Released(Exception):
+    """Unwinds a process thread once the run has deadlocked."""
+
+
+class _TChan:
+    """Capacity-1 channel (transputer-style) of the threaded engine."""
+
+    __slots__ = ('net', 'buf', 'cond', 'waiter')
+
+    def __init__(self, net):
+        self.net = net
+        self.buf = _deque()
+        self.cond = _threading.Condition(net.lock)
+        self.waiter = None
+        net.chans.append(self)
+
+    def _park(self):
+        net = self.net
+        me = self.waiter = object()
+        net.blocked += 1
+        net.check()
+        # the other end may park here before this thread runs again
+        while self.waiter is me and net.deadlock is None:
+            self.cond.wait()
+        if net.deadlock is not None:
+            raise _Released()
+
+    def _wake(self):
+        if self.waiter is not None:
+            self.waiter = None
+            self.net.blocked -= 1
+            self.cond.notify()
 
     def put(self, value):
-        self.q.put(value)
+        with self.net.lock:
+            while self.buf:
+                self._park()
+            self.buf.append(value)
+            self._wake()
 
     def get(self):
-        return self.q.get()
+        with self.net.lock:
+            while not self.buf:
+                self._park()
+            value = self.buf.popleft()
+            self._wake()
+            return value
 
 
-def _drive(gen):
+def _drive(net, gen, errors):
     value = None
     try:
         while True:
-            chan = gen.send(value)
-            value = chan.get()
-    except StopIteration:
+            value = gen.send(value).get()
+    except (StopIteration, _Released):
         pass
+    except Exception as exc:  # re-raised by run_threaded
+        errors.append(exc)
+    finally:
+        with net.lock:
+            net.live -= 1
+            net.check()
 
 
 def run_threaded(sizes, inputs):
-    """Execute with one thread per process and bounded queues."""
-    procs, final = _build(sizes, inputs, _QChan)
+    """Execute with one thread per process and capacity-1 channels."""
+    net = _Net()
+    net.procs, final = _build(sizes, inputs, lambda: _TChan(net))
+    net.live = len(net.procs)
+    errors = []
     threads = [
-        _threading.Thread(target=_drive, args=(gen,), daemon=True)
-        for gen in procs
+        _threading.Thread(target=_drive, args=(net, gen, errors), daemon=True)
+        for _label, gen in net.procs
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout=120)
-        if t.is_alive():
-            raise RuntimeError('generated program deadlocked (threaded mode)')
+        t.join()
+    if errors:
+        raise errors[0]
+    if net.deadlock is not None:
+        raise net.deadlock
     return final
 '''
 
 
 # ---------------------------------------------------------------------------
-# Two-level compile cache.
-#
-# Level 1 (in process): a bounded LRU of compiled module namespaces keyed by
-# the sha-256 of the generated source.  A design-space sweep compiles
-# hundreds of distinct modules; the old unbounded dict retained every one of
-# them (plus its exec'd namespace) for the life of the process.
-#
-# Level 2 (on disk, optional): rendered sources keyed by a *design
-# fingerprint*, so repeated CLI/bench invocations skip rendering entirely.
-# Enable it by passing ``cache_dir`` to :func:`render_python_cached` /
-# :func:`execute_python` or by setting ``REPRO_RENDER_CACHE`` to a directory.
+# The compile cache: a bounded LRU of compiled module namespaces keyed by
+# the sha-256 of the generated source.  It is bounded because a
+# design-space sweep compiles hundreds of distinct modules.
 
-#: bumped whenever the generated-source format changes; part of every
-#: design fingerprint so a stale disk cache can never resurface old code
+#: folded into every design fingerprint.  Fingerprints key in-process
+#: caches only (the compile service's design store, the wavefront and
+#: partition schedule caches), none of which outlives the generator code,
+#: so a format change needs no bump; the value stays so that existing
+#: fingerprints do not change.
 PYGEN_FORMAT_VERSION = "2"
 
 #: compiled module namespaces keyed by :func:`module_key` of their source
@@ -564,7 +640,7 @@ def design_fingerprint(sp: SystolicProgram) -> str:
 
     Built from the canonical ``to_source()`` text and the exact step/place/
     loading numbers, so it is reproducible across processes -- the key of
-    the on-disk render cache and of the compile service's design store.
+    the compile service's design store and of the schedule caches.
     """
     return fingerprint_of(sp.source, sp.array)
 
@@ -594,60 +670,23 @@ def fingerprint_of(program, array) -> str:
     return h.hexdigest()
 
 
-def _render_cache_dir(cache_dir) -> "Path | None":
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env_dir = os.environ.get("REPRO_RENDER_CACHE")
-    return Path(env_dir) if env_dir else None
-
-
-def render_python_cached(sp: SystolicProgram, cache_dir=None) -> str:
-    """:func:`render_python` behind the optional on-disk render cache.
-
-    With no ``cache_dir`` argument and no ``REPRO_RENDER_CACHE`` environment
-    variable this is exactly :func:`render_python`.  Otherwise the rendered
-    source is stored under ``<dir>/<fingerprint>.py`` and later invocations
-    (including in other processes) read it back without rendering.
-    """
-    root = _render_cache_dir(cache_dir)
-    if root is None:
-        return render_python(sp)
-    path = root / f"{design_fingerprint(sp)}.py"
-    try:
-        return path.read_text()
-    except OSError:
-        pass
-    source = render_python(sp)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(source)
-        tmp.replace(path)  # atomic: concurrent writers race benignly
-    except OSError:
-        pass  # a read-only cache directory disables writing, not execution
-    return source
-
-
 def execute_python(
     sp: SystolicProgram,
     env: Mapping[str, int],
     inputs=None,
     *,
     threaded: bool = False,
-    cache_dir=None,
 ) -> dict:
     """Render, compile and run the generated module at a problem size.
 
     Returns ``{variable: {tuple(element): value}}`` -- the same contents the
     sequential oracle and the simulator produce, with tuple keys.
-    ``threaded=True`` selects the threads-plus-bounded-queues engine instead
-    of the fast cooperative one; results are identical.  Rendering goes
-    through the two-level cache: the bounded in-process :data:`MODULE_CACHE`
-    plus, when ``cache_dir`` (or ``REPRO_RENDER_CACHE``) names a directory,
-    the on-disk render cache.
+    ``threaded=True`` selects the one-thread-per-process engine instead of
+    the fast cooperative one; results are identical.  The compiled module
+    comes from :data:`MODULE_CACHE`.  A deadlock in either engine raises
+    :class:`~repro.util.errors.DeadlockError` listing the blocked processes.
     """
-    source = render_python_cached(sp, cache_dir)
-    module = module_for(source)
+    module = module_for(render_python(sp))
     state = initial_state(sp.source, env, inputs)
     dense = {
         name: {tuple(int(c) for c in p): v for p, v in values.items()}
@@ -655,4 +694,7 @@ def execute_python(
     }
     sizes = {k: int(v) for k, v in env.items()}
     runner = module["run_threaded"] if threaded else module["run"]
-    return runner(sizes, dense)
+    try:
+        return runner(sizes, dense)
+    except module["Deadlock"] as exc:
+        raise DeadlockError(str(exc)) from None

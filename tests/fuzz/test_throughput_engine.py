@@ -107,15 +107,15 @@ class TestCompiledInstanceReuse:
     def test_one_compile_one_render_per_harness_run(self, pinned_instance):
         """A full harness pass builds the pipeline exactly once.
 
-        All metamorphic checks are forced on so every consumer of the
-        rendered module runs; the counters must show a single render build
-        with the rest arriving as reuses.
+        The sampled engine checks (all but the pool sweep) are forced on so
+        every consumer of the pipeline runs; the counters must show a single
+        compile, render and oracle build with the rest arriving as reuses.
         """
         config = HarnessConfig(
-            check_memo_ab=True,
-            check_pickle=True,
-            check_render_cache=True,
-            check_repeat=True,
+            check_threaded=True,
+            check_npgen=True,
+            check_capacity=True,
+            check_partition=True,
         )
         before = pipeline_stats()
         report = run_instance(pinned_instance, config)
@@ -123,7 +123,6 @@ class TestCompiledInstanceReuse:
         assert report.ok, f"pinned case went red: {report}"
         assert after["builds"] - before["builds"] == 1
         assert after["render_builds"] - before["render_builds"] == 1
-        assert after["render_reuses"] - before["render_reuses"] >= 2
         assert after["oracle_builds"] - before["oracle_builds"] == 1
         assert after["oracle_reuses"] - before["oracle_reuses"] >= 1
 

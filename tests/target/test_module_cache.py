@@ -1,5 +1,5 @@
-"""Tests for the two-level pygen compile cache: the bounded in-process
-LRU of compiled namespaces and the optional on-disk render cache."""
+"""Tests for the pygen compile cache: the bounded in-process LRU of
+compiled namespaces, and the design fingerprint."""
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.target.pygen import (
     module_for,
     module_key,
     render_python,
-    render_python_cached,
 )
 from repro.util.cache import BoundedLRU
 from repro.util.errors import ReproError
@@ -156,45 +155,3 @@ class TestDesignFingerprint:
         poly = compile_systolic(polynomial_product_program(), polyprod_design_d1())
         mat = compile_systolic(matrix_product_program(), matmul_design_e1())
         assert design_fingerprint(poly) != design_fingerprint(mat)
-
-
-class TestRenderCacheOnDisk:
-    def test_disabled_without_directory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RENDER_CACHE", raising=False)
-        prog = polynomial_product_program()
-        sp = compile_systolic(prog, polyprod_design_d1())
-        assert render_python_cached(sp) == render_python(sp)
-
-    def test_populates_and_reuses(self, tmp_path):
-        prog = polynomial_product_program()
-        sp = compile_systolic(prog, polyprod_design_d1())
-        first = render_python_cached(sp, tmp_path)
-        cached_file = tmp_path / f"{design_fingerprint(sp)}.py"
-        assert cached_file.exists()
-        assert cached_file.read_text() == first == render_python(sp)
-        # poison the cache entry to prove the second call reads the disk
-        cached_file.write_text("# sentinel")
-        assert render_python_cached(sp, tmp_path) == "# sentinel"
-
-    def test_env_variable_enables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RENDER_CACHE", str(tmp_path))
-        prog = polynomial_product_program()
-        sp = compile_systolic(prog, polyprod_design_d2())
-        source = render_python_cached(sp)
-        assert (tmp_path / f"{design_fingerprint(sp)}.py").read_text() == source
-
-    def test_execute_python_through_disk_cache(self, tmp_path):
-        prog = polynomial_product_program()
-        sp = compile_systolic(prog, polyprod_design_d1())
-        plain = execute_python(sp, {"n": 3})
-        cached = execute_python(sp, {"n": 3}, cache_dir=tmp_path)
-        assert cached == plain
-        assert list(tmp_path.glob("*.py"))
-
-    def test_unwritable_directory_still_renders(self, tmp_path):
-        blocked = tmp_path / "file-not-dir"
-        blocked.write_text("")
-        prog = polynomial_product_program()
-        sp = compile_systolic(prog, polyprod_design_d1())
-        # cache root is a *file*: writing fails, rendering must not
-        assert render_python_cached(sp, blocked) == render_python(sp)

@@ -5,13 +5,19 @@ to the coroutine simulator on every paper design -- the generated module
 is a compiled fast path, not an approximation.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import compile_systolic, run_sequential
-from repro.runtime import execute
 from repro.fuzz.generator import generate_instance
+from repro.fuzz.harness import apply_mutation
+from repro.runtime import execute
 from repro.systolic import all_paper_designs
-from repro.target import execute_python
+from repro.systolic.designs import polynomial_product_program, polyprod_design_d1
+from repro.target import execute_python, pygen
+from repro.util.errors import DeadlockError
 from repro.verify import random_inputs
 
 ALL = list(all_paper_designs())
@@ -71,3 +77,82 @@ class TestThreadedEngine:
         inputs = random_inputs(prog, env, seed=0)
         oracle = _tupled(run_sequential(prog, env, inputs))
         assert execute_python(sp, env, inputs, threaded=True) == oracle
+
+
+def _within(seconds, fn):
+    """``fn()``'s outcome, run on a watchdog thread so a hang fails the
+    test instead of stalling the suite; returns ``(value, error)``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except Exception as exc:
+            box["error"] = exc
+
+    watchdog = threading.Thread(target=target, daemon=True)
+    watchdog.start()
+    watchdog.join(seconds)
+    assert not watchdog.is_alive(), f"still running after {seconds} s"
+    return box.get("value"), box.get("error")
+
+
+class TestDeadlock:
+    """A planted deadlock fails by name in both engines, at once."""
+
+    @pytest.fixture(scope="class")
+    def d1(self):
+        return compile_systolic(polynomial_product_program(), polyprod_design_d1())
+
+    @pytest.fixture(scope="class")
+    def stuck(self, d1):
+        return apply_mutation(d1, "soak_plus_one")
+
+    def test_threaded_deadlock_is_detected_at_once(self, stuck):
+        before = threading.active_count()
+        _, err = _within(5.0, lambda: execute_python(stuck, {"n": 3}, threaded=True))
+        assert isinstance(err, DeadlockError)
+        assert "10 process(es) blocked" in str(err)
+        assert "IN:c(0,), OUT:c(3,), P(0,)" in str(err)
+        assert threading.active_count() == before
+
+    def test_cooperative_deadlock_is_named(self, stuck):
+        with pytest.raises(DeadlockError, match="9 process") as err:
+            execute_python(stuck, {"n": 3})
+        assert "OUT:c(3,), P(0,)" in str(err.value)
+
+    def test_threaded_process_error_is_raised(self, d1, monkeypatch):
+        """A process that raises ends the run with its own error, and the
+        processes left waiting on it are released, not leaked."""
+        source = pygen.render_python(d1).replace(
+            "def _body(values, env):",
+            "def _body(values, env):\n    raise KeyError('planted')",
+            1,
+        )
+        monkeypatch.setattr(pygen, "render_python", lambda _sp: source)
+        before = threading.active_count()
+        _, err = _within(5.0, lambda: execute_python(d1, {"n": 3}, threaded=True))
+        assert isinstance(err, KeyError) and "planted" in str(err)
+        assert threading.active_count() == before
+
+    def test_blocked_count_survives_thread_switches(self, stuck):
+        """With a thread switch every few bytecodes, a lost update to the
+        blocked count would hang a run or declare a false deadlock."""
+        _exp, prog, arr = ALL[IDS.index("E2")]
+        sp = compile_systolic(prog, arr)
+        inputs = random_inputs(prog, {"n": 3}, seed=2)
+        expected = execute_python(sp, {"n": 3}, inputs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got, err = _within(
+                    30.0, lambda: execute_python(sp, {"n": 3}, inputs, threaded=True)
+                )
+                assert err is None and got == expected
+                _, err = _within(
+                    30.0, lambda: execute_python(stuck, {"n": 3}, threaded=True)
+                )
+                assert isinstance(err, DeadlockError)
+        finally:
+            sys.setswitchinterval(interval)
