@@ -155,7 +155,11 @@ def cmd_execute(args: argparse.Namespace) -> int:
     import time
 
     from repro.lang.interpreter import run_sequential
-    from repro.verify.equivalence import random_inputs
+    from repro.verify.equivalence import (
+        oracle_mismatches,
+        random_inputs,
+        run_backend,
+    )
 
     program = parse_program(Path(args.source).read_text())
     array = load_design(args.design)
@@ -167,46 +171,7 @@ def cmd_execute(args: argparse.Namespace) -> int:
     ]
 
     start = time.perf_counter()
-    if args.backend == "npgen":
-        if shape is not None:
-            from repro.target.npgen import execute_numpy_banded
-
-            results = execute_numpy_banded(systolic, env, batch, shape=shape)
-        else:
-            from repro.target.npgen import execute_numpy_batch
-
-            results = execute_numpy_batch(systolic, env, batch)
-    elif args.backend == "pygen":
-        if shape is not None:
-            print(
-                "error: --array needs a partitioned backend "
-                "(sim or npgen); pygen has none",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.target.pygen import execute_python
-
-        results = [execute_python(systolic, env, inputs) for inputs in batch]
-    elif shape is not None:
-        from repro.extensions.partition import partitioned_execute
-
-        results = []
-        for inputs in batch:
-            final, _stats = partitioned_execute(systolic, env, inputs, shape=shape)
-            results.append(
-                {v: {tuple(p): val for p, val in vals.items()}
-                 for v, vals in final.items()}
-            )
-    else:
-        from repro.runtime.network import execute
-
-        results = []
-        for inputs in batch:
-            final, _stats = execute(systolic, env, inputs)
-            results.append(
-                {v: {tuple(p): val for p, val in vals.items()}
-                 for v, vals in final.items()}
-            )
+    results = run_backend(systolic, env, batch, backend=args.backend, shape=shape)
     elapsed = time.perf_counter() - start
 
     array_note = ""
@@ -215,7 +180,7 @@ def cmd_execute(args: argparse.Namespace) -> int:
 
         schedule = partitioned_schedule(systolic, env, shape)
         array_note = f", array {'x'.join(str(s) for s in schedule.shape)}"
-    elements = sum(len(vals) for vals in results[0].values())
+    elements = sum(len(vals) for vals in results[0][0].values())
     print(
         f"execute[{args.backend}] {env}: batch {args.batch}, "
         f"{elements} elements/run{array_note}, {elapsed:.3f}s"
@@ -224,13 +189,10 @@ def cmd_execute(args: argparse.Namespace) -> int:
         print(schedule.summary())
     if args.no_check:
         return 0
-    mismatched = 0
-    for inputs, got in zip(batch, results):
-        oracle = run_sequential(program, env, inputs)
-        for var, expected in oracle.items():
-            for element, value in expected.items():
-                if got[var].get(tuple(element)) != value:
-                    mismatched += 1
+    mismatched = sum(
+        len(oracle_mismatches(run_sequential(program, env, inputs), final))
+        for inputs, (final, _stats) in zip(batch, results)
+    )
     if mismatched:
         print(f"MISMATCH: {mismatched} element(s) disagree with the oracle")
         return 1

@@ -30,9 +30,9 @@ three layers:
   oracle: the simulator fold (:func:`partitioned_execute` -- the process
   network is built with inter-band buffer capacity on every channel that
   crosses a band boundary, then each worker is serialized), and the banded
-  vectorized path (:func:`repro.target.npgen.execute_numpy_banded` -- the
-  per-band activity masks of the :class:`PartitionedSchedule` drive banded
-  batched wavefront steps).
+  vectorized path (:func:`repro.target.npgen.execute_numpy_batch` with
+  ``shape=`` -- the per-band activity masks of the
+  :class:`PartitionedSchedule` drive banded batched wavefront steps).
 
 :func:`wavefront_tile_bands` and :func:`block_assignment` cut the *same*
 contiguous leading-coordinate intervals (via the shared
@@ -54,7 +54,7 @@ from repro.runtime.network import build_network
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.util.cache import BoundedLRU, size_key
-from repro.util.errors import RuntimeSimulationError
+from repro.util.errors import RuntimeSimulationError, SystolicSpecError
 
 Assignment = Callable[[str, int], int]  # (process name, workers) -> worker
 
@@ -391,6 +391,33 @@ def _derive_partition(sp: SystolicProgram, shape: tuple[int, ...]) -> SymbolicPa
     )
 
 
+def _checked_shape(sp: SystolicProgram, shape) -> tuple[int, ...]:
+    """``shape`` as ``(p,)`` or ``(p, q)`` positive ints that fit ``sp``.
+
+    The one validation of a physical-array shape, run before any cache key
+    is formed: a non-integer extent (``2.5``, ``"2"``, ``True``) would
+    otherwise be truncated into a fold the caller never asked for.
+    Raises :class:`SystolicSpecError` naming the shape.
+    """
+    try:
+        dims = tuple(shape)
+    except TypeError:
+        dims = ()
+    if not dims or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in dims
+    ):
+        raise SystolicSpecError(
+            f"array shape must be a sequence of positive integers, got {shape!r}"
+        )
+    axes = min(2, len(sp.coords))  # p bands or p x q tiles
+    if len(dims) > axes:
+        raise SystolicSpecError(
+            f"array shape {dims} does not fit a {len(sp.coords)}-d "
+            f"process space {sp.coords} (at most {axes} axes)"
+        )
+    return dims
+
+
 def compile_partition(
     sp: SystolicProgram, shape: tuple[int, ...]
 ) -> SymbolicPartition:
@@ -405,14 +432,7 @@ def compile_partition(
     """
     from repro.target.pygen import design_fingerprint  # lazy: import cycle
 
-    shape = tuple(int(s) for s in shape)
-    if not 1 <= len(shape) <= len(sp.coords):
-        raise RuntimeSimulationError(
-            f"array shape {shape} does not fit a {len(sp.coords)}-d "
-            f"process space {sp.coords}"
-        )
-    if any(s < 1 for s in shape):
-        raise RuntimeSimulationError(f"array shape must be positive, got {shape}")
+    shape = _checked_shape(sp, shape)
     key = (design_fingerprint(sp), shape)
     return MEMO.get(
         PARTITION_MEMO_TABLE, key, lambda: _derive_partition(sp, shape)
@@ -523,7 +543,7 @@ def partitioned_schedule(
     use_cache: bool = True,
 ) -> PartitionedSchedule:
     """The (cached) fold of ``sp`` onto a fixed array at size ``env``."""
-    shape = tuple(int(s) for s in shape)
+    shape = _checked_shape(sp, shape)
     if not use_cache:
         return compile_partition(sp, shape).specialize(sp, env)
     from repro.target.pygen import design_fingerprint  # lazy: import cycle

@@ -50,6 +50,7 @@ from repro.symbolic.piecewise import Piecewise
 from repro.systolic.explore import cost_of_compiled
 from repro.target.pygen import execute_python, render_python
 from repro.verify.enumerative import cross_check
+from repro.verify.equivalence import oracle_mismatches
 
 
 # ----------------------------------------------------------------------
@@ -222,25 +223,6 @@ class InstanceReport:
         return f"harness[{len(self.checks_run)} checks]: {status}"
 
 
-def _compare_state(oracle, got, *, tuple_keys: bool, limit: int) -> list[str]:
-    mismatches: list[str] = []
-    for var, expected in oracle.items():
-        got_var = got.get(var)
-        if got_var is None:
-            mismatches.append(f"{var}: variable missing from result")
-            continue
-        for element, value in expected.items():
-            key = tuple(int(c) for c in element) if tuple_keys else element
-            actual = got_var.get(key)
-            if actual != value:
-                mismatches.append(f"{var}{key}: got {actual}, oracle {value}")
-    if len(got) != len(oracle):
-        extra = sorted(set(got) - set(oracle))
-        if extra:
-            mismatches.append(f"unexpected variables {extra}")
-    return mismatches[:limit]
-
-
 # ----------------------------------------------------------------------
 # the harness
 # ----------------------------------------------------------------------
@@ -310,7 +292,7 @@ def run_instance(
         # beyond the network plan, which the capacity/partition checks
         # already share).  Timing off: only the values are compared.
         final, _stats = execute(sp, env, inputs, timing=False)
-        mism = _compare_state(oracle, final, tuple_keys=False, limit=limit)
+        mism = oracle_mismatches(oracle, final, limit)
         if mism:
             raise AssertionError("; ".join(mism))
 
@@ -320,9 +302,7 @@ def run_instance(
         # every input set runs against the one cached module compilation
         for seed in seeds:
             got = execute_python(sp, env, compiled.inputs(seed))
-            mism = _compare_state(
-                compiled.oracle(seed), got, tuple_keys=True, limit=limit
-            )
+            mism = oracle_mismatches(compiled.oracle(seed), got, limit)
             if mism:
                 raise AssertionError(f"inputs seed {seed}: " + "; ".join(mism))
 
@@ -349,9 +329,7 @@ def run_instance(
             except BackendUnsupportedError:
                 return  # outside the integer value domain: a pass, not a bug
             for seed, got in zip(seeds, got_batch):
-                mism = _compare_state(
-                    compiled.oracle(seed), got, tuple_keys=True, limit=limit
-                )
+                mism = oracle_mismatches(compiled.oracle(seed), got, limit)
                 if mism:
                     raise AssertionError(
                         f"inputs seed {seed}: " + "; ".join(mism)
@@ -379,7 +357,7 @@ def run_instance(
 
         def check_threaded():
             got = execute_python(sp, env, inputs, threaded=True)
-            mism = _compare_state(oracle, got, tuple_keys=True, limit=limit)
+            mism = oracle_mismatches(oracle, got, limit)
             if mism:
                 raise AssertionError("; ".join(mism))
 
@@ -393,7 +371,7 @@ def run_instance(
             final, _stats = execute(
                 sp, env, inputs, channel_capacity=3, timing=False
             )
-            mism = _compare_state(oracle, final, tuple_keys=False, limit=limit)
+            mism = oracle_mismatches(oracle, final, limit)
             if mism:
                 raise AssertionError("; ".join(mism))
 
@@ -405,7 +383,7 @@ def run_instance(
             from repro.extensions.partition import partitioned_execute
 
             final, _stats = partitioned_execute(sp, env, inputs, shape=(2,))
-            mism = _compare_state(oracle, final, tuple_keys=False, limit=limit)
+            mism = oracle_mismatches(oracle, final, limit)
             if mism:
                 raise AssertionError("; ".join(mism))
 
@@ -416,16 +394,16 @@ def run_instance(
         if _have_np:
 
             def check_partition_npgen():
-                from repro.target.npgen import execute_numpy_banded
+                from repro.target.npgen import execute_numpy_batch
                 from repro.util.errors import BackendUnsupportedError
 
                 try:
-                    got = execute_numpy_banded(
+                    got = execute_numpy_batch(
                         sp, env, [inputs], shape=(2,), use_cache=False
                     )[0]
                 except BackendUnsupportedError:
                     return  # outside the integer value domain: a pass
-                mism = _compare_state(oracle, got, tuple_keys=True, limit=limit)
+                mism = oracle_mismatches(oracle, got, limit)
                 if mism:
                     raise AssertionError("; ".join(mism))
 

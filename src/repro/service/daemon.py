@@ -517,21 +517,9 @@ class CompileService:
         batch = self._int_of(request, "batch", 1, minimum=1)
         check = bool(request.get("check", True))
         shape = request.get("array")
-        if shape is not None:
-            try:
-                shape = tuple(int(s) for s in shape)
-            except (TypeError, ValueError):
-                raise _HttpError(
-                    400, f"array shape must be a list of integers, got {shape!r}"
-                ) from None
-            if not shape or any(s < 1 for s in shape):
-                raise _HttpError(
-                    400, f"array shape must be positive, got {list(shape)}"
-                )
-        result = await self._run_blocking(
+        return await self._run_blocking(
             self._execute_design, entry, env, backend, seed, batch, shape, check
         )
-        return result
 
     @staticmethod
     def _execute_design(
@@ -540,35 +528,24 @@ class CompileService:
         backend: str,
         seed: int,
         batch: int,
-        shape: tuple[int, ...] | None,
+        shape: Any,
         check: bool,
     ) -> dict:
         from repro.lang.interpreter import run_sequential
         from repro.verify.equivalence import (
-            BACKENDS,
-            _execute_backend,
+            oracle_mismatches,
             random_inputs,
+            run_backend,
         )
 
-        if backend not in BACKENDS:
-            raise _HttpError(
-                400, f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         started = time.perf_counter()
-        results = []
-        mismatched = 0
-        for b in range(batch):
-            inputs = random_inputs(entry.program, env, seed=seed + b)
-            final, _stats = _execute_backend(
-                backend, entry.systolic, env, inputs, 1, partition=shape
-            )
-            if check:
-                oracle = run_sequential(entry.program, env, inputs)
-                for var, expected in oracle.items():
-                    for element, value in expected.items():
-                        if final[var].get(tuple(element)) != value:
-                            mismatched += 1
-            results.append(state_to_json(final))
+        input_sets = [
+            random_inputs(entry.program, env, seed=seed + b) for b in range(batch)
+        ]
+        runs = run_backend(
+            entry.systolic, env, input_sets, backend=backend, shape=shape
+        )
+        results = [state_to_json(final) for final, _stats in runs]
         elapsed = time.perf_counter() - started
         payload = {
             "fingerprint": entry.fingerprint,
@@ -583,6 +560,10 @@ class CompileService:
         if shape is not None:
             payload["array"] = list(shape)
         if check:
+            mismatched = sum(
+                len(oracle_mismatches(run_sequential(entry.program, env, inputs), final))
+                for inputs, (final, _stats) in zip(input_sets, runs)
+            )
             payload["matched"] = mismatched == 0
             payload["mismatched_elements"] = mismatched
         return payload
@@ -601,12 +582,8 @@ class CompileService:
     def _verify_design(
         entry: StoredDesign, env: dict, backend: str, seed: int, capacity: int
     ) -> dict:
-        from repro.verify.equivalence import BACKENDS, verify_design
+        from repro.verify.equivalence import verify_design
 
-        if backend not in BACKENDS:
-            raise _HttpError(
-                400, f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         report = verify_design(
             entry.program,
             entry.array,

@@ -65,8 +65,6 @@ HAVE_NUMPY = _np is not None
 
 __all__ = [
     "HAVE_NUMPY",
-    "execute_numpy",
-    "execute_numpy_banded",
     "execute_numpy_batch",
     "schedule_cache_stats",
 ]
@@ -286,6 +284,7 @@ def execute_numpy_batch(
     env: Mapping[str, Numeric],
     inputs_batch: Sequence,
     *,
+    shape: tuple[int, ...] | None = None,
     dtype=None,
     use_cache: bool = True,
 ) -> list[dict]:
@@ -296,12 +295,25 @@ def execute_numpy_batch(
     fill); the result is the list of per-input final contents, each
     ``{variable: {tuple(element): value}}`` -- bit-identical to running
     the sequential oracle on every input set separately.
+
+    ``shape`` folds the run onto a fixed ``p``-band (or ``p x q``) array:
+    the symbolic partition (:func:`repro.extensions.partition.compile_partition`,
+    memoized per design + shape) is specialized to ``env`` and at every
+    wavefront step each tile band computes only the columns whose leading
+    place coordinate it owns.  The fold changes the execution order within
+    a step, never the dataflow, so results are bit-identical to the
+    unbanded run.
     """
     require_numpy("the npgen backend")
     from repro.analysis.wavefront import wavefront_schedule
 
     if not inputs_batch:
         raise CompilationError("execute_numpy_batch needs at least one input set")
+    partition = None
+    if shape is not None:
+        from repro.extensions.partition import partitioned_schedule
+
+        partition = partitioned_schedule(sp, env, shape, use_cache=use_cache)
     schedule = wavefront_schedule(sp, env, use_cache=use_cache)
     dense_states = [
         initial_state(sp.source, env, inputs) for inputs in inputs_batch
@@ -310,7 +322,10 @@ def execute_numpy_batch(
         dtype = _pick_dtype(dense_states)
     plan = _plan_for(schedule, sp.source.body)
     arrays = _states_to_arrays(schedule, dense_states, dtype)
-    _run(schedule, plan, arrays)
+    if partition is None:
+        _run(schedule, plan, arrays)
+    else:
+        _run_banded(schedule, plan, arrays, _banded_cols(schedule, partition))
     exact = dtype is object
     return [
         _arrays_to_state(schedule, arrays, b, exact)
@@ -373,67 +388,6 @@ def _run_banded(schedule, plan: _BodyPlan, arrays: dict, band_cols) -> None:
                     )
             for name in written:
                 arrays[name][:, g[name]] = cur[name]
-
-
-def execute_numpy_banded(
-    sp: SystolicProgram,
-    env: Mapping[str, Numeric],
-    inputs_batch: Sequence,
-    *,
-    shape: tuple[int, ...],
-    dtype=None,
-    use_cache: bool = True,
-) -> list[dict]:
-    """Banded batched execution on a fixed ``p``-band (or ``p x q``) array.
-
-    The symbolic partition (:func:`repro.extensions.partition.compile_partition`,
-    memoized per design + shape) is specialized to ``env`` and its per-band
-    activity drives a banded :func:`_run`: at every wavefront step each
-    tile band computes only the columns whose leading place coordinate it
-    owns.  Results are bit-identical to :func:`execute_numpy_batch` -- the
-    fold changes the execution order within a step, never the dataflow.
-    """
-    require_numpy("the npgen backend")
-    from repro.analysis.wavefront import wavefront_schedule
-    from repro.extensions.partition import partitioned_schedule
-
-    if not inputs_batch:
-        raise CompilationError("execute_numpy_banded needs at least one input set")
-    schedule = wavefront_schedule(sp, env, use_cache=use_cache)
-    partition = partitioned_schedule(sp, env, shape, use_cache=use_cache)
-    dense_states = [
-        initial_state(sp.source, env, inputs) for inputs in inputs_batch
-    ]
-    if dtype is None:
-        dtype = _pick_dtype(dense_states)
-    plan = _plan_for(schedule, sp.source.body)
-    arrays = _states_to_arrays(schedule, dense_states, dtype)
-    _run_banded(schedule, plan, arrays, _banded_cols(schedule, partition))
-    exact = dtype is object
-    return [
-        _arrays_to_state(schedule, arrays, b, exact)
-        for b in range(len(dense_states))
-    ]
-
-
-def execute_numpy(
-    sp: SystolicProgram,
-    env: Mapping[str, Numeric],
-    inputs=None,
-    *,
-    dtype=None,
-    use_cache: bool = True,
-) -> dict:
-    """Render nothing, simulate nothing: one vectorized wavefront run.
-
-    Drop-in result-compatible with
-    :func:`~repro.target.pygen.execute_python` -- same tuple-keyed final
-    contents, same values -- but executed as whole-wavefront NumPy array
-    operations, which is what lets ``n`` reach the hundreds-to-thousands.
-    """
-    return execute_numpy_batch(
-        sp, env, [inputs], dtype=dtype, use_cache=use_cache
-    )[0]
 
 
 def schedule_cache_stats() -> dict:

@@ -3,15 +3,18 @@
 The paper validated its scheme by hand-translating the generated programs
 to occam and C and running them on real machines ("In all cases, the only
 errors were mistakes made in the hand translation").  Here the whole loop
-is mechanical: compile, lower, execute on the simulator, and compare every
-element of every variable against the sequential reference interpreter.
+is mechanical: compile, lower, execute on an engine (:func:`run_backend`),
+and compare every element of every variable against the sequential
+reference interpreter (:func:`oracle_mismatches`).  The CLI, the compile
+service, :func:`verify_design` and the fuzz harness all compare through
+:func:`oracle_mismatches`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
@@ -23,7 +26,7 @@ from repro.runtime.network import execute
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.systolic.spec import SystolicArray
-from repro.util.errors import VerificationError
+from repro.util.errors import ReproError, VerificationError
 
 
 def random_inputs(
@@ -52,7 +55,7 @@ def random_inputs(
     return inputs
 
 
-#: Execution engines verify_design can drive (simulator is the default).
+#: Execution engines :func:`run_backend` can drive (simulator is the default).
 BACKENDS = ("sim", "pygen", "npgen")
 
 
@@ -77,50 +80,86 @@ class VerificationReport:
         )
 
 
-def _execute_backend(backend, sp, env, inputs, channel_capacity, partition=None):
-    """Run one engine; returns (tuple-keyed final contents, stats or None).
+def run_backend(
+    sp: SystolicProgram,
+    env: Mapping[str, Numeric],
+    batch: Sequence[Mapping | None],
+    *,
+    backend: str = "sim",
+    shape: tuple[int, ...] | None = None,
+    channel_capacity: int = 1,
+) -> list[tuple[dict, SchedulerStats | None]]:
+    """Run every input set of ``batch`` on one engine.
 
-    ``partition`` (an array shape ``(p,)`` or ``(p, q)``) folds the run
-    onto a fixed physical array: the simulator uses the partitioned
-    process network (:func:`repro.extensions.partition.partitioned_execute`),
-    npgen the banded batched executor.  pygen has no partitioned mode.
+    Returns one ``(final contents, scheduler stats or None)`` pair per
+    input set; only the simulator reports stats.  npgen runs the whole
+    batch in one vectorized pass.  ``shape`` (an array shape ``(p,)`` or
+    ``(p, q)``) folds the run onto a fixed physical array: the simulator
+    uses the partitioned process network
+    (:func:`repro.extensions.partition.partitioned_execute`), npgen the
+    banded executor.  pygen has no partitioned mode.
     """
-    if backend == "sim":
-        if partition is not None:
-            from repro.extensions.partition import partitioned_execute
-
-            final, stats = partitioned_execute(
-                sp, env, inputs, shape=partition, channel_capacity=channel_capacity
-            )
-        else:
-            final, stats = execute(
-                sp, env, inputs, channel_capacity=channel_capacity
-            )
-        return (
-            {v: {tuple(p): val for p, val in vals.items()}
-             for v, vals in final.items()},
-            stats,
+    if backend not in BACKENDS:
+        raise ReproError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
+    if backend == "npgen":
+        from repro.target.npgen import execute_numpy_batch
+
+        return [
+            (final, None)
+            for final in execute_numpy_batch(sp, env, batch, shape=shape)
+        ]
     if backend == "pygen":
-        if partition is not None:
+        if shape is not None:
             raise VerificationError(
                 "the pygen backend has no partitioned execution mode; "
                 "use backend='sim' or backend='npgen'"
             )
         from repro.target.pygen import execute_python
 
-        return execute_python(sp, env, inputs), None
-    if backend == "npgen":
-        if partition is not None:
-            from repro.target.npgen import execute_numpy_banded
+        return [(execute_python(sp, env, inputs), None) for inputs in batch]
+    if shape is None:
+        return [
+            execute(sp, env, inputs, channel_capacity=channel_capacity)
+            for inputs in batch
+        ]
+    from repro.extensions.partition import partitioned_execute
 
-            return execute_numpy_banded(sp, env, [inputs], shape=partition)[0], None
-        from repro.target.npgen import execute_numpy
+    return [
+        partitioned_execute(
+            sp, env, inputs, shape=shape, channel_capacity=channel_capacity
+        )
+        for inputs in batch
+    ]
 
-        return execute_numpy(sp, env, inputs), None
-    raise VerificationError(
-        f"unknown backend {backend!r}; expected one of {BACKENDS}"
-    )
+
+def oracle_mismatches(
+    oracle: Mapping[str, Mapping[Point, RuntimeValue]],
+    final: Mapping[str, Mapping[tuple, RuntimeValue]],
+    limit: int | None = None,
+) -> list[str]:
+    """Every disagreement of an engine's ``final`` contents with the oracle.
+
+    Elements are looked up by key, so the simulator's ``Point`` keys and
+    the tuple keys of pygen and npgen compare alike.  A variable missing
+    from ``final``, and variables the oracle does not know, are reported
+    by name.  At most ``limit`` messages are returned (all when ``None``).
+    """
+    mismatches: list[str] = []
+    for var, expected in oracle.items():
+        got = final.get(var)
+        if got is None:
+            mismatches.append(f"{var}: variable missing from result")
+            continue
+        for element, value in expected.items():
+            actual = got.get(element)
+            if actual != value:
+                mismatches.append(f"{var}{element}: got {actual}, oracle {value}")
+    extra = sorted(set(final) - set(oracle))
+    if extra:
+        mismatches.append(f"unexpected variables {extra}")
+    return mismatches[:limit]
 
 
 def verify_design(
@@ -150,19 +189,15 @@ def verify_design(
     sp = compiled if compiled is not None else compile_systolic(program, array)
     if inputs is None:
         inputs = random_inputs(program, env, seed=seed)
-    final, stats = _execute_backend(
-        backend, sp, env, inputs, channel_capacity, partition=partition
+    [(final, stats)] = run_backend(
+        sp,
+        env,
+        [inputs],
+        backend=backend,
+        shape=partition,
+        channel_capacity=channel_capacity,
     )
-    oracle = run_sequential(program, env, inputs)
-    mismatches: list[str] = []
-    for var, expected in oracle.items():
-        got = final[var]
-        for element, value in expected.items():
-            if got.get(tuple(element)) != value:
-                mismatches.append(
-                    f"{var}{element}: systolic {got.get(tuple(element))}, "
-                    f"oracle {value}"
-                )
+    mismatches = oracle_mismatches(run_sequential(program, env, inputs), final)
     report = VerificationReport(
         env=dict(env),
         matched=not mismatches,
@@ -177,74 +212,3 @@ def verify_design(
         )
     return report
 
-
-def verify_design_batch(
-    program: SourceProgram,
-    array: SystolicArray,
-    env: Mapping[str, Numeric],
-    *,
-    compiled: SystolicProgram | None = None,
-    input_sets: int = 1,
-    seed: int = 0,
-    channel_capacity: int = 1,
-    backend: str = "sim",
-    raise_on_mismatch: bool = True,
-) -> list[VerificationReport]:
-    """Verify one design against the oracle over many input sets.
-
-    The design is compiled once and every input set (seeds ``seed`` ..
-    ``seed + input_sets - 1``) is checked against its own sequential-oracle
-    run.  ``"npgen"`` executes all sets in a single batched wavefront pass
-    (one schedule, stacked arrays); ``"sim"`` reuses the pre-bound network
-    plan across sets and ``"pygen"`` the cached compiled module, so each
-    additional set only pays execution, never recompilation.
-    """
-    if input_sets < 1:
-        raise VerificationError(
-            f"input_sets must be >= 1, got {input_sets}"
-        )
-    sp = compiled if compiled is not None else compile_systolic(program, array)
-    seeds = [seed + k for k in range(input_sets)]
-    all_inputs = [random_inputs(program, env, seed=s) for s in seeds]
-
-    if backend == "npgen":
-        from repro.target.npgen import execute_numpy_batch
-
-        finals = execute_numpy_batch(sp, env, all_inputs)
-        stats_per_set: list[SchedulerStats | None] = [None] * input_sets
-    else:
-        finals, stats_per_set = [], []
-        for inputs in all_inputs:
-            final, stats = _execute_backend(
-                backend, sp, env, inputs, channel_capacity
-            )
-            finals.append(final)
-            stats_per_set.append(stats)
-
-    reports = []
-    for inputs, final, stats in zip(all_inputs, finals, stats_per_set):
-        oracle = run_sequential(program, env, inputs)
-        mismatches = [
-            f"{var}{element}: systolic {final[var].get(tuple(element))}, "
-            f"oracle {value}"
-            for var, expected in oracle.items()
-            for element, value in expected.items()
-            if final[var].get(tuple(element)) != value
-        ]
-        reports.append(
-            VerificationReport(
-                env=dict(env),
-                matched=not mismatches,
-                stats=stats,
-                mismatches=mismatches,
-                backend=backend,
-            )
-        )
-    bad = [r for r in reports if not r.matched]
-    if bad and raise_on_mismatch:
-        preview = "; ".join(bad[0].mismatches[:5])
-        raise VerificationError(
-            f"systolic program disagrees with the oracle on "
-            f"{len(bad)}/{input_sets} input sets at {dict(env)}: {preview}"
-        )
-    return reports

@@ -95,7 +95,7 @@ class TestBandedNpgen:
     @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
     @pytest.mark.parametrize("n", [2, 4])
     def test_banded_bit_identical_to_unbounded(self, exp_id, n):
-        from repro.target.npgen import execute_numpy_banded, execute_numpy_batch
+        from repro.target.npgen import execute_numpy_batch
         from repro.verify import random_inputs
 
         prog, arr = DESIGNS[exp_id]
@@ -106,48 +106,48 @@ class TestBandedNpgen:
         if len(sp.coords) >= 2:
             shapes.append((2, 2))
         for shape in shapes:
-            got = execute_numpy_banded(sp, {"n": n}, batch, shape=shape)
+            got = execute_numpy_batch(sp, {"n": n}, batch, shape=shape)
             assert got == want, shape
 
     def test_banded_matches_oracle(self):
         from repro import run_sequential
-        from repro.target.npgen import execute_numpy_banded
+        from repro.target.npgen import execute_numpy_batch
         from repro.verify import random_inputs
 
         prog, arr = DESIGNS["E2"]
         sp = compiled("E2")
         inputs = random_inputs(prog, {"n": 3}, seed=5)
         oracle = run_sequential(prog, {"n": 3}, inputs)
-        got = execute_numpy_banded(sp, {"n": 3}, [inputs], shape=(2, 2))[0]
+        got = execute_numpy_batch(sp, {"n": 3}, [inputs], shape=(2, 2))[0]
         for var, expected in oracle.items():
             for element, value in expected.items():
                 assert got[var][tuple(element)] == value
 
     def test_band_cols_cached_per_shape(self):
         from repro.analysis.wavefront import wavefront_schedule
-        from repro.target.npgen import execute_numpy_banded
+        from repro.target.npgen import execute_numpy_batch
         from repro.verify import random_inputs
 
         prog, arr = DESIGNS["D1"]
         sp = compiled("D1")
         inputs = random_inputs(prog, {"n": 3}, seed=0)
-        execute_numpy_banded(sp, {"n": 3}, [inputs], shape=(2,))
+        execute_numpy_batch(sp, {"n": 3}, [inputs], shape=(2,))
         schedule = wavefront_schedule(sp, {"n": 3})
         keys = [k for k in schedule.runtime_cache if isinstance(k, tuple)
                 and k and k[0] == "npgen_band_cols"]
         assert keys  # banded slicing survives for the next run
-        execute_numpy_banded(sp, {"n": 3}, [inputs], shape=(3,))
+        execute_numpy_batch(sp, {"n": 3}, [inputs], shape=(3,))
         keys = [k for k in schedule.runtime_cache if isinstance(k, tuple)
                 and k and k[0] == "npgen_band_cols"]
         assert len(keys) == 2  # one slicing per band-edge vector
 
     def test_empty_batch_rejected(self):
-        from repro.target.npgen import execute_numpy_banded
+        from repro.target.npgen import execute_numpy_batch
         from repro.util.errors import CompilationError
 
         sp = compiled("D1")
         with pytest.raises(CompilationError):
-            execute_numpy_banded(sp, {"n": 3}, [], shape=(2,))
+            execute_numpy_batch(sp, {"n": 3}, [], shape=(2,))
 
 
 class TestVerifyDesignPartition:

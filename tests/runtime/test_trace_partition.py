@@ -16,7 +16,11 @@ from repro.geometry import Point
 from repro.runtime import build_network
 from repro.runtime.trace import Trace, TraceEvent, attach_tracer, trace_run
 from repro.systolic import all_paper_designs
-from repro.util.errors import ReproError, RuntimeSimulationError
+from repro.util.errors import (
+    ReproError,
+    RuntimeSimulationError,
+    SystolicSpecError,
+)
 from repro.verify import random_inputs
 
 ALL = all_paper_designs()
@@ -244,10 +248,17 @@ class TestSymbolicPartitionedExecution:
 
     def test_shape_rejects_bad_shapes(self):
         sp, prog, inputs, oracle, n = setup_design(idx=0)  # 1-d coords
-        with pytest.raises(RuntimeSimulationError):
+        with pytest.raises(SystolicSpecError):
             compile_partition(sp, (2, 2))
-        with pytest.raises(RuntimeSimulationError):
+        with pytest.raises(SystolicSpecError):
             compile_partition(sp, (0,))
+
+    @pytest.mark.parametrize("shape", [(2.5,), ("2",), (True,), (), 2])
+    def test_non_integral_shape_is_not_truncated(self, shape):
+        """``int()`` on the shape once ran ``(2.5,)`` as a 2-band fold."""
+        sp, prog, inputs, oracle, n = setup_design(idx=0)
+        with pytest.raises(SystolicSpecError, match="array shape"):
+            partitioned_execute(sp, {"n": n}, inputs, shape=shape)
 
     def test_interband_channels_buffered(self):
         """The folded network materialises inter-band buffers on every

@@ -20,7 +20,7 @@ from repro.core.memo import MEMO
 from repro.core.scheme import compile_systolic
 from repro.fuzz.generator import generate_instance
 from repro.lang.parser import parse_program
-from repro.verify.equivalence import _execute_backend, random_inputs
+from repro.verify.equivalence import random_inputs, run_backend
 
 from repro.service.daemon import state_to_json
 from tests.service.conftest import design_payload
@@ -173,9 +173,7 @@ class TestBitIdentityUnderLoad:
             program = parse_program(source)  # the daemon's parse of it
             sp = compile_systolic(program, inst.array)
             inputs = random_inputs(program, inst.env, seed=0)
-            final, _ = _execute_backend(
-                "sim", sp, inst.env, inputs, 1, partition=None
-            )
+            [(final, _)] = run_backend(sp, inst.env, [inputs], backend="sim")
             expected.append(state_to_json(final))
 
         async def scenario(clients, service):

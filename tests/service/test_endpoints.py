@@ -9,6 +9,7 @@ import pytest
 from repro.core.scheme import compile_systolic
 from repro.service.daemon import state_to_json
 from repro.systolic.designs import all_paper_designs
+from repro.target.npgen import HAVE_NUMPY
 from repro.verify.equivalence import random_inputs
 
 from tests.service.conftest import paper_requests
@@ -55,7 +56,7 @@ class TestPaperDesignRoundTrips:
     def test_execute_bit_identical_to_library_path(
         self, service_run, exp_id, source, design
     ):
-        from repro.verify.equivalence import _execute_backend
+        from repro.verify.equivalence import run_backend
 
         _, program, array = next(
             t for t in all_paper_designs() if t[0] == exp_id
@@ -63,7 +64,7 @@ class TestPaperDesignRoundTrips:
         env = SIZES[exp_id]
         sp = compile_systolic(program, array)
         inputs = random_inputs(program, env, seed=0)
-        final, _ = _execute_backend("sim", sp, env, inputs, 1, partition=None)
+        [(final, _)] = run_backend(sp, env, [inputs], backend="sim")
         expected = state_to_json(final)
 
         async def scenario(client, service):
@@ -238,6 +239,54 @@ class TestErrorMapping:
             )
             assert status == 400
             assert "backend" in payload["error"]
+
+        service_run(scenario)
+
+    @pytest.mark.parametrize(
+        "array", [[2.5], ["2"], [True], [2, 2, 2], [0], [], "2"]
+    )
+    def test_bad_array_shape_400(self, service_run, array):
+        """A non-integral extent once ran a truncated fold (200), and more
+        axes than D1's 1-d process space once answered 500."""
+        _, source, design = paper_requests()[0]  # D1
+
+        async def scenario(client, service):
+            status, payload = await client.execute(
+                source=source, design=design, sizes={"n": 3}, array=array
+            )
+            assert status == 400, payload
+            assert "array shape" in payload["error"]
+
+        service_run(scenario)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "sim",
+            pytest.param(
+                "npgen",
+                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+            ),
+        ],
+    )
+    def test_array_shape_folds_without_changing_results(
+        self, service_run, backend
+    ):
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            results = []
+            for array in (None, [2]):
+                extra = {} if array is None else {"array": array}
+                status, payload = await client.execute(
+                    source=source, design=design, sizes={"n": 3},
+                    backend=backend, batch=2, **extra
+                )
+                assert status == 200, payload
+                assert payload["matched"] is True
+                results.append(payload["results"])
+            assert payload["array"] == [2]
+            assert results[0] == results[1]
 
         service_run(scenario)
 

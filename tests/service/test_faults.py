@@ -14,7 +14,7 @@ import repro.verify.equivalence as equivalence_mod
 from tests.service.conftest import paper_requests
 
 REAL_COMPILE = store_mod.compile_systolic
-REAL_EXECUTE = equivalence_mod._execute_backend
+REAL_EXECUTE = equivalence_mod.run_backend
 
 
 class TestCompileFaults:
@@ -97,14 +97,12 @@ class TestExecuteFaults:
         _, source, design = paper_requests()[0]
         fail = {"on": True}
 
-        def flaky(backend, sp, env, inputs, capacity, partition=None):
+        def flaky(sp, env, batch, **options):
             if fail["on"]:
                 raise RuntimeError("injected execute fault")
-            return REAL_EXECUTE(
-                backend, sp, env, inputs, capacity, partition=partition
-            )
+            return REAL_EXECUTE(sp, env, batch, **options)
 
-        monkeypatch.setattr(equivalence_mod, "_execute_backend", flaky)
+        monkeypatch.setattr(equivalence_mod, "run_backend", flaky)
 
         async def scenario(client, service):
             status, payload = await client.execute(
@@ -134,10 +132,10 @@ class TestExecuteFaults:
 
         _, source, design = paper_requests()[0]
 
-        def deadlock(backend, sp, env, inputs, capacity, partition=None):
+        def deadlock(sp, env, batch, **options):
             raise DeadlockError("injected deadlock at step 3")
 
-        monkeypatch.setattr(equivalence_mod, "_execute_backend", deadlock)
+        monkeypatch.setattr(equivalence_mod, "run_backend", deadlock)
 
         async def scenario(client, service):
             status, payload = await client.execute(

@@ -35,7 +35,6 @@ from repro.analysis.wavefront import (  # noqa: E402
 )
 from repro.target.npgen import (  # noqa: E402
     HAVE_NUMPY,
-    execute_numpy,
     execute_numpy_batch,
 )
 from repro.target.pygen import execute_python  # noqa: E402
@@ -70,7 +69,7 @@ class TestBitEquality:
         env = {"n": n}
         inputs = random_inputs(prog, env, seed=n)
         want = oracle_state(prog, env, inputs)
-        assert execute_numpy(sp, env, inputs) == want
+        assert execute_numpy_batch(sp, env, [inputs])[0] == want
         assert execute_python(sp, env, inputs) == want
 
     def test_verify_design_backend_npgen(self):
@@ -89,7 +88,7 @@ class TestBitEquality:
             p: v + Fraction(1, 3) for p, v in inputs["a"].items()
         }
         want = oracle_state(prog, env, inputs)
-        got = execute_numpy(sp, env, inputs)
+        got = execute_numpy_batch(sp, env, [inputs])[0]
         assert got == want
         assert any(
             isinstance(v, Fraction)
@@ -105,15 +104,8 @@ class TestBatchExecution:
         batch = [random_inputs(prog, env, seed=s) for s in range(8)]
         together = execute_numpy_batch(sp, env, batch)
         for inputs, got in zip(batch, together):
-            assert got == execute_numpy(sp, env, inputs)
+            assert got == execute_numpy_batch(sp, env, [inputs])[0]
             assert got == oracle_state(prog, env, inputs)
-
-    def test_batch_of_one_equals_plain(self):
-        prog, sp = compiled("D1")
-        env = {"n": 4}
-        inputs = random_inputs(prog, env, seed=1)
-        (one,) = execute_numpy_batch(sp, env, [inputs])
-        assert one == execute_numpy(sp, env, inputs)
 
     def test_empty_batch_rejected(self):
         _, sp = compiled("D1")
@@ -139,11 +131,11 @@ class TestScheduleCache:
         prog, sp = compiled("D2")
         env = {"n": 4}
         inputs = random_inputs(prog, env, seed=0)
-        execute_numpy(sp, env, inputs)
+        execute_numpy_batch(sp, env, [inputs])[0]
         schedule = wavefront_schedule(sp, env)
         plan = schedule.runtime_cache.get("npgen_body_plan")
         assert plan is not None
-        execute_numpy(sp, env, inputs)
+        execute_numpy_batch(sp, env, [inputs])[0]
         assert schedule.runtime_cache["npgen_body_plan"] is plan
         assert SCHEDULE_CACHE.stats()["hits"] >= 2
 
@@ -197,13 +189,15 @@ class TestValueDomain:
         frac_prog = replace(prog, body=frac_body)
         sp = compile_systolic(frac_prog, arr)
         with pytest.raises(BackendUnsupportedError, match="pygen"):
-            execute_numpy(sp, {"n": 2}, random_inputs(frac_prog, {"n": 2}))
+            execute_numpy_batch(
+                sp, {"n": 2}, [random_inputs(frac_prog, {"n": 2})]
+            )
 
     def test_missing_numpy_raises_install_hint(self, monkeypatch):
         _, sp = compiled("D1")
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(MissingDependencyError, match=r"repro\[np\]"):
-            execute_numpy(sp, {"n": 2})
+            execute_numpy_batch(sp, {"n": 2}, [None])
 
     def test_have_numpy_flag(self):
         assert HAVE_NUMPY is True

@@ -173,6 +173,23 @@ class TestSynthesizeGuard:
         assert "error:" in err and "step candidate" in err
 
 
+class TestExecute:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["-s", "n=16", "--array", "3", "--backend", "sim"],
+            ["-s", "n=64", "--array", "4", "--backend", "npgen", "--batch", "4"],
+            ["-s", "n=64", "--backend", "npgen", "--batch", "8"],
+        ],
+        ids=["sim-3-bands", "npgen-4-bands-batch-4", "npgen-batch-8"],
+    )
+    def test_execute_matches_the_oracle(self, options, capsys):
+        if "npgen" in options:
+            pytest.importorskip("numpy")
+        assert main(["execute", SOURCE, DESIGN, *options]) == 0
+        assert "oracle check: OK" in capsys.readouterr().out
+
+
 class TestExecuteErrorPaths:
     """Regression tests for CLI error paths that previously had none."""
 

@@ -6,8 +6,16 @@ from repro.analysis import parallelism_profile, format_table
 from repro.core import compile_systolic
 from repro.geometry import Matrix, Point
 from repro.systolic import SystolicArray, all_paper_designs
-from repro.verify import check_all_theorems, random_inputs, verify_design
-from repro.util.errors import VerificationError
+from repro.lang import run_sequential
+from repro.verify import (
+    BACKENDS,
+    check_all_theorems,
+    oracle_mismatches,
+    random_inputs,
+    run_backend,
+    verify_design,
+)
+from repro.util.errors import ReproError, VerificationError
 
 ALL = all_paper_designs()
 
@@ -53,6 +61,48 @@ class TestVerifyDesign:
         final, stats = execute(sp, {"n": 2}, inputs)
         oracle = run_sequential(prog, {"n": 2}, bad_inputs)
         assert final["c"] != oracle["c"]
+
+
+class TestRunBackend:
+    @pytest.mark.parametrize("shape", [None, (2,)], ids=["unbounded", "2-bands"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("design_idx", range(len(ALL)), ids=[e for e, _, _ in ALL])
+    def test_every_engine_equals_the_oracle(self, design_idx, backend, shape):
+        if backend == "npgen":
+            pytest.importorskip("numpy")
+        exp_id, prog, array = ALL[design_idx]
+        sp = compile_systolic(prog, array)
+        env = {"n": 3}
+        batch = [random_inputs(prog, env, seed=s) for s in range(2)]
+        if backend == "pygen" and shape is not None:
+            with pytest.raises(VerificationError, match="partitioned"):
+                run_backend(sp, env, batch, backend=backend, shape=shape)
+            return
+        runs = run_backend(sp, env, batch, backend=backend, shape=shape)
+        assert len(runs) == len(batch)
+        for inputs, (final, stats) in zip(batch, runs):
+            assert final == run_sequential(prog, env, inputs)
+            assert (stats is not None) == (backend == "sim")
+
+    def test_unknown_backend_is_a_named_error(self):
+        exp_id, prog, array = ALL[0]
+        sp = compile_systolic(prog, array)
+        with pytest.raises(ReproError, match="unknown backend 'cuda'"):
+            run_backend(sp, {"n": 2}, [None], backend="cuda")
+
+    def test_oracle_mismatches_names_every_disagreement(self):
+        oracle = {"a": {Point.of(0): 1, Point.of(1): 2}, "c": {Point.of(0): 3}}
+        final = {"a": {(0,): 1, (1,): 5}, "z": {}}
+        assert oracle_mismatches(oracle, final) == [
+            "a(1): got 5, oracle 2",
+            "c: variable missing from result",
+            "unexpected variables ['z']",
+        ]
+        assert oracle_mismatches(oracle, final, limit=1) == [
+            "a(1): got 5, oracle 2"
+        ]
+        matching = {"a": {(0,): 1, (1,): 2}, "c": {(0,): 3}}
+        assert oracle_mismatches(oracle, matching) == []
 
 
 class TestTheorems:
