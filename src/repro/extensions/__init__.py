@@ -3,10 +3,11 @@
 Section 8 lists the refinements "actual machines impose": partitioning when
 there are not enough processors [23], re-routing, projection.  This package
 implements the first as an execution-model extension
-(:mod:`repro.extensions.partition`): virtual processes are assigned to a
-finite set of physical workers and the virtual-time accounting serializes
-each worker, quantifying how the generated programs degrade when folded
-onto a smaller machine.
+(:mod:`repro.extensions.partition`): the LSGP fold onto a fixed ``(p,)``
+or ``(p, q)`` physical array is compiled once per design, every process is
+pinned to the worker its process-space position folds onto, and the
+virtual-time accounting serializes each worker, quantifying how the
+generated programs degrade when folded onto a smaller machine.
 """
 
 from repro.extensions.pipelining import (
@@ -20,12 +21,9 @@ from repro.extensions.partition import (
     SymbolicPartition,
     TileBand,
     band_edges,
-    block_assignment,
     compile_partition,
     partitioned_execute,
     partitioned_schedule,
-    round_robin_assignment,
-    wavefront_tile_bands,
 )
 
 __all__ = [
@@ -37,10 +35,7 @@ __all__ = [
     "SymbolicPartition",
     "TileBand",
     "band_edges",
-    "block_assignment",
     "compile_partition",
     "partitioned_execute",
     "partitioned_schedule",
-    "round_robin_assignment",
-    "wavefront_tile_bands",
 ]

@@ -4,15 +4,7 @@ The abstract systolic program spawns one process per process-space point --
 fine for the paper's idealisation, impossible on a 4-node transputer box.
 Moldovan & Fortes's partitioning (the paper's reference [23]) folds the
 virtual array onto a fixed machine.  This module implements the fold in
-three layers:
-
-* an *assignment* maps every process (computation, buffer, i/o) to one of
-  ``p`` workers; the scheduler's virtual-time model then serializes each
-  worker -- a worker finishes at most one communication per tick -- so the
-  reported makespan is that of the folded machine (list scheduling on the
-  dataflow).  Two standard shapes: **block** (contiguous tile bands of the
-  leading place coordinate, LSGP-style: good locality, preserves the
-  pipeline) and **round-robin** (LPGS-style interleaving).
+two layers:
 
 * a **symbolic partitioned compilation** (:func:`compile_partition`): for a
   fixed ``p`` (band) or ``p x q`` (tile) physical array the fold is derived
@@ -27,69 +19,46 @@ three layers:
   symbolic compilation serves any problem size in milliseconds.
 
 * two **partitioned execution** paths, both bit-identical to the unbounded
-  oracle: the simulator fold (:func:`partitioned_execute` -- the process
-  network is built with inter-band buffer capacity on every channel that
-  crosses a band boundary, then each worker is serialized), and the banded
-  vectorized path (:func:`repro.target.npgen.execute_numpy_batch` with
-  ``shape=`` -- the per-band activity masks of the
-  :class:`PartitionedSchedule` drive banded batched wavefront steps).
-
-:func:`wavefront_tile_bands` and :func:`block_assignment` cut the *same*
-contiguous leading-coordinate intervals (via the shared
-:func:`band_edges` splitter), so the bands the cost model prices are
-exactly the slabs the fold assigns.
+  oracle: the simulator fold (:func:`partitioned_execute` -- the one
+  :func:`repro.runtime.network.execute` body with the
+  :class:`PartitionedSchedule` as its ``fold``: every process is pinned to
+  the worker its plan position folds onto, every channel crossing a band
+  boundary becomes an inter-band buffer, and each worker is serialized),
+  and the banded vectorized path
+  (:func:`repro.target.npgen.execute_numpy_batch` with ``shape=`` -- the
+  per-band activity masks of the :class:`PartitionedSchedule` drive banded
+  batched wavefront steps).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro import profiling
 from repro.core.memo import MEMO
 from repro.core.program import SystolicProgram
 from repro.geometry.point import Point
-from repro.runtime.network import build_network
+from repro.runtime.network import execute
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import RuntimeSimulationError, SystolicSpecError
 
-Assignment = Callable[[str, int], int]  # (process name, workers) -> worker
-
 #: cross-design memo table holding the symbolic partitioned compilations
 PARTITION_MEMO_TABLE = "partition_symbolic"
 
 
-def _position_of(name: str) -> Point | None:
-    """Recover the process-space point from a process name, if any.
-
-    Network process names embed their position: ``P(1, 2)``, ``B:a(0, 3)``,
-    ``L:b(2,)#0``, ``IN:a(-3, 1)``, ``OUT:c(3, 1)``.
-    """
-    if "(" not in name:
-        return None
-    inside = name[name.index("(") + 1 : name.index(")")]
-    parts = [p for p in inside.replace(",", " ").split() if p]
-    try:
-        return Point(int(p) for p in parts)
-    except Exception:
-        return None
-
-
 # ----------------------------------------------------------------------
-# the shared band splitter
+# the band splitter
 # ----------------------------------------------------------------------
 def band_edges(lo: int, hi: int, bands: int) -> tuple[int, ...]:
     """Cut the integer interval ``[lo, hi]`` into near-equal contiguous
     bands; band ``k`` is ``[edges[k], edges[k+1] - 1]``.
 
     ``bands`` is clamped to the interval's span, and the first
-    ``span % bands`` bands get one extra column.  This single splitter is
-    used by every layer of the fold -- :func:`block_assignment`,
-    :func:`wavefront_tile_bands` and :class:`PartitionedSchedule` -- so
-    band membership agrees everywhere *by construction*.
+    ``span % bands`` bands get one extra column.
     """
     if bands < 1:
         raise RuntimeSimulationError("need at least one band")
@@ -119,62 +88,7 @@ def band_of(edges: tuple[int, ...], coordinate: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# assignments (the list-scheduling fold)
-# ----------------------------------------------------------------------
-def round_robin_assignment(names: list[str], workers: int) -> dict[str, int]:
-    """Deterministic interleaving of processes over workers (LPGS-style)."""
-    if workers < 1:
-        raise RuntimeSimulationError("need at least one worker")
-    return {name: i % workers for i, name in enumerate(sorted(names))}
-
-
-def _lead_interval(positions: Mapping[str, Point | None]) -> tuple[int, int] | None:
-    """The leading-coordinate interval of the computation cells.
-
-    Computation processes (``P(...)``) span exactly the cells the
-    wavefront schedule covers; i/o, latch and buffer processes may sit
-    outside and are clamped into the nearest band.  Networks without
-    compute processes (degenerate) fall back to every embedded position.
-    """
-    lead = [
-        int(pos[0])
-        for name, pos in positions.items()
-        if pos is not None and name.startswith("P(")
-    ]
-    if not lead:
-        lead = [int(pos[0]) for pos in positions.values() if pos is not None]
-    if not lead:
-        return None
-    return min(lead), max(lead)
-
-
-def block_assignment(names: list[str], workers: int) -> dict[str, int]:
-    """Contiguous tile bands of the leading process-space coordinate
-    (LSGP-style).
-
-    The leading-coordinate interval of the computation cells is cut into
-    ``workers`` near-equal contiguous bands by :func:`band_edges` -- the
-    *same* cut :func:`wavefront_tile_bands` prices -- and every process
-    goes to the band its embedded position falls in (positions outside
-    the computation interval clamp to the nearest band; processes without
-    a position go to worker 0).
-    """
-    if workers < 1:
-        raise RuntimeSimulationError("need at least one worker")
-    positions = {name: _position_of(name) for name in names}
-    interval = _lead_interval(positions)
-    if interval is None:
-        return {name: 0 for name in sorted(names)}
-    edges = band_edges(interval[0], interval[1], workers)
-    return {
-        name: 0 if positions[name] is None
-        else band_of(edges, int(positions[name][0]))
-        for name in sorted(names)
-    }
-
-
-# ----------------------------------------------------------------------
-# tile bands over the wavefront schedule
+# per-band wavefront activity
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TileBand:
@@ -224,47 +138,6 @@ class TileBand:
         )
 
 
-def _bands_from_edges(edges: tuple[int, ...], works: list[list[int]]) -> tuple[TileBand, ...]:
-    return tuple(
-        TileBand(
-            index=k,
-            lo=edges[k],
-            hi=edges[k + 1] - 1,
-            active_steps=tuple(w > 0 for w in work),
-            work=tuple(work),
-        )
-        for k, work in enumerate(works)
-    )
-
-
-def wavefront_tile_bands(
-    sp: SystolicProgram, env: Mapping[str, Numeric], bands: int
-) -> list[TileBand]:
-    """Describe a block fold of the process space by wavefront activity.
-
-    Cuts the range of the leading place coordinate into ``bands``
-    near-equal contiguous intervals -- via :func:`band_edges`, the exact
-    slabs of :func:`block_assignment` -- and, from the cached wavefront
-    schedule, derives each band's per-step activity mask and statement
-    counts.
-    """
-    from repro.analysis.wavefront import wavefront_schedule
-
-    if bands < 1:
-        raise RuntimeSimulationError("need at least one band")
-    schedule = wavefront_schedule(sp, env)
-    lead = [step.cells[0] for step in schedule.steps]
-    lo = int(min(c.min() for c in lead))
-    hi = int(max(c.max() for c in lead))
-    edges = band_edges(lo, hi, bands)
-    n = len(edges) - 1
-    works = [
-        [int(((c >= edges[k]) & (c <= edges[k + 1] - 1)).sum()) for c in lead]
-        for k in range(n)
-    ]
-    return list(_bands_from_edges(edges, works))
-
-
 # ----------------------------------------------------------------------
 # the symbolic partitioned compilation (compile once per design + shape)
 # ----------------------------------------------------------------------
@@ -311,13 +184,6 @@ class SymbolicPartition:
     #: full link of the deepest crossing stream (denominator latches) + 1
     interband_capacity: int
 
-    @property
-    def requested_workers(self) -> int:
-        out = 1
-        for s in self.shape:
-            out *= s
-        return out
-
     def coordinate_range(
         self, row: tuple[int, ...], lows: list[int], highs: list[int]
     ) -> tuple[int, int]:
@@ -362,7 +228,16 @@ class SymbolicPartition:
             sizes=tuple(sorted(ienv.items())),
             lead_edges=lead_edges,
             second_edges=second_edges,
-            bands=_bands_from_edges(lead_edges, works),
+            bands=tuple(
+                TileBand(
+                    index=k,
+                    lo=lead_edges[k],
+                    hi=lead_edges[k + 1] - 1,
+                    active_steps=tuple(w > 0 for w in work),
+                    work=tuple(work),
+                )
+                for k, work in enumerate(works)
+            ),
             total_work=sum(len(cells) for cells in fronts.values()),
         )
 
@@ -484,9 +359,6 @@ class PartitionedSchedule:
     def drain(self) -> tuple[int, ...]:
         return tuple(b.drain for b in self.bands)
 
-    def band_index(self, lead: int) -> int:
-        return band_of(self.lead_edges, lead)
-
     def worker_of(self, point: Point) -> int:
         """The physical worker a process-space point folds onto."""
         lead_band = band_of(self.lead_edges, int(point[0]))
@@ -495,21 +367,6 @@ class PartitionedSchedule:
         q = len(self.second_edges) - 1
         second = int(point[1]) if len(point) > 1 else self.second_edges[0]
         return lead_band * q + band_of(self.second_edges, second)
-
-    def assignment(self, names) -> dict[str, int]:
-        """Fold every named process onto its tile's worker."""
-        out: dict[str, int] = {}
-        for name in sorted(names):
-            pos = _position_of(name)
-            out[name] = 0 if pos is None else self.worker_of(pos)
-        return out
-
-    def interband_boundaries(self) -> int:
-        """Boundary count: channels of crossing streams buffer here."""
-        n = len(self.bands) - 1
-        if self.second_edges is not None:
-            n += len(self.bands) * (len(self.second_edges) - 2)
-        return max(0, n)
 
     def summary(self) -> str:
         shape = "x".join(str(s) for s in self.shape)
@@ -560,63 +417,26 @@ def partitioned_schedule(
 def partitioned_execute(
     sp: SystolicProgram,
     env: Mapping[str, Numeric],
-    inputs=None,
+    inputs,
+    shape: tuple[int, ...],
     *,
-    workers: int | None = None,
-    shape: tuple[int, ...] | None = None,
-    assignment: str = "block",
     channel_capacity: int = 1,
-    interband_capacity: int | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[dict, SchedulerStats]:
-    """Run a compiled design on a fixed-size machine model.
+    """Run a compiled design folded onto a fixed ``(p,)`` or ``(p, q)``
+    physical array.
 
-    Two ways to describe the machine:
-
-    * ``workers=p`` with ``assignment`` in ``{"block", "round_robin"}`` --
-      the classic fold: every process pinned to one of ``p`` workers, all
-      channels at ``channel_capacity``;
-    * ``shape=(p,)`` or ``shape=(p, q)`` -- the symbolically compiled
-      LSGP fold: processes pinned tile-band-wise via the cached
-      :class:`PartitionedSchedule`, and every channel crossing a band
-      boundary built as an inter-band buffer (capacity from the symbolic
-      compilation unless ``interband_capacity`` overrides it).
-
-    Results are identical to the unbounded run (the fold changes timing,
-    never semantics); the returned stats carry the folded makespan.
+    The one :func:`repro.runtime.network.execute` body runs it, with the
+    cached :class:`PartitionedSchedule` as the fold: the plan is validated
+    (conservation pre-flight), every process is pinned to the worker its
+    plan position folds onto, and every channel crossing a band boundary
+    is built as an inter-band buffer.  Results are identical to the
+    unbounded run (the fold changes timing, never semantics); the returned
+    stats carry the folded makespan.
     """
-    if (workers is None) == (shape is None):
-        raise RuntimeSimulationError(
-            "specify exactly one of workers=... or shape=..."
-        )
-    if shape is not None:
-        schedule = partitioned_schedule(sp, env, shape)
-        network = build_network(
-            sp,
-            env,
-            inputs,
-            channel_capacity=channel_capacity,
-            worker_of=schedule.worker_of,
-            interband_capacity=(
-                interband_capacity
-                if interband_capacity is not None
-                else schedule.symbolic.interband_capacity
-            ),
-        )
-        mapping = schedule.assignment(network.scheduler.process_names)
-    else:
-        network = build_network(
-            sp, env, inputs, channel_capacity=channel_capacity
-        )
-        names = list(network.scheduler.process_names)
-        if assignment == "block":
-            mapping = block_assignment(names, workers)
-        elif assignment == "round_robin":
-            mapping = round_robin_assignment(names, workers)
-        else:
-            raise RuntimeSimulationError(f"unknown assignment {assignment!r}")
-    network.scheduler.assign_workers(mapping)
-    stats = network.run(max_rounds=max_rounds)
-    for plan in sp.streams:
-        network.host.check_full_recovery(plan.name)
-    return network.host.final, stats
+    return execute(
+        sp,
+        env,
+        inputs,
+        channel_capacity=channel_capacity,
+        fold=partitioned_schedule(sp, env, shape),
+    )

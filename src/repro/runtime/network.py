@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro import profiling
 
@@ -58,6 +58,9 @@ from repro.runtime.scheduler import Scheduler, SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.util.cache import BoundedLRU
 from repro.util.errors import RuntimeSimulationError
+
+if TYPE_CHECKING:
+    from repro.extensions.partition import PartitionedSchedule
 
 
 def _as_count(value: Any) -> int:
@@ -147,11 +150,11 @@ class NetworkPlan:
     """Everything :func:`build_network` can derive from ``(sp, env)`` alone.
 
     The plan holds channel *specs* (name + process-space endpoints) and
-    process *factories* (closures over precomputed amounts, element lists
-    and channel indices); :meth:`instantiate` binds them to fresh
-    :class:`Channel`/generator objects.  One plan serves any number of
-    executions, any channel capacity, and any LSGP ``worker_of`` fold --
-    those are instantiation-time choices.
+    process *specs* (name, process-space position, and a factory closing
+    over precomputed amounts, element lists and channel indices);
+    :meth:`instantiate` binds them to fresh :class:`Channel`/generator
+    objects.  One plan serves any number of executions, any channel
+    capacity, and any LSGP fold -- those are instantiation-time choices.
     """
 
     __slots__ = (
@@ -165,7 +168,7 @@ class NetworkPlan:
         self.env = dict(env)
         self.channel_names: list[str] = []
         self.channel_ends: list[tuple[Point | None, Point | None]] = []
-        self.processes: list[tuple[str, _Factory]] = []
+        self.processes: list[tuple[str, Point, _Factory]] = []
         self.node_counts = {
             "compute": 0, "buffer": 0, "latch": 0, "input": 0, "output": 0
         }
@@ -188,8 +191,7 @@ class NetworkPlan:
         inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None = None,
         *,
         channel_capacity: int = 1,
-        worker_of: Callable[[Point], int] | None = None,
-        interband_capacity: int = 2,
+        fold: PartitionedSchedule | None = None,
         host: Host | None = None,
     ) -> ProcessNetwork:
         """Wire fresh channels and processes; linear in the network size.
@@ -197,16 +199,25 @@ class NetworkPlan:
         Channel and process creation order match the plan's build order
         exactly, so every instantiation executes the same deterministic
         FIFO interleaving.
+
+        ``fold`` (an LSGP :class:`PartitionedSchedule`) pins every process
+        to ``fold.worker_of(position)`` and gives each channel between
+        positions on different workers the fold's inter-band buffer
+        capacity; intra-band channels keep ``channel_capacity``.  Extra
+        buffer space never changes results (Kahn determinism) -- only the
+        timing model.
         """
         if host is None:
             host = Host(self.sp.source, self.env, inputs)
         scheduler = Scheduler()
         interband = 0
         channels: list[Channel] = []
-        if worker_of is None:
+        if fold is None:
             for name in self.channel_names:
                 channels.append(Channel(name, capacity=channel_capacity))
         else:
+            worker_of = fold.worker_of
+            buffered = max(channel_capacity, fold.symbolic.interband_capacity)
             for name, (src, dst) in zip(self.channel_names, self.channel_ends):
                 capacity = channel_capacity
                 if (
@@ -214,12 +225,15 @@ class NetworkPlan:
                     and dst is not None
                     and worker_of(src) != worker_of(dst)
                 ):
-                    capacity = max(capacity, interband_capacity)
+                    capacity = buffered
                     interband += 1
                 channels.append(Channel(name, capacity=capacity))
+            scheduler.assign_workers(
+                {name: worker_of(position) for name, position, _ in self.processes}
+            )
         for chan in channels:
             scheduler.add_channel(chan)
-        for name, factory in self.processes:
+        for name, _position, factory in self.processes:
             scheduler.spawn(name, factory(channels, host))
         return ProcessNetwork(
             program=self.sp,
@@ -333,6 +347,7 @@ class _PlanBuilder:
                     self.plan.processes.append(
                         (
                             f"L:{name}{y}#{k}",
+                            y,
                             self._latch_factory(feed, buffered, total),
                         )
                     )
@@ -365,8 +380,8 @@ class _PlanBuilder:
 
                 return body()
 
-            self.plan.processes.append((f"IN:{name}{start}", make_input))
-            self.plan.processes.append((f"OUT:{name}{end}", make_output))
+            self.plan.processes.append((f"IN:{name}{start}", start, make_input))
+            self.plan.processes.append((f"OUT:{name}{end}", end, make_output))
             self.plan.node_counts["input"] += 1
             self.plan.node_counts["output"] += 1
 
@@ -397,7 +412,7 @@ class _PlanBuilder:
             cin = self.in_chan[plan.name][y]
             cout = self.out_chan[plan.name][y]
             self.plan.processes.append(
-                (f"B:{plan.name}{y}", self._latch_factory(cin, cout, amount))
+                (f"B:{plan.name}{y}", y, self._latch_factory(cin, cout, amount))
             )
         self.plan.node_counts["buffer"] += 1
 
@@ -498,7 +513,7 @@ class _PlanBuilder:
 
             return body()
 
-        self.plan.processes.append((f"P{y}", make))
+        self.plan.processes.append((f"P{y}", y, make))
         self.plan.node_counts["compute"] += 1
 
     # ------------------------------------------------------------------
@@ -549,25 +564,13 @@ def network_plan(sp: SystolicProgram, env: Mapping[str, Numeric]) -> NetworkPlan
 def build_network(
     sp: SystolicProgram,
     env: Mapping[str, Numeric],
-    inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None = None,
+    inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None,
     *,
     channel_capacity: int = 1,
-    worker_of: Callable[[Point], int] | None = None,
-    interband_capacity: int = 2,
 ) -> ProcessNetwork:
-    """Instantiate a compiled program at a concrete problem size.
-
-    ``worker_of`` enables the LSGP fold: a channel between PS points on
-    different workers gets ``interband_capacity`` buffer slots (an
-    inter-band buffer), while intra-band channels keep
-    ``channel_capacity``.  Extra buffer space never changes results (Kahn
-    determinism) -- only the timing model.
-    """
+    """Instantiate a compiled program at a concrete problem size."""
     return network_plan(sp, env).instantiate(
-        inputs,
-        channel_capacity=channel_capacity,
-        worker_of=worker_of,
-        interband_capacity=interband_capacity,
+        inputs, channel_capacity=channel_capacity
     )
 
 
@@ -577,6 +580,7 @@ def execute(
     inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None = None,
     *,
     channel_capacity: int = 1,
+    fold: PartitionedSchedule | None = None,
     max_rounds: int | None = None,
     validate: bool = True,
     timing: bool = True,
@@ -586,6 +590,9 @@ def execute(
     ``validate`` runs the pre-flight conservation check (better diagnostics
     than a deadlock); every element of every variable must be recovered
     exactly once.  It is performed once per plan, not once per run.
+    ``fold`` runs the network folded onto a fixed physical array (see
+    :meth:`NetworkPlan.instantiate`); the stats then carry the folded
+    makespan.
     ``timing=False`` skips the Lamport-clock bookkeeping (stats carry zero
     makespan); values, deadlock detection and FIFO order are unaffected.
     """
@@ -593,7 +600,9 @@ def execute(
     plan = network_plan(sp, env)
     if validate:
         plan.validate()
-    network = plan.instantiate(inputs, channel_capacity=channel_capacity)
+    network = plan.instantiate(
+        inputs, channel_capacity=channel_capacity, fold=fold
+    )
     t1 = time.perf_counter()
     stats = network.run(max_rounds=max_rounds, timing=timing)
     for splan in sp.streams:

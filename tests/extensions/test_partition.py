@@ -1,13 +1,19 @@
-"""Tile bands over the wavefront schedule (block-fold activity masks)."""
+"""The LSGP fold: per-band wavefront activity, the banded NumPy executor,
+and folds through ``verify_design`` and the fuzz harness.
+
+The fold itself is pure Python; only the npgen cases need NumPy.
+"""
 
 import pytest
 
 from repro import compile_systolic
-from repro.extensions import TileBand, wavefront_tile_bands
+from repro.analysis.wavefront import synchronous_wavefronts
+from repro.extensions import TileBand, partitioned_schedule
 from repro.systolic import all_paper_designs
-from repro.util.errors import RuntimeSimulationError
+from repro.target.npgen import HAVE_NUMPY
+from repro.util.errors import SystolicSpecError
 
-numpy = pytest.importorskip("numpy")
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
 
 DESIGNS = {e: (p, a) for e, p, a in all_paper_designs()}
 
@@ -17,80 +23,84 @@ def compiled(exp_id):
     return compile_systolic(prog, arr)
 
 
+def bands_of(exp_id, n, bands):
+    sp = compiled(exp_id)
+    return partitioned_schedule(sp, {"n": n}, (bands,)).bands
+
+
 class TestWavefrontTileBands:
+    """``partitioned_schedule(...).bands`` against the wavefronts."""
+
     @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
     @pytest.mark.parametrize("bands", [1, 2, 3])
     def test_bands_tile_the_schedule(self, exp_id, bands):
         """Bands are contiguous, disjoint, and account for every statement."""
         sp = compiled(exp_id)
         env = {"n": 4}
-        tiles = wavefront_tile_bands(sp, env, bands)
+        tiles = partitioned_schedule(sp, env, (bands,)).bands
         assert 1 <= len(tiles) <= bands
         # contiguous and disjoint along the leading coordinate
         for a, b in zip(tiles, tiles[1:]):
             assert b.lo == a.hi + 1
-        # per step, band works sum to the wavefront width
-        from repro.analysis.wavefront import wavefront_schedule
-
-        schedule = wavefront_schedule(sp, env)
-        for s, step in enumerate(schedule.steps):
-            assert sum(t.work[s] for t in tiles) == step.width
-        # masks agree with counts
+        fronts = list(synchronous_wavefronts(sp, env).values())
         for t in tiles:
-            assert len(t.active_steps) == schedule.n_steps
+            # per step, a band's work is the cells of its leading interval
+            assert t.work == tuple(
+                sum(1 for cell in cells if t.lo <= cell[0] <= t.hi)
+                for cells in fronts
+            )
+            # masks agree with counts
             assert all((w > 0) == a for w, a in zip(t.work, t.active_steps))
+        # per step, band works sum to the wavefront width
+        for s, cells in enumerate(fronts):
+            assert sum(t.work[s] for t in tiles) == len(cells)
         # all statements accounted for exactly once
-        assert sum(t.total_work for t in tiles) == schedule.total_points
+        assert sum(t.total_work for t in tiles) == sum(map(len, fronts))
 
     def test_single_band_is_the_whole_schedule(self):
-        sp = compiled("D1")
-        (tile,) = wavefront_tile_bands(sp, {"n": 4}, 1)
-        from repro.analysis.wavefront import wavefront_schedule
-
-        schedule = wavefront_schedule(sp, {"n": 4})
-        assert tile.work == tuple(s.width for s in schedule.steps)
+        (tile,) = bands_of("D1", 4, 1)
+        fronts = synchronous_wavefronts(compiled("D1"), {"n": 4})
+        assert tile.work == tuple(len(cells) for cells in fronts.values())
         assert all(tile.active_steps)
-        assert tile.busy_steps == schedule.n_steps
+        assert tile.busy_steps == len(fronts)
 
     def test_band_wavefront_sweeps_through(self):
         """On D1 the wavefront enters low bands before it leaves high ones."""
-        sp = compiled("D1")
-        tiles = wavefront_tile_bands(sp, {"n": 6}, 3)
+        tiles = bands_of("D1", 6, 3)
         firsts = [t.active_steps.index(True) for t in tiles]
         assert firsts == sorted(firsts)
 
     def test_more_bands_than_cells_clamps(self):
-        sp = compiled("D1")
-        tiles = wavefront_tile_bands(sp, {"n": 2}, 100)
+        tiles = bands_of("D1", 2, 100)
         spans = [t.hi - t.lo for t in tiles]
         assert all(s == 0 for s in spans)  # one cell column per band
 
     def test_str_and_errors(self):
-        sp = compiled("D1")
-        tiles = wavefront_tile_bands(sp, {"n": 3}, 2)
+        tiles = bands_of("D1", 3, 2)
         assert isinstance(tiles[0], TileBand)
         assert "band 0" in str(tiles[0])
-        with pytest.raises(RuntimeSimulationError):
-            wavefront_tile_bands(sp, {"n": 3}, 0)
+        with pytest.raises(SystolicSpecError):
+            partitioned_schedule(compiled("D1"), {"n": 3}, (0,))
 
+    @needs_numpy
     @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
     @pytest.mark.parametrize("bands", [2, 3])
     def test_bands_agree_with_partitioned_schedule(self, exp_id, bands):
-        """The numpy-derived tile bands and the symbolic specialization
-        describe the identical cut: same edges, same per-step work."""
-        from repro.extensions import partitioned_schedule
+        """The NumPy wavefront schedule, cut at the symbolic
+        specialization's edges, gives the identical per-step band work."""
+        from repro.analysis.wavefront import wavefront_schedule
 
         sp = compiled(exp_id)
         env = {"n": 4}
-        tiles = wavefront_tile_bands(sp, env, bands)
         schedule = partitioned_schedule(sp, env, (bands,), use_cache=False)
-        assert len(tiles) == len(schedule.bands)
-        for t, b in zip(tiles, schedule.bands):
-            assert (t.lo, t.hi) == (b.lo, b.hi)
-            assert t.work == b.work
-            assert t.active_steps == b.active_steps
+        lead = [step.cells[0] for step in wavefront_schedule(sp, env).steps]
+        for b in schedule.bands:
+            assert b.work == tuple(
+                int(((c >= b.lo) & (c <= b.hi)).sum()) for c in lead
+            )
 
 
+@needs_numpy
 class TestBandedNpgen:
     @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
     @pytest.mark.parametrize("n", [2, 4])
@@ -151,7 +161,9 @@ class TestBandedNpgen:
 
 
 class TestVerifyDesignPartition:
-    @pytest.mark.parametrize("backend", ["sim", "npgen"])
+    @pytest.mark.parametrize(
+        "backend", ["sim", pytest.param("npgen", marks=needs_numpy)]
+    )
     def test_verify_partitioned_backends(self, backend):
         from repro.verify import verify_design
 
@@ -170,6 +182,7 @@ class TestVerifyDesignPartition:
             verify_design(prog, arr, {"n": 3}, backend="pygen", partition=(2,))
 
 
+@needs_numpy  # asserts the partition_npgen count
 class TestFuzzFolds:
     def test_fuzz_programs_fold_onto_two_bands(self):
         """120 generated programs folded onto a 2-band array -- through the

@@ -119,6 +119,8 @@ EXPECTED = {
         "cross_check": 8,
         "threaded": 7,
         "capacity": 7,
+        # the partitioned run shares execute's conservation pre-flight
+        "partition": 7,
     },
     "drain_plus_one": {
         "simulator": 8,

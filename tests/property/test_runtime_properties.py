@@ -58,9 +58,7 @@ class TestPartitionProperty:
         env = {"n": 2}
         inputs = random_inputs(program, env, seed=13)
         unbounded, _ = execute(sp, env, inputs, max_rounds=2_000_000)
-        folded, stats = partitioned_execute(
-            sp, env, inputs, workers=workers, max_rounds=2_000_000
-        )
+        folded, stats = partitioned_execute(sp, env, inputs, shape=(workers,))
         assert folded == unbounded
 
 

@@ -5,15 +5,15 @@ import pytest
 from repro import compile_systolic, run_sequential
 from repro.extensions import (
     band_edges,
-    block_assignment,
     compile_partition,
     partitioned_execute,
     partitioned_schedule,
-    round_robin_assignment,
 )
-from repro.extensions.partition import PARTITION_CACHE, _position_of, band_of
+from repro.extensions.partition import PARTITION_CACHE, band_of
+from repro.fuzz.harness import apply_mutation
 from repro.geometry import Point
 from repro.runtime import build_network
+from repro.runtime.network import network_plan
 from repro.runtime.trace import Trace, TraceEvent, attach_tracer, trace_run
 from repro.systolic import all_paper_designs
 from repro.util.errors import (
@@ -121,69 +121,75 @@ class TestInstrumentationIdempotence:
 
 
 class TestAssignments:
-    def test_position_parsing(self):
-        assert _position_of("P(1, 2)") == Point.of(1, 2)
-        assert _position_of("B:a(0, -3)") == Point.of(0, -3)
-        assert _position_of("L:b(2,)#0") == Point.of(2)
-        assert _position_of("IN:a(-3, 1)") == Point.of(-3, 1)
-        assert _position_of("noparens") is None
+    """The fold pins every process to ``worker_of`` of the position the
+    network plan recorded for it."""
 
-    def test_round_robin_covers_all_workers(self):
-        names = [f"P({i},)" for i in range(10)]
-        mapping = round_robin_assignment(names, 3)
-        assert set(mapping.values()) == {0, 1, 2}
+    @staticmethod
+    def folded(idx=0, n=3, shape=(2,)):
+        sp, prog, inputs, oracle, n = setup_design(idx=idx, n=n)
+        fold = partitioned_schedule(sp, {"n": n}, shape)
+        plan = network_plan(sp, {"n": n})
+        return plan, fold, plan.instantiate(inputs, fold=fold)
+
+    def test_plan_records_every_process_position(self):
+        """Each process's recorded position is the process-space point
+        its name shows (``P(1, 2)``, ``B:a(0, 3)``, ``L:b(2,)#0``, ...)."""
+        for idx in range(len(ALL)):
+            plan, fold, net = self.folded(idx=idx)
+            assert [name for name, _, _ in plan.processes] == list(
+                net.scheduler.process_names
+            )
+            for name, position, _ in plan.processes:
+                assert isinstance(position, Point)
+                assert str(position) in name, name
+
+    def test_every_process_is_pinned_by_position(self):
+        plan, fold, net = self.folded(idx=2, shape=(2, 2))
+        assert net.scheduler._worker_of == {
+            name: fold.worker_of(position) for name, position, _ in plan.processes
+        }
+        assert set(net.scheduler._worker_of.values()) == {0, 1, 2, 3}
 
     def test_block_contiguity(self):
-        names = [f"P({i},)" for i in range(8)]
-        mapping = block_assignment(names, 2)
-        # sorted-by-position processes split into two slabs
-        first = [n for n, w in mapping.items() if w == 0]
-        second = [n for n, w in mapping.items() if w == 1]
-        assert len(first) == len(second) == 4
-        assert max(_position_of(n)[0] for n in first) < min(
-            _position_of(n)[0] for n in second
-        )
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(RuntimeSimulationError):
-            round_robin_assignment(["a"], 0)
-        with pytest.raises(RuntimeSimulationError):
-            block_assignment(["a"], 0)
+        plan, fold, net = self.folded(idx=0, n=4, shape=(2,))
+        mapping = net.scheduler._worker_of
+        lead = {name: position[0] for name, position, _ in plan.processes}
+        first = [lead[n] for n, w in mapping.items() if w == 0]
+        second = [lead[n] for n, w in mapping.items() if w == 1]
+        assert first and second
+        assert max(first) < min(second)
 
     def test_block_cuts_coordinate_interval_on_triangular_space(self):
-        """Regression: block_assignment used to cut the *sorted process
-        list* into equal-count slabs while wavefront_tile_bands cut the
-        *coordinate interval*; on a triangular process space the two
-        disagreed.  Both now cut the leading-coordinate interval."""
-        names = [f"P({i}, {j})" for i in range(4) for j in range(i + 1)]
-        mapping = block_assignment(names, 2)
-        edges = band_edges(0, 3, 2)  # the shared splitter: [0,1] | [2,3]
-        for name in names:
-            lead = _position_of(name)[0]
-            assert mapping[name] == band_of(edges, lead), name
-        # equal-count slabs would put 5 processes in each half; the
-        # interval cut puts rows 0-1 (3 processes) on worker 0
-        assert sum(1 for w in mapping.values() if w == 0) == 3
-        assert sum(1 for w in mapping.values() if w == 1) == 7
+        """The fold cuts the leading-coordinate *interval*, not the process
+        list into equal-count slabs: on a triangular set of points the
+        two disagree."""
+        sp, *_ = setup_design(idx=2, n=3)  # E1: 2-d coords
+        fold = partitioned_schedule(sp, {"n": 3}, (2,))
+        assert fold.lead_edges == band_edges(0, 3, 2)  # [0,1] | [2,3]
+        points = [Point.of(i, j) for i in range(4) for j in range(i + 1)]
+        for point in points:
+            assert fold.worker_of(point) == band_of(fold.lead_edges, point[0])
+        # equal-count slabs would put 5 points in each half; the interval
+        # cut puts rows 0-1 (3 points) on worker 0
+        assert sum(1 for p in points if fold.worker_of(p) == 0) == 3
+        assert sum(1 for p in points if fold.worker_of(p) == 1) == 7
+
+    def test_invalid_worker_count(self):
+        sp, prog, inputs, oracle, n = setup_design()
+        with pytest.raises(SystolicSpecError):
+            partitioned_execute(sp, {"n": n}, inputs, shape=(0,))
+        with pytest.raises(RuntimeSimulationError):
+            band_edges(0, 3, 0)
 
     def test_io_processes_clamp_into_nearest_band(self):
-        names = ["P(0,)", "P(1,)", "P(2,)", "P(3,)", "IN:a(-3,)", "OUT:c(9,)"]
-        mapping = block_assignment(names, 2)
-        assert mapping["IN:a(-3,)"] == 0  # below the compute range
-        assert mapping["OUT:c(9,)"] == 1  # above the compute range
+        sp, *_ = setup_design(idx=0, n=3)
+        fold = partitioned_schedule(sp, {"n": 3}, (2,))
+        lo, hi = fold.lead_edges[0], fold.lead_edges[-1] - 1
+        assert fold.worker_of(Point.of(lo - 3)) == 0  # below the compute range
+        assert fold.worker_of(Point.of(hi + 5)) == 1  # above the compute range
 
 
 class TestPartitionedExecution:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("assignment", ["block", "round_robin"])
-    def test_results_invariant_under_fold(self, workers, assignment):
-        sp, prog, inputs, oracle, n = setup_design(idx=0)
-        final, stats = partitioned_execute(
-            sp, {"n": n}, inputs, workers=workers, assignment=assignment
-        )
-        assert final == oracle
-        assert stats.makespan > 0
-
     def test_makespan_monotone_in_workers(self):
         """The Section 8 "not enough processors" curve on E1: makespan
         never grows with more workers, and the first doubling helps by
@@ -191,7 +197,7 @@ class TestPartitionedExecution:
         sp, prog, inputs, oracle, n = setup_design(idx=2, n=4)
         spans = []
         for w in (1, 2, 4, 8, 16, 64):
-            _, stats = partitioned_execute(sp, {"n": n}, inputs, workers=w)
+            _, stats = partitioned_execute(sp, {"n": n}, inputs, shape=(w,))
             spans.append(stats.makespan)
         assert spans == sorted(spans, reverse=True)
         assert spans[1] < 0.75 * spans[0]
@@ -203,48 +209,35 @@ class TestPartitionedExecution:
         sp, prog, inputs, oracle, n = setup_design(idx=0, n=2)
         net = build_network(sp, {"n": n}, inputs)
         unbounded_stats, trace = trace_run(net)
-        _, stats = partitioned_execute(sp, {"n": n}, inputs, workers=1)
+        _, stats = partitioned_execute(sp, {"n": n}, inputs, shape=(1,))
         assert stats.makespan >= len(trace.events)
         assert stats.makespan <= len(trace.events) + unbounded_stats.makespan
 
-    def test_unknown_assignment(self):
-        sp, prog, inputs, oracle, n = setup_design()
-        with pytest.raises(RuntimeSimulationError):
-            partitioned_execute(sp, {"n": n}, inputs, workers=2, assignment="zigzag")
 
+class TestSymbolicPartitionedExecution:
     @pytest.mark.parametrize("idx", range(len(ALL)))
-    @pytest.mark.parametrize("workers", [1, 3, 7])
-    @pytest.mark.parametrize("assignment", ["block", "round_robin"])
-    def test_identity_all_designs_all_folds(self, idx, workers, assignment):
+    def test_shape_identity_all_designs(self, idx):
         """Every paper design, folded every way, stays bit-identical to the
         sequential oracle (Kahn determinism: the fold changes timing
         only)."""
         sp, prog, inputs, oracle, n = setup_design(idx=idx, n=3)
-        final, stats = partitioned_execute(
-            sp, {"n": n}, inputs, workers=workers, assignment=assignment
-        )
-        assert final == oracle
-        assert stats.makespan > 0
-
-
-class TestSymbolicPartitionedExecution:
-    def test_exactly_one_machine_description(self):
-        sp, prog, inputs, oracle, n = setup_design()
-        with pytest.raises(RuntimeSimulationError):
-            partitioned_execute(sp, {"n": n}, inputs)
-        with pytest.raises(RuntimeSimulationError):
-            partitioned_execute(sp, {"n": n}, inputs, workers=2, shape=(2,))
-
-    @pytest.mark.parametrize("idx", range(len(ALL)))
-    def test_shape_identity_all_designs(self, idx):
-        sp, prog, inputs, oracle, n = setup_design(idx=idx, n=3)
-        shapes = [(2,), (3,)]
+        shapes = [(1,), (2,), (3,), (7,)]
         if len(sp.coords) >= 2:
             shapes.append((2, 2))
         for shape in shapes:
             final, stats = partitioned_execute(sp, {"n": n}, inputs, shape=shape)
             assert final == oracle, shape
             assert stats.makespan > 0
+
+    @pytest.mark.parametrize("idx", range(len(ALL)))
+    def test_partitioned_run_names_conservation_violation(self, idx):
+        """The partitioned run is validated like any other: a planted
+        soak error is named by the conservation pre-flight instead of
+        surfacing as a deadlock of dozens of stuck processes."""
+        sp, prog, inputs, oracle, n = setup_design(idx=idx, n=3)
+        mutated = apply_mutation(sp, "soak_plus_one")
+        with pytest.raises(RuntimeSimulationError, match="conservation violated"):
+            partitioned_execute(mutated, {"n": n}, inputs, shape=(2,))
 
     def test_shape_rejects_bad_shapes(self):
         sp, prog, inputs, oracle, n = setup_design(idx=0)  # 1-d coords
@@ -263,20 +256,15 @@ class TestSymbolicPartitionedExecution:
     def test_interband_channels_buffered(self):
         """The folded network materialises inter-band buffers on every
         channel that crosses a band boundary."""
-        from repro.runtime import build_network
-
         sp, prog, inputs, oracle, n = setup_design(idx=0, n=3)
         schedule = partitioned_schedule(sp, {"n": n}, (2,))
-        plain = build_network(sp, {"n": n}, inputs)
-        assert plain.interband_channels == 0
-        folded = build_network(
-            sp,
-            {"n": n},
-            inputs,
-            worker_of=schedule.worker_of,
-            interband_capacity=schedule.symbolic.interband_capacity,
-        )
+        plan = network_plan(sp, {"n": n})
+        assert plan.instantiate(inputs).interband_channels == 0
+        folded = plan.instantiate(inputs, fold=schedule)
         assert folded.interband_channels > 0
+        capacity = schedule.symbolic.interband_capacity
+        buffered = [c for c in folded.scheduler.channels if c.capacity == capacity]
+        assert len(buffered) == folded.interband_channels
 
     def test_specialization_reuses_symbolic_compilation(self):
         """Compile once for the fixed array, specialize to any size: after

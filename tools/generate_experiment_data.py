@@ -28,6 +28,6 @@ exp, prog, arr = all_paper_designs()[2]
 sp = compile_systolic(prog, arr)
 inputs = random_inputs(prog, {"n": 4}, seed=1)
 for w in (1, 2, 4, 8, 16, 64):
-    final, stats = partitioned_execute(sp, {"n": 4}, inputs, workers=w)
+    final, stats = partitioned_execute(sp, {"n": 4}, inputs, shape=(w,))
     part.append({"workers": w, "makespan": stats.makespan})
-print(format_table(part, title="## E1 n=4 partitioned onto w workers (block)"))
+print(format_table(part, title="## E1 n=4 folded onto shape (w,)"))
