@@ -22,8 +22,12 @@ processes once per batch.
 Set ``REPRO_DISABLE_MEMO=1`` to bypass every table (the golden ranked-table
 test in ``tests/systolic/test_explore.py`` runs with the memo on and off).
 
-This module must stay import-light: it is imported from both ``core`` and
-``systolic`` and may not import either.
+``validate_program`` keeps its own ``validate`` table here, keyed by the
+program fingerprint alone, so the coverage check runs once per program
+however many callers validate it.
+
+This module must stay import-light: it is imported from ``core``,
+``systolic`` and ``lang`` and may not import any of them.
 """
 
 from __future__ import annotations

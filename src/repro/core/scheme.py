@@ -67,13 +67,13 @@ def compile_systolic(
     prune: bool = True,
 ) -> SystolicProgram:
     """Compile a source program and systolic array into a systolic program."""
-    fp = program_fingerprint(program)
     if validate:
-        # validate_program only depends on the program, which is shared by
-        # every candidate in a sweep -- run it once per fingerprint.  The
-        # array check is per-design and stays unmemoized.
-        MEMO.get("validate", (fp,), lambda: (validate_program(program), True)[1])
+        # validate_program memoizes its own costly part per program, so a
+        # sweep's candidates and a caller that already validated pay it
+        # once.  The array check is per-design and stays unmemoized.
+        validate_program(program)
         check_systolic_array(array, program)
+    fp = program_fingerprint(program)
 
     dim = program.r - 1
     coord_names = tuple(coords) if coords is not None else default_coords(dim)

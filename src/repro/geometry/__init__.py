@@ -15,7 +15,6 @@ from repro.geometry.lattice import (
     integer_direction,
 )
 from repro.geometry.rectangle import Rectangle
-from repro.geometry.polyhedron import LinearConstraint, ConstraintSystem, fourier_motzkin_feasible
 
 __all__ = [
     "Point",
@@ -34,7 +33,4 @@ __all__ = [
     "unit_distance",
     "integer_direction",
     "Rectangle",
-    "LinearConstraint",
-    "ConstraintSystem",
-    "fourier_motzkin_feasible",
 ]

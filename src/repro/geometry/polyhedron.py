@@ -7,89 +7,30 @@ e.g. to prune the vacuous sub-alternatives the paper removes by hand in
 Appendix E.2.5 -- is rational-feasibility checking, which Fourier-Motzkin
 elimination answers exactly.
 
-Constraints are kept in the canonical form ``coeffs . x + const >= 0``.
-Feasibility is over the rationals: a feasible relaxation may in rare cases
-have no integer point, so pruning with this test is *sound* (it only removes
-cases that can never hold) but not complete, matching the paper's own
-hand-simplification which also only removes impossible branches.
+A constraint ``coeffs . x + const >= 0`` is an integer row
+``(c_0, ..., c_{dim-1}, const)``: :func:`canonical_int_row` scales exact
+rational entries to a gcd-reduced row, and :func:`feasible_int_rows`
+decides a conjunction of such rows (``repro.symbolic.guard`` caches the
+rows of each interned constraint and guard).  Feasibility is over the
+rationals: a feasible relaxation may in rare cases have no integer point,
+so pruning with this test is *sound* (it only removes cases that can never
+hold) but not complete, matching the paper's own hand-simplification which
+also only removes impossible branches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.profiling import counter
-from repro.util.errors import GeometryError
 
 #: global feasibility memo keyed by the canonicalized integer rows; see
-#: :func:`fourier_motzkin_feasible`
+#: :func:`feasible_int_rows`
 _fm_cache: dict = {}
 _fm_stats = counter("fm_feasible")
 _FM_CACHE_LIMIT = 32768
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """The inequality ``sum_i coeffs[i] * x_i + const >= 0``."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    @staticmethod
-    def of(coeffs: Sequence[int | Fraction], const: int | Fraction) -> "LinearConstraint":
-        return LinearConstraint(tuple(Fraction(c) for c in coeffs), Fraction(const))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_trivial(self) -> bool:
-        """No variables involved: truth is decided by the constant alone."""
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def trivially_true(self) -> bool:
-        return self.is_trivial and self.const >= 0
-
-    @property
-    def trivially_false(self) -> bool:
-        return self.is_trivial and self.const < 0
-
-    def evaluate(self, assignment: Sequence[int | Fraction]) -> bool:
-        if len(assignment) != self.dim:
-            raise GeometryError("assignment dimension mismatch")
-        total = self.const + sum(
-            (c * Fraction(v) for c, v in zip(self.coeffs, assignment)), Fraction(0)
-        )
-        return total >= 0
-
-
-class ConstraintSystem:
-    """A conjunction of :class:`LinearConstraint` over a fixed variable set."""
-
-    def __init__(self, dim: int, constraints: Iterable[LinearConstraint] = ()) -> None:
-        self.dim = dim
-        self.constraints: list[LinearConstraint] = []
-        for c in constraints:
-            self.add(c)
-
-    def add(self, constraint: LinearConstraint) -> None:
-        if constraint.dim != self.dim:
-            raise GeometryError(
-                f"constraint dimension {constraint.dim} != system dimension {self.dim}"
-            )
-        self.constraints.append(constraint)
-
-    def evaluate(self, assignment: Sequence[int | Fraction]) -> bool:
-        return all(c.evaluate(assignment) for c in self.constraints)
-
-    def is_feasible(self) -> bool:
-        """Exact rational feasibility via Fourier-Motzkin elimination."""
-        return fourier_motzkin_feasible(self.constraints, self.dim)
 
 
 def _reduce_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,28 +132,3 @@ def feasible_int_rows(rows: Sequence[tuple[int, ...]], dim: int) -> bool:
     _fm_cache[key] = feasible
     return feasible
 
-
-def fourier_motzkin_feasible(
-    constraints: Sequence[LinearConstraint], dim: int
-) -> bool:
-    """True iff the conjunction has a rational solution.
-
-    Classic Fourier-Motzkin: eliminate each variable in turn, combining each
-    lower bound with each upper bound; the system is infeasible exactly when
-    a trivially false constant constraint appears.  Each constraint is
-    scaled to integer coefficients up front (feasibility is invariant under
-    positive scaling), so the elimination runs entirely in machine-int
-    arithmetic instead of ``Fraction`` -- this is the sweep's hottest inner
-    loop.
-    """
-    work: list[tuple[int, ...]] = []
-    for c in constraints:
-        if c.dim != dim:
-            raise GeometryError("constraint dimension mismatch")
-        row = canonical_int_row(tuple(c.coeffs) + (c.const,))
-        if row is True:
-            continue
-        if row is False:
-            return False
-        work.append(row)
-    return feasible_int_rows(work, dim)

@@ -41,7 +41,30 @@ def validate_program(
     ``sample_sizes`` are concrete problem-size bindings at which the
     surjectivity restriction ("every element is accessed") is checked; when
     omitted, a small default is derived by binding every size symbol to 3.
+
+    The default coverage check enumerates the index space, so it is
+    memoized in ``repro.core.memo.MEMO`` under the program's fingerprint: a
+    caller that validates before ``compile_systolic`` shares the result
+    with the driver's own validation.  Only a passing check is cached, so an
+    invalid program raises on every call.  The fingerprint renders the
+    program's source text, which needs the structural checks to pass first.
     """
+    _check_structure(program)
+    if sample_sizes is not None:
+        for env in sample_sizes:
+            _check_coverage(program, env)
+        return
+    from repro.core.memo import MEMO, program_fingerprint  # core imports lang
+
+    MEMO.get(
+        "validate",
+        (program_fingerprint(program),),
+        lambda: _check_default_coverage(program),
+    )
+
+
+def _check_structure(program: SourceProgram) -> None:
+    """Every check except coverage: these need no problem size."""
     r = program.r
     if r < 2:
         raise RequirementViolation(
@@ -100,16 +123,16 @@ def validate_program(
             f"basic statement accesses undeclared streams {sorted(unknown)}"
         )
 
-    if sample_sizes is None:
-        syms = set(program.size_symbols)
-        for lp in program.loops:
-            syms |= lp.lower.free_symbols | lp.upper.free_symbols
-        for v in program.variables:
-            syms |= v.size_symbols
-        sample_sizes = [{s: 3 for s in sorted(syms)}]
 
-    for env in sample_sizes:
-        _check_coverage(program, env)
+def _check_default_coverage(program: SourceProgram) -> bool:
+    """Coverage with every size symbol bound to 3."""
+    syms = set(program.size_symbols)
+    for lp in program.loops:
+        syms |= lp.lower.free_symbols | lp.upper.free_symbols
+    for v in program.variables:
+        syms |= v.size_symbols
+    _check_coverage(program, {s: 3 for s in sorted(syms)})
+    return True
 
 
 def _check_coverage(program: SourceProgram, env: Mapping[str, Numeric]) -> None:

@@ -19,15 +19,11 @@ guards across hundreds of candidate designs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Mapping
 from weakref import WeakValueDictionary
 
-from repro.geometry.polyhedron import (
-    LinearConstraint,
-    canonical_int_row,
-    feasible_int_rows,
-)
+from repro.geometry.polyhedron import canonical_int_row, feasible_int_rows
 from repro.symbolic.affine import Affine, AffineLike, Numeric
 from repro.profiling import counter
 from repro.util.errors import GuardError
@@ -99,15 +95,6 @@ class Constraint:
     def subs(self, mapping: Mapping[str, AffineLike]) -> "Constraint":
         return Constraint(self.expr.subs(mapping))
 
-    def to_linear(self, symbol_order: Sequence[str]) -> LinearConstraint:
-        """Lower to a numeric :class:`LinearConstraint` over ``symbol_order``."""
-        missing = self.free_symbols.difference(symbol_order)
-        if missing:
-            raise GuardError(f"symbols {sorted(missing)} not in ordering")
-        return LinearConstraint(
-            tuple(self.expr.coeff(s) for s in symbol_order), self.expr.const
-        )
-
     def int_row(self, symbol_order: tuple[str, ...]) -> tuple[int, ...] | bool:
         """The canonical integer row over ``symbol_order`` (or a trivial
         truth value) -- see :func:`canonical_int_row`.
@@ -123,6 +110,28 @@ class Constraint:
                 tuple(expr.coeff(s) for s in symbol_order) + (expr.const,)
             )
             self._introw[symbol_order] = row
+        return row
+
+    def negated_int_row(self, symbol_order: tuple[str, ...]) -> tuple[int, ...] | bool:
+        """The canonical row of the integer negation ``-(l*expr) - 1 >= 0``,
+        where ``l`` is the lcm of the denominators of ``expr``.
+
+        ``l*expr`` is deliberately not divided by its gcd before the 1 is
+        subtracted.  That integer tightening is sound and can prove more
+        implications, so it would be a different test from the one the
+        derived programs are pinned with.  Cached beside :meth:`int_row`
+        under ``(None, symbol_order)``.
+        """
+        key = (None, symbol_order)
+        row = self._introw.get(key)
+        if row is None:
+            expr = self.expr
+            entries = tuple(expr.coeff(s) for s in symbol_order) + (expr.const,)
+            lcm = math.lcm(*(e.denominator for e in entries))
+            row = canonical_int_row(
+                tuple(-lcm * e for e in entries[:-1]) + (-lcm * entries[-1] - 1,)
+            )
+            self._introw[key] = row
         return row
 
     def __eq__(self, other: object) -> bool:
@@ -222,6 +231,34 @@ class Guard:
     def subs(self, mapping: Mapping[str, AffineLike]) -> "Guard":
         return Guard(c.subs(mapping) for c in self.constraints)
 
+    def _shape(self) -> tuple[frozenset, frozenset[str], tuple[str, ...]]:
+        """``(conjunct set, free-symbol set, sorted free symbols)``, cached;
+        the sorted symbols are the row order of every FM query."""
+        found = self._memo.get(0)
+        if found is None:
+            symbols = self.free_symbols
+            found = (frozenset(self.constraints), symbols, tuple(sorted(symbols)))
+            self._memo[0] = found
+        return found
+
+    def _int_rows(self, symbols: tuple[str, ...]) -> tuple[tuple[int, ...], ...] | None:
+        """The canonical integer rows of the conjuncts over ``symbols``
+        (trivially true ones dropped); ``None`` if a conjunct is trivially
+        false.  Cached per symbol order on the interned guard."""
+        key = (0, symbols)
+        found = self._memo.get(key, _MISSING)
+        if found is _MISSING:
+            rows = []
+            for c in self.constraints:
+                row = c.int_row(symbols)
+                if row is False:
+                    rows = None
+                    break
+                if row is not True:
+                    rows.append(row)
+            found = self._memo[key] = None if rows is None else tuple(rows)
+        return found
+
     def feasible(self, assumptions: "Guard | None" = None) -> bool:
         """Exact rational feasibility of this guard (with assumptions).
 
@@ -235,36 +272,22 @@ class Guard:
             return found
         _FEASIBLE_STATS.misses += 1
         combined = self if assumptions is None else self.and_(assumptions)
-        if combined.is_trivially_false:
-            result = False
-        else:
-            symbols = tuple(sorted(combined.free_symbols))
-            rows = []
-            result = None
-            for c in combined.constraints:
-                row = c.int_row(symbols)
-                if row is True:
-                    continue
-                if row is False:
-                    result = False
-                    break
-                rows.append(row)
-            if result is None:
-                result = feasible_int_rows(rows, len(symbols))
+        symbols = combined._shape()[2]
+        rows = combined._int_rows(symbols)
+        result = rows is not None and feasible_int_rows(rows, len(symbols))
         self._memo[key] = result
         return result
 
     def implies(self, other: "Guard | Constraint", assumptions: "Guard | None" = None) -> bool:
         """Sound implication test: ``self => other`` under the assumptions.
 
-        ``self`` implies a constraint ``e >= 0`` iff ``self /\\ e <= -1`` is
-        infeasible over the *integers*; we use the rational relaxation with
-        ``e <= -epsilon`` approximated by strict infeasibility of
-        ``-e - 1 >= 0`` when coefficients are integral, falling back to
-        ``-e > 0`` handled as ``-e >= epsilon`` with a tiny rational.  For
-        the affine-with-rational-coefficients guards produced by the scheme
-        we scale to integer coefficients first, making the test exact for
-        integer points.
+        ``base = self /\\ assumptions`` implies a constraint ``e >= 0`` over
+        the integers iff ``base /\\ -(l*e) - 1 >= 0`` has no integer point,
+        where ``l`` clears the denominators of ``e``; the rational
+        relaxation of that system is decided on ``base``'s cached integer
+        rows plus the constraint's cached negated row.  A conjunct of
+        ``base`` is implied outright: ``c /\\ -(l*c) - 1 >= 0`` is always
+        infeasible, so Fourier-Motzkin would only confirm it.
         """
         key = (2, other, assumptions)
         found = self._memo.get(key, _MISSING)
@@ -276,14 +299,24 @@ class Guard:
             others: tuple[Constraint, ...] = (other,)
         else:
             others = other.constraints
+        base = self if assumptions is None else self.and_(assumptions)
+        conjuncts, base_symbols, base_order = base._shape()
         result = True
         for c in others:
-            scaled = _scale_to_integer(c.expr)
-            negation = Constraint(-scaled - 1)  # scaled <= -1, integer-exact
-            test = self.and_(negation)
-            if assumptions is not None:
-                test = test.and_(assumptions)
-            if test.feasible():
+            if c in conjuncts:
+                continue
+            symbols = base_order
+            if not base_symbols.issuperset(c.expr.coeffs):
+                symbols = tuple(sorted(base_symbols | c.free_symbols))
+            rows = base._int_rows(symbols)
+            if rows is None:
+                break  # base itself is infeasible: it implies everything
+            negation = c.negated_int_row(symbols)
+            if negation is False:
+                continue  # c is trivially true
+            if negation is not True:
+                rows += (negation,)
+            if feasible_int_rows(rows, len(symbols)):
                 result = False
                 break
         self._memo[key] = result
@@ -331,18 +364,6 @@ class Guard:
 
 
 Guard.TRUE = Guard()
-
-
-def _scale_to_integer(expr: Affine) -> Affine:
-    """Scale an affine expression by a positive rational so that all
-    coefficients and the constant are integers."""
-    import math
-
-    denoms = [expr.const.denominator] + [c.denominator for c in expr.coeffs.values()]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // math.gcd(lcm, d)
-    return expr * lcm
 
 
 def interval(lo: AffineLike, mid: AffineLike, hi: AffineLike) -> Guard:

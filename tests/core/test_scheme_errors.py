@@ -1,9 +1,15 @@
 """Error-path tests for the compilation driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import compile_systolic
 from repro.geometry import Matrix, Point
+from repro.lang import parse_program, validate_program
+from repro.lang import validate as validate_module
+from repro.lang.expr import BinOp, Body, StreamRead
+from repro.systolic.designs import polyprod_design_d1
 from repro.systolic import (
     SystolicArray,
     matrix_product_program,
@@ -126,3 +132,43 @@ class TestRestrictionDiagnostics:
                 SystolicArray(step=Matrix([[2, 1]]), place=Matrix([[1, -1]])),
             )
         assert "flow" in str(err.value) or "1/n" in str(err.value)
+
+
+class TestValidationOnce:
+    def test_invalid_body_names_the_restriction(self):
+        """The program is validated before it is fingerprinted: rendering
+        the source of a body that assigns an undeclared stream fails with a
+        bare KeyError."""
+        program = dataclasses.replace(
+            polynomial_product_program(),
+            body=Body.single_assign("z", BinOp("+", StreamRead("a"), StreamRead("b"))),
+        )
+        with pytest.raises(RestrictionViolation, match="does not access"):
+            compile_systolic(program, polyprod_design_d1())
+
+    def test_coverage_checked_once_per_program(self, monkeypatch):
+        program = dataclasses.replace(
+            polynomial_product_program(), name="coverage_once_probe"
+        )
+        calls = []
+        check = validate_module._check_coverage
+        monkeypatch.setattr(
+            validate_module,
+            "_check_coverage",
+            lambda p, env: (calls.append(env), check(p, env))[1],
+        )
+        validate_program(program)
+        compile_systolic(program, polyprod_design_d1())
+        assert calls == [{"n": 3}]
+
+    def test_invalid_program_raises_every_time(self):
+        program = parse_program("""
+size n
+var a[0..2*n], b[0..n]
+for i = 0 <- 1 -> n
+for j = 0 <- 1 -> n
+  a[i] := a[i] + b[j]
+""")
+        for _ in range(2):
+            with pytest.raises(RestrictionViolation, match="never accessed"):
+                validate_program(program)

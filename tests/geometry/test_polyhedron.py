@@ -2,65 +2,66 @@
 
 from fractions import Fraction
 
-import pytest
-
-from repro.geometry import ConstraintSystem, LinearConstraint, fourier_motzkin_feasible
-from repro.util.errors import GeometryError
+from repro.geometry.polyhedron import canonical_int_row, feasible_int_rows
 
 
-def ge(coeffs, const):
-    """sum coeffs.x + const >= 0"""
-    return LinearConstraint.of(coeffs, const)
+def row(coeffs, const):
+    """The canonical row of ``sum coeffs.x + const >= 0``."""
+    return canonical_int_row(tuple(Fraction(c) for c in coeffs) + (Fraction(const),))
 
 
-class TestLinearConstraint:
+def feasible(constraints, dim):
+    """Feasibility of ``(coeffs, const)`` pairs, trivial rows decided first."""
+    rows = []
+    for coeffs, const in constraints:
+        r = row(coeffs, const)
+        if r is False:
+            return False
+        if r is not True:
+            rows.append(r)
+    return feasible_int_rows(rows, dim)
+
+
+class TestCanonicalIntRow:
     def test_trivial_true(self):
-        assert ge([0, 0], 1).trivially_true
+        assert row([0, 0], 1) is True
 
     def test_trivial_false(self):
-        assert ge([0], -1).trivially_false
+        assert row([0], -1) is False
 
-    def test_evaluate(self):
-        c = ge([1, -1], 0)  # x >= y
-        assert c.evaluate([3, 2])
-        assert not c.evaluate([2, 3])
-
-    def test_evaluate_fraction(self):
-        assert ge([2], -1).evaluate([Fraction(1, 2)])
-
-    def test_evaluate_dim_mismatch(self):
-        with pytest.raises(GeometryError):
-            ge([1], 0).evaluate([1, 2])
+    def test_fractions_scaled_and_reduced(self):
+        assert row([Fraction(1, 2), Fraction(-1, 3)], 1) == (3, -2, 6)
+        assert row([2, 4], -6) == (1, 2, -3)
 
 
 class TestFeasibility:
     def test_empty_system(self):
-        assert fourier_motzkin_feasible([], 2)
+        assert feasible_int_rows([], 2)
 
     def test_box(self):
-        cs = [ge([1], 0), ge([-1], 5)]  # 0 <= x <= 5
-        assert fourier_motzkin_feasible(cs, 1)
+        cs = [([1], 0), ([-1], 5)]  # 0 <= x <= 5
+        assert feasible(cs, 1)
 
     def test_empty_interval(self):
-        cs = [ge([1], -5), ge([-1], 2)]  # x >= 5 and x <= 2
-        assert not fourier_motzkin_feasible(cs, 1)
+        cs = [([1], -5), ([-1], 2)]  # x >= 5 and x <= 2
+        assert not feasible(cs, 1)
+
+    def test_unit_gap_infeasible(self):
+        cs = [([1], 0), ([-1], -1)]  # x >= 0 and x <= -1
+        assert not feasible(cs, 1)
 
     def test_two_vars_feasible(self):
         # x >= 0, y >= 0, x + y <= 3
-        cs = [ge([1, 0], 0), ge([0, 1], 0), ge([-1, -1], 3)]
-        assert fourier_motzkin_feasible(cs, 2)
+        cs = [([1, 0], 0), ([0, 1], 0), ([-1, -1], 3)]
+        assert feasible(cs, 2)
 
     def test_two_vars_infeasible(self):
         # x >= 2, y >= 2, x + y <= 3
-        cs = [ge([1, 0], -2), ge([0, 1], -2), ge([-1, -1], 3)]
-        assert not fourier_motzkin_feasible(cs, 2)
+        cs = [([1, 0], -2), ([0, 1], -2), ([-1, -1], 3)]
+        assert not feasible(cs, 2)
 
     def test_trivially_false_input(self):
-        assert not fourier_motzkin_feasible([ge([0], -1)], 1)
-
-    def test_constraint_dim_mismatch(self):
-        with pytest.raises(GeometryError):
-            fourier_motzkin_feasible([ge([1], 0)], 2)
+        assert not feasible([([0], -1)], 1)
 
     def test_paper_e2_vacuous_subalternative(self):
         """Appendix E.2.5 prunes sub-alternatives like
@@ -70,33 +71,14 @@ class TestFeasibility:
         The clause guard 0<=row-col<=n /\\ 0<=-col<=n together with the
         sub-guard col >= 1 is infeasible (since -col >= 0 forces col <= 0).
         """
-        col, row, n = 0, 1, 2
         base = [
-            ge([-1, 1, 0], 0),   # row - col >= 0
-            ge([1, -1, 1], 0),   # n - (row - col) >= 0
-            ge([-1, 0, 0], 0),   # -col >= 0
-            ge([1, 0, 1], 0),    # n + col >= 0
-            ge([0, 0, 1], -1),   # n >= 1
+            ([-1, 1, 0], 0),   # row - col >= 0
+            ([1, -1, 1], 0),   # n - (row - col) >= 0
+            ([-1, 0, 0], 0),   # -col >= 0
+            ([1, 0, 1], 0),    # n + col >= 0
+            ([0, 0, 1], -1),   # n >= 1
         ]
-        infeasible = base + [ge([1, 0, 0], -1)]  # col >= 1
-        assert not fourier_motzkin_feasible(infeasible, 3)
-        feasible = base + [ge([-1, 0, 0], 0)]  # col <= 0 (consistent)
-        assert fourier_motzkin_feasible(feasible, 3)
-
-
-class TestConstraintSystem:
-    def test_add_and_evaluate(self):
-        sys = ConstraintSystem(2)
-        sys.add(ge([1, 0], 0))
-        sys.add(ge([0, 1], -1))
-        assert sys.evaluate([0, 1])
-        assert not sys.evaluate([0, 0])
-
-    def test_is_feasible(self):
-        sys = ConstraintSystem(1, [ge([1], 0), ge([-1], -1)])
-        assert not sys.is_feasible()
-
-    def test_dim_check(self):
-        sys = ConstraintSystem(2)
-        with pytest.raises(GeometryError):
-            sys.add(ge([1], 0))
+        infeasible = base + [([1, 0, 0], -1)]  # col >= 1
+        assert not feasible(infeasible, 3)
+        consistent = base + [([-1, 0, 0], 0)]  # col <= 0
+        assert feasible(consistent, 3)

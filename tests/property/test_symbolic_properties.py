@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    LinearConstraint,
     Matrix,
     Point,
-    fourier_motzkin_feasible,
     gcd_reduce,
     lattice_points_on_vector,
     on_chord,
     unit_distance,
     vector_quotient,
 )
+from repro.geometry.polyhedron import canonical_int_row, feasible_int_rows
 from repro.symbolic import Affine, Guard, Constraint
 
 # ----------------------------------------------------------------------
@@ -147,8 +146,26 @@ def constraint_systems(draw):
     for _ in range(count):
         coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(dim)]
         const = draw(st.integers(min_value=-6, max_value=6))
-        constraints.append(LinearConstraint.of(coeffs, const))
+        constraints.append((tuple(coeffs), const))
     return dim, constraints
+
+
+def _fm_feasible(constraints, dim):
+    rows = []
+    for coeffs, const in constraints:
+        row = canonical_int_row(tuple(Fraction(c) for c in coeffs) + (Fraction(const),))
+        if row is False:
+            return False
+        if row is not True:
+            rows.append(row)
+    return feasible_int_rows(rows, dim)
+
+
+def _holds(constraints, point):
+    return all(
+        sum(c * v for c, v in zip(coeffs, point)) + const >= 0
+        for coeffs, const in constraints
+    )
 
 
 class TestFourierMotzkin:
@@ -159,12 +176,12 @@ class TestFourierMotzkin:
         feasible (FM is complete over the rationals, so no false negatives
         are possible for integer-satisfiable systems)."""
         dim, constraints = system
-        feasible = fourier_motzkin_feasible(constraints, dim)
+        feasible = _fm_feasible(constraints, dim)
         grid_hit = False
         from itertools import product
 
         for point in product(range(-6, 7), repeat=dim):
-            if all(c.evaluate(list(point)) for c in constraints):
+            if _holds(constraints, point):
                 grid_hit = True
                 break
         if grid_hit:
@@ -174,12 +191,12 @@ class TestFourierMotzkin:
     @settings(max_examples=30)
     def test_infeasible_means_no_integer_point(self, system):
         dim, constraints = system
-        if fourier_motzkin_feasible(constraints, dim):
+        if _fm_feasible(constraints, dim):
             return
         from itertools import product
 
         for point in product(range(-6, 7), repeat=dim):
-            assert not all(c.evaluate(list(point)) for c in constraints)
+            assert not _holds(constraints, point)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Unit tests for repro.symbolic.guard."""
 
+import math
+
 import pytest
 
-from repro.symbolic import Affine, Constraint, Guard, interval
+from repro import compile_systolic, generate_instance
+from repro.profiling import counter
+from repro.symbolic import Affine, Constraint, Guard, Piecewise, interval
+from repro.systolic.designs import all_paper_designs
 from repro.util.errors import GuardError
 
 n = Affine.var("n")
@@ -29,13 +34,15 @@ class TestConstraint:
         c = Constraint.le(col, n).subs({"col": n})
         assert c.is_trivially_true or c.evaluate({"n": 5})
 
-    def test_to_linear(self):
-        lin = Constraint.ge(col, n).to_linear(["col", "n"])
-        assert lin.coeffs == (1, -1)
+    def test_int_row(self):
+        assert Constraint.ge(col, n).int_row(("col", "n")) == (1, -1, 0)
+        assert Constraint.ge(col / 2, 1).int_row(("col",)) == (1, -2)
 
-    def test_to_linear_missing_symbol(self):
-        with pytest.raises(GuardError):
-            Constraint.ge(col, n).to_linear(["col"])
+    def test_negated_int_row_unreduced(self):
+        # 2*col - 4 >= 0 negates to -2*col + 3 >= 0, not to the
+        # gcd-tightened -col + 1 >= 0.
+        assert Constraint(2 * col - 4).negated_int_row(("col",)) == (-2, 3)
+        assert Constraint(col / 2 - 1).negated_int_row(("col",)) == (-1, 1)
 
     def test_eq_hash(self):
         assert Constraint.ge(col, 0) == Constraint.ge(col, 0)
@@ -121,3 +128,70 @@ class TestImplication:
     def test_fractional_coefficients_scaled(self):
         g = Guard([Constraint.ge(col / 2, 1)])  # col >= 2
         assert g.implies(Constraint.ge(col, 2))
+
+    def test_own_conjunct_needs_no_fourier_motzkin(self):
+        c1 = Constraint.ge(col, 7)
+        c2 = Constraint.le(col, n + 5)
+        fm = counter("fm_feasible")
+        before = (fm.hits, fm.misses)
+        assert Guard([c1, c2]).implies(c1)
+        assert Guard([c2]).implies(c1, Guard([c1]))
+        assert (fm.hits, fm.misses) == before
+
+
+def _reference_implies(g, c, assumptions):
+    """The integer-exact implication test as a plain guard construction."""
+    e = c.expr
+    lcm = 1
+    for x in (e.const, *e.coeffs.values()):
+        lcm = math.lcm(lcm, x.denominator)
+    test = g.and_(Constraint(-(lcm * e) - 1))
+    if assumptions is not None:
+        test = test.and_(assumptions)
+    return not test.feasible()
+
+
+def _forget_symbolic_memos():
+    for guard in list(Guard._intern.values()):
+        guard._memo.clear()
+    for constraint in list(Constraint._intern.values()):
+        constraint._introw.clear()
+    for pw in list(Piecewise._intern.values()):
+        pw._memo.clear()
+
+
+def test_implies_matches_reference_on_derivations(monkeypatch):
+    """Every implication ``Guard.simplify`` asks while compiling the paper
+    designs and 20 generated instances, and the same question with the
+    guard's other conjuncts as context, answers as the reference does."""
+    monkeypatch.setenv("REPRO_DISABLE_MEMO", "1")
+    seen = {}
+    simplify = Guard.simplify
+
+    def recording(self, assumptions=None):
+        if assumptions is not None:
+            seen.setdefault((self.constraints, assumptions), (self, assumptions))
+        return simplify(self, assumptions)
+
+    monkeypatch.setattr(Guard, "simplify", recording)
+    _forget_symbolic_memos()
+    designs = [(p, a) for _, p, a in all_paper_designs()]
+    for seed in range(20):
+        inst = generate_instance(seed)
+        if inst is not None:
+            designs.append((inst.program, inst.array))
+    for program, array in designs:
+        compile_systolic(program, array)
+    monkeypatch.undo()
+    assert len(seen) > 300
+
+    _forget_symbolic_memos()
+    answers = []
+    for guard, assumptions in seen.values():
+        for c in guard.constraints:
+            rest = Guard(x for x in guard.constraints if x is not c)
+            implied = assumptions.implies(c)
+            assert implied == _reference_implies(assumptions, c, None)
+            assert rest.implies(c, assumptions) == _reference_implies(rest, c, assumptions)
+            answers.append(implied)
+    assert len(answers) > 1000 and 0 < sum(answers) < len(answers)
