@@ -122,12 +122,6 @@ class VariableLayout:
     strides: tuple[int, ...]
     size: int
 
-    def linear(self, point) -> int:
-        """Flat position of an element point (tuple-like) in the storage."""
-        return sum(
-            (int(c) - l) * s for c, l, s in zip(point, self.lo, self.strides)
-        )
-
 
 @dataclass(frozen=True)
 class WavefrontStep:

@@ -123,19 +123,6 @@ class SystolicProgram:
             return True
         return self.first.any_case_holds(self.bind(y, env))
 
-    def computation_points(self, env: Mapping[str, Numeric]) -> list[Point]:
-        return [
-            y for y in self.process_space(env) if self.in_computation_space(y, env)
-        ]
-
-    def buffer_points(self, env: Mapping[str, Numeric]) -> list[Point]:
-        """The external buffer processes PS \\ CS (Section 6.6)."""
-        return [
-            y
-            for y in self.process_space(env)
-            if not self.in_computation_space(y, env)
-        ]
-
     def summary(self) -> str:
         """A short human-readable inventory of the derived program."""
         lines = [

@@ -83,14 +83,6 @@ class FuzzInstance:
     env: dict
     seed: int = -1
 
-    def describe(self) -> str:
-        return (
-            f"{self.program.name}: r={self.program.r}, "
-            f"{len(self.program.streams)} streams, "
-            f"step {self.array.step.rows[0]}, place {self.array.place.rows}, "
-            f"size {self.env}"
-        )
-
 
 # ----------------------------------------------------------------------
 # helpers shared with the shrinker

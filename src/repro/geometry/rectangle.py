@@ -66,8 +66,7 @@ class Rectangle:
         ]
         # The coordinates are plain ints, so bypass Point's per-coordinate
         # normalization; enumeration is the cost stage's inner loop.
-        make = tuple.__new__
-        return (make(Point, t) for t in itertools.product(*ranges))
+        return map(tuple.__new__, itertools.repeat(Point), itertools.product(*ranges))
 
     def corners(self) -> Iterator[Point]:
         """The ``2^dim`` vertices of the box."""

@@ -38,7 +38,8 @@ _BIN_OPS = {
     "max": max,
 }
 
-_RELATIONS = {
+#: Guard relations: ``affine rel 0`` as a test on the affine value.
+RELATIONS = {
     "==": lambda v: v == 0,
     "!=": lambda v: v != 0,
     "<=": lambda v: v <= 0,
@@ -159,11 +160,11 @@ class Condition:
     relation: str  # one of ==, !=, <=, <, >=, >
 
     def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
+        if self.relation not in RELATIONS:
             raise SourceProgramError(f"unknown relation {self.relation!r}")
 
     def evaluate(self, indices: Mapping[str, int]) -> bool:
-        return _RELATIONS[self.relation](self.affine.evaluate(indices))
+        return RELATIONS[self.relation](self.affine.evaluate(indices))
 
     def __str__(self) -> str:
         return f"{self.affine} {self.relation} 0"

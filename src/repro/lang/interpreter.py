@@ -9,6 +9,7 @@ interpreter's results (``repro.verify``).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping
 
 from repro.geometry.point import Point
@@ -29,29 +30,42 @@ def initial_state(
     """Build a full variable state at problem size ``env``.
 
     ``inputs`` may give, per variable, either a mapping from element points
-    to values or a single fill value; unmentioned variables are zero-filled.
-    Every element of every variable space must end up defined.
+    to values or a single fill value; unmentioned variables are zero-filled
+    and a name the program does not declare is refused.  Every element of
+    every variable space must be given exactly once, at exact (``int`` or
+    integral ``Fraction``) coordinates.  Each variable's elements come back
+    keyed by space points in the row-major order of its space, which is the
+    order of :class:`~repro.analysis.wavefront.VariableLayout`'s storage.
     """
     inputs = dict(inputs or {})
+    undeclared = set(inputs) - {var.name for var in program.variables}
+    if undeclared:
+        raise SourceProgramError(
+            f"inputs for undeclared variable(s) {sorted(map(str, undeclared))}"
+        )
     state: VariableState = {}
     for var in program.variables:
         space = var.space(env)
         spec = inputs.get(var.name, 0)
-        if isinstance(spec, Mapping):
-            values = {Point(k): v for k, v in spec.items()}
-            missing = [p for p in space if p not in values]
-            if missing:
-                raise SourceProgramError(
-                    f"variable {var.name}: missing values for {missing[:3]}..."
-                )
-            extra = [p for p in values if p not in space]
-            if extra:
-                raise SourceProgramError(
-                    f"variable {var.name}: values outside its space: {extra[:3]}..."
-                )
-            state[var.name] = values
-        else:
-            state[var.name] = {p: spec for p in space}
+        if not isinstance(spec, Mapping):
+            state[var.name] = dict.fromkeys(space, spec)
+            continue
+        if not set(map(type, chain.from_iterable(spec))) <= {int}:
+            spec = {Point(k): v for k, v in spec.items()}
+        points = list(space)
+        try:
+            values = dict(zip(points, map(spec.__getitem__, points)))
+        except KeyError:
+            missing = [p for p in points if p not in spec]
+            raise SourceProgramError(
+                f"variable {var.name}: missing values for {missing[:3]}..."
+            ) from None
+        if len(values) != len(spec):
+            extra = [k for k in spec if k not in space]
+            raise SourceProgramError(
+                f"variable {var.name}: values outside its space: {extra[:3]}..."
+            )
+        state[var.name] = values
     return state
 
 

@@ -59,9 +59,6 @@ class Host:
         self._written[variable].add(element)
         self.final[variable][element] = value
 
-    def written_elements(self, variable: str) -> set[Point]:
-        return set(self._written[variable])
-
     def check_full_recovery(self, variable: str) -> None:
         """Every element must have come back exactly once."""
         space = set(self.final[variable])

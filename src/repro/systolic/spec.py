@@ -18,7 +18,6 @@ from typing import Mapping
 
 from repro.geometry.linalg import Matrix, null_space_vector
 from repro.geometry.point import Point
-from repro.symbolic.affine import AffineVec
 from repro.util.errors import SystolicSpecError
 
 
@@ -83,10 +82,6 @@ class SystolicArray:
     def place_of(self, x) -> Point:
         """``place . x`` for a concrete index point."""
         return self.place.apply_point(x)
-
-    def place_of_symbolic(self, x: AffineVec) -> AffineVec:
-        """``place . x`` for a symbolic index point."""
-        return AffineVec(self.place.apply(list(x)))
 
     def null_place(self) -> Point:
         """The spanning vector of ``null.place`` (Theorems 1-2)."""

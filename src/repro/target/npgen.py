@@ -29,9 +29,13 @@ masks are shape ``(W,)`` and broadcast against value arrays of shape
 ``(B, W)``, so batching costs one extra array dimension, not another
 pass.
 
-Values are lowered to ``int64`` by default (bit-exact for every test and
-benchmark workload; pass ``dtype=object`` for arbitrary-precision exact
-arithmetic at reduced speed).  Programs outside the backend's value
+Values are lowered to ``int64`` when a magnitude bound on every value
+the run can produce (interval propagation of the basic statement over the
+schedule's steps) fits in it, and to exact ``object`` arrays otherwise, so
+results never wrap.  Inputs come from
+:func:`~repro.lang.interpreter.initial_state` already in each variable's
+row-major layout order, so loading and unloading a variable is one
+``fromiter`` and one ``zip``.  Programs outside the backend's value
 domain -- fractional constants or index-expression coefficients -- raise
 :class:`~repro.util.errors.BackendUnsupportedError` so callers can fall
 back to pygen.  NumPy itself is an optional extra (``pip install
@@ -48,7 +52,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.core.program import SystolicProgram
-from repro.lang.expr import BinOp, Body, Const, Expr, IndexExpr, StreamRead
+from repro.lang.expr import RELATIONS, BinOp, Body, Const, Expr, IndexExpr, StreamRead
 from repro.lang.interpreter import initial_state
 from repro.symbolic.affine import Numeric
 from repro.symbolic.compile import lower_affine_int
@@ -81,16 +85,6 @@ def _np_ops():
         "min": _np.minimum,
         "max": _np.maximum,
     }
-
-
-_RELATION_TESTS = {
-    "==": lambda v: v == 0,
-    "!=": lambda v: v != 0,
-    "<=": lambda v: v <= 0,
-    "<": lambda v: v < 0,
-    ">=": lambda v: v >= 0,
-    ">": lambda v: v > 0,
-}
 
 
 def _const_int(value) -> int:
@@ -131,16 +125,45 @@ def _compile_expr(e: Expr, affine_ix: dict, ops) -> object:
     raise BackendUnsupportedError(f"npgen cannot lower expression {e!r}")
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _bound_op(combine):
+    """``combine`` on operand magnitudes; refuses to leave ``int64``."""
+
+    def op(a, b):
+        a, b = abs(a), abs(b)
+        c = combine(a, b)
+        if max(a, b, c) > _INT64_MAX:
+            raise OverflowError(c)
+        return c
+
+    return op
+
+
+#: Magnitude bounds: |a±b| <= A+B, |a*b| <= A*B, |min/max(a, b)| <= max(A, B).
+_BOUND_OPS = {
+    "+": _bound_op(operator.add),
+    "-": _bound_op(operator.add),
+    "*": _bound_op(operator.mul),
+    "min": _bound_op(max),
+    "max": _bound_op(max),
+}
+
+
 class _BodyPlan:
     """The basic statement, lowered once per schedule.
 
     ``branches`` holds ``(branch_index, [(stream, closure), ...])`` in
     source order; ``step_affs[s]`` / ``step_masks[s]`` hold, for wavefront
     ``s``, the precomputed index-expression value arrays and the per-branch
-    guard masks (``None`` for unconditional branches).
+    guard masks (``None`` for unconditional branches).  ``bound_fns`` holds
+    every assignment again, lowered onto magnitude bounds (``_BOUND_OPS``).
     """
 
-    __slots__ = ("branches", "step_affs", "step_masks", "active")
+    __slots__ = (
+        "branches", "bound_fns", "step_affs", "step_masks", "active", "int64_fits"
+    )
 
     def __init__(self, schedule, body: Body) -> None:
         ops = _np_ops()
@@ -192,6 +215,12 @@ class _BodyPlan:
             sorted(set(schedule.streams_read) | set(schedule.streams_written))
         )
 
+        self.bound_fns = [
+            (a.stream, _compile_expr(a.expr, affine_ix, _BOUND_OPS))
+            for branch in body.branches
+            for a in branch.assigns
+        ]
+        self.int64_fits: dict[int, bool] = {}
         self.step_affs = []
         self.step_masks = []
         for step in schedule.steps:
@@ -201,10 +230,31 @@ class _BodyPlan:
                 if branch.condition is None:
                     masks.append(None)
                 else:
-                    test = _RELATION_TESTS[branch.condition.relation]
+                    test = RELATIONS[branch.condition.relation]
                     masks.append(test(aff[affine_ix[branch.condition.affine]]))
             self.step_affs.append(aff)
             self.step_masks.append(tuple(masks))
+
+    def fits_int64(self, bits: int) -> bool:
+        """Whether every value of a run on inputs below ``2**bits`` fits int64.
+
+        Interval propagation of the basic statement over the steps: a
+        stream's bound after a step is the larger of its bound before and
+        the bound of each value the step may assign it.  Cached per ``bits``.
+        """
+        fits = self.int64_fits.get(bits)
+        if fits is None:
+            bounds = dict.fromkeys(self.active, (1 << bits) - 1)
+            try:
+                for aff in self.step_affs:
+                    aff = [int(abs(a).max()) for a in aff]
+                    for name, fn in self.bound_fns:
+                        bounds[name] = max(bounds[name], abs(fn(bounds, aff)))
+                fits = max(bounds.values()) <= _INT64_MAX
+            except OverflowError:
+                fits = False
+            self.int64_fits[bits] = fits
+        return fits
 
 
 def _plan_for(schedule, body: Body) -> _BodyPlan:
@@ -218,57 +268,53 @@ def _plan_for(schedule, body: Body) -> _BodyPlan:
 # ----------------------------------------------------------------------
 # dense storage <-> interpreter variable states
 # ----------------------------------------------------------------------
-def _pick_dtype(dense_states: Sequence[Mapping]) -> object:
-    for state in dense_states:
-        for values in state.values():
-            for v in values.values():
-                if isinstance(v, bool) or not isinstance(v, int):
-                    return object
-    return _np.int64
+def _pick_dtype(plan: _BodyPlan, dense_states) -> object:
+    """``int64`` when the run provably stays in range, else exact ``object``."""
+    rows = [values.values() for state in dense_states for values in state.values()]
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        magnitude = max(max(max(row), -min(row)) for row in rows)
+        if plan.fits_int64(magnitude.bit_length()):
+            return _np.int64
+    return object
 
 
 def _states_to_arrays(schedule, dense_states, dtype) -> dict:
-    arrays = {}
-    for name, layout in schedule.layouts.items():
-        arr = _np.zeros((len(dense_states), layout.size), dtype=dtype)
-        lo, strides = layout.lo, layout.strides
-        for b, state in enumerate(dense_states):
-            buf = arr[b]
-            for p, v in state[name].items():
-                i = 0
-                for c, l, s in zip(p, lo, strides):
-                    i += (int(c) - l) * s
-                buf[i] = v
-        arrays[name] = arr
-    return arrays
+    """Load each variable's rows; ``initial_state`` yields them in layout order."""
+    batch = len(dense_states)
+    return {
+        name: _np.fromiter(
+            itertools.chain.from_iterable(s[name].values() for s in dense_states),
+            dtype,
+            count=batch * layout.size,
+        ).reshape(batch, layout.size)
+        for name, layout in schedule.layouts.items()
+    }
 
 
-def _arrays_to_state(schedule, arrays, b: int, exact: bool) -> dict:
-    out = {}
-    for name, layout in schedule.layouts.items():
-        buf = arrays[name][b]
-        ranges = [
-            range(l, l + n) for l, n in zip(layout.lo, layout.shape)
-        ]
-        values = {}
-        i = 0
-        for point in itertools.product(*ranges):
-            v = buf[i]
-            values[point] = v if exact else int(v)
-            i += 1
-        out[name] = values
-    return out
+def _arrays_to_state(schedule, arrays, b: int) -> dict:
+    """Batch entry ``b``'s contents, keyed by plain tuples in layout order."""
+    keys = schedule.runtime_cache.get("npgen_keys")
+    if keys is None:
+        keys = schedule.runtime_cache["npgen_keys"] = {
+            name: tuple(
+                itertools.product(
+                    *(range(l, l + n) for l, n in zip(layout.lo, layout.shape))
+                )
+            )
+            for name, layout in schedule.layouts.items()
+        }
+    return {name: dict(zip(k, arrays[name][b].tolist())) for name, k in keys.items()}
 
 
 # ----------------------------------------------------------------------
 # the executor
 # ----------------------------------------------------------------------
-def _run(schedule, plan: _BodyPlan, arrays: dict) -> None:
+def _run(schedule, plan: _BodyPlan, arrays: dict, waves) -> None:
+    """Execute ``(gather, index values, masks)`` waves in order."""
     written = schedule.streams_written
     active = plan.active
     where = _np.where
-    for step, aff, masks in zip(schedule.steps, plan.step_affs, plan.step_masks):
-        gather = step.gather
+    for gather, aff, masks in waves:
         cur = {name: arrays[name][:, gather[name]] for name in active}
         for bi, assigns in plan.branches:
             mask = masks[bi]
@@ -285,7 +331,6 @@ def execute_numpy_batch(
     inputs_batch: Sequence,
     *,
     shape: tuple[int, ...] | None = None,
-    dtype=None,
     use_cache: bool = True,
 ) -> list[dict]:
     """Run ``len(inputs_batch)`` independent executions in one pass.
@@ -318,76 +363,45 @@ def execute_numpy_batch(
     dense_states = [
         initial_state(sp.source, env, inputs) for inputs in inputs_batch
     ]
-    if dtype is None:
-        dtype = _pick_dtype(dense_states)
     plan = _plan_for(schedule, sp.source.body)
-    arrays = _states_to_arrays(schedule, dense_states, dtype)
+    arrays = _states_to_arrays(schedule, dense_states, _pick_dtype(plan, dense_states))
     if partition is None:
-        _run(schedule, plan, arrays)
+        waves = zip(
+            (step.gather for step in schedule.steps), plan.step_affs, plan.step_masks
+        )
     else:
-        _run_banded(schedule, plan, arrays, _banded_cols(schedule, partition))
-    exact = dtype is object
-    return [
-        _arrays_to_state(schedule, arrays, b, exact)
-        for b in range(len(dense_states))
-    ]
+        waves = _band_waves(schedule, plan, partition)
+    _run(schedule, plan, arrays, waves)
+    return [_arrays_to_state(schedule, arrays, b) for b in range(len(dense_states))]
 
 
-def _banded_cols(schedule, partition):
-    """Per step, the wavefront columns each tile band owns.
+def _band_waves(schedule, plan: _BodyPlan, partition) -> list:
+    """The banded (LSGP) waves: each step cut into its tile bands' slabs.
 
-    A list (one entry per step) of ``(band index, column index array)``
-    pairs, restricted to non-empty bands; cached in the schedule's
-    ``runtime_cache`` per band-edge vector so repeated banded runs at one
-    shape reuse the slicing.
+    Mirrors how a fixed ``p``-band array executes a wavefront -- one band
+    at a time, each computing only the columns whose leading place
+    coordinate it owns.  Bit-identical to the unbanded run: within one step
+    the written-stream scatter indices are globally unique (the
+    duplicate-write guard of the schedule builder), so no band can write an
+    element another band of the same step reads.  Cached in the schedule's
+    ``runtime_cache`` per band-edge vector.
     """
     key = ("npgen_band_cols", partition.lead_edges)
-    cached = schedule.runtime_cache.get(key)
-    if cached is None:
-        cached = []
-        for step in schedule.steps:
+    waves = schedule.runtime_cache.get(key)
+    if waves is None:
+        waves = []
+        for step, aff, masks in zip(schedule.steps, plan.step_affs, plan.step_masks):
             lead = step.cells[0]
-            per = []
             for band in partition.bands:
                 cols = _np.nonzero((lead >= band.lo) & (lead <= band.hi))[0]
                 if cols.shape[0]:
-                    per.append((band.index, cols))
-            cached.append(tuple(per))
-        cached = tuple(cached)
-        schedule.runtime_cache[key] = cached
-    return cached
-
-
-def _run_banded(schedule, plan: _BodyPlan, arrays: dict, band_cols) -> None:
-    """Banded (LSGP) variant of :func:`_run`: one band at a time per step.
-
-    Mirrors how a fixed ``p``-band array executes a wavefront -- each band
-    computes only its own slab of columns.  Bit-identical to the unbounded
-    run: within one step the written-stream scatter indices are globally
-    unique (the duplicate-write guard of the schedule builder), so no band
-    can write an element another band of the same step reads.
-    """
-    written = schedule.streams_written
-    active = plan.active
-    where = _np.where
-    for step, aff, masks, bands in zip(
-        schedule.steps, plan.step_affs, plan.step_masks, band_cols
-    ):
-        gather = step.gather
-        for _band_index, cols in bands:
-            g = {name: gather[name][cols] for name in active}
-            cur = {name: arrays[name][:, g[name]] for name in active}
-            aff_band = [a[cols] for a in aff]
-            for bi, assigns in plan.branches:
-                mask = masks[bi]
-                band_mask = None if mask is None else mask[cols]
-                for name, fn in assigns:
-                    new = fn(cur, aff_band)
-                    cur[name] = (
-                        new if band_mask is None else where(band_mask, new, cur[name])
-                    )
-            for name in written:
-                arrays[name][:, g[name]] = cur[name]
+                    waves.append((
+                        {name: g[cols] for name, g in step.gather.items()},
+                        [a[cols] for a in aff],
+                        [None if m is None else m[cols] for m in masks],
+                    ))
+        schedule.runtime_cache[key] = waves
+    return waves
 
 
 def schedule_cache_stats() -> dict:

@@ -689,7 +689,7 @@ def execute_python(
     module = module_for(render_python(sp))
     state = initial_state(sp.source, env, inputs)
     dense = {
-        name: {tuple(int(c) for c in p): v for p, v in values.items()}
+        name: {tuple(p): v for p, v in values.items()}
         for name, values in state.items()
     }
     sizes = {k: int(v) for k, v in env.items()}

@@ -1,5 +1,7 @@
 """Tests for the sequential oracle, validator and dependence analysis."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.geometry import Matrix, Point
@@ -12,6 +14,7 @@ from repro.lang import (
 )
 from repro.lang.interpreter import initial_state
 from repro.util.errors import (
+    GeometryError,
     RequirementViolation,
     RestrictionViolation,
     SourceProgramError,
@@ -42,7 +45,7 @@ class TestSequentialOracle:
         assert [final["c"][Point.of(k)] for k in range(2 * n + 1)] == expect
 
     def test_matmul_matches_numpy(self):
-        import numpy as np
+        np = pytest.importorskip("numpy")
 
         n = 3
         p = parse_program(MATMUL)
@@ -75,6 +78,43 @@ class TestSequentialOracle:
         bad = {Point.of(i): 0 for i in range(5)}  # a has 3 elements at n=2
         with pytest.raises(SourceProgramError):
             initial_state(p, {"n": 2}, {"a": bad})
+
+    @pytest.mark.parametrize("coord", [1.0, True])
+    def test_inexact_key_coordinates_rejected(self, coord):
+        p = parse_program(POLYPROD)
+        a = {(i,): 0 for i in range(3)}
+        del a[(1,)]
+        a[(coord,)] = 0
+        with pytest.raises(GeometryError):
+            initial_state(p, {"n": 2}, {"a": a})
+
+    def test_numpy_key_coordinates_rejected(self):
+        np = pytest.importorskip("numpy")
+        p = parse_program(POLYPROD)
+        a = {(np.int64(i),): 0 for i in range(3)}
+        with pytest.raises(GeometryError):
+            initial_state(p, {"n": 2}, {"a": a})
+
+    def test_integral_fraction_key_coordinates_accepted(self):
+        p = parse_program(POLYPROD)
+        a = {(Fraction(i),): i for i in range(3)}
+        state = initial_state(p, {"n": 2}, {"a": a})
+        assert state["a"] == {(0,): 0, (1,): 1, (2,): 2}
+        assert all(type(c) is int for k in state["a"] for c in k)
+
+    def test_undeclared_input_name_rejected(self):
+        p = parse_program(POLYPROD)
+        with pytest.raises(SourceProgramError, match="'aa'"):
+            initial_state(p, {"n": 2}, {"aa": {(i,): 1 for i in range(3)}})
+
+    def test_elements_come_back_in_row_major_order(self):
+        p = parse_program(MATMUL)
+        env = {"n": 2}
+        a = [((i, k), 3 * i + k) for i in range(3) for k in range(3)]
+        state = initial_state(p, env, {"a": dict(reversed(a))})
+        assert list(state["a"].items()) == a
+        for var in p.variables:
+            assert list(state[var.name]) == list(var.space(env))
 
     def test_guarded_body(self):
         text = """

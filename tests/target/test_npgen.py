@@ -8,6 +8,7 @@ the differential engine set.
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from repro import compile_systolic, run_sequential
 from repro.lang.expr import BinOp, Body, Const, StreamRead
+from repro.lang.interpreter import initial_state
 from repro.systolic import all_paper_designs
 from repro.util.cache import BoundedLRU
 from repro.util.errors import (
@@ -201,6 +203,83 @@ class TestValueDomain:
 
     def test_have_numpy_flag(self):
         assert HAVE_NUMPY is True
+
+
+class TestBoundary:
+    """What npgen loads from ``initial_state`` and hands back."""
+
+    @pytest.mark.parametrize("shift", [40, 70])
+    def test_large_inputs_run_exact(self, shift):
+        """int64 products once wrapped at 2**40 and overflowed at 2**70."""
+        prog, sp = compiled("E1")
+        env = {"n": 2}
+        inputs = {
+            v: {p: x << shift for p, x in m.items()}
+            for v, m in random_inputs(prog, env, seed=0).items()
+        }
+        got = execute_numpy_batch(sp, env, [inputs])[0]
+        assert got == oracle_state(prog, env, inputs)
+        plan = wavefront_schedule(sp, env).runtime_cache["npgen_body_plan"]
+        assert list(plan.int64_fits.values()) == [False]
+        # read-only elements come back as the very objects passed in
+        for p, x in inputs["a"].items():
+            assert got["a"][tuple(p)] is x
+
+    def test_growth_over_steps_runs_exact(self):
+        """c := c * 9 + 1 over n + 1 updates reaches 9**25 / 8 at n = 24."""
+        prog, arr = DESIGNS["D1"]
+        body = Body.single_assign(
+            "c",
+            BinOp("+", BinOp("*", StreamRead("c"), StreamRead("a")), StreamRead("b")),
+        )
+        grow = replace(prog, body=body)
+        sp = compile_systolic(grow, arr)
+        inputs = {"a": 9, "b": 1}
+        for n, fits in ((4, True), (24, False)):
+            env = {"n": n}
+            got = execute_numpy_batch(sp, env, [inputs])[0]
+            assert got == oracle_state(grow, env, inputs)
+            plan = wavefront_schedule(sp, env).runtime_cache["npgen_body_plan"]
+            assert list(plan.int64_fits.values()) == [fits]
+
+    def test_small_inputs_run_int64_with_python_values(self):
+        prog, sp = compiled("E1")
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=1)
+        got = execute_numpy_batch(sp, env, [inputs])[0]
+        assert got == oracle_state(prog, env, inputs)
+        plan = wavefront_schedule(sp, env).runtime_cache["npgen_body_plan"]
+        assert list(plan.int64_fits.values()) == [True]
+        for values in got.values():
+            assert {type(k) for k in values} == {tuple}
+            assert {type(v) for v in values.values()} == {int}
+
+    def test_object_run_returns_identical_objects(self):
+        prog, sp = compiled("D1")
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=2)
+        inputs["a"] = {p: Fraction(2 * v + 1, 3) for p, v in inputs["a"].items()}
+        got = execute_numpy_batch(sp, env, [inputs])[0]
+        for values in got.values():
+            assert {type(k) for k in values} == {tuple}
+        for p, x in inputs["a"].items():
+            assert got["a"][tuple(p)] is x
+
+    def test_shuffled_inputs_load_in_layout_order(self):
+        prog, sp = compiled("E2")
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=3)
+        for name, values in inputs.items():
+            items = list(values.items())
+            random.Random(name).shuffle(items)
+            inputs[name] = dict(items)
+        got = execute_numpy_batch(sp, env, [inputs])[0]
+        assert got == oracle_state(prog, env, inputs)
+        keys = wavefront_schedule(sp, env).runtime_cache["npgen_keys"]
+        state = initial_state(prog, env, inputs)
+        for name, values in state.items():
+            assert list(values) == list(keys[name])
+            assert list(got[name]) == list(keys[name])
 
 
 class TestCorpusReplayWithNpgen:
