@@ -31,6 +31,7 @@ Quickstart::
     assert report.matched
 """
 
+from repro.compilation import Compilation
 from repro.core.program import StreamPlan, SystolicProgram
 from repro.core.scheme import compile_systolic
 from repro.fuzz import FuzzInstance, FuzzSummary, fuzz_run, generate_instance
@@ -63,6 +64,7 @@ from repro.verify.theorems import check_all_theorems
 __version__ = "1.0.0"
 
 __all__ = [
+    "Compilation",
     "StreamPlan",
     "SystolicProgram",
     "compile_systolic",

@@ -42,34 +42,37 @@ import sys
 import warnings
 from pathlib import Path
 
-from repro.core.scheme import compile_systolic
-from repro.geometry.linalg import Matrix
-from repro.geometry.point import Point
+from repro.compilation import EMITTERS, Compilation
 from repro.lang.parser import parse_program
+from repro.lang.program import SourceProgram
 from repro.systolic.schedule import makespan, synthesize_places, synthesize_step
-from repro.systolic.spec import SystolicArray
-from repro.target.build import build_target_program
-from repro.target.cgen import render_c
-from repro.target.occam import render_occam
-from repro.target.pretty import render_paper
+from repro.systolic.spec import array_from_spec
 from repro.util.errors import ReproError
 from repro.verify.equivalence import verify_design
 
-_RENDERERS = {"paper": render_paper, "occam": render_occam, "c": render_c}
+
+def _read(path: str) -> str:
+    """A file's text; an unreadable file is a :class:`ReproError`."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ReproError(f"cannot read {path!r}: {reason}") from None
 
 
-def load_design(path: str) -> SystolicArray:
-    """Read a design-spec JSON file into a :class:`SystolicArray`."""
-    data = json.loads(Path(path).read_text())
-    loading = {
-        name: Point(vec) for name, vec in (data.get("loading") or {}).items()
-    }
-    return SystolicArray(
-        step=Matrix(data["step"]),
-        place=Matrix(data["place"]),
-        loading_vectors=loading,
-        name=data.get("name", Path(path).stem),
-    )
+def _program(args: argparse.Namespace) -> SourceProgram:
+    return parse_program(_read(args.source))
+
+
+def _compilation(args: argparse.Namespace) -> Compilation:
+    """Compile ``args.source`` under the design-spec file ``args.design``."""
+    program = _program(args)
+    try:
+        spec = json.loads(_read(args.design))
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"design spec {args.design!r} is not JSON: {exc}") from None
+    array = array_from_spec(spec, default_name=Path(args.design).stem)
+    return Compilation.compile(program, array)
 
 
 def parse_size_pair(pair: str) -> tuple[str, int]:
@@ -121,26 +124,21 @@ def parse_size_sweep(pairs: list[str]) -> list[dict[str, int]]:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
-    array = load_design(args.design)
-    systolic = compile_systolic(program, array)
-    print(systolic.summary())
+    handle = _compilation(args)
+    print(handle.sp.summary())
     if args.emit != "none":
         print()
-        print(_RENDERERS[args.emit](build_target_program(systolic)))
+        print(handle.emit(args.emit))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
-    array = load_design(args.design)
-    systolic = compile_systolic(program, array)
-    env = parse_sizes(args.size)
+    handle = _compilation(args)
     report = verify_design(
-        program,
-        array,
-        env,
-        compiled=systolic,
+        handle.program,
+        handle.array,
+        parse_sizes(args.size),
+        compiled=handle.sp,
         seed=args.seed,
         channel_capacity=args.capacity,
         raise_on_mismatch=False,
@@ -152,58 +150,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_execute(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.lang.interpreter import run_sequential
-    from repro.verify.equivalence import (
-        oracle_mismatches,
-        random_inputs,
-        run_backend,
-    )
-
-    program = parse_program(Path(args.source).read_text())
-    array = load_design(args.design)
-    systolic = compile_systolic(program, array)
+    handle = _compilation(args)
     env = parse_sizes(args.size)
     shape = parse_array_shape(args.array) if args.array else None
-    batch = [
-        random_inputs(program, env, seed=args.seed + b) for b in range(args.batch)
-    ]
-
-    start = time.perf_counter()
-    results = run_backend(systolic, env, batch, backend=args.backend, shape=shape)
-    elapsed = time.perf_counter() - start
-
+    done = handle.run(
+        env,
+        backend=args.backend,
+        seed=args.seed,
+        batch=args.batch,
+        shape=shape,
+        check=not args.no_check,
+    )
     array_note = ""
     if shape is not None:
         from repro.extensions.partition import partitioned_schedule
 
-        schedule = partitioned_schedule(systolic, env, shape)
+        schedule = partitioned_schedule(handle.sp, env, shape)
         array_note = f", array {'x'.join(str(s) for s in schedule.shape)}"
-    elements = sum(len(vals) for vals in results[0][0].values())
     print(
         f"execute[{args.backend}] {env}: batch {args.batch}, "
-        f"{elements} elements/run{array_note}, {elapsed:.3f}s"
+        f"{done.elements} elements/run{array_note}, {done.seconds:.3f}s"
     )
     if shape is not None:
         print(schedule.summary())
     if args.no_check:
         return 0
-    mismatched = sum(
-        len(oracle_mismatches(run_sequential(program, env, inputs), final))
-        for inputs, (final, _stats) in zip(batch, results)
-    )
-    if mismatched:
-        print(f"MISMATCH: {mismatched} element(s) disagree with the oracle")
+    if done.mismatched:
+        print(f"MISMATCH: {done.mismatched} element(s) disagree with the oracle")
         return 1
     print("oracle check: OK (bit-identical)")
     return 0
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    program = parse_program(Path(args.source).read_text())
+    program = _program(args)
     steps = synthesize_step(program, bound=args.bound)
-    env = {s: 4 for s in _size_symbols(program)}
+    env = {s: 4 for s in program.all_size_symbols}
     if not steps:
         raise ReproError(
             f"no minimal-makespan step candidate at bound {args.bound}; "
@@ -226,7 +208,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.parallel import resolve_jobs, sweep_designs
 
-    program = parse_program(Path(args.source).read_text())
+    program = _program(args)
     steps = synthesize_step(program, bound=args.bound)
     if not steps:
         raise ReproError(
@@ -237,7 +219,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if args.size:
         envs = parse_size_sweep(args.size)
     else:
-        envs = [{s: 4 for s in _size_symbols(program)}]
+        envs = [{s: 4 for s in program.all_size_symbols}]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         result = sweep_designs(
@@ -413,13 +395,6 @@ def cmd_designs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _size_symbols(program) -> set[str]:
-    syms = set(program.size_symbols)
-    for lp in program.loops:
-        syms |= lp.lower.free_symbols | lp.upper.free_symbols
-    return syms
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -432,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("design", help="design-spec JSON file")
     p.add_argument(
         "--emit",
-        choices=["paper", "occam", "c", "none"],
+        choices=[*EMITTERS, "none"],
         default="paper",
         help="target notation (default: paper)",
     )

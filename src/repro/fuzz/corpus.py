@@ -24,10 +24,8 @@ import json
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from repro.geometry.linalg import Matrix
-from repro.geometry.point import Point
 from repro.lang.parser import parse_program
-from repro.systolic.spec import SystolicArray
+from repro.systolic.spec import array_from_spec
 
 FORMAT_VERSION = 1
 
@@ -60,15 +58,7 @@ def instance_from_json(data: dict):
     from repro.fuzz.generator import FuzzInstance
 
     program = parse_program(data["source"])
-    design = data["design"]
-    array = SystolicArray(
-        step=Matrix([tuple(r) for r in design["step"]]),
-        place=Matrix([tuple(r) for r in design["place"]]),
-        loading_vectors={
-            name: Point(vec) for name, vec in (design.get("loading") or {}).items()
-        },
-        name=design.get("name", "corpus"),
-    )
+    array = array_from_spec(data["design"], default_name="corpus")
     env = {k: int(v) for k, v in data["env"].items()}
     return FuzzInstance(
         program=program, array=array, env=env, seed=int(data.get("seed", -1))

@@ -118,16 +118,6 @@ def variable_bounds_for(
     return tuple(bounds)
 
 
-def program_size_symbols(program: SourceProgram) -> tuple[str, ...]:
-    """All size symbols a program mentions, sorted."""
-    syms = set(program.size_symbols)
-    for lp in program.loops:
-        syms |= lp.lower.free_symbols | lp.upper.free_symbols
-    for v in program.variables:
-        syms |= v.size_symbols
-    return tuple(sorted(syms))
-
-
 # ----------------------------------------------------------------------
 # program generation
 # ----------------------------------------------------------------------
@@ -363,6 +353,6 @@ def generate_instance(
         if array is None:
             continue
         hi = 3 if program.r == 3 else 4
-        env = {s: rng.randint(2, hi) for s in program_size_symbols(program)}
+        env = {s: rng.randint(2, hi) for s in program.all_size_symbols}
         return FuzzInstance(program=program, array=array, env=env, seed=seed)
     return None

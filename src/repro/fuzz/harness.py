@@ -2,12 +2,11 @@
 
 For a :class:`~repro.fuzz.generator.FuzzInstance` the harness
 
-1. builds the shared :class:`~repro.fuzz.compiled.CompiledInstance`
-   pipeline -- compile, render, network plan, per-seed inputs and oracle
-   states, each exactly once -- and runs the **sequential interpreter**
-   (the ground truth the paper verifies against) on every input set
-   (``input_sets`` seeds per instance; each engine below is compared on
-   all of them against one compiled artifact);
+1. compiles the instance once into a :class:`~repro.compilation.Compilation`
+   (with the planted mutation, if any) and runs the **sequential
+   interpreter** (the ground truth the paper verifies against) once on
+   every input set (``input_sets`` seeds per instance; each engine below
+   is compared on them against that one compiled artifact);
 2. runs the **coroutine simulator** (:func:`repro.runtime.network.execute`)
    and compares every element of every variable;
 3. runs the **compiled Python backend**
@@ -42,15 +41,16 @@ import pickle
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.compilation import Compilation
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
-from repro.fuzz.compiled import CompiledInstance
+from repro.lang.interpreter import run_sequential
 from repro.runtime.network import execute
 from repro.symbolic.piecewise import Piecewise
 from repro.systolic.explore import cost_of_compiled
 from repro.target.pygen import execute_python, render_python
 from repro.verify.enumerative import cross_check
-from repro.verify.equivalence import oracle_mismatches
+from repro.verify.equivalence import oracle_mismatches, random_inputs
 
 
 # ----------------------------------------------------------------------
@@ -226,18 +226,12 @@ class InstanceReport:
 # ----------------------------------------------------------------------
 # the harness
 # ----------------------------------------------------------------------
-def run_instance(
-    instance,
-    config: HarnessConfig | None = None,
-    compiled: "CompiledInstance | None" = None,
-) -> InstanceReport:
+def run_instance(instance, config: HarnessConfig | None = None) -> InstanceReport:
     """Run every engine and invariant; never raises on a detected bug.
 
-    The whole pipeline consumes one :class:`CompiledInstance` -- compiled
-    program, rendered module, inputs and oracle states are each built once
-    and shared by every check.  Pass ``compiled`` to reuse a pipeline built
-    elsewhere (it must wrap the same instance with the same mutation;
-    anything else is rebuilt).
+    The ``compile`` check builds the one :class:`Compilation` every later
+    check consumes; the ``oracle`` check builds the per-seed inputs and
+    oracle states, once each.
     """
     config = config or HarnessConfig()
     report = InstanceReport(instance=instance)
@@ -259,29 +253,26 @@ def run_instance(
                 report.timings.get(name, 0.0) + time.perf_counter() - t0
             )
 
-    if (
-        compiled is None
-        or compiled.instance is not instance
-        or compiled.mutate != config.mutate
-    ):
-        compiled = checked(
-            "compile",
-            lambda: CompiledInstance.build(instance, mutate=config.mutate),
-        )
-        if compiled is None:
-            return report
-    sp = compiled.sp
+    def build():
+        sp = compile_systolic(program, instance.array)
+        return Compilation(program, instance.array, apply_mutation(sp, config.mutate))
+
+    handle = checked("compile", build)
+    if handle is None:
+        return report
+    sp = handle.sp
 
     seeds = [config.seed + k for k in range(max(1, config.input_sets))]
 
     def run_oracle():
-        return [compiled.oracle(s) for s in seeds]
+        input_sets = [random_inputs(program, env, seed=s) for s in seeds]
+        return input_sets, [run_sequential(program, env, i) for i in input_sets]
 
-    oracles = checked("oracle", run_oracle)
-    if oracles is None:
+    built = checked("oracle", run_oracle)
+    if built is None:
         return report
-    oracle = oracles[0]
-    inputs = compiled.inputs(seeds[0])
+    input_sets, oracles = built
+    inputs, oracle = input_sets[0], oracles[0]
 
     limit = config.max_mismatches
 
@@ -300,9 +291,9 @@ def run_instance(
 
     def check_pygen():
         # every input set runs against the one cached module compilation
-        for seed in seeds:
-            got = execute_python(sp, env, compiled.inputs(seed))
-            mism = oracle_mismatches(compiled.oracle(seed), got, limit)
+        for seed, given, expected in zip(seeds, input_sets, oracles):
+            got = execute_python(sp, env, given)
+            mism = oracle_mismatches(expected, got, limit)
             if mism:
                 raise AssertionError(f"inputs seed {seed}: " + "; ".join(mism))
 
@@ -324,12 +315,12 @@ def run_instance(
                 # one vectorized pass over the whole input batch: the
                 # wavefront schedule is computed once for all sets
                 got_batch = execute_numpy_batch(
-                    sp, env, [compiled.inputs(s) for s in seeds], use_cache=False
+                    sp, env, input_sets, use_cache=False
                 )
             except BackendUnsupportedError:
                 return  # outside the integer value domain: a pass, not a bug
-            for seed, got in zip(seeds, got_batch):
-                mism = oracle_mismatches(compiled.oracle(seed), got, limit)
+            for seed, got, expected in zip(seeds, got_batch, oracles):
+                mism = oracle_mismatches(expected, got, limit)
                 if mism:
                     raise AssertionError(
                         f"inputs seed {seed}: " + "; ".join(mism)
@@ -346,7 +337,7 @@ def run_instance(
         interning decides identity and speed, never values.
         """
         sp2 = pickle.loads(pickle.dumps(sp))
-        if render_python(sp2) != compiled.rendered:
+        if render_python(sp2) != handle.rendered:
             raise AssertionError("pickle round-trip changes the rendering")
         if cost_of_compiled(sp2, env) != cost_of_compiled(sp, env):
             raise AssertionError("pickle round-trip changes the design cost")

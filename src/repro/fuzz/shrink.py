@@ -30,11 +30,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.core.scheme import compile_systolic
-from repro.fuzz.generator import (
-    FuzzInstance,
-    program_size_symbols,
-    variable_bounds_for,
-)
+from repro.fuzz.generator import FuzzInstance, variable_bounds_for
 from repro.fuzz.harness import HarnessConfig, InstanceReport, run_instance
 from repro.geometry.linalg import Matrix
 from repro.lang.expr import (
@@ -179,7 +175,7 @@ def _rebuild(
         array = first_design(program)
     if array is None:
         return None
-    syms = program_size_symbols(program)
+    syms = program.all_size_symbols
     clamped = {s: int(env.get(s, 2)) for s in syms}
     return FuzzInstance(program=program, array=array, env=clamped, seed=-1)
 

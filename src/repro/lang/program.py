@@ -100,6 +100,14 @@ class SourceProgram:
     def variables(self) -> tuple[IndexedVariable, ...]:
         return tuple(s.variable for s in self.streams)
 
+    @property
+    def all_size_symbols(self) -> tuple[str, ...]:
+        """Every size symbol the program mentions, sorted: the declared
+        ones and those in loop and variable bounds."""
+        loop_syms = (lp.lower.free_symbols | lp.upper.free_symbols for lp in self.loops)
+        var_syms = (v.size_symbols for v in self.variables)
+        return tuple(sorted(set(self.size_symbols).union(*loop_syms, *var_syms)))
+
     def stream(self, name: str) -> Stream:
         for s in self.streams:
             if s.name == name:
@@ -185,15 +193,7 @@ class SourceProgram:
             raise SourceProgramError(f"cannot render {e!r}")
 
         lines = [f"program {self.name}"]
-        syms = sorted(
-            set(self.size_symbols)
-            | {
-                sym
-                for lp in self.loops
-                for sym in lp.lower.free_symbols | lp.upper.free_symbols
-            }
-            | {sym for v in self.variables for sym in v.size_symbols}
-        )
+        syms = self.all_size_symbols
         if syms:
             lines.append("size " + ", ".join(syms))
         for v in self.variables:

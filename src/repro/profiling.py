@@ -17,8 +17,8 @@ Two kinds of counters feed the report:
   :class:`~repro.util.cache.BoundedLRU` registers its ``stats`` --
   ``pygen_modules``, ``wavefront_schedules``, ``partition_schedules``,
   ``network_plans`` -- next to ``derivation_memo`` (per-table counters and
-  sizes), ``fuzz_pipeline`` (compile-once reuse of fuzz instances) and,
-  once a compile service exists, ``design_store``.
+  sizes) and, once a compile service exists, ``design_store`` (its
+  :class:`~repro.compilation.Compilation` handles).
 
 Providers are read at report time, so the report reflects live state, and
 importing this module never drags in the rest of the package.  The

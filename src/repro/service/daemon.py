@@ -43,8 +43,9 @@ from typing import Any, Awaitable, Callable, Mapping
 import repro.analysis.wavefront  # noqa: F401
 import repro.extensions.partition  # noqa: F401
 from repro import profiling
+from repro.compilation import EMITTERS, Compilation
 from repro.service.metrics import ServiceMetrics
-from repro.service.store import DesignStore, StoredDesign
+from repro.service.store import DesignStore
 from repro.util.cache import size_key
 from repro.util.errors import ReproError, http_status
 
@@ -57,7 +58,7 @@ PROTOCOL_VERSION = 1
 _MAX_HEADER_LINE = 8192
 _MAX_HEADERS = 64
 
-_EMITTERS = ("paper", "occam", "c", "none")
+_EMITTERS = (*EMITTERS, "none")
 
 
 @dataclass
@@ -397,7 +398,7 @@ class CompileService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self.executor, fn, *args)
 
-    async def _design_for(self, request: Mapping[str, Any]) -> StoredDesign:
+    async def _design_for(self, request: Mapping[str, Any]) -> Compilation:
         """Resolve a request's design: by fingerprint or source+design."""
         if "fingerprint" in request and "source" not in request:
             return self.store.lookup(request["fingerprint"])
@@ -475,17 +476,15 @@ class CompileService:
         payload = {
             "fingerprint": entry.fingerprint,
             "name": entry.array.name,
-            "summary": await self._run_blocking(entry.summary),
+            "summary": await self._run_blocking(entry.sp.summary),
             "cached": bool(cached_before),
         }
         if emit != "none":
-            payload["emitted"] = await self._run_blocking(
-                self._render, entry, emit
-            )
+            payload["emitted"] = await self._run_blocking(entry.emit, emit)
             payload["emit"] = emit
         return payload
 
-    def _peek(self, request: Mapping[str, Any]) -> StoredDesign | None:
+    def _peek(self, request: Mapping[str, Any]) -> Compilation | None:
         """Non-counting store probe (drives the ``cached`` response bit)."""
         try:
             _, _, fingerprint = self.store.parse_request(
@@ -494,20 +493,6 @@ class CompileService:
         except ReproError:
             return None
         return self.store.peek(fingerprint)
-
-    @staticmethod
-    def _render(entry: StoredDesign, emit: str) -> str:
-        from repro.target.build import build_target_program
-        from repro.target.cgen import render_c
-        from repro.target.occam import render_occam
-        from repro.target.pretty import render_paper
-
-        renderer = {
-            "paper": render_paper,
-            "occam": render_occam,
-            "c": render_c,
-        }[emit]
-        return renderer(build_target_program(entry.systolic))
 
     async def _handle_execute(self, request: Mapping[str, Any]) -> dict:
         entry = await self._design_for(request)
@@ -523,7 +508,7 @@ class CompileService:
 
     @staticmethod
     def _execute_design(
-        entry: StoredDesign,
+        entry: Compilation,
         env: dict,
         backend: str,
         seed: int,
@@ -531,41 +516,24 @@ class CompileService:
         shape: Any,
         check: bool,
     ) -> dict:
-        from repro.lang.interpreter import run_sequential
-        from repro.verify.equivalence import (
-            oracle_mismatches,
-            random_inputs,
-            run_backend,
+        done = entry.run(
+            env, backend=backend, seed=seed, batch=batch, shape=shape, check=check
         )
-
-        started = time.perf_counter()
-        input_sets = [
-            random_inputs(entry.program, env, seed=seed + b) for b in range(batch)
-        ]
-        runs = run_backend(
-            entry.systolic, env, input_sets, backend=backend, shape=shape
-        )
-        results = [state_to_json(final) for final, _stats in runs]
-        elapsed = time.perf_counter() - started
         payload = {
             "fingerprint": entry.fingerprint,
             "backend": backend,
             "sizes": dict(env),
             "batch": batch,
-            "elements": sum(len(rows) for rows in results[0].values()),
-            "elapsed_s": round(elapsed, 6),
-            "results": results,
+            "elements": done.elements,
+            "elapsed_s": round(done.seconds, 6),
+            "results": [state_to_json(final) for final, _stats in done.runs],
             "checked": check,
         }
         if shape is not None:
             payload["array"] = list(shape)
         if check:
-            mismatched = sum(
-                len(oracle_mismatches(run_sequential(entry.program, env, inputs), final))
-                for inputs, (final, _stats) in zip(input_sets, runs)
-            )
-            payload["matched"] = mismatched == 0
-            payload["mismatched_elements"] = mismatched
+            payload["matched"] = done.mismatched == 0
+            payload["mismatched_elements"] = done.mismatched
         return payload
 
     async def _handle_verify(self, request: Mapping[str, Any]) -> dict:
@@ -580,32 +548,22 @@ class CompileService:
 
     @staticmethod
     def _verify_design(
-        entry: StoredDesign, env: dict, backend: str, seed: int, capacity: int
+        entry: Compilation, env: dict, backend: str, seed: int, capacity: int
     ) -> dict:
-        from repro.verify.equivalence import verify_design
-
-        report = verify_design(
-            entry.program,
-            entry.array,
-            env,
-            compiled=entry.systolic,
-            seed=seed,
-            channel_capacity=capacity,
-            backend=backend,
-            raise_on_mismatch=False,
-        )
+        done = entry.run(env, backend=backend, seed=seed, channel_capacity=capacity)
+        [(_final, stats)], [mismatches] = done.runs, done.mismatches
         payload = {
             "fingerprint": entry.fingerprint,
             "backend": backend,
             "sizes": dict(env),
-            "matched": report.matched,
-            "mismatches": report.mismatches[:10],
-            "mismatch_count": len(report.mismatches),
+            "matched": not mismatches,
+            "mismatches": mismatches[:10],
+            "mismatch_count": len(mismatches),
         }
-        if report.stats is not None:
-            payload["makespan"] = report.stats.makespan
-            payload["messages"] = report.stats.total_messages
-            payload["processes"] = report.stats.process_count
+        if stats is not None:
+            payload["makespan"] = stats.makespan
+            payload["messages"] = stats.total_messages
+            payload["processes"] = stats.process_count
         return payload
 
     async def _handle_explore(self, request: Mapping[str, Any]) -> dict:
@@ -638,10 +596,7 @@ class CompileService:
             )
         step = steps[0]
         if sizes is None:
-            syms = set(program.size_symbols)
-            for lp in program.loops:
-                syms |= lp.lower.free_symbols | lp.upper.free_symbols
-            envs = [{s: 4 for s in syms}]
+            envs = [{s: 4 for s in program.all_size_symbols}]
         elif isinstance(sizes, Mapping):
             envs = [_size_env(sizes)]
         elif isinstance(sizes, list) and all(isinstance(e, Mapping) for e in sizes):

@@ -1,8 +1,9 @@
 """Content-addressed design store with in-flight request coalescing.
 
 The store is the service's unit of memoization *above* the symbolic core:
-each entry is one fully compiled design -- source program, array spec and
-the derived ``SystolicProgram`` -- keyed by ``design_fingerprint`` (the
+each entry is one :class:`~repro.compilation.Compilation` -- source
+program, array spec and the derived ``SystolicProgram`` -- keyed by
+``design_fingerprint`` (the
 same sha256 the schedule caches and partition memo key on, computable from
 the request before compilation).  Clients may submit ``{source, design}``
 pairs or refer back to an earlier compile by bare ``{fingerprint}``.
@@ -24,69 +25,20 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.program import SystolicProgram
+from repro.compilation import Compilation
 from repro.core.scheme import compile_systolic
-from repro.geometry.linalg import Matrix
-from repro.geometry.point import Point
 from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
-from repro.systolic.spec import SystolicArray
+from repro.systolic.spec import SystolicArray, array_from_spec
 from repro.target.pygen import fingerprint_of
 from repro.util.cache import BoundedLRU
 from repro.util.errors import ReproError
 
-__all__ = ["DesignStore", "StoredDesign", "array_from_spec"]
+__all__ = ["DesignStore"]
 
 DEFAULT_MAX_DESIGNS = 512
-
-
-def array_from_spec(data: Mapping[str, Any], *, default_name: str = "design") -> SystolicArray:
-    """A :class:`SystolicArray` from the JSON design-spec shape.
-
-    The same document format ``repro compile`` reads from disk and the
-    fuzz corpus embeds: ``step`` / ``place`` row lists plus optional
-    ``loading`` vectors and ``name``.
-    """
-    if not isinstance(data, Mapping):
-        raise ReproError(f"design spec must be a JSON object, got {type(data).__name__}")
-    for field_name in ("step", "place"):
-        if field_name not in data:
-            raise ReproError(f"design spec is missing the {field_name!r} rows")
-    try:
-        step = Matrix([tuple(int(c) for c in row) for row in data["step"]])
-        place = Matrix([tuple(int(c) for c in row) for row in data["place"]])
-        loading = {
-            name: Point([int(c) for c in vec])
-            for name, vec in (data.get("loading") or {}).items()
-        }
-    except ReproError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ReproError(f"malformed design spec: {exc}") from None
-    return SystolicArray(
-        step=step,
-        place=place,
-        loading_vectors=loading,
-        name=str(data.get("name", default_name)),
-    )
-
-
-@dataclass
-class StoredDesign:
-    """One compiled design, addressable by its content fingerprint."""
-
-    fingerprint: str
-    program: SourceProgram
-    array: SystolicArray
-    systolic: SystolicProgram
-    source_text: str
-    design_spec: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        return self.systolic.summary()
 
 
 class DesignStore:
@@ -133,15 +85,15 @@ class DesignStore:
         array = array_from_spec(design_spec)
         return program, array, fingerprint_of(program, array)
 
-    def get(self, fingerprint: str) -> StoredDesign | None:
+    def get(self, fingerprint: str) -> Compilation | None:
         """The cached design (a hit, bumping LRU recency); None when absent."""
         return self._designs.get(fingerprint)
 
-    def peek(self, fingerprint: str) -> StoredDesign | None:
+    def peek(self, fingerprint: str) -> Compilation | None:
         """Like :meth:`get` without touching recency or counters."""
         return self._designs.peek(fingerprint)
 
-    def lookup(self, fingerprint: str) -> StoredDesign:
+    def lookup(self, fingerprint: str) -> Compilation:
         """Like :meth:`get` but raising the daemon-facing 4xx error."""
         if not isinstance(fingerprint, str) or not fingerprint:
             raise ReproError("request field 'fingerprint' must be a non-empty string")
@@ -157,7 +109,7 @@ class DesignStore:
 
     async def get_or_compile(
         self, source_text: str, design_spec: Mapping[str, Any]
-    ) -> StoredDesign:
+    ) -> Compilation:
         """The compiled design for a request, compiling at most once.
 
         Concurrent callers with the same fingerprint share one in-flight
@@ -181,9 +133,7 @@ class DesignStore:
             )
             self._inflight[fingerprint] = future
             asyncio.ensure_future(
-                self._compile_into(
-                    fingerprint, program, array, source_text, design_spec, future
-                )
+                self._compile_into(fingerprint, program, array, future)
             )
         else:
             self.coalesced += 1
@@ -194,13 +144,11 @@ class DesignStore:
         fingerprint: str,
         program: SourceProgram,
         array: SystolicArray,
-        source_text: str,
-        design_spec: Mapping[str, Any],
         future: asyncio.Future,
     ) -> None:
         loop = asyncio.get_running_loop()
         try:
-            systolic = await loop.run_in_executor(
+            sp = await loop.run_in_executor(
                 self._executor, compile_systolic, program, array
             )
         except BaseException as exc:
@@ -209,14 +157,7 @@ class DesignStore:
             if not future.cancelled():
                 future.set_exception(exc)
             return
-        entry = StoredDesign(
-            fingerprint=fingerprint,
-            program=program,
-            array=array,
-            systolic=systolic,
-            source_text=source_text,
-            design_spec=dict(design_spec),
-        )
+        entry = Compilation(program, array, sp)
         self._designs.put(fingerprint, entry)
         self._inflight.pop(fingerprint, None)
         if not future.cancelled():

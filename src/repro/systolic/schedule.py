@@ -73,10 +73,7 @@ def synthesize_step(
     size at which makespan is measured (default: all sizes bound to 4).
     """
     if env is None:
-        syms = set(program.size_symbols)
-        for lp in program.loops:
-            syms |= lp.lower.free_symbols | lp.upper.free_symbols
-        env = {s: 4 for s in syms}
+        env = {s: 4 for s in program.all_size_symbols}
     deps = dependence_vectors(program)
     written = program.body.streams_written()
     # The index-space corners depend only on (program, env): hoist them out

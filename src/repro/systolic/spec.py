@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.geometry.linalg import Matrix, null_space_vector
 from repro.geometry.point import Point
-from repro.util.errors import SystolicSpecError
+from repro.util.errors import ReproError, SystolicSpecError
 
 
 @dataclass(frozen=True)
@@ -101,3 +101,48 @@ class SystolicArray:
             f"SystolicArray({self.name}: step {self.step.rows[0]}, "
             f"place rows {self.place.rows})"
         )
+
+
+def array_from_spec(
+    data: Mapping[str, Any], *, default_name: str = "design"
+) -> SystolicArray:
+    """A :class:`SystolicArray` from the JSON design-spec shape.
+
+    The one design-spec parser: the document ``repro compile`` reads from
+    disk, the compile service receives and the fuzz corpus embeds --
+    ``step`` / ``place`` row lists plus optional ``loading`` vectors and
+    ``name``.  A malformed document raises :class:`ReproError`.
+    """
+    if not isinstance(data, Mapping):
+        raise ReproError(
+            f"design spec must be a JSON object, got {type(data).__name__}"
+        )
+    for field_name in ("step", "place"):
+        if field_name not in data:
+            raise ReproError(f"design spec is missing the {field_name!r} rows")
+
+    def ints(values) -> tuple[int, ...]:
+        values = tuple(values)
+        if not all(type(c) is int for c in values):  # True is no coefficient
+            raise ReproError(
+                f"design spec coefficients must be integers, got {list(values)}"
+            )
+        return values
+
+    try:
+        step = Matrix([ints(row) for row in data["step"]])
+        place = Matrix([ints(row) for row in data["place"]])
+        loading = {
+            name: Point(ints(vec))
+            for name, vec in (data.get("loading") or {}).items()
+        }
+    except ReproError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ReproError(f"malformed design spec: {exc}") from None
+    return SystolicArray(
+        step=step,
+        place=place,
+        loading_vectors=loading,
+        name=str(data.get("name", default_name)),
+    )

@@ -6,8 +6,9 @@ errors were mistakes made in the hand translation").  Here the whole loop
 is mechanical: compile, lower, execute on an engine (:func:`run_backend`),
 and compare every element of every variable against the sequential
 reference interpreter (:func:`oracle_mismatches`).  The CLI, the compile
-service, :func:`verify_design` and the fuzz harness all compare through
-:func:`oracle_mismatches`.
+service and :func:`verify_design` run that sequence through one
+:meth:`repro.compilation.Compilation.run`; the fuzz harness compares each
+of its engines through :func:`oracle_mismatches`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.program import SystolicProgram
-from repro.core.scheme import compile_systolic
 from repro.geometry.point import Point
 from repro.lang.expr import RuntimeValue
-from repro.lang.interpreter import run_sequential
 from repro.lang.program import SourceProgram
 from repro.runtime.network import execute
 from repro.runtime.scheduler import SchedulerStats
@@ -68,6 +67,8 @@ class VerificationReport:
     stats: SchedulerStats | None
     mismatches: list[str] = field(default_factory=list)
     backend: str = "sim"
+    #: elements of every variable the run produced
+    elements: int = 0
 
     def __str__(self) -> str:
         status = "OK" if self.matched else f"MISMATCH ({len(self.mismatches)})"
@@ -186,24 +187,28 @@ def verify_design(
     shape (``(p,)`` bands or ``(p, q)`` tiles) via the symbolically
     compiled LSGP partition; supported on ``sim`` and ``npgen``.
     """
-    sp = compiled if compiled is not None else compile_systolic(program, array)
-    if inputs is None:
-        inputs = random_inputs(program, env, seed=seed)
-    [(final, stats)] = run_backend(
-        sp,
+    from repro.compilation import Compilation
+
+    if compiled is None:
+        handle = Compilation.compile(program, array)
+    else:
+        handle = Compilation(program, array, compiled)
+    done = handle.run(
         env,
-        [inputs],
         backend=backend,
+        seed=seed,
+        inputs=None if inputs is None else [inputs],
         shape=partition,
         channel_capacity=channel_capacity,
     )
-    mismatches = oracle_mismatches(run_sequential(program, env, inputs), final)
+    [(_final, stats)], [mismatches] = done.runs, done.mismatches
     report = VerificationReport(
         env=dict(env),
         matched=not mismatches,
         stats=stats,
         mismatches=mismatches,
         backend=backend,
+        elements=done.elements,
     )
     if mismatches and raise_on_mismatch:
         preview = "; ".join(mismatches[:5])

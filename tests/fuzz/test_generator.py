@@ -22,7 +22,6 @@ from repro.fuzz.generator import (
     generate_instance,
     generate_program,
     program_features,
-    program_size_symbols,
     variable_bounds_for,
 )
 from repro.lang.program import Loop
@@ -72,7 +71,7 @@ class TestGeneratorValidity:
         for inst in found:
             assert isinstance(inst, FuzzInstance)
             validate_program(inst.program)
-            assert set(inst.env) == set(program_size_symbols(inst.program))
+            assert set(inst.env) == set(inst.program.all_size_symbols)
 
 
 class TestGeneratorDeterminism:

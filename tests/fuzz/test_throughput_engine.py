@@ -1,6 +1,6 @@
 """Regression pins for the campaign throughput engine.
 
-The fuzz pipeline compiles each instance once (``CompiledInstance``), wires
+The fuzz pipeline compiles each instance once (one ``Compilation``), wires
 its process network once (``NetworkPlan``), and switches tracing/timing off
 when nobody reads them.  Each of those reuse paths is an opportunity to
 silently lose a guarantee -- deadlock detection, trace fidelity, Lamport
@@ -11,7 +11,8 @@ stats -- so this module proves they all survive:
   on every instantiation of a reused plan;
 * trace-on / trace-off / timing-off runs produce identical final values
   (and trace-on does not perturb the stats);
-* the pipeline counters show one compile and one render per harness run.
+* spies show one compile, one render and one oracle run per input seed
+  for each harness run.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz.compiled import CompiledInstance, stats as pipeline_stats
+import repro.compilation as compilation_mod
+import repro.fuzz.harness as harness_mod
+from repro.compilation import Compilation
+from repro.core.scheme import compile_systolic
 from repro.fuzz.corpus import load_reproducer
-from repro.fuzz.harness import HarnessConfig, run_instance
+from repro.fuzz.harness import HarnessConfig, apply_mutation, run_instance
 from repro.runtime.network import execute, network_plan, plan_stats
 from repro.runtime.trace import attach_tracer
 from repro.util.errors import DeadlockError
+from repro.verify.equivalence import random_inputs
 
 CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
@@ -39,15 +44,48 @@ def pinned_instance():
     return instance
 
 
+def compiled(instance, mutate=None) -> Compilation:
+    """The instance's handle, built the way the harness builds it."""
+    sp = apply_mutation(compile_systolic(instance.program, instance.array), mutate)
+    return Compilation(instance.program, instance.array, sp)
+
+
+def seed0_inputs(instance):
+    return random_inputs(instance.program, instance.env, seed=0)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Call counts of the pipeline stages a harness run must not repeat."""
+    counts = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+        counts[key] = 0
+
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(harness_mod, "compile_systolic")
+    spy(harness_mod, "render_python")
+    spy(harness_mod, "run_sequential")
+    spy(compilation_mod, "render_python")
+    return counts
+
+
 class TestPreBoundDeadlockDetection:
     def test_pinned_case_clean_through_plan_path(self, pinned_instance):
         """The historical deadlocker runs clean via plan -> instantiate."""
-        compiled = CompiledInstance.build(pinned_instance)
-        plan = compiled.plan()
+        handle = compiled(pinned_instance)
+        plan = network_plan(handle.sp, pinned_instance.env)
         for _ in range(2):  # the second run reuses the cached plan wiring
-            net = plan.instantiate(inputs=compiled.inputs(0))
+            net = plan.instantiate(inputs=seed0_inputs(pinned_instance))
             net.run()
-            for splan in compiled.sp.streams:
+            for splan in handle.sp.streams:
                 net.host.check_full_recovery(splan.name)
 
     def test_planted_deadlock_caught_on_every_instantiation(
@@ -60,20 +98,18 @@ class TestPreBoundDeadlockDetection:
         instantiated twice to prove that reuse hands out *fresh* process
         state each time rather than generators poisoned by the first crash.
         """
-        compiled = CompiledInstance.build(
-            pinned_instance, mutate="soak_plus_one"
-        )
-        plan = compiled.plan()
+        handle = compiled(pinned_instance, mutate="soak_plus_one")
+        plan = network_plan(handle.sp, pinned_instance.env)
         for _ in range(2):
-            net = plan.instantiate(inputs=compiled.inputs(0))
+            net = plan.instantiate(inputs=seed0_inputs(pinned_instance))
             with pytest.raises(DeadlockError, match="cannot progress"):
                 net.run()
 
     def test_plan_is_cached_per_program(self, pinned_instance):
-        compiled = CompiledInstance.build(pinned_instance)
+        handle = compiled(pinned_instance)
         before = plan_stats()
-        first = compiled.plan()
-        second = compiled.plan()
+        first = network_plan(handle.sp, pinned_instance.env)
+        second = network_plan(handle.sp, pinned_instance.env)
         after = plan_stats()
         assert first is second
         assert after["reuses"] > before["reuses"]
@@ -81,14 +117,13 @@ class TestPreBoundDeadlockDetection:
 
 class TestTraceAndTimingModes:
     def test_trace_off_and_timing_off_match_trace_on(self, pinned_instance):
-        compiled = CompiledInstance.build(pinned_instance)
-        sp, env = compiled.sp, pinned_instance.env
-        inputs = compiled.inputs(0)
+        sp, env = compiled(pinned_instance).sp, pinned_instance.env
+        inputs = seed0_inputs(pinned_instance)
 
         plain, stats_plain = execute(sp, env, inputs)
         untimed, stats_untimed = execute(sp, env, inputs, timing=False)
 
-        net = compiled.plan().instantiate(inputs=inputs)
+        net = network_plan(sp, env).instantiate(inputs=inputs)
         trace = attach_tracer(net)
         stats_traced = net.run()
         traced = net.host.final
@@ -103,44 +138,35 @@ class TestTraceAndTimingModes:
         assert stats_untimed.total_messages == stats_plain.total_messages
 
 
-class TestCompiledInstanceReuse:
-    def test_one_compile_one_render_per_harness_run(self, pinned_instance):
-        """A full harness pass builds the pipeline exactly once.
+class TestCompileOnce:
+    def test_one_compile_one_render_per_harness_run(self, pinned_instance, calls):
+        """A full harness pass compiles and renders exactly once.
 
         The sampled engine checks (all but the pool sweep) are forced on so
-        every consumer of the pipeline runs; the counters must show a single
-        compile, render and oracle build with the rest arriving as reuses.
+        every consumer of the handle runs.  The oracle runs once per input
+        seed, and the only other render is the pickled copy's.
         """
         config = HarnessConfig(
+            input_sets=2,
             check_threaded=True,
             check_npgen=True,
             check_capacity=True,
             check_partition=True,
         )
-        before = pipeline_stats()
         report = run_instance(pinned_instance, config)
-        after = pipeline_stats()
         assert report.ok, f"pinned case went red: {report}"
-        assert after["builds"] - before["builds"] == 1
-        assert after["render_builds"] - before["render_builds"] == 1
-        assert after["oracle_builds"] - before["oracle_builds"] == 1
-        assert after["oracle_reuses"] - before["oracle_reuses"] >= 1
+        assert calls == {
+            "harness.compile_systolic": 1,
+            "compilation.render_python": 1,
+            "harness.render_python": 1,
+            "harness.run_sequential": 2,
+        }
 
-    def test_prebuilt_pipeline_is_consumed(self, pinned_instance):
-        """run_instance reuses a matching prebuilt CompiledInstance."""
-        compiled = CompiledInstance.build(pinned_instance)
-        before = pipeline_stats()
-        report = run_instance(pinned_instance, compiled=compiled)
-        after = pipeline_stats()
-        assert report.ok
-        assert after["builds"] - before["builds"] == 0
-
-    def test_mismatched_pipeline_is_rebuilt(self, pinned_instance):
-        """A pipeline built for another mutation must not be trusted."""
-        compiled = CompiledInstance.build(pinned_instance, mutate=None)
-        config = HarnessConfig(mutate="drain_plus_one")
-        before = pipeline_stats()
-        report = run_instance(pinned_instance, config, compiled=compiled)
-        after = pipeline_stats()
+    def test_planted_mutation_is_caught_with_one_compile(
+        self, pinned_instance, calls
+    ):
+        """The harness plants the configured bug into its own one handle."""
+        report = run_instance(pinned_instance, HarnessConfig(mutate="drain_plus_one"))
         assert not report.ok  # the planted bug must still be caught
-        assert after["builds"] - before["builds"] == 1
+        assert calls["harness.compile_systolic"] == 1
+        assert calls["harness.run_sequential"] == 1

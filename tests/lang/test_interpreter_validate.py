@@ -102,6 +102,11 @@ class TestSequentialOracle:
         assert state["a"] == {(0,): 0, (1,): 1, (2,): 2}
         assert all(type(c) is int for k in state["a"] for c in k)
 
+    def test_bare_int_keys_rejected_by_name(self):
+        p = parse_program(POLYPROD)
+        with pytest.raises(SourceProgramError, match="variable a: .*index tuples"):
+            initial_state(p, {"n": 2}, {"a": {0: 1, 1: 2, 2: 3}})
+
     def test_undeclared_input_name_rejected(self):
         p = parse_program(POLYPROD)
         with pytest.raises(SourceProgramError, match="'aa'"):

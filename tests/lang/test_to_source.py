@@ -1,5 +1,8 @@
 """Round-trip tests: SourceProgram.to_source() -> parse_program."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import parse_program, run_sequential
@@ -72,3 +75,26 @@ for j = 0 <- 1 -> n
         assert "program polyprod" in src
         assert "var a[0..n]" in src
         assert "c[i + j] :=" in src
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "fuzz_corpus"
+
+
+def _programs():
+    for eid, prog, _array in all_paper_designs():
+        yield pytest.param(prog, id=eid)
+    yield pytest.param(rectangular_matmul_program(), id="rectangular_matmul")
+    for path in sorted(CORPUS.glob("*.json")):
+        source = json.loads(path.read_text())["source"]
+        yield pytest.param(parse_program(source), id=path.stem)
+
+
+@pytest.mark.parametrize("prog", list(_programs()))
+def test_all_size_symbols_covers_variable_bounds(prog):
+    """Variable bounds mention no size symbol beyond the declared and
+    loop-bound ones, so ``all_size_symbols`` (which adds them) binds the
+    same sample sizes as a loop-bounds-only union would."""
+    loop_syms = set(prog.size_symbols).union(
+        *(lp.lower.free_symbols | lp.upper.free_symbols for lp in prog.loops)
+    )
+    assert prog.all_size_symbols == tuple(sorted(loop_syms))

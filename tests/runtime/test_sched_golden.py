@@ -24,9 +24,10 @@ from pathlib import Path
 import pytest
 
 from repro import compile_systolic, run_sequential
+from repro.compilation import Compilation
 from repro.extensions.partition import partitioned_execute
-from repro.fuzz.compiled import CompiledInstance
 from repro.fuzz.corpus import load_reproducer
+from repro.fuzz.harness import apply_mutation
 from repro.runtime import Channel, Par, Recv, Scheduler, Send
 from repro.runtime.network import network_plan
 from repro.runtime.trace import attach_tracer
@@ -79,9 +80,12 @@ def _partition_case(eid, shape):
 
 def _corpus_case(seed, mutate):
     instance, _config, _raw = load_reproducer(CORPUS / f"{seed}.json")
-    compiled = CompiledInstance.build(instance, mutate=mutate)
-    result = _traced(compiled.plan(), compiled.inputs(0))
-    return result, None if mutate else compiled.oracle(0)
+    program, env = instance.program, instance.env
+    sp = apply_mutation(compile_systolic(program, instance.array), mutate)
+    handle = Compilation(program, instance.array, sp)
+    inputs = random_inputs(program, env, seed=0)
+    result = _traced(network_plan(handle.sp, env), inputs)
+    return result, None if mutate else run_sequential(program, env, inputs)
 
 
 def _cases():

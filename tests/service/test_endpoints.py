@@ -382,8 +382,8 @@ class TestOperationalEndpoints:
         service_run(scenario)
 
     def test_every_cache_is_reported(self, service_run):
-        """Each bounded cache, the Fourier-Motzkin memo and the fuzz
-        pipeline are read from the one registry, in-process and via /stats."""
+        """Each bounded cache, the Fourier-Motzkin memo and the design
+        store are read from the one registry, in-process and via /stats."""
         import importlib
 
         from repro import profiling
@@ -391,7 +391,6 @@ class TestOperationalEndpoints:
         for module in (
             "repro.analysis.wavefront",
             "repro.extensions.partition",
-            "repro.fuzz.compiled",
             "repro.geometry.polyhedron",
             "repro.runtime.network",
             "repro.service.store",
@@ -404,7 +403,6 @@ class TestOperationalEndpoints:
             "partition_schedules",
             "network_plans",
             "design_store",
-            "fuzz_pipeline",
         }
 
         async def scenario(client, service):

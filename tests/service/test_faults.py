@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.compilation as compilation_mod
 import repro.service.store as store_mod
-import repro.verify.equivalence as equivalence_mod
 from tests.service.conftest import paper_requests
 
 REAL_COMPILE = store_mod.compile_systolic
-REAL_EXECUTE = equivalence_mod.run_backend
+REAL_EXECUTE = compilation_mod.run_backend
 
 
 class TestCompileFaults:
@@ -102,7 +102,7 @@ class TestExecuteFaults:
                 raise RuntimeError("injected execute fault")
             return REAL_EXECUTE(sp, env, batch, **options)
 
-        monkeypatch.setattr(equivalence_mod, "run_backend", flaky)
+        monkeypatch.setattr(compilation_mod, "run_backend", flaky)
 
         async def scenario(client, service):
             status, payload = await client.execute(
@@ -135,7 +135,7 @@ class TestExecuteFaults:
         def deadlock(sp, env, batch, **options):
             raise DeadlockError("injected deadlock at step 3")
 
-        monkeypatch.setattr(equivalence_mod, "run_backend", deadlock)
+        monkeypatch.setattr(compilation_mod, "run_backend", deadlock)
 
         async def scenario(client, service):
             status, payload = await client.execute(

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from repro.cli import load_design, main, parse_size_sweep, parse_sizes
+from repro.cli import main, parse_size_sweep, parse_sizes
+from repro.systolic.spec import array_from_spec
 from repro.util.errors import ReproError
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
@@ -51,19 +52,32 @@ class TestHelpers:
             parse([pair])
 
     def test_load_design(self):
-        array = load_design(DESIGN)
+        array = array_from_spec(json.loads(pathlib.Path(DESIGN).read_text()))
         assert array.step.rows[0] == (2, 1)
         assert array.name == "D.1 place=(i)"
         assert "a" in array.loading_vectors
 
-    def test_load_design_without_loading(self, tmp_path):
-        spec = tmp_path / "e2.json"
-        spec.write_text(
-            json.dumps({"step": [[1, 1, 1]], "place": [[1, 0, -1], [0, 1, -1]]})
-        )
-        array = load_design(str(spec))
+    def test_load_design_without_loading(self):
+        spec = {"step": [[1, 1, 1]], "place": [[1, 0, -1], [0, 1, -1]]}
+        array = array_from_spec(spec, default_name="e2")
         assert array.name == "e2"
         assert not array.loading_vectors
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"step": [[2.5, 1]], "place": [[1, 0]]},
+            {"step": [["2", 1]], "place": [[1, 0]]},
+            {"step": [[2, True]], "place": [[1, 0]]},
+            {"step": [[2, 1]], "place": [[1, 0]], "loading": {"a": [1.0]}},
+            {"step": [[2, 1]], "place": [[1, 0]], "loading": [[1]]},
+        ],
+        ids=["float", "string", "bool", "float-loading", "loading-list"],
+    )
+    def test_array_from_spec_refuses_non_integers(self, spec):
+        with pytest.raises(ReproError, match="design spec"):
+            array_from_spec(spec)
 
 
 class TestCommands:
@@ -106,6 +120,32 @@ class TestCommands:
         # step vanishes on null.place: compile must fail with code 2
         assert main(["compile", SOURCE, str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, needle",
+        [
+            ("missing-design", "cannot read"),
+            ("design-not-json", "is not JSON"),
+            ("design-without-step", "missing the 'step' rows"),
+            ("missing-source", "cannot read"),
+        ],
+    )
+    def test_unreadable_inputs_fail_by_name(self, case, needle, tmp_path, capsys):
+        source, design = SOURCE, DESIGN
+        if case == "missing-design":
+            design = str(tmp_path / "absent.json")
+        elif case == "design-not-json":
+            design = str(tmp_path / "design.json")
+            pathlib.Path(design).write_text("step = [[2, 1]]\n")
+        elif case == "design-without-step":
+            design = str(tmp_path / "design.json")
+            pathlib.Path(design).write_text(json.dumps({"place": [[1, 0]]}))
+        else:
+            source = str(tmp_path / "absent.src")
+        assert main(["compile", source, design]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert "Traceback" not in err
 
     def test_incompatible_design_verify(self, tmp_path):
         bad = tmp_path / "bad.json"
