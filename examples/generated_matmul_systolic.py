@@ -2,15 +2,13 @@
 
 Generated by repro.target.pygen; requires only the standard library.
 
-run(sizes, inputs)           -- fast cooperative engine
-                                (generator processes, unbounded FIFOs)
-run_threaded(sizes, inputs)  -- threads + capacity-1 channels
-                                (the paper's distributed target model)
-
-The network is a Kahn process network (one producer and one consumer
-per channel), so both engines produce identical results.  Either
-engine raises Deadlock, naming the blocked processes, when none
-can move.
+run(sizes, inputs) executes the process network: every process is a
+generator, and every channel holds one value (the paper's buffer of
+size 1), so a send to a full channel waits for the receiver.  The
+network is a Kahn process network (one producer and one consumer
+per channel), so the results do not depend on the order processes
+run in.  run raises Deadlock, naming the blocked processes, when
+none can move.
 """
 
 COORDS = ('col', 'row')
@@ -224,7 +222,6 @@ STREAMS = [
 
 # ---------------------------------------------------------------- runner --
 from collections import deque as _deque
-import threading as _threading
 
 
 class Deadlock(RuntimeError):
@@ -273,19 +270,21 @@ def _cnt(value):
     return count
 
 
-# Processes are generators: ``value = yield chan`` receives from a channel,
-# ``chan.put(value)`` sends.  Both engines drive the same generators.
+# Processes are generators: ``value = yield chan`` receives from a channel;
+# ``if chan.put(value): yield chan.room`` sends, parking the sender while
+# the channel is full.
 
 def _passer(cin, cout, count):
     for _ in range(count):
         value = yield cin
-        cout.put(value)
+        if cout.put(value):
+            yield cout.room
 
 
 def _feeder(chan, elements, values):
     for element in elements:
-        chan.put(values[element])
-    yield from ()
+        if chan.put(values[element]):
+            yield chan.room
 
 
 def _drainer(chan, elements, sink):
@@ -296,7 +295,7 @@ def _drainer(chan, elements, sink):
 def _round_robin(moving_io, counts):
     """``(cin, cout)`` of every soak (or drain) pass: one element per moving
     stream per round, in declaration order.  One stream at a time can
-    deadlock on bounded channels: a neighbour blocked midway through
+    deadlock on capacity-1 channels: a neighbour blocked midway through
     another stream never reaches its repeater, which emits one element of
     every stream per statement."""
     order, done = [], 0
@@ -320,14 +319,16 @@ def _compute(point, sizes, env, in_chan, out_chan):
         local[name] = yield cin
         for _ in range(_cnt(s['drain'](env))):  # loading passes = drain
             value = yield cin
-            cout.put(value)
+            if cout.put(value):
+                yield cout.room
     moving_io = [
         (s['name'], in_chan[s['name']][point], out_chan[s['name']][point])
         for s in moving
     ]
     for cin, cout in _round_robin(moving_io, [_cnt(s['soak'](env)) for s in moving]):
         value = yield cin
-        cout.put(value)
+        if cout.put(value):
+            yield cout.room
     # -- the repeater: the basic statements of this process ----------------
     x = _first(env)
     for _ in range(_cnt(_count(env))):
@@ -341,24 +342,29 @@ def _compute(point, sizes, env, in_chan, out_chan):
         for s in stationary:
             local[s['name']] = values[s['name']]
         for name, _cin, cout in moving_io:
-            cout.put(values[name])
+            if cout.put(values[name]):
+                yield cout.room
         x = _add(x, INCREMENT)
     # -- post phase: moving drains, then stationary recoveries -------------
     for cin, cout in _round_robin(moving_io, [_cnt(s['drain'](env)) for s in moving]):
         value = yield cin
-        cout.put(value)
+        if cout.put(value):
+            yield cout.room
     for s in stationary:
         name = s['name']
         cin, cout = in_chan[name][point], out_chan[name][point]
         for _ in range(_cnt(s['soak'](env))):  # recovery passes = soak
             value = yield cin
-            cout.put(value)
-        cout.put(local[name])
+            if cout.put(value):
+                yield cout.room
+        if cout.put(local[name]):
+            yield cout.room
 
 
-def _build(sizes, inputs, new_chan):
-    """Instantiate the process network: ``(label, generator)`` pairs +
-    channels.  Labels name processes the way the simulator does."""
+def _build(sizes, inputs, ready):
+    """Instantiate the process network: ``(label, generator)`` pairs
+    wired by channels that wake parked processes onto ``ready``.  Labels
+    name processes the way the simulator does."""
     lo = tuple(int(c) for c in _ps_min(sizes))
     hi = tuple(int(c) for c in _ps_max(sizes))
     order = _box_points(lo, hi)
@@ -387,20 +393,20 @@ def _build(sizes, inputs, new_chan):
                 total = 0  # no basic statement on the pipe
             for p in chain:
                 chain_total[(name, p)] = total
-            head = feed = new_chan()
+            head = feed = _Chan(ready)
             for idx, y in enumerate(chain):
                 if idx > 0:
-                    link = new_chan()
+                    link = _Chan(ready)
                     out_chan[name][chain[idx - 1]] = link
                     feed = link
                 for k in range(spec['latches']):
-                    buffered = new_chan()
+                    buffered = _Chan(ready)
                     procs.append(
                         ('L:%s%r#%d' % (name, y, k), _passer(feed, buffered, total))
                     )
                     feed = buffered
                 in_chan[name][y] = feed
-            tail = new_chan()
+            tail = _Chan(ready)
             out_chan[name][chain[-1]] = tail
             elements = []
             if total:
@@ -429,29 +435,49 @@ def _build(sizes, inputs, new_chan):
     return procs, final
 
 
-# --------------------------------------------------- cooperative engine --
-class _Chan:
-    """Unbounded FIFO with a single parked consumer."""
+# ---------------------------------------------------------------- engine --
+class _Room:
+    """What a sender yields to park until its channel has room."""
 
-    __slots__ = ('buf', 'waiter', 'ready')
+    __slots__ = ('chan',)
+
+    def __init__(self, chan):
+        self.chan = chan
+
+
+class _Chan:
+    """Capacity-1 channel.  A send to a parked consumer hands the value
+    straight over, as the simulator does; otherwise one value is buffered,
+    and a producer that finds the buffer full parks holding its value."""
+
+    __slots__ = ('full', 'value', 'pending', 'waiter', 'sender', 'ready', 'room')
 
     def __init__(self, ready):
-        self.buf = _deque()
-        self.waiter = None
+        self.full = False
+        self.value = self.pending = self.waiter = self.sender = None
         self.ready = ready
+        self.room = _Room(self)
 
     def put(self, value):
-        self.buf.append(value)
+        """Send ``value``; true when the channel is full, and the sender
+        must then park (``yield chan.room``) until the consumer takes."""
         waiter = self.waiter
         if waiter is not None:
             self.waiter = None
-            self.ready.append((waiter, self))
+            self.ready.append((waiter, value))
+            return False
+        if self.full:
+            self.pending = value
+            return True
+        self.full = True
+        self.value = value
+        return False
 
 
 def run(sizes, inputs):
-    """Execute with the fast cooperative engine; returns final contents."""
+    """Execute the process network; returns the final contents."""
     ready = _deque()
-    procs, final = _build(sizes, inputs, lambda: _Chan(ready))
+    procs, final = _build(sizes, inputs, ready)
 
     def step(gen, value):
         send = gen.send
@@ -460,123 +486,25 @@ def run(sizes, inputs):
                 chan = send(value)
             except StopIteration:
                 return
-            buf = chan.buf
-            if buf:
-                value = buf.popleft()
-            else:
+            if chan.__class__ is _Room:
+                chan.chan.sender = gen
+                return
+            if not chan.full:
                 chan.waiter = gen
                 return
+            value = chan.value
+            sender = chan.sender
+            if sender is None:
+                chan.full = False
+            else:  # the parked producer's value takes the freed place
+                chan.sender = None
+                chan.value = chan.pending
+                ready.append((sender, None))
 
     for _label, gen in procs:
         step(gen, None)
     while ready:
-        gen, chan = ready.popleft()
-        step(gen, chan.buf.popleft())
+        step(*ready.popleft())
     if any(gen.gi_frame is not None for _label, gen in procs):
         raise Deadlock(procs)
-    return final
-
-
-# ------------------------------------------------------ threaded engine --
-class _Net:
-    """The one lock every channel of a threaded run shares, and the count
-    of process threads blocked on it.  Once every live thread is blocked,
-    no message can ever move again: all of them are released at once."""
-
-    def __init__(self):
-        self.lock = _threading.Lock()
-        self.live = self.blocked = 0
-        self.procs = self.deadlock = None
-        self.chans = []
-
-    def check(self):
-        """Declare the deadlock if every live thread is blocked (lock held)."""
-        if self.live and self.blocked == self.live and self.deadlock is None:
-            self.deadlock = Deadlock(self.procs)
-            for chan in self.chans:
-                chan.cond.notify()
-
-
-class _Released(Exception):
-    """Unwinds a process thread once the run has deadlocked."""
-
-
-class _TChan:
-    """Capacity-1 channel (transputer-style) of the threaded engine."""
-
-    __slots__ = ('net', 'buf', 'cond', 'waiter')
-
-    def __init__(self, net):
-        self.net = net
-        self.buf = _deque()
-        self.cond = _threading.Condition(net.lock)
-        self.waiter = None
-        net.chans.append(self)
-
-    def _park(self):
-        net = self.net
-        me = self.waiter = object()
-        net.blocked += 1
-        net.check()
-        # the other end may park here before this thread runs again
-        while self.waiter is me and net.deadlock is None:
-            self.cond.wait()
-        if net.deadlock is not None:
-            raise _Released()
-
-    def _wake(self):
-        if self.waiter is not None:
-            self.waiter = None
-            self.net.blocked -= 1
-            self.cond.notify()
-
-    def put(self, value):
-        with self.net.lock:
-            while self.buf:
-                self._park()
-            self.buf.append(value)
-            self._wake()
-
-    def get(self):
-        with self.net.lock:
-            while not self.buf:
-                self._park()
-            value = self.buf.popleft()
-            self._wake()
-            return value
-
-
-def _drive(net, gen, errors):
-    value = None
-    try:
-        while True:
-            value = gen.send(value).get()
-    except (StopIteration, _Released):
-        pass
-    except Exception as exc:  # re-raised by run_threaded
-        errors.append(exc)
-    finally:
-        with net.lock:
-            net.live -= 1
-            net.check()
-
-
-def run_threaded(sizes, inputs):
-    """Execute with one thread per process and capacity-1 channels."""
-    net = _Net()
-    net.procs, final = _build(sizes, inputs, lambda: _TChan(net))
-    net.live = len(net.procs)
-    errors = []
-    threads = [
-        _threading.Thread(target=_drive, args=(net, gen, errors), daemon=True)
-        for _label, gen in net.procs
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    if net.deadlock is not None:
-        raise net.deadlock
     return final

@@ -32,11 +32,11 @@ from repro.lang.program import SourceProgram
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.systolic.spec import SystolicArray
+from repro.target import pygen
 from repro.target.build import build_target_program
 from repro.target.cgen import render_c
 from repro.target.occam import render_occam
 from repro.target.pretty import render_paper
-from repro.target.pygen import fingerprint_of, render_python
 from repro.util.errors import ReproError
 from repro.verify.equivalence import oracle_mismatches, random_inputs, run_backend
 
@@ -82,12 +82,12 @@ class Compilation:
     @cached_property
     def fingerprint(self) -> str:
         """The design's content hash (sha256 over source and array)."""
-        return fingerprint_of(self.program, self.array)
+        return pygen.fingerprint_of(self.program, self.array)
 
     @cached_property
     def rendered(self) -> str:
         """The generated standalone Python module."""
-        return render_python(self.sp)
+        return pygen.render_python(self.sp)
 
     def emit(self, kind: str) -> str:
         """The program in one target notation (a key of :data:`EMITTERS`)."""
@@ -127,6 +127,7 @@ class Compilation:
             backend=backend,
             shape=shape,
             channel_capacity=channel_capacity,
+            rendered=self.rendered if backend == "pygen" else None,
         )
         seconds = time.perf_counter() - start
         mismatches = None

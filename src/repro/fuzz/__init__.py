@@ -15,8 +15,8 @@ those shapes:
   instance through the sequential oracle, the coroutine simulator, the
   compiled Python backend and the enumerative cross-check, checks that a
   pickle round-trip re-interns to the same program, and optionally runs
-  the NumPy, threaded and partitioned engines, larger channel capacities
-  and pool-vs-serial sweeps;
+  the NumPy and partitioned engines, larger channel capacities and
+  pool-vs-serial sweeps;
 * :mod:`repro.fuzz.shrink` -- a greedy shrinker that minimizes failing
   instances (drop loops, shrink bounds and sizes, drop branches/streams,
   simplify expressions) and writes deterministic reproducers;

@@ -11,12 +11,11 @@ process).  Results are byte-identical for every ``--jobs`` value.
 Expensive checks are *sampled* on a deterministic schedule so a default
 campaign stays fast but still covers them: the NumPy wavefront backend
 every 3rd iteration, partitioned execution every 4th, capacity invariance
-every 5th, the threaded engine every 7th and the pool-vs-serial sweep
-comparison every 25th.  The simulator, pygen, the enumerative cross-check
-and the pickle round-trip run on every instance.  A failure is shrunk with
-the sampled checks that caught it still on, and its reproducer records
-every ``HarnessConfig`` field, so the minimized file replays the same
-failure.
+every 5th and the pool-vs-serial sweep comparison every 25th.  The
+simulator, pygen, the enumerative cross-check and the pickle round-trip
+run on every instance.  A failure is shrunk with the sampled checks that
+caught it still on, and its reproducer records every ``HarnessConfig``
+field, so the minimized file replays the same failure.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.util.errors import ReproError
 #: spreads base seeds far apart so campaigns never share instance seeds
 SEED_STRIDE = 1_000_003
 
-THREADED_EVERY = 7
 CAPACITY_EVERY = 5
 POOL_EVERY = 25
 #: npgen is cheap (one vectorized pass) but needs the optional NumPy extra
@@ -46,7 +44,6 @@ PARTITION_EVERY = 4
 
 #: sampled ``HarnessConfig`` flag -> the checks it switches on
 _SAMPLED_CHECKS = {
-    "check_threaded": {"threaded"},
     "check_capacity": {"capacity"},
     "check_partition": {"partition", "partition_npgen"},
     "check_pool": {"pool_sweep"},
@@ -139,8 +136,6 @@ def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
     extra is *enabled* on its cadence (a flag set in ``base`` stays on)."""
     return replace(
         base,
-        check_threaded=base.check_threaded
-        or iteration % THREADED_EVERY == THREADED_EVERY - 1,
         check_capacity=base.check_capacity
         or iteration % CAPACITY_EVERY == CAPACITY_EVERY - 1,
         check_pool=base.check_pool or iteration % POOL_EVERY == POOL_EVERY - 1,

@@ -9,18 +9,17 @@ For a :class:`~repro.fuzz.generator.FuzzInstance` the harness
    is compared on them against that one compiled artifact);
 2. runs the **coroutine simulator** (:func:`repro.runtime.network.execute`)
    and compares every element of every variable;
-3. runs the **compiled Python backend**
-   (:func:`repro.target.pygen.execute_python`) and compares likewise;
+3. runs the **compiled Python backend** (the handle's one rendered
+   module, on capacity-1 channels) and compares likewise;
 4. runs the **enumerative cross-check**
    (:func:`repro.verify.enumerative.cross_check`) of every symbolic closed
    form against its brute-force definition;
 5. checks that a **pickle round-trip** (what ``parallel.sweep_designs``
    does to ship work) re-interns to the identical rendering and identical
    :class:`~repro.systolic.explore.DesignCost`;
-6. optionally: the vectorized NumPy backend, the threaded engine, larger
-   channel capacities, the partitioned executors, and a real
-   pool-vs-serial ``sweep_designs`` comparison (sampled by the driver --
-   they dominate runtime).
+6. optionally: the vectorized NumPy backend, larger channel capacities,
+   the partitioned executors, and a real pool-vs-serial ``sweep_designs``
+   comparison (sampled by the driver -- they dominate runtime).
 
 Which checks exist is decided by a kill matrix
 (``tests/fuzz/test_kill_matrix.py``): every planted fault x every check,
@@ -48,7 +47,7 @@ from repro.lang.interpreter import run_sequential
 from repro.runtime.network import execute
 from repro.symbolic.piecewise import Piecewise
 from repro.systolic.explore import cost_of_compiled
-from repro.target.pygen import execute_python, render_python
+from repro.target import pygen
 from repro.verify.enumerative import cross_check
 from repro.verify.equivalence import oracle_mismatches, random_inputs
 
@@ -171,8 +170,6 @@ class HarnessConfig:
     #: every set (amortizing one compiled module), npgen runs them all in
     #: a single vectorized batch, the coroutine simulator runs set 0
     input_sets: int = 1
-    #: run the generated module's threads-plus-bounded-queues engine too
-    check_threaded: bool = False
     #: run the vectorized NumPy wavefront backend too (skipped silently
     #: when NumPy is missing; designs outside its integer value domain
     #: are a pass, not a failure)
@@ -290,9 +287,9 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
     checked("simulator", check_simulator)
 
     def check_pygen():
-        # every input set runs against the one cached module compilation
+        # every input set runs the handle's one rendered module
         for seed, given, expected in zip(seeds, input_sets, oracles):
-            got = execute_python(sp, env, given)
+            got = pygen.run_rendered(handle.rendered, sp, env, given)
             mism = oracle_mismatches(expected, got, limit)
             if mism:
                 raise AssertionError(f"inputs seed {seed}: " + "; ".join(mism))
@@ -337,22 +334,12 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
         interning decides identity and speed, never values.
         """
         sp2 = pickle.loads(pickle.dumps(sp))
-        if render_python(sp2) != handle.rendered:
+        if pygen.render_python(sp2) != handle.rendered:
             raise AssertionError("pickle round-trip changes the rendering")
         if cost_of_compiled(sp2, env) != cost_of_compiled(sp, env):
             raise AssertionError("pickle round-trip changes the design cost")
 
     checked("pickle_reintern", check_round_trip)
-
-    if config.check_threaded:
-
-        def check_threaded():
-            got = execute_python(sp, env, inputs, threaded=True)
-            mism = oracle_mismatches(oracle, got, limit)
-            if mism:
-                raise AssertionError("; ".join(mism))
-
-        checked("threaded", check_threaded)
 
     if config.check_capacity:
 

@@ -398,10 +398,13 @@ class CompileService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self.executor, fn, *args)
 
-    async def _design_for(self, request: Mapping[str, Any]) -> Compilation:
-        """Resolve a request's design: by fingerprint or source+design."""
+    async def _design_for(
+        self, request: Mapping[str, Any]
+    ) -> tuple[Compilation, bool]:
+        """Resolve a request's design: by fingerprint or source+design.
+        The flag tells whether the store already held it."""
         if "fingerprint" in request and "source" not in request:
-            return self.store.lookup(request["fingerprint"])
+            return self.store.lookup(request["fingerprint"]), True
         if "source" not in request or "design" not in request:
             raise _HttpError(
                 400,
@@ -465,42 +468,29 @@ class CompileService:
             raise _HttpError(
                 400, f"emit must be one of {_EMITTERS}, got {emit!r}"
             )
-        cached_before = (
-            "fingerprint" in request and "source" not in request
-        ) or (
-            isinstance(request.get("source"), str)
-            and isinstance(request.get("design"), Mapping)
-            and self._peek(request) is not None
-        )
-        entry = await self._design_for(request)
+        entry, cached = await self._design_for(request)
         payload = {
             "fingerprint": entry.fingerprint,
             "name": entry.array.name,
             "summary": await self._run_blocking(entry.sp.summary),
-            "cached": bool(cached_before),
+            "cached": cached,
         }
         if emit != "none":
             payload["emitted"] = await self._run_blocking(entry.emit, emit)
             payload["emit"] = emit
         return payload
 
-    def _peek(self, request: Mapping[str, Any]) -> Compilation | None:
-        """Non-counting store probe (drives the ``cached`` response bit)."""
-        try:
-            _, _, fingerprint = self.store.parse_request(
-                request["source"], request["design"]
-            )
-        except ReproError:
-            return None
-        return self.store.peek(fingerprint)
-
     async def _handle_execute(self, request: Mapping[str, Any]) -> dict:
-        entry = await self._design_for(request)
+        entry, _cached = await self._design_for(request)
         env = self._sizes_of(request)
         backend = request.get("backend", "sim")
         seed = self._int_of(request, "seed", 0)
         batch = self._int_of(request, "batch", 1, minimum=1)
-        check = bool(request.get("check", True))
+        check = request.get("check", True)
+        if not isinstance(check, bool):
+            raise _HttpError(
+                400, f"request field 'check' must be a boolean, got {check!r}"
+            )
         shape = request.get("array")
         return await self._run_blocking(
             self._execute_design, entry, env, backend, seed, batch, shape, check
@@ -537,7 +527,7 @@ class CompileService:
         return payload
 
     async def _handle_verify(self, request: Mapping[str, Any]) -> dict:
-        entry = await self._design_for(request)
+        entry, _cached = await self._design_for(request)
         env = self._sizes_of(request)
         backend = request.get("backend", "sim")
         seed = self._int_of(request, "seed", 0)

@@ -89,10 +89,6 @@ class DesignStore:
         """The cached design (a hit, bumping LRU recency); None when absent."""
         return self._designs.get(fingerprint)
 
-    def peek(self, fingerprint: str) -> Compilation | None:
-        """Like :meth:`get` without touching recency or counters."""
-        return self._designs.peek(fingerprint)
-
     def lookup(self, fingerprint: str) -> Compilation:
         """Like :meth:`get` but raising the daemon-facing 4xx error."""
         if not isinstance(fingerprint, str) or not fingerprint:
@@ -109,8 +105,9 @@ class DesignStore:
 
     async def get_or_compile(
         self, source_text: str, design_spec: Mapping[str, Any]
-    ) -> Compilation:
-        """The compiled design for a request, compiling at most once.
+    ) -> tuple[Compilation, bool]:
+        """The compiled design for a request, compiling at most once, and
+        whether the store already held it (a coalesced waiter did not).
 
         Concurrent callers with the same fingerprint share one in-flight
         compilation; the awaited future is shielded by the caller's
@@ -120,7 +117,7 @@ class DesignStore:
         program, array, fingerprint = self.parse_request(source_text, design_spec)
         entry = self.get(fingerprint)
         if entry is not None:
-            return entry
+            return entry, True
         future = self._inflight.get(fingerprint)
         if future is None:
             self.misses += 1
@@ -137,7 +134,7 @@ class DesignStore:
             )
         else:
             self.coalesced += 1
-        return await asyncio.shield(future)
+        return await asyncio.shield(future), False
 
     async def _compile_into(
         self,
@@ -158,6 +155,8 @@ class DesignStore:
                 future.set_exception(exc)
             return
         entry = Compilation(program, array, sp)
+        # the request is hashed already: seed the lazy ``fingerprint``
+        vars(entry)["fingerprint"] = fingerprint
         self._designs.put(fingerprint, entry)
         self._inflight.pop(fingerprint, None)
         if not future.cancelled():

@@ -89,6 +89,7 @@ def run_backend(
     backend: str = "sim",
     shape: tuple[int, ...] | None = None,
     channel_capacity: int = 1,
+    rendered: str | None = None,
 ) -> list[tuple[dict, SchedulerStats | None]]:
     """Run every input set of ``batch`` on one engine.
 
@@ -98,7 +99,9 @@ def run_backend(
     ``(p, q)``) folds the run onto a fixed physical array: the simulator
     uses the partitioned process network
     (:func:`repro.extensions.partition.partitioned_execute`), npgen the
-    banded executor.  pygen has no partitioned mode.
+    banded executor.  pygen has no partitioned mode; it runs
+    ``rendered``, the module :func:`~repro.target.pygen.render_python`
+    made of ``sp``, when the caller holds it, and renders once otherwise.
     """
     if backend not in BACKENDS:
         raise ReproError(
@@ -117,9 +120,11 @@ def run_backend(
                 "the pygen backend has no partitioned execution mode; "
                 "use backend='sim' or backend='npgen'"
             )
-        from repro.target.pygen import execute_python
+        from repro.target.pygen import render_python, run_rendered
 
-        return [(execute_python(sp, env, inputs), None) for inputs in batch]
+        if rendered is None:
+            rendered = render_python(sp)
+        return [(run_rendered(rendered, sp, env, inputs), None) for inputs in batch]
     if shape is None:
         return [
             execute(sp, env, inputs, channel_capacity=channel_capacity)

@@ -10,6 +10,7 @@ open bug visible until it is fixed and the file flipped to ``"pass"``.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,18 @@ from repro.fuzz.corpus import corpus_files, load_reproducer
 from repro.fuzz.harness import run_instance
 
 CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
+
+
+def test_retired_harness_field_still_loads(tmp_path):
+    """A reproducer naming a retired check flag (``check_threaded``, whose
+    thread-per-process engine is gone) loads and replays on the checks
+    that remain."""
+    raw = json.loads((CORPUS / "seed_1e31eacfe4c2.json").read_text())
+    raw["harness"]["check_threaded"] = True
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    instance, config, _raw = load_reproducer(path)
+    assert run_instance(instance, config).ok
 
 
 def test_corpus_is_not_empty():

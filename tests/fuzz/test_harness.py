@@ -56,9 +56,7 @@ class TestHarnessClean:
         )
         report = run_instance(
             instance,
-            HarnessConfig(
-                check_threaded=True, check_capacity=True, check_partition=True
-            ),
+            HarnessConfig(check_capacity=True, check_partition=True),
         )
         assert report.ok, str(report)
         assert "partition" in report.checks_run

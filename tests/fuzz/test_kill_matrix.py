@@ -1,30 +1,42 @@
 """The kill matrix: every planted fault x every harness check.
 
-Rows are the five :data:`~repro.fuzz.harness.MUTATIONS` plus three faults
-in the cache layers the derived program passes through.  The faults are
-functions local to this file that monkeypatch one cache, not mutations: ``repro fuzz --mutate``
-offers no way to plant them.  Columns are every check ``run_instance`` can
-run except ``pool_sweep``, whose process pool is out of this budget.
+Rows are the five :data:`~repro.fuzz.harness.MUTATIONS` plus four faults:
+three in the cache layers the derived program passes through and one in
+the simulator's channels that only a capacity above 1 can reach.  The
+faults are functions local to this file that monkeypatch one component,
+not mutations: ``repro fuzz --mutate`` offers no way to plant them.
+Columns are every check ``run_instance`` can run except ``pool_sweep``,
+whose process pool is out of this budget.
 
 The pinned counts decide which checks stay.  An engine check (one engine
 each) stays because it is its engine's only check.  Any other check must
 be the only catcher of some planted fault; a check that catches nothing
 another check does not catch is deleted, as the memo on/off A/B, the
-repeated execution and the on-disk render-cache checks were.  Known blind spot:
-skipping the re-interning on unpickle changes identity and speed, never
-values, so no check can see it and it is not planted.
+repeated execution and the on-disk render-cache checks were (the
+thread-per-process pygen check went with its engine once pygen itself ran
+capacity-1 channels).  Known blind spot: skipping the re-interning on
+unpickle changes identity and speed, never values, so no check can see it
+and it is not planted.
+
+:class:`TestChannelDiscipline` plants a fault in the generated module's
+own runner; it fires on two corpus pins and on no matrix seed.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import wavefront
 from repro.core.memo import MEMO, DerivationMemo
 from repro.extensions import partition
+from repro.fuzz.corpus import load_reproducer
 from repro.fuzz.generator import generate_instance
 from repro.fuzz.harness import MUTATIONS, HarnessConfig, run_instance
 from repro.runtime import network
+from repro.runtime.channel import Channel
 from repro.symbolic.affine import Affine
 from repro.target import pygen
 
@@ -33,6 +45,11 @@ pytest.importorskip("numpy")  # the npgen and partition_npgen columns
 #: generator seeds of the matrix: seed 8 is the one map_shear cannot
 #: perturb, seed 15 the one only cross_check sees count_plus_one on
 SEEDS = range(8, 16)
+
+#: corpus pins of fuzz instances on which soaking and draining one moving
+#: stream at a time deadlocks capacity-1 channels (no matrix seed does)
+ROUND_ROBIN_PINS = ("seed_1e31eacfe4c2", "seed_7551259922cb")
+CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
 #: every check run with all sampled extras on, pool_sweep aside
 COLUMNS = (
@@ -43,7 +60,6 @@ COLUMNS = (
     "cross_check",
     "npgen",
     "pickle_reintern",
-    "threaded",
     "capacity",
     "partition",
     "partition_npgen",
@@ -53,14 +69,11 @@ ENGINE_CHECKS = {
     "simulator",
     "pygen",
     "npgen",
-    "threaded",
-    "capacity",
     "partition",
     "partition_npgen",
 }
 
 CONFIG = dict(
-    check_threaded=True,
     check_npgen=True,
     check_capacity=True,
     check_partition=True,
@@ -107,7 +120,28 @@ def pickle_corrupt(mp):
     mp.setattr(Affine, "__reduce__", reduce)
 
 
-FAULTS = {f.__name__: f for f in (memo_collision, module_collision, pickle_corrupt)}
+class _NewestFirst(deque):
+    """A channel queue whose receive takes the newest queued message."""
+
+    popleft = deque.pop
+
+
+def newest_first(mp):
+    """Every simulator receive takes the newest of the queued messages:
+    invisible while a channel holds at most one."""
+    real = Channel.__init__
+
+    def init(self, name, capacity=1):
+        real(self, name, capacity)
+        self.queue = _NewestFirst()
+
+    mp.setattr(Channel, "__init__", init)
+
+
+FAULTS = {
+    f.__name__: f
+    for f in (memo_collision, module_collision, pickle_corrupt, newest_first)
+}
 ROWS = ("honest", *sorted(MUTATIONS), *FAULTS)
 
 #: row -> {column: instances caught}; columns not listed catch nothing
@@ -117,7 +151,6 @@ EXPECTED = {
         "simulator": 7,
         "pygen": 7,
         "cross_check": 8,
-        "threaded": 7,
         "capacity": 7,
         # the partitioned run shares execute's conservation pre-flight
         "partition": 7,
@@ -126,7 +159,6 @@ EXPECTED = {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
-        "threaded": 8,
         "capacity": 8,
         "partition": 8,
     },
@@ -134,7 +166,6 @@ EXPECTED = {
         "simulator": 7,
         "pygen": 7,
         "npgen": 7,
-        "threaded": 7,
         "capacity": 7,
         "partition": 7,
         "partition_npgen": 7,
@@ -143,7 +174,6 @@ EXPECTED = {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
-        "threaded": 8,
         "capacity": 8,
         "partition": 8,
     },
@@ -151,7 +181,6 @@ EXPECTED = {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
-        "threaded": 8,
         "capacity": 8,
         "partition": 8,
     },
@@ -159,13 +188,14 @@ EXPECTED = {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
-        "threaded": 8,
         "capacity": 8,
         "partition": 8,
     },
     # the first module cached is the right one for its own instance
-    "module_collision": {"pygen": 7, "threaded": 7},
+    "module_collision": {"pygen": 7},
     "pickle_corrupt": {"pickle_reintern": 8},
+    # a channel holds two messages only above capacity 1
+    "newest_first": {"capacity": 7},
 }
 
 
@@ -221,3 +251,35 @@ class TestKillMatrix:
         }
         for check in set(COLUMNS) - ENGINE_CHECKS - {"compile", "oracle"}:
             assert check in sole, f"{check} catches nothing on its own"
+
+
+def one_stream_at_a_time(mp):
+    """The generated compute processes soak and drain each moving stream
+    in full before the next one, instead of round-robin."""
+    head, rest = pygen._RUNNER.split("def _round_robin(", 1)
+    tail = rest[rest.index("\n\n\ndef _compute(") :]
+    serial = (
+        "def _round_robin(moving_io, counts):\n"
+        "    return [(cin, cout) for (_n, cin, cout), c in zip(moving_io, counts)"
+        " for _ in range(c)]"
+    )
+    mp.setattr(pygen, "_RUNNER", head + serial + tail)
+    mp.setattr(pygen, "_RUNNER_CODE", None)
+
+
+class TestChannelDiscipline:
+    """The generated code's own channel discipline: only pygen runs it."""
+
+    @pytest.mark.parametrize("pin", ROUND_ROBIN_PINS)
+    def test_pygen_catches_one_stream_at_a_time(self, pin):
+        instance, config, _raw = load_reproducer(CORPUS / f"{pin}.json")
+        assert run_instance(instance, config).ok
+        _clear_caches()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                one_stream_at_a_time(mp)
+                report = run_instance(instance, config)
+        finally:
+            _clear_caches()
+        assert report.failed_checks == {"pygen"}
+        assert "deadlocked" in str(report)

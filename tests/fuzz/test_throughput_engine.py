@@ -11,8 +11,8 @@ stats -- so this module proves they all survive:
   on every instantiation of a reused plan;
 * trace-on / trace-off / timing-off runs produce identical final values
   (and trace-on does not perturb the stats);
-* spies show one compile, one render and one oracle run per input seed
-  for each harness run.
+* spies show one compile, one oracle run per input seed and two renders
+  (the handle's and the pickled copy's) for each harness run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.compilation as compilation_mod
 import repro.fuzz.harness as harness_mod
 from repro.compilation import Compilation
 from repro.core.scheme import compile_systolic
@@ -29,6 +28,7 @@ from repro.fuzz.corpus import load_reproducer
 from repro.fuzz.harness import HarnessConfig, apply_mutation, run_instance
 from repro.runtime.network import execute, network_plan, plan_stats
 from repro.runtime.trace import attach_tracer
+from repro.target import pygen
 from repro.util.errors import DeadlockError
 from repro.verify.equivalence import random_inputs
 
@@ -71,9 +71,8 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     spy(harness_mod, "compile_systolic")
-    spy(harness_mod, "render_python")
     spy(harness_mod, "run_sequential")
-    spy(compilation_mod, "render_python")
+    spy(pygen, "render_python")
     return counts
 
 
@@ -144,11 +143,11 @@ class TestCompileOnce:
 
         The sampled engine checks (all but the pool sweep) are forced on so
         every consumer of the handle runs.  The oracle runs once per input
-        seed, and the only other render is the pickled copy's.
+        seed, pygen runs every seed on the handle's one rendering, and the
+        only other render is the pickled copy's.
         """
         config = HarnessConfig(
             input_sets=2,
-            check_threaded=True,
             check_npgen=True,
             check_capacity=True,
             check_partition=True,
@@ -157,10 +156,16 @@ class TestCompileOnce:
         assert report.ok, f"pinned case went red: {report}"
         assert calls == {
             "harness.compile_systolic": 1,
-            "compilation.render_python": 1,
-            "harness.render_python": 1,
             "harness.run_sequential": 2,
+            "pygen.render_python": 2,
         }
+
+    def test_handle_runs_pygen_on_its_one_rendering(self, pinned_instance, calls):
+        handle = compiled(pinned_instance)
+        for batch in (3, 1):
+            done = handle.run(pinned_instance.env, backend="pygen", batch=batch)
+            assert done.mismatched == 0
+        assert calls["pygen.render_python"] == 1
 
     def test_planted_mutation_is_caught_with_one_compile(
         self, pinned_instance, calls

@@ -48,6 +48,34 @@ class TestPaperDesignRoundTrips:
         fingerprint = service_run(scenario)
         assert len(fingerprint) == 64
 
+    def test_cold_compile_parses_and_hashes_once(self, service_run, monkeypatch):
+        from repro.service import store
+        from repro.target import pygen
+
+        calls = {"parse": 0, "hash": 0}
+
+        def spy(module, name, key):
+            real = getattr(module, name)
+
+            def counting(*args):
+                calls[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        spy(store, "parse_program", "parse")
+        spy(store, "fingerprint_of", "hash")
+        spy(pygen, "fingerprint_of", "hash")
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            status, payload = await client.compile(source, design)
+            assert status == 200 and payload["cached"] is False
+            assert len(payload["fingerprint"]) == 64
+
+        service_run(scenario)
+        assert calls == {"parse": 1, "hash": 1}
+
     @pytest.mark.parametrize(
         "exp_id, source, design",
         paper_requests(),
@@ -298,6 +326,9 @@ class TestErrorMapping:
             ("verify", "seed", "x"),
             ("execute", "seed", "x"),
             ("execute", "batch", "x"),
+            # check is a boolean: "false" once ran the oracle anyway
+            ("execute", "check", "false"),
+            ("execute", "check", 0),
             ("explore", "bound", "x"),
             ("explore", "limit", "x"),
         ],

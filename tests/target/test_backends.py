@@ -104,13 +104,12 @@ class TestPygenSource:
         for line in source.splitlines():
             if line.startswith(("import ", "from ")):
                 mod = line.split()[1]
-                assert mod in {"fractions", "collections", "queue", "threading"}
+                assert mod in {"fractions", "collections"}
 
     def test_interface(self, design):
         exp, _, _, sp = design
         source = render_python(sp)
         assert "def run(sizes, inputs):" in source
-        assert "def run_threaded(sizes, inputs):" in source
         namespace = {}
         exec(compile(source, f"<pygen:{exp}>", "exec"), namespace)
         assert namespace["COORDS"] == sp.coords

@@ -5,7 +5,6 @@ to the coroutine simulator on every paper design -- the generated module
 is a compiled fast path, not an approximation.
 """
 
-import sys
 import threading
 
 import pytest
@@ -58,47 +57,39 @@ class TestAgainstSimulator:
         assert execute_python(sp, {"n": 3}, inputs) == _tupled(final)
 
 
-class TestThreadedEngine:
-    def test_engines_agree(self, design):
-        """Kahn determinism: threads + bounded queues give the same result."""
+class TestCapacityOne:
+    """The generated engine runs the paper's capacity-1 channels."""
+
+    def test_resume_order_does_not_matter(self, design):
+        """Kahn determinism: starting the processes in reverse order parks
+        them on different channels first, yet gives the same contents."""
         exp, prog, sp = design
         inputs = random_inputs(prog, {"n": 2}, seed=5)
-        fast = execute_python(sp, {"n": 2}, inputs)
-        threaded = execute_python(sp, {"n": 2}, inputs, threaded=True)
-        assert fast == threaded
+        module = pygen._exec_module(pygen.render_python(sp))
+        build = module["_build"]
+
+        def reversed_build(*args):
+            procs, final = build(*args)
+            return procs[::-1], final
+
+        module["_build"] = reversed_build
+        got = module["run"]({"n": 2}, _tupled(inputs))
+        assert got == execute_python(sp, {"n": 2}, inputs)
 
     @pytest.mark.parametrize("seed", [10002030019, 10018030067])
     def test_round_robin_soak_and_drain(self, seed):
         """Fuzz instances on which soaking and draining one moving stream at
-        a time deadlocked the threaded engine's bounded queues."""
+        a time deadlocks capacity-1 channels."""
         instance = generate_instance(seed)
         prog, env = instance.program, instance.env
         sp = compile_systolic(prog, instance.array)
         inputs = random_inputs(prog, env, seed=0)
         oracle = _tupled(run_sequential(prog, env, inputs))
-        assert execute_python(sp, env, inputs, threaded=True) == oracle
-
-
-def _within(seconds, fn):
-    """``fn()``'s outcome, run on a watchdog thread so a hang fails the
-    test instead of stalling the suite; returns ``(value, error)``."""
-    box = {}
-
-    def target():
-        try:
-            box["value"] = fn()
-        except Exception as exc:
-            box["error"] = exc
-
-    watchdog = threading.Thread(target=target, daemon=True)
-    watchdog.start()
-    watchdog.join(seconds)
-    assert not watchdog.is_alive(), f"still running after {seconds} s"
-    return box.get("value"), box.get("error")
+        assert execute_python(sp, env, inputs) == oracle
 
 
 class TestDeadlock:
-    """A planted deadlock fails by name in both engines, at once."""
+    """A planted deadlock fails by name, at once."""
 
     @pytest.fixture(scope="class")
     def d1(self):
@@ -109,50 +100,42 @@ class TestDeadlock:
         return apply_mutation(d1, "soak_plus_one")
 
     def test_threaded_deadlock_is_detected_at_once(self, stuck):
+        """The name dates from the thread-per-process engine. A planted
+        deadlock still ends the run within seconds, naming the same ten
+        processes, and the run starts and leaves behind no threads."""
+        box = {}
+
+        def run():
+            try:
+                execute_python(stuck, {"n": 3})
+            except Exception as exc:
+                box["error"] = exc
+
         before = threading.active_count()
-        _, err = _within(5.0, lambda: execute_python(stuck, {"n": 3}, threaded=True))
+        watchdog = threading.Thread(target=run, daemon=True)
+        watchdog.start()
+        watchdog.join(5.0)
+        assert not watchdog.is_alive(), "still running after 5 s"
+        err = box.get("error")
         assert isinstance(err, DeadlockError)
         assert "10 process(es) blocked" in str(err)
         assert "IN:c(0,), OUT:c(3,), P(0,)" in str(err)
         assert threading.active_count() == before
 
     def test_cooperative_deadlock_is_named(self, stuck):
-        with pytest.raises(DeadlockError, match="9 process") as err:
+        """Capacity-1 channels block the feeder too: the ten processes the
+        former one-thread-per-process engine named, not nine."""
+        with pytest.raises(DeadlockError, match="10 process") as err:
             execute_python(stuck, {"n": 3})
-        assert "OUT:c(3,), P(0,)" in str(err.value)
+        assert "IN:c(0,), OUT:c(3,), P(0,)" in str(err.value)
 
-    def test_threaded_process_error_is_raised(self, d1, monkeypatch):
-        """A process that raises ends the run with its own error, and the
-        processes left waiting on it are released, not leaked."""
+    def test_process_error_is_raised(self, d1, monkeypatch):
+        """A process that raises ends the run with its own error."""
         source = pygen.render_python(d1).replace(
             "def _body(values, env):",
             "def _body(values, env):\n    raise KeyError('planted')",
             1,
         )
         monkeypatch.setattr(pygen, "render_python", lambda _sp: source)
-        before = threading.active_count()
-        _, err = _within(5.0, lambda: execute_python(d1, {"n": 3}, threaded=True))
-        assert isinstance(err, KeyError) and "planted" in str(err)
-        assert threading.active_count() == before
-
-    def test_blocked_count_survives_thread_switches(self, stuck):
-        """With a thread switch every few bytecodes, a lost update to the
-        blocked count would hang a run or declare a false deadlock."""
-        _exp, prog, arr = ALL[IDS.index("E2")]
-        sp = compile_systolic(prog, arr)
-        inputs = random_inputs(prog, {"n": 3}, seed=2)
-        expected = execute_python(sp, {"n": 3}, inputs)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                got, err = _within(
-                    30.0, lambda: execute_python(sp, {"n": 3}, inputs, threaded=True)
-                )
-                assert err is None and got == expected
-                _, err = _within(
-                    30.0, lambda: execute_python(stuck, {"n": 3}, threaded=True)
-                )
-                assert isinstance(err, DeadlockError)
-        finally:
-            sys.setswitchinterval(interval)
+        with pytest.raises(KeyError, match="planted"):
+            execute_python(d1, {"n": 3})
