@@ -301,11 +301,9 @@ profiling.register("wavefront_schedules", SCHEDULE_CACHE.stats)
 
 
 def wavefront_schedule(
-    sp: SystolicProgram, env: Mapping[str, Numeric], *, use_cache: bool = True
+    sp: SystolicProgram, env: Mapping[str, Numeric]
 ) -> WavefrontSchedule:
     """The (cached) vectorized execution plan of ``sp`` at size ``env``."""
-    if not use_cache:
-        return build_wavefront_schedule(sp, env)
     from repro.target.pygen import design_fingerprint  # lazy: import cycle
 
     return SCHEDULE_CACHE.get_or_build(

@@ -19,9 +19,6 @@ picklable via :meth:`DerivationMemo.export_state` /
 ``parallel.sweep_designs`` ships the warm driver-side memo to its worker
 processes once per batch.
 
-Set ``REPRO_DISABLE_MEMO=1`` to bypass every table (the golden ranked-table
-test in ``tests/systolic/test_explore.py`` runs with the memo on and off).
-
 ``validate_program`` keeps its own ``validate`` table here, keyed by the
 program fingerprint alone, so the coverage check runs once per program
 however many callers validate it.
@@ -33,7 +30,6 @@ This module must stay import-light: it is imported from ``core``,
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import weakref
 from typing import Any, Callable, Hashable
@@ -46,10 +42,6 @@ _MISSING = object()
 
 #: Per-table entry bound; one sweep's working set is a few hundred entries.
 _TABLE_LIMIT = 4096
-
-
-def _disabled() -> bool:
-    return os.environ.get("REPRO_DISABLE_MEMO", "") not in ("", "0")
 
 
 _skey_cache: dict[int, str] = {}
@@ -107,8 +99,6 @@ class DerivationMemo:
 
     def get(self, table: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The memoized value of ``compute()`` under ``(table, key)``."""
-        if _disabled():
-            return compute()
         with self._lock:
             entries = self.tables.get(table)
             if entries is None:

@@ -266,13 +266,12 @@ def _derive_partition(sp: SystolicProgram, shape: tuple[int, ...]) -> SymbolicPa
     )
 
 
-def _checked_shape(sp: SystolicProgram, shape) -> tuple[int, ...]:
-    """``shape`` as ``(p,)`` or ``(p, q)`` positive ints that fit ``sp``.
+def array_extents(shape) -> tuple[int, ...]:
+    """``shape`` as a tuple of positive ints, before any design is known.
 
-    The one validation of a physical-array shape, run before any cache key
-    is formed: a non-integer extent (``2.5``, ``"2"``, ``True``) would
-    otherwise be truncated into a fold the caller never asked for.
-    Raises :class:`SystolicSpecError` naming the shape.
+    A non-integer extent (``2.5``, ``"2"``, ``True``) would otherwise be
+    truncated into a fold the caller never asked for.  Raises
+    :class:`SystolicSpecError` naming the shape.
     """
     try:
         dims = tuple(shape)
@@ -284,6 +283,16 @@ def _checked_shape(sp: SystolicProgram, shape) -> tuple[int, ...]:
         raise SystolicSpecError(
             f"array shape must be a sequence of positive integers, got {shape!r}"
         )
+    return dims
+
+
+def _checked_shape(sp: SystolicProgram, shape) -> tuple[int, ...]:
+    """``shape`` as ``(p,)`` or ``(p, q)`` positive ints that fit ``sp``.
+
+    The one validation of a physical-array shape, run before any cache key
+    is formed.  Raises :class:`SystolicSpecError` naming the shape.
+    """
+    dims = array_extents(shape)
     axes = min(2, len(sp.coords))  # p bands or p x q tiles
     if len(dims) > axes:
         raise SystolicSpecError(
@@ -396,13 +405,9 @@ def partitioned_schedule(
     sp: SystolicProgram,
     env: Mapping[str, Numeric],
     shape: tuple[int, ...],
-    *,
-    use_cache: bool = True,
 ) -> PartitionedSchedule:
     """The (cached) fold of ``sp`` onto a fixed array at size ``env``."""
     shape = _checked_shape(sp, shape)
-    if not use_cache:
-        return compile_partition(sp, shape).specialize(sp, env)
     from repro.target.pygen import design_fingerprint  # lazy: import cycle
 
     return PARTITION_CACHE.get_or_build(

@@ -5,21 +5,21 @@ For a :class:`~repro.fuzz.generator.FuzzInstance` the harness
 1. compiles the instance once into a :class:`~repro.compilation.Compilation`
    (with the planted mutation, if any) and runs the **sequential
    interpreter** (the ground truth the paper verifies against) once on
-   every input set (``input_sets`` seeds per instance; each engine below
-   is compared on them against that one compiled artifact);
-2. runs the **coroutine simulator** (:func:`repro.runtime.network.execute`)
-   and compares every element of every variable;
-3. runs the **compiled Python backend** (the handle's one rendered
-   module, on capacity-1 channels) and compares likewise;
-4. runs the **enumerative cross-check**
+   every input set (``input_sets`` seeds per instance);
+2. runs every engine of :data:`ENGINE_RUNS` -- the **coroutine
+   simulator**, the **compiled Python backend** (the handle's one rendered
+   module, on capacity-1 channels) and, sampled by the driver, the
+   vectorized NumPy backend, channel capacity 3 and the partitioned
+   executors -- through :meth:`Compilation.run`, and compares every
+   element of every variable with the oracle;
+3. runs the **enumerative cross-check**
    (:func:`repro.verify.enumerative.cross_check`) of every symbolic closed
    form against its brute-force definition;
-5. checks that a **pickle round-trip** (what ``parallel.sweep_designs``
+4. checks that a **pickle round-trip** (what ``parallel.sweep_designs``
    does to ship work) re-interns to the identical rendering and identical
    :class:`~repro.systolic.explore.DesignCost`;
-6. optionally: the vectorized NumPy backend, larger channel capacities,
-   the partitioned executors, and a real pool-vs-serial ``sweep_designs``
-   comparison (sampled by the driver -- they dominate runtime).
+5. optionally (sampled, it dominates runtime): a real pool-vs-serial
+   ``sweep_designs`` comparison.
 
 Which checks exist is decided by a kill matrix
 (``tests/fuzz/test_kill_matrix.py``): every planted fault x every check,
@@ -39,15 +39,17 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.compilation import Compilation
 from repro.core.program import SystolicProgram
 from repro.core.scheme import compile_systolic
 from repro.lang.interpreter import run_sequential
-from repro.runtime.network import execute
 from repro.symbolic.piecewise import Piecewise
 from repro.systolic.explore import cost_of_compiled
 from repro.target import pygen
+from repro.target.npgen import HAVE_NUMPY
+from repro.util.errors import BackendUnsupportedError
 from repro.verify.enumerative import cross_check
 from repro.verify.equivalence import oracle_mismatches, random_inputs
 
@@ -186,6 +188,32 @@ class HarnessConfig:
     max_mismatches: int = 5
 
 
+class EngineCheck(NamedTuple):
+    """One engine check: a :meth:`Compilation.run` compared with the oracle."""
+
+    name: str
+    backend: str
+    #: fixed physical array shape the run folds onto, or None
+    shape: tuple[int, ...] | None
+    channel_capacity: int
+    #: every input set, or set 0 only
+    every_set: bool
+    #: the :class:`HarnessConfig` flag that enables the check, or None
+    flag: str | None
+
+
+#: the engine checks, in run order.  The simulator runs input set 0 only:
+#: it is the slowest engine and has no compiled artifact to amortize.
+ENGINE_RUNS = (
+    EngineCheck("simulator", "sim", None, 1, False, None),
+    EngineCheck("pygen", "pygen", None, 1, True, None),
+    EngineCheck("npgen", "npgen", None, 1, True, "check_npgen"),
+    EngineCheck("capacity", "sim", None, 3, False, "check_capacity"),
+    EngineCheck("partition", "sim", (2,), 1, False, "check_partition"),
+    EngineCheck("partition_npgen", "npgen", (2,), 1, False, "check_partition"),
+)
+
+
 @dataclass(frozen=True)
 class CheckFailure:
     """One failed check: which detector fired and a bounded message."""
@@ -269,32 +297,34 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
     if built is None:
         return report
     input_sets, oracles = built
-    inputs, oracle = input_sets[0], oracles[0]
 
     limit = config.max_mismatches
 
-    # -- engines ---------------------------------------------------------
-    def check_simulator():
-        # input set 0 only: the coroutine simulator is the slowest engine
-        # and gains nothing from batching (no compiled artifact to reuse
-        # beyond the network plan, which the capacity/partition checks
-        # already share).  Timing off: only the values are compared.
-        final, _stats = execute(sp, env, inputs, timing=False)
-        mism = oracle_mismatches(oracle, final, limit)
-        if mism:
-            raise AssertionError("; ".join(mism))
-
-    checked("simulator", check_simulator)
-
-    def check_pygen():
-        # every input set runs the handle's one rendered module
-        for seed, given, expected in zip(seeds, input_sets, oracles):
-            got = pygen.run_rendered(handle.rendered, sp, env, given)
-            mism = oracle_mismatches(expected, got, limit)
+    # -- engines: every run goes through the handle ----------------------
+    def run_engine(check: EngineCheck):
+        given = input_sets if check.every_set else input_sets[:1]
+        try:
+            execution = handle.run(
+                env,
+                backend=check.backend,
+                inputs=given,
+                shape=check.shape,
+                channel_capacity=check.channel_capacity,
+                check=False,
+            )
+        except BackendUnsupportedError:
+            return  # outside the integer value domain: a pass, not a bug
+        for seed, (final, _stats), expected in zip(seeds, execution.runs, oracles):
+            mism = oracle_mismatches(expected, final, limit)
             if mism:
                 raise AssertionError(f"inputs seed {seed}: " + "; ".join(mism))
 
-    checked("pygen", check_pygen)
+    for check in ENGINE_RUNS:
+        if check.flag is not None and not getattr(config, check.flag):
+            continue
+        if check.backend == "npgen" and not HAVE_NUMPY:
+            continue  # NumPy is optional: no npgen checks without it
+        checked(check.name, lambda: run_engine(check))
 
     def check_enumerative():
         rep = cross_check(sp, env)
@@ -302,29 +332,6 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
             raise AssertionError("; ".join(rep.errors[:limit]))
 
     checked("cross_check", check_enumerative)
-
-    if config.check_npgen:
-        from repro.target.npgen import HAVE_NUMPY, execute_numpy_batch
-        from repro.util.errors import BackendUnsupportedError
-
-        def check_npgen():
-            try:
-                # one vectorized pass over the whole input batch: the
-                # wavefront schedule is computed once for all sets
-                got_batch = execute_numpy_batch(
-                    sp, env, input_sets, use_cache=False
-                )
-            except BackendUnsupportedError:
-                return  # outside the integer value domain: a pass, not a bug
-            for seed, got, expected in zip(seeds, got_batch, oracles):
-                mism = oracle_mismatches(expected, got, limit)
-                if mism:
-                    raise AssertionError(
-                        f"inputs seed {seed}: " + "; ".join(mism)
-                    )
-
-        if HAVE_NUMPY:
-            checked("npgen", check_npgen)
 
     def check_round_trip():
         """A pickle round-trip keeps the rendering and the design cost.
@@ -340,52 +347,6 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
             raise AssertionError("pickle round-trip changes the design cost")
 
     checked("pickle_reintern", check_round_trip)
-
-    if config.check_capacity:
-
-        def check_capacity():
-            # instantiates from the same cached NetworkPlan as the main
-            # simulator run -- only the channel capacities differ
-            final, _stats = execute(
-                sp, env, inputs, channel_capacity=3, timing=False
-            )
-            mism = oracle_mismatches(oracle, final, limit)
-            if mism:
-                raise AssertionError("; ".join(mism))
-
-        checked("capacity", check_capacity)
-
-    if config.check_partition:
-
-        def check_partition():
-            from repro.extensions.partition import partitioned_execute
-
-            final, _stats = partitioned_execute(sp, env, inputs, shape=(2,))
-            mism = oracle_mismatches(oracle, final, limit)
-            if mism:
-                raise AssertionError("; ".join(mism))
-
-        checked("partition", check_partition)
-
-        from repro.target.npgen import HAVE_NUMPY as _have_np
-
-        if _have_np:
-
-            def check_partition_npgen():
-                from repro.target.npgen import execute_numpy_batch
-                from repro.util.errors import BackendUnsupportedError
-
-                try:
-                    got = execute_numpy_batch(
-                        sp, env, [inputs], shape=(2,), use_cache=False
-                    )[0]
-                except BackendUnsupportedError:
-                    return  # outside the integer value domain: a pass
-                mism = oracle_mismatches(oracle, got, limit)
-                if mism:
-                    raise AssertionError("; ".join(mism))
-
-            checked("partition_npgen", check_partition_npgen)
 
     if config.check_pool:
 

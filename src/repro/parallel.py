@@ -52,7 +52,6 @@ __all__ = [
     "pool_map",
     "resolve_jobs",
     "sweep_designs",
-    "explore_designs_parallel",
 ]
 
 
@@ -252,18 +251,3 @@ def sweep_designs(
     )
     return SweepResult(by_size=by_size, timings=timings)
 
-
-def explore_designs_parallel(
-    program: SourceProgram,
-    step: Matrix,
-    env: Mapping[str, Numeric],
-    *,
-    bound: int = 1,
-    limit: int | None = None,
-    jobs: int | None = 0,
-) -> list[DesignCost]:
-    """Parallel :func:`~repro.systolic.explore.explore_designs` (one size)."""
-    result = sweep_designs(
-        program, step, [env], bound=bound, limit=limit, jobs=jobs
-    )
-    return list(result.by_size[0][1])

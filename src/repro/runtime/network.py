@@ -126,8 +126,8 @@ class ProcessNetwork:
     #: amounts the builder evaluated once while wiring the compute nodes
     amounts: dict = field(default_factory=dict)
 
-    def run(self, max_rounds: int | None = None, *, timing: bool = True) -> SchedulerStats:
-        return self.scheduler.run(max_rounds=max_rounds, timing=timing)
+    def run(self, max_rounds: int | None = None) -> SchedulerStats:
+        return self.scheduler.run(max_rounds=max_rounds)
 
     def validate_topology(self) -> None:
         """Pre-flight :func:`_check_conservation` of this network.
@@ -582,29 +582,23 @@ def execute(
     channel_capacity: int = 1,
     fold: PartitionedSchedule | None = None,
     max_rounds: int | None = None,
-    validate: bool = True,
-    timing: bool = True,
 ) -> tuple[dict, SchedulerStats]:
     """Build, run, and return ``(final variable state, stats)``.
 
-    ``validate`` runs the pre-flight conservation check (better diagnostics
-    than a deadlock); every element of every variable must be recovered
-    exactly once.  It is performed once per plan, not once per run.
-    ``fold`` runs the network folded onto a fixed physical array (see
-    :meth:`NetworkPlan.instantiate`); the stats then carry the folded
-    makespan.
-    ``timing=False`` skips the Lamport-clock bookkeeping (stats carry zero
-    makespan); values, deadlock detection and FIFO order are unaffected.
+    The pre-flight conservation check (better diagnostics than a
+    deadlock) runs once per plan: every element of every variable must be
+    recovered exactly once.  ``fold`` runs the network folded onto a fixed
+    physical array (see :meth:`NetworkPlan.instantiate`); the stats then
+    carry the folded makespan.
     """
     t0 = time.perf_counter()
     plan = network_plan(sp, env)
-    if validate:
-        plan.validate()
+    plan.validate()
     network = plan.instantiate(
         inputs, channel_capacity=channel_capacity, fold=fold
     )
     t1 = time.perf_counter()
-    stats = network.run(max_rounds=max_rounds, timing=timing)
+    stats = network.run(max_rounds=max_rounds)
     for splan in sp.streams:
         network.host.check_full_recovery(splan.name)
     t2 = time.perf_counter()

@@ -124,8 +124,6 @@ class Scheduler:
         #: resume -- the zero-cost-when-off replacement for the old
         #: generator-wrapping instrumentation (see repro.runtime.trace).
         self._trace: Any = None
-        #: whether the current run maintains Lamport clocks (set by run())
-        self._timing: bool = True
         #: a scheduler runs exactly once; re-entry raises
         self._ran: bool = False
 
@@ -173,8 +171,7 @@ class Scheduler:
         """Complete a send: direct handoff to a parked receiver (rendezvous)
         or a push into free channel space."""
         chan: Channel = slot.op.channel
-        timing = self._timing
-        stamp = proc.yield_clock + 1 if timing else 0
+        stamp = proc.yield_clock + 1
         while chan.waiting_receivers:
             other, rslot = chan.waiting_receivers[0]
             chan.waiting_receivers.popleft()
@@ -183,8 +180,7 @@ class Scheduler:
             rslot.done = True
             rslot.result = slot.op.value
             chan.messages_carried += 1
-            if timing:
-                other.clock = max(other.clock, stamp)
+            other.clock = max(other.clock, stamp)
             slot.done = True
             self._maybe_wake(other)
             return True
@@ -201,8 +197,7 @@ class Scheduler:
             msg = chan.pop()
             slot.done = True
             slot.result = msg.value
-            if self._timing:
-                proc.clock = max(proc.clock, msg.timestamp)
+            proc.clock = max(proc.clock, msg.timestamp)
             self._drain_senders(chan)
             return True
         while chan.waiting_senders:
@@ -214,26 +209,23 @@ class Scheduler:
             slot.done = True
             slot.result = sslot.op.value
             chan.messages_carried += 1
-            if self._timing:
-                proc.clock = max(proc.clock, other.yield_clock + 1)
+            proc.clock = max(proc.clock, other.yield_clock + 1)
             self._maybe_wake(other)
             return True
         return False
 
     def _drain_senders(self, chan: Channel) -> None:
         """Space appeared: complete parked sends in FIFO order."""
-        timing = self._timing
         while chan.waiting_senders and chan.has_room():
             other, sslot = chan.waiting_senders.popleft()
             if sslot.done:
                 continue
-            chan.push(sslot.op.value, other.yield_clock + 1 if timing else 0)
+            chan.push(sslot.op.value, other.yield_clock + 1)
             sslot.done = True
             self._maybe_wake(other)
 
     def _drain_receivers(self, chan: Channel) -> None:
         """Data appeared: complete parked receives in FIFO order."""
-        timing = self._timing
         while chan.waiting_receivers and chan.queue:
             other, rslot = chan.waiting_receivers.popleft()
             if rslot.done:
@@ -241,8 +233,7 @@ class Scheduler:
             msg = chan.pop()
             rslot.done = True
             rslot.result = msg.value
-            if timing:
-                other.clock = max(other.clock, msg.timestamp)
+            other.clock = max(other.clock, msg.timestamp)
             self._maybe_wake(other)
 
     def _maybe_wake(self, proc: _ProcState) -> None:
@@ -288,10 +279,9 @@ class Scheduler:
             rslot.done = True
             rslot.result = op.value
             chan.messages_carried += 1
-            if self._timing:
-                stamp = proc.yield_clock + 1
-                if stamp > other.clock:
-                    other.clock = stamp
+            stamp = proc.yield_clock + 1
+            if stamp > other.clock:
+                other.clock = stamp
             slot.done = True
             # inlined _maybe_wake: rslot just completed, so a bare-request
             # peer is ready by construction; a Par peer decrements its
@@ -310,9 +300,7 @@ class Scheduler:
             # push into free space (inlined Channel.push); the rendezvous
             # loop above emptied waiting_receivers, so there is nobody to
             # drain -- the guard keeps the no-op call off the hot path
-            queue.append(
-                Message(op.value, proc.yield_clock + 1 if self._timing else 0)
-            )
+            queue.append(Message(op.value, proc.yield_clock + 1))
             chan.messages_carried += 1
             if len(queue) > chan.max_occupancy:
                 chan.max_occupancy = len(queue)
@@ -340,7 +328,7 @@ class Scheduler:
             msg = queue.popleft()
             slot.done = True
             slot.result = msg.value
-            if self._timing and msg.timestamp > proc.clock:
+            if msg.timestamp > proc.clock:
                 proc.clock = msg.timestamp
             if chan.waiting_senders:
                 self._drain_senders(chan)
@@ -356,10 +344,9 @@ class Scheduler:
             slot.done = True
             slot.result = sslot.op.value
             chan.messages_carried += 1
-            if self._timing:
-                stamp = other.yield_clock + 1
-                if stamp > proc.clock:
-                    proc.clock = stamp
+            stamp = other.yield_clock + 1
+            if stamp > proc.clock:
+                proc.clock = stamp
             # inlined _maybe_wake, as in _single_send
             if other.single:
                 ready.append(other)
@@ -449,15 +436,8 @@ class Scheduler:
         else:
             self._request_par(proc, op)
 
-    def run(
-        self, max_rounds: int | None = None, *, timing: bool = True
-    ) -> SchedulerStats:
+    def run(self, max_rounds: int | None = None) -> SchedulerStats:
         """Run all processes to completion; returns aggregate stats.
-
-        ``timing=False`` skips all Lamport-clock bookkeeping: values,
-        deadlock detection and the FIFO interleaving are unchanged, but the
-        returned stats carry zero makespan / per-process clocks.  Use it
-        when only the computed values matter (differential checks).
 
         A scheduler runs exactly once: generators are consumed and channel
         state is final, so a second call raises
@@ -481,7 +461,6 @@ class Scheduler:
                     f"worker assignment leaves {len(missing)} spawned "
                     f"process(es) uncovered: {shown}"
                 )
-        self._timing = timing
         trace = self._trace
         ready = self._ready
         worker_of = self._worker_of
@@ -511,11 +490,10 @@ class Scheduler:
                     f"process {proc.name} resumed with incomplete request"
                 )
             proc.slots = None
-            if timing:
-                if worker_of is None:
-                    proc.clock += 1
-                else:
-                    self._charge_worker(proc, worker_of, worker_clock)
+            if worker_of is None:
+                proc.clock += 1
+            else:
+                self._charge_worker(proc, worker_of, worker_clock)
             if trace is not None:
                 trace(proc.name, proc.clock, kind)
             advance(proc, value)

@@ -18,7 +18,7 @@ Endpoints (all JSON; ``POST`` unless noted)::
     POST /verify       {source+design | fingerprint, sizes[, backend, seed,
                         capacity]}
     POST /explore      {source[, bound, sizes, limit]}
-    POST /fuzz-replay  {ref[, corpus_dir]}
+    POST /fuzz-replay  {ref}
 
 Error contract: library errors map through
 :func:`repro.util.errors.http_status` (malformed programs/designs are 4xx
@@ -38,16 +38,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Awaitable, Callable, Mapping
 
-# the partitioned and wavefront engines /execute and /verify dispatch to,
+# the wavefront and partitioned engines /execute and /verify dispatch to,
 # loaded with the daemon so /stats lists their caches from the first request
+# (``array_extents`` below brings the partitioned one)
 import repro.analysis.wavefront  # noqa: F401
-import repro.extensions.partition  # noqa: F401
 from repro import profiling
 from repro.compilation import EMITTERS, Compilation
+from repro.extensions.partition import array_extents
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import DesignStore
 from repro.util.cache import size_key
 from repro.util.errors import ReproError, http_status
+from repro.verify.equivalence import checked_backend
 
 __all__ = ["CompileService", "ServiceConfig", "state_to_json"]
 
@@ -430,18 +432,17 @@ class CompileService:
     def _int_of(
         request: Mapping[str, Any], key: str, default: int, minimum: int | None = None
     ) -> int:
-        """An optional integer request field; a malformed or out-of-range
-        value is a 400 naming the field, not an internal error."""
+        """An optional integer request field; anything but a JSON integer
+        (a float, a boolean, a numeric string) or an out-of-range value is
+        a 400 naming the field, not a silently truncated run."""
         value = request.get(key, default)
-        try:
-            number = int(value)
-        except (TypeError, ValueError):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise _HttpError(
                 400, f"request field {key!r} must be an integer, got {value!r}"
-            ) from None
-        if minimum is not None and number < minimum:
-            raise _HttpError(400, f"{key} must be >= {minimum}, got {number}")
-        return number
+            )
+        if minimum is not None and value < minimum:
+            raise _HttpError(400, f"{key} must be >= {minimum}, got {value}")
+        return value
 
     # -- endpoint handlers --------------------------------------------------
 
@@ -481,9 +482,9 @@ class CompileService:
         return payload
 
     async def _handle_execute(self, request: Mapping[str, Any]) -> dict:
-        entry, _cached = await self._design_for(request)
+        # every field is checked before the design is compiled and stored
         env = self._sizes_of(request)
-        backend = request.get("backend", "sim")
+        backend = checked_backend(request.get("backend", "sim"))
         seed = self._int_of(request, "seed", 0)
         batch = self._int_of(request, "batch", 1, minimum=1)
         check = request.get("check", True)
@@ -492,6 +493,9 @@ class CompileService:
                 400, f"request field 'check' must be a boolean, got {check!r}"
             )
         shape = request.get("array")
+        if shape is not None:
+            shape = array_extents(shape)
+        entry, _cached = await self._design_for(request)
         return await self._run_blocking(
             self._execute_design, entry, env, backend, seed, batch, shape, check
         )
@@ -527,11 +531,11 @@ class CompileService:
         return payload
 
     async def _handle_verify(self, request: Mapping[str, Any]) -> dict:
-        entry, _cached = await self._design_for(request)
         env = self._sizes_of(request)
-        backend = request.get("backend", "sim")
+        backend = checked_backend(request.get("backend", "sim"))
         seed = self._int_of(request, "seed", 0)
         capacity = self._int_of(request, "capacity", 1, minimum=0)
+        entry, _cached = await self._design_for(request)
         return await self._run_blocking(
             self._verify_design, entry, env, backend, seed, capacity
         )
@@ -622,8 +626,9 @@ class CompileService:
                 "request field 'ref' must name a corpus reproducer "
                 "(digest or file name)",
             )
-        corpus_dir = request.get("corpus_dir", self.config.corpus_dir)
-        return await self._run_blocking(self._fuzz_replay, ref, corpus_dir)
+        return await self._run_blocking(
+            self._fuzz_replay, ref, self.config.corpus_dir
+        )
 
     @staticmethod
     def _fuzz_replay(ref: str, corpus_dir: str) -> dict:

@@ -331,7 +331,6 @@ def execute_numpy_batch(
     inputs_batch: Sequence,
     *,
     shape: tuple[int, ...] | None = None,
-    use_cache: bool = True,
 ) -> list[dict]:
     """Run ``len(inputs_batch)`` independent executions in one pass.
 
@@ -358,8 +357,8 @@ def execute_numpy_batch(
     if shape is not None:
         from repro.extensions.partition import partitioned_schedule
 
-        partition = partitioned_schedule(sp, env, shape, use_cache=use_cache)
-    schedule = wavefront_schedule(sp, env, use_cache=use_cache)
+        partition = partitioned_schedule(sp, env, shape)
+    schedule = wavefront_schedule(sp, env)
     dense_states = [
         initial_state(sp.source, env, inputs) for inputs in inputs_batch
     ]

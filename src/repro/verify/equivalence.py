@@ -81,6 +81,15 @@ class VerificationReport:
         )
 
 
+def checked_backend(backend) -> str:
+    """``backend`` if it names an engine of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ReproError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    return backend
+
+
 def run_backend(
     sp: SystolicProgram,
     env: Mapping[str, Numeric],
@@ -103,10 +112,7 @@ def run_backend(
     ``rendered``, the module :func:`~repro.target.pygen.render_python`
     made of ``sp``, when the caller holds it, and renders once otherwise.
     """
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
+    checked_backend(backend)
     if backend == "npgen":
         from repro.target.npgen import execute_numpy_batch
 

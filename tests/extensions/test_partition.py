@@ -92,7 +92,7 @@ class TestWavefrontTileBands:
 
         sp = compiled(exp_id)
         env = {"n": 4}
-        schedule = partitioned_schedule(sp, env, (bands,), use_cache=False)
+        schedule = partitioned_schedule(sp, env, (bands,))
         lead = [step.cells[0] for step in wavefront_schedule(sp, env).steps]
         for b in schedule.bands:
             assert b.work == tuple(

@@ -204,9 +204,9 @@ class TestDriver:
     def test_sampled_check_failure_replays(self, tmp_path, monkeypatch):
         """A failure only a sampled check sees is shrunk with that check on,
         and its reproducer records the flag, so the replay stays red."""
-        from repro.fuzz import harness
+        from repro.verify import equivalence
 
-        real_execute = harness.execute
+        real_execute = equivalence.execute
 
         def capacity_fault(sp, env, inputs, **kwargs):
             final, stats = real_execute(sp, env, inputs, **kwargs)
@@ -216,7 +216,7 @@ class TestDriver:
                 values[element] += 1
             return final, stats
 
-        monkeypatch.setattr(harness, "execute", capacity_fault)
+        monkeypatch.setattr(equivalence, "execute", capacity_fault)
         summary = fuzz_run(seed=0, iterations=5, corpus_dir=tmp_path)
         assert [f.checks for f in summary.failures] == [["capacity"]]
         loaded, cfg, raw = load_reproducer(summary.failures[0].reproducer)

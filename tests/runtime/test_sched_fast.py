@@ -1,8 +1,4 @@
-"""Request validation on the scheduler's hot path, in both run modes.
-
-Each case runs once with Lamport-clock bookkeeping off (``[0]``, the mode
-differential checks use) and once with it on (``[1]``); the checks must
-not depend on the mode:
+"""Request validation on the scheduler's hot path.
 
 * a malformed ``Par`` (nested ``Par``, non-op member, zero members) raises
   a named :class:`RuntimeSimulationError` at yield time instead of dying
@@ -17,9 +13,6 @@ import pytest
 
 from repro.runtime import Channel, Par, Recv, Scheduler, Send
 from repro.util.errors import RuntimeSimulationError
-
-#: 0 = ``run(timing=False)``, 1 = ``run(timing=True)``
-TIMING_MODES = [0, 1]
 
 
 class TestParValidation:
@@ -37,8 +30,7 @@ class TestParValidation:
         par.ops = tuple(ops)
         return par
 
-    @pytest.mark.parametrize("timing", TIMING_MODES)
-    def test_nested_par_rejected(self, timing):
+    def test_nested_par_rejected(self):
         sched = Scheduler()
         chan = sched.add_channel(Channel("c"))
         inner = self._raw_par([Recv(chan)])
@@ -49,10 +41,9 @@ class TestParValidation:
 
         sched.spawn("offender", proc())
         with pytest.raises(RuntimeSimulationError, match="offender.*Par"):
-            sched.run(timing=bool(timing))
+            sched.run()
 
-    @pytest.mark.parametrize("timing", TIMING_MODES)
-    def test_non_op_member_rejected(self, timing):
+    def test_non_op_member_rejected(self):
         sched = Scheduler()
         chan = sched.add_channel(Channel("c"))
         bad = self._raw_par([Recv(chan), "not an op"])
@@ -64,10 +55,9 @@ class TestParValidation:
         with pytest.raises(
             RuntimeSimulationError, match="offender.*not an op"
         ):
-            sched.run(timing=bool(timing))
+            sched.run()
 
-    @pytest.mark.parametrize("timing", TIMING_MODES)
-    def test_empty_par_rejected(self, timing):
+    def test_empty_par_rejected(self):
         sched = Scheduler()
         bad = self._raw_par([])
 
@@ -76,12 +66,11 @@ class TestParValidation:
 
         sched.spawn("offender", proc())
         with pytest.raises(RuntimeSimulationError, match="offender.*empty Par"):
-            sched.run(timing=bool(timing))
+            sched.run()
 
 
 class TestRunReentry:
-    @pytest.mark.parametrize("timing", TIMING_MODES)
-    def test_second_run_raises_and_first_stats_survive(self, timing):
+    def test_second_run_raises_and_first_stats_survive(self):
         sched = Scheduler()
         chan = sched.add_channel(Channel("c"))
 
@@ -95,10 +84,10 @@ class TestRunReentry:
 
         sched.spawn("p", producer())
         sched.spawn("c", consumer())
-        stats = sched.run(timing=bool(timing))
+        stats = sched.run()
         rounds, messages = stats.scheduler_rounds, stats.total_messages
         with pytest.raises(RuntimeSimulationError, match="already ran"):
-            sched.run(timing=bool(timing))
+            sched.run()
         # the failed re-entry must not have touched the first run's stats
         assert stats.scheduler_rounds == rounds > 0
         assert stats.total_messages == messages == 3

@@ -49,11 +49,10 @@ def _sorted_final(final) -> tuple:
 
 def _traced(plan, inputs, **instantiate):
     """(final values, stats, trace events, deadlock text) of one run."""
-    timing = instantiate.pop("timing", True)
     network = plan.instantiate(inputs, **instantiate)
     trace = attach_tracer(network)
     try:
-        stats, deadlock = network.run(timing=timing), None
+        stats, deadlock = network.run(), None
     except DeadlockError as exc:
         stats, deadlock = None, str(exc)
     return network.host.final, stats, trace.events, deadlock
@@ -95,7 +94,6 @@ def _cases():
             cases[f"{eid}-n{n}"] = (_design_case, (eid, n), {})
         cases[f"{eid}-n4-cap0"] = (_design_case, (eid, 4), {"channel_capacity": 0})
         cases[f"{eid}-n4-cap3"] = (_design_case, (eid, 4), {"channel_capacity": 3})
-        cases[f"{eid}-n4-untimed"] = (_design_case, (eid, 4), {"timing": False})
         for p in (2, 3):
             cases[f"{eid}-n4-shape{p}"] = (_partition_case, (eid, (p,)), {})
     for seed in CORPUS_SEEDS:
@@ -130,28 +128,24 @@ GOLDEN = {
     "D1-n4-cap3": (228, 139, 46, "d175d113485f40c9613f00d58f15009eab4ab81972ca315a706f006d4f64a157"),
     "D1-n4-shape2": (228, 139, 167, "7b7eb332618c6c293dc7bccde2033a23642026f2fafd911e10a3f0549ea1e4e1"),
     "D1-n4-shape3": (228, 139, 132, "a1e6957c964dd8c90ca420bfbb4b5e657f90022fb88fb8ebc9b0c52edb07f36d"),
-    "D1-n4-untimed": (228, 139, 0, "2698a470a2de13a976bcdb18c113d23d440ed1a8510e6d682d117e4df5178716"),
     "D1-n5": (322, 197, 56, "448a0c61cb5f0d053f1094d0a5a33a988eeef986ed93e55593931f6b8f989383"),
     "D2-n3": (264, 148, 60, "55e406e789398b104a697a94153c640189827d10f1b782e55a4320cf97240624"),
     "D2-n4-cap0": (420, 235, 78, "9bbcbd3c1214cd115a84f66a192b17919ed48b8b8f99a7589f816c3ded97a652"),
     "D2-n4-cap3": (420, 235, 78, "1bee270ed4f8fa57626aaccfc07726bb1496abc855bd6e154c0d1649f1bb71d9"),
     "D2-n4-shape2": (420, 235, 342, "40f17c478ae5e1f84ef0c2cb232f4cdf3d9be5d17c1d2ecda1be8d29a26134bb"),
     "D2-n4-shape3": (420, 235, 275, "3775b5c11761f805092e460d0f7369c4e9ce06f5f6e07b3723373b0e1e854222"),
-    "D2-n4-untimed": (420, 235, 0, "10444d329ed25bf58d4770f87017c6c103e95ef461ba8b06daf9b29f99523b75"),
     "D2-n5": (612, 342, 96, "b55200473511d4bc87549f4ffc72c69a8cc987b90c1a263dddd3a6ebd3c65aa2"),
     "E1-n3": (352, 240, 36, "7c40063d3f470d7bad2adb71cc430ee7bf5485d6bb3ef217bb28a6c24d2872f3"),
     "E1-n4-cap0": (650, 450, 46, "ec23a014f8ddf01e8271f98c566b34a622e317d8a76c54c3a9bcd1fdc1dc5b16"),
     "E1-n4-cap3": (650, 450, 46, "97ce402c75281874b6f52c0164b9b5f56c4ae5bcb5eef45a1e0a517919a66389"),
     "E1-n4-shape2": (650, 450, 464, "2cd77fd2bf5df3c5290e9d6782dfdae7890b16864825c21934ee48b4ddb5ba67"),
     "E1-n4-shape3": (650, 450, 351, "84aa644b2816faad29a1dbd9d3645a4cc1c5920124647ebd3fa9537017c2af8c"),
-    "E1-n4-untimed": (650, 450, 0, "2c1288f58c67cf389cbfeb84e47183071d9fb041b4a43edb787bad5d7f44e2c8"),
     "E1-n5": (1080, 756, 56, "d2ade690bdf4139dfea27842e8b794bb053fca1243400811aca4515cc3133e6a"),
     "E2-n3": (472, 364, 34, "6df416626bce7aeab2486854e64884030eb1fcea1c09f55e65db07dd990bbab6"),
     "E2-n4-cap0": (920, 710, 44, "9d0dc7c0297a970a81088d863cc8bfcae88c8c0a2010655bab5610f54b07dddb"),
     "E2-n4-cap3": (920, 710, 44, "45d11bbd91975f56ddff2e9f50cc23796cf2816dd946c88385e05ae9c7d8e569"),
     "E2-n4-shape2": (920, 710, 511, "9e6c4bb8a7d9838f8aa23378dd0591eba1bb8a91bb032121c56a54d1aab39194"),
     "E2-n4-shape3": (920, 710, 336, "bea39933de20ad27c988a92a63c904fd98532f7536f65335c1b35771950d91dd"),
-    "E2-n4-untimed": (920, 710, 0, "94e2e3cb233286e938948288e909b5409d93abfbcc38ab2afe2d7b5244fe4d8f"),
     "E2-n5": (1588, 1226, 54, "c27872f32e0e0228157996bc41ec1a02907445a2293d582d4ae44e0a60632b43"),
     "seed_1e31eacfe4c2": (160, 100, 44, "bb0d644c55c1167d85a57e59504b183ac191ee1dcbaeb2d14f7c04eabf232525"),
     "seed_1e31eacfe4c2-soak_plus_one": (None, None, None, "486ae4bfd34cc70648883bcdca1f9a5a1043c71e42a018c5aa9a0987103f7427"),

@@ -267,6 +267,7 @@ class TestErrorMapping:
             )
             assert status == 400
             assert "backend" in payload["error"]
+            assert service.store.snapshot()["misses"] == 0
 
         service_run(scenario)
 
@@ -284,6 +285,8 @@ class TestErrorMapping:
             )
             assert status == 400, payload
             assert "array shape" in payload["error"]
+            if array != [2, 2, 2]:  # only the axis count needs the design
+                assert service.store.snapshot()["misses"] == 0
 
         service_run(scenario)
 
@@ -331,6 +334,11 @@ class TestErrorMapping:
             ("execute", "check", 0),
             ("explore", "bound", "x"),
             ("explore", "limit", "x"),
+            # only a JSON integer: each of these once ran coerced by int() (200)
+            ("execute", "seed", 2.5),
+            ("execute", "batch", True),
+            ("execute", "seed", "2"),
+            ("verify", "capacity", 1.9),
         ],
     )
     def test_bad_integer_field_400(self, service_run, endpoint, field, value):
@@ -343,6 +351,9 @@ class TestErrorMapping:
             )
             assert status == 400
             assert field in payload["error"]
+            # every field is checked before the design is compiled
+            store = service.store.snapshot()
+            assert (store["designs"], store["misses"]) == (0, 0)
 
         service_run(scenario)
 
@@ -359,6 +370,7 @@ class TestErrorMapping:
             )
             assert status == 400
             assert "sizes" in payload["error"]
+            assert service.store.snapshot()["misses"] == 0
 
         service_run(scenario)
 
@@ -476,6 +488,21 @@ class TestOperationalEndpoints:
             assert payload["expect"] == "pass"
             assert payload["ok"] is True
             assert payload["checks_run"]
+
+        service_run(scenario)
+
+    def test_fuzz_replay_ignores_a_request_corpus_dir(self, service_run, tmp_path):
+        """Only the configured corpus is served: a ``corpus_dir`` field in
+        the request neither lists nor runs another directory."""
+        (tmp_path / "seed_2c6a5806697e.json").write_text("{}")
+
+        async def scenario(client, service):
+            for corpus_dir in (str(tmp_path), 5):
+                status, payload = await client.fuzz_replay(
+                    "2c6a5806697e", corpus_dir=corpus_dir
+                )
+                assert status == 200, payload
+                assert payload["ok"] is True and payload["checks_run"]
 
         service_run(scenario)
 

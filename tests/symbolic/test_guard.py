@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import compile_systolic, generate_instance
+from repro.core.memo import DerivationMemo
 from repro.profiling import counter
 from repro.symbolic import Affine, Constraint, Guard, Piecewise, interval
 from repro.systolic.designs import all_paper_designs
@@ -164,7 +165,9 @@ def test_implies_matches_reference_on_derivations(monkeypatch):
     """Every implication ``Guard.simplify`` asks while compiling the paper
     designs and 20 generated instances, and the same question with the
     guard's other conjuncts as context, answers as the reference does."""
-    monkeypatch.setenv("REPRO_DISABLE_MEMO", "1")
+    monkeypatch.setattr(
+        DerivationMemo, "get", lambda self, table, key, compute: compute()
+    )
     seen = {}
     simplify = Guard.simplify
 

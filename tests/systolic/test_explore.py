@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.core.memo import DerivationMemo
 from repro.geometry import Matrix, Point
 from repro.systolic import (
     DesignCost,
@@ -107,7 +108,10 @@ class TestExplore:
         """The full E2 ranked table at n=4 equals the committed golden one,
         with the derivation memo in use and bypassed: every caching layer
         must leave the table bit-for-bit unchanged."""
-        monkeypatch.setenv("REPRO_DISABLE_MEMO", "1" if memo == "off" else "0")
+        if memo == "off":
+            monkeypatch.setattr(
+                DerivationMemo, "get", lambda self, table, key, compute: compute()
+            )
         golden = json.loads(GOLDEN_E2_N4.read_text())
         prog = matrix_product_program()
         costs = explore_designs(

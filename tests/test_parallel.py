@@ -8,7 +8,6 @@ import pytest
 from repro.geometry import Matrix
 from repro.parallel import (
     SweepTimings,
-    explore_designs_parallel,
     resolve_jobs,
     sweep_designs,
 )
