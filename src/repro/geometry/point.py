@@ -22,13 +22,20 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from repro.util.errors import GeometryError
+from repro.util.errors import GeometryError, ReproError
 
 Scalar = Union[int, Fraction]
 
 
-def _normalize_scalar(value: Scalar) -> Scalar:
-    """Collapse integral Fractions to plain ints for canonical hashing."""
+def exact(value: Scalar, error: type[ReproError] = GeometryError) -> Scalar:
+    """The canonical exact form of a number: ``int`` when it is integral,
+    :class:`~fractions.Fraction` only when it is not.
+
+    Points and affine expressions (:mod:`repro.symbolic.affine`) hold every
+    number in this form, so equal values hash and compare as one key and
+    integral arithmetic stays in machine ints.  Anything that is not an
+    exact number (a float, a bool) raises ``error``.
+    """
     # Exact-type fast paths first: this runs once per coordinate of every
     # point a sweep enumerates.
     tp = type(value)
@@ -36,11 +43,11 @@ def _normalize_scalar(value: Scalar) -> Scalar:
         return value
     if tp is Fraction or isinstance(value, Fraction):
         if value.denominator == 1:
-            return int(value)
+            return value.numerator
         return value
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GeometryError(f"point coordinates must be exact numbers, got {value!r}")
-    return value
+        raise error(f"expected an exact number, got {value!r}")
+    return int(value)
 
 
 def sgn(value: Scalar) -> int:
@@ -62,7 +69,7 @@ class Point(tuple):
     __slots__ = ()
 
     def __new__(cls, coords: Iterable[Scalar]) -> "Point":
-        return super().__new__(cls, (_normalize_scalar(c) for c in coords))
+        return super().__new__(cls, (exact(c) for c in coords))
 
     # ------------------------------------------------------------------
     # constructors

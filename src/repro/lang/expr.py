@@ -115,8 +115,7 @@ class IndexExpr(Expr):
     affine: Affine
 
     def evaluate(self, streams, indices):
-        v = self.affine.evaluate(indices)
-        return int(v) if v.denominator == 1 else v
+        return self.affine.evaluate(indices)
 
     def stream_reads(self):
         return frozenset()

@@ -64,18 +64,18 @@ if TYPE_CHECKING:
 
 
 def _as_count(value: Any) -> int:
-    """Evaluate-result -> non-negative int (None means zero/null)."""
+    """Evaluate-result -> non-negative int (None means zero/null).
+
+    Evaluation returns an ``int`` for every integral value, so any other
+    type is a non-integer count.
+    """
     if value is None:
         return 0
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise RuntimeSimulationError(f"non-integer count {value}")
-        value = int(value)
+    if type(value) is not int:
+        raise RuntimeSimulationError(f"non-integer count {value}")
     if value < 0:
         raise RuntimeSimulationError(f"negative count {value}")
-    return int(value)
+    return value
 
 
 def _check_conservation(

@@ -484,7 +484,10 @@ class CompileService:
     async def _handle_execute(self, request: Mapping[str, Any]) -> dict:
         # every field is checked before the design is compiled and stored
         env = self._sizes_of(request)
-        backend = checked_backend(request.get("backend", "sim"))
+        shape = request.get("array")
+        if shape is not None:
+            shape = array_extents(shape)
+        backend = checked_backend(request.get("backend", "sim"), shape)
         seed = self._int_of(request, "seed", 0)
         batch = self._int_of(request, "batch", 1, minimum=1)
         check = request.get("check", True)
@@ -492,9 +495,6 @@ class CompileService:
             raise _HttpError(
                 400, f"request field 'check' must be a boolean, got {check!r}"
             )
-        shape = request.get("array")
-        if shape is not None:
-            shape = array_extents(shape)
         entry, _cached = await self._design_for(request)
         return await self._run_blocking(
             self._execute_design, entry, env, backend, seed, batch, shape, check

@@ -1,8 +1,15 @@
-"""Affine expressions over named symbols, with exact rational coefficients.
+"""Affine expressions over named symbols, with exact coefficients.
 
 An :class:`Affine` is ``sum_i c_i * s_i + k`` for symbols ``s_i``; it is the
 expression language of the paper's derived programs ("``2*n - col``",
-"``row - col + n``", ...).  :class:`AffineVec` is a fixed-length vector of
+"``row - col + n``", ...).  Every coefficient and constant is held in one
+canonical exact form (:func:`~repro.geometry.point.exact`): a plain ``int``
+when it is integral and a :class:`~fractions.Fraction` only when it is
+not.  The scheme's coefficients are almost always small integers, so
+hashing, comparing and combining them stays in machine-int arithmetic; and
+since ``hash(Fraction(k)) == hash(k)`` and ``Fraction(k) == k``, intern
+keys, iteration orders and renderings are those of an all-``Fraction``
+representation.  :class:`AffineVec` is a fixed-length vector of
 affine expressions, used for points of the index space parameterised by the
 process-space coordinates (e.g. ``first = (col - row, 0, -row)``).
 
@@ -18,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 from weakref import WeakValueDictionary
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, exact
 from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
@@ -26,7 +33,7 @@ Numeric = Union[int, Fraction]
 AffineLike = Union["Affine", int, Fraction]
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 #: Element types :class:`AffineVec` passes through unlifted (and for which
 #: :class:`Affine` arithmetic defers to the reflected operand).  Populated
@@ -38,20 +45,6 @@ def register_vec_passthrough(tp: type) -> None:
     global _VEC_PASSTHROUGH
     if tp not in _VEC_PASSTHROUGH:
         _VEC_PASSTHROUGH = _VEC_PASSTHROUGH + (tp,)
-
-
-def _as_fraction(value: Numeric) -> Fraction:
-    # Exact-type fast paths: re-wrapping an existing Fraction goes through
-    # fractions.Fraction.__new__'s slow generic path and dominated the
-    # profile of large sweeps.
-    tp = type(value)
-    if tp is Fraction:
-        return value
-    if tp is int:
-        return Fraction(value)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise SymbolicError(f"expected an exact number, got {value!r}")
-    return Fraction(value)
 
 
 class Affine:
@@ -70,15 +63,15 @@ class Affine:
     def __new__(
         cls, coeffs: Mapping[str, Numeric] | None = None, const: Numeric = 0
     ) -> "Affine":
-        clean: dict[str, Fraction] = {}
+        clean: dict[str, Numeric] = {}
         for sym, c in (coeffs or {}).items():
             if not isinstance(sym, str) or not sym:
                 raise SymbolicError(f"symbol names must be non-empty strings: {sym!r}")
-            f = _as_fraction(c)
-            if f != 0:
-                clean[sym] = f
-        const_f = _as_fraction(const)
-        key = (frozenset(clean.items()), const_f)
+            c = exact(c, SymbolicError)
+            if c:
+                clean[sym] = c
+        const = exact(const, SymbolicError)
+        key = (frozenset(clean.items()), const)
         stats = cls._stats
         self = cls._intern.get(key)
         if self is not None:
@@ -87,21 +80,28 @@ class Affine:
         stats.misses += 1
         self = object.__new__(cls)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "const", const_f)
+        object.__setattr__(self, "const", const)
         object.__setattr__(self, "_hash", hash(key))
         cls._intern[key] = self
         return self
 
     @classmethod
-    def _make(cls, coeffs: dict[str, Fraction], const: Fraction) -> "Affine":
+    def _make(cls, coeffs: dict[str, Numeric], const: Numeric) -> "Affine":
         """Internal interning constructor for arithmetic results.
 
-        Callers guarantee ``coeffs`` maps symbol strings to ``Fraction``
-        (zero values allowed, they are dropped here) and ``const`` is a
-        ``Fraction``; skipping the public constructor's per-item validation
-        matters because arithmetic dominates large sweeps.
+        Callers guarantee ``coeffs`` maps symbol strings to exact numbers
+        (zero values allowed, they are dropped here) and ``const`` is an
+        exact number; the results of ``int``/``Fraction`` arithmetic only
+        need an integral ``Fraction`` collapsed to ``int``, and skipping
+        the public constructor's per-item validation matters because
+        arithmetic dominates large sweeps.
         """
-        clean = {s: c for s, c in coeffs.items() if c}
+        clean = {
+            s: c if type(c) is int else exact(c)
+            for s, c in coeffs.items() if c
+        }
+        if type(const) is not int:
+            const = exact(const)
         key = (frozenset(clean.items()), const)
         stats = cls._stats
         self = cls._intern.get(key)
@@ -156,19 +156,19 @@ class Affine:
     def free_symbols(self) -> frozenset[str]:
         return frozenset(self.coeffs)
 
-    def coeff(self, symbol: str) -> Fraction:
+    def coeff(self, symbol: str) -> Numeric:
         return self.coeffs.get(symbol, _ZERO)
 
-    def as_constant(self) -> Fraction:
+    def as_constant(self) -> Numeric:
         if not self.is_constant:
             raise SymbolicError(f"{self} is not constant")
         return self.const
 
     def as_int(self) -> int:
         c = self.as_constant()
-        if c.denominator != 1:
+        if type(c) is not int:
             raise SymbolicError(f"{self} is not an integer")
-        return int(c)
+        return c
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -240,20 +240,22 @@ class Affine:
                 result = result + Affine.lift(replacement) * c
         return result
 
-    def evaluate(self, env: Mapping[str, Numeric]) -> Fraction:
-        """Fully evaluate; every free symbol must be bound in ``env``."""
+    def evaluate(self, env: Mapping[str, Numeric]) -> Numeric:
+        """Fully evaluate (an ``int`` when the value is integral); every
+        free symbol must be bound in ``env``."""
         total = self.const
         for sym, c in self.coeffs.items():
             if sym not in env:
                 raise SymbolicError(f"unbound symbol {sym!r} in {self}")
-            total += c * _as_fraction(env[sym])
-        return total
+            v = env[sym]
+            total += c * (v if type(v) is int else exact(v, SymbolicError))
+        return total if type(total) is int else exact(total)
 
     def evaluate_int(self, env: Mapping[str, Numeric]) -> int:
         v = self.evaluate(env)
-        if v.denominator != 1:
+        if type(v) is not int:
             raise SymbolicError(f"{self} evaluates to non-integer {v} under {dict(env)}")
-        return int(v)
+        return v
 
     # ------------------------------------------------------------------
     # comparison / display

@@ -1,14 +1,13 @@
 """Compiled evaluators: lower symbolic forms into flat Python closures.
 
 Interpreting an :class:`Affine`/:class:`Guard`/:class:`Piecewise` walks the
-expression tree and allocates a :class:`~fractions.Fraction` per term; the
-explorer and the simulator evaluate the *same* closed forms at thousands of
-points, so this module lowers each form once into a single ``compile()``-d
-function over an ``env`` mapping -- guard chains become ``if``/``elif``
-lines, affine terms become inline arithmetic on ``env[...]`` lookups.  The
-compiled function is cached on the hash-consed instance (see
-:mod:`repro.symbolic`), so every structural copy of a form shares
-one compiled body.
+expression tree on every call; the explorer and the simulator evaluate the
+*same* closed forms at thousands of points, so this module lowers each form
+once into a single ``compile()``-d function over an ``env`` mapping --
+guard chains become ``if``/``elif`` lines, affine terms become inline
+arithmetic on ``env[...]`` lookups.  The compiled function is cached on the
+hash-consed instance (see :mod:`repro.symbolic`), so every structural copy
+of a form shares one compiled body.
 
 The *lowering* itself (:func:`render_affine`, :func:`render_guard`,
 :func:`guard_chain_lines`) is the single guard-chain implementation in the
@@ -17,8 +16,9 @@ through these same functions, parameterised on the numeral renderer and the
 no-match behaviour, so generated-code output is byte-for-byte what the old
 private renderer produced.
 
-Semantics are preserved exactly: scalar leaves still return
-:class:`~fractions.Fraction`, vector leaves still return
+Semantics are preserved exactly: scalar leaves return what
+:meth:`Affine.evaluate` returns (an ``int`` when the value is integral, a
+:class:`~fractions.Fraction` only when it is not), vector leaves return
 :class:`~repro.geometry.point.Point`, unbound symbols raise
 :class:`~repro.util.errors.SymbolicError`, and a case analysis with no
 matching alternative raises the same message as the interpretive walk.
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from repro.geometry.point import Point
-from repro.symbolic.affine import Affine, AffineVec
+from repro.geometry.point import Point, exact
+from repro.symbolic.affine import Affine, AffineVec, Numeric
 from repro.profiling import counter
 from repro.util.errors import SymbolicError
 
@@ -54,12 +55,12 @@ def env_sym(sym: str) -> str:
     return f"env[{sym!r}]"
 
 
-def closure_num(value) -> str:
-    """Numeral renderer for in-process closures (``_Fr`` is in globals)."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(int(f))
-    return f"_Fr({f.numerator}, {f.denominator})"
+def closure_num(value: Numeric) -> str:
+    """Numeral renderer for in-process closures (``_Fr`` is in globals);
+    ``value`` is in :func:`~repro.geometry.point.exact` form."""
+    if type(value) is int:
+        return str(value)
+    return f"_Fr({value.numerator}, {value.denominator})"
 
 
 # ----------------------------------------------------------------------
@@ -68,11 +69,11 @@ def closure_num(value) -> str:
 def render_affine(a: Affine, num: Callable[[object], str],
                   sym: Callable[[str], str] = env_sym) -> str:
     """``a`` as a flat Python expression; ``num`` renders exact numerals."""
-    terms: list[tuple[Fraction, str | None]] = [
+    terms: list[tuple[Numeric, str | None]] = [
         (a.coeffs[s], sym(s)) for s in sorted(a.coeffs)
     ]
     if a.const != 0 or not terms:
-        terms.append((Fraction(a.const), None))
+        terms.append((a.const, None))
     parts: list[str] = []
     for c, s in terms:
         mag = abs(c)
@@ -158,21 +159,19 @@ def lower_affine_int(
     matrix ``X`` instead of evaluating the affine point by point.
     """
     pos = {sym: i for i, sym in enumerate(order)}
-    coeffs = [_ZERO_FR] * len(order)
-    const = Fraction(a.const)
+    coeffs: list[Numeric] = [0] * len(order)
+    const = a.const
     for sym, c in a.coeffs.items():
         i = pos.get(sym)
         if i is not None:
-            coeffs[i] = Fraction(c)
+            coeffs[i] = c
         elif sym in env:
-            const += Fraction(c) * Fraction(env[sym])
+            const += c * exact(env[sym], SymbolicError)
         else:
             raise SymbolicError(
                 f"unbound symbol {sym!r} lowering {a} over axes {tuple(order)}"
             )
-    den = const.denominator
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(const.denominator, *(c.denominator for c in coeffs))
     return (
         tuple(int(c * den) for c in coeffs),
         int(const * den),
@@ -192,9 +191,6 @@ def lower_affine_rows_int(
     )
 
 
-_ZERO_FR = Fraction(0)
-
-
 # ----------------------------------------------------------------------
 # closure compilation
 # ----------------------------------------------------------------------
@@ -209,8 +205,8 @@ def _closure_leaf(value) -> str:
         coords = ", ".join(render_affine(a, closure_num) for a in value)
         return f"_Pt(({coords},))"
     if isinstance(value, Affine):
-        # Affine.evaluate always returns a Fraction; preserve that.
-        return f"_Fr({render_affine(value, closure_num)})"
+        # _N returns the value in Affine.evaluate's form.
+        return f"_N({render_affine(value, closure_num)})"
     raise _UnsupportedLeaf(repr(value))
 
 
@@ -219,7 +215,12 @@ def _closure_guard(guard) -> str:
 
 
 def _exec(src: str, name: str):
-    ns = {"_Fr": Fraction, "_Pt": Point, "_SE": SymbolicError}
+    ns = {
+        "_Fr": Fraction,
+        "_N": partial(exact, error=SymbolicError),
+        "_Pt": Point,
+        "_SE": SymbolicError,
+    }
     exec(compile(src, "<repro.symbolic.compile>", "exec"), ns)
     _COMPILE_STATS.misses += 1
     return ns[name]

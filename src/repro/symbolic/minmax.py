@@ -148,17 +148,17 @@ class Extremum:
     def subs(self, mapping: Mapping[str, AffineLike]) -> "Bound":
         return extremum(self.kind, [a.subs(mapping) for a in self.args])
 
-    def evaluate(self, env: Mapping[str, Numeric]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Numeric]) -> Numeric:
         pick = min if self.kind == "min" else max
         return pick(a.evaluate(env) for a in self.args)
 
     def evaluate_int(self, env: Mapping[str, Numeric]) -> int:
         v = self.evaluate(env)
-        if v.denominator != 1:
+        if type(v) is not int:
             raise SymbolicError(
                 f"{self} evaluates to non-integer {v} under {dict(env)}"
             )
-        return int(v)
+        return v
 
     # ------------------------------------------------------------------
     # comparison / display

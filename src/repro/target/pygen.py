@@ -32,10 +32,16 @@ from typing import Mapping
 
 from repro import profiling
 from repro.core.program import SystolicProgram
+from repro.geometry.point import exact
 from repro.lang.expr import Affine, BinOp, Body, Const, IndexExpr, StreamRead
 from repro.lang.interpreter import initial_state
 from repro.symbolic.affine import AffineVec
-from repro.symbolic.compile import guard_chain_lines, render_affine, render_guard
+from repro.symbolic.compile import (
+    closure_num,
+    guard_chain_lines,
+    render_affine,
+    render_guard,
+)
 from repro.symbolic.minmax import render_bound
 from repro.symbolic.piecewise import Piecewise
 from repro.util.cache import BoundedLRU
@@ -60,11 +66,10 @@ class _PyRenderer:
 
     # ------------------------------------------------------------------
     def num(self, value) -> str:
-        f = Fraction(value)
-        if f.denominator == 1:
-            return str(int(f))
-        self.needs_fraction = True
-        return f"_Fr({f.numerator}, {f.denominator})"
+        value = exact(value)
+        if type(value) is not int:
+            self.needs_fraction = True
+        return closure_num(value)
 
     def affine(self, a: Affine) -> str:
         return render_affine(a, self.num)

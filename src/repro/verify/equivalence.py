@@ -81,11 +81,17 @@ class VerificationReport:
         )
 
 
-def checked_backend(backend) -> str:
-    """``backend`` if it names an engine of :data:`BACKENDS`."""
+def checked_backend(backend, shape: tuple[int, ...] | None = None) -> str:
+    """``backend`` if it names an engine of :data:`BACKENDS` that can run
+    on an array of ``shape`` (pygen has no partitioned mode)."""
     if backend not in BACKENDS:
         raise ReproError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend == "pygen" and shape is not None:
+        raise VerificationError(
+            "the pygen backend has no partitioned execution mode; "
+            "use backend='sim' or backend='npgen'"
         )
     return backend
 
@@ -112,7 +118,7 @@ def run_backend(
     ``rendered``, the module :func:`~repro.target.pygen.render_python`
     made of ``sp``, when the caller holds it, and renders once otherwise.
     """
-    checked_backend(backend)
+    checked_backend(backend, shape)
     if backend == "npgen":
         from repro.target.npgen import execute_numpy_batch
 
@@ -121,11 +127,6 @@ def run_backend(
             for final in execute_numpy_batch(sp, env, batch, shape=shape)
         ]
     if backend == "pygen":
-        if shape is not None:
-            raise VerificationError(
-                "the pygen backend has no partitioned execution mode; "
-                "use backend='sim' or backend='npgen'"
-            )
         from repro.target.pygen import render_python, run_rendered
 
         if rendered is None:

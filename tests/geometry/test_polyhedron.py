@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from repro.geometry.polyhedron import canonical_int_row, feasible_int_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import compile_systolic, generate_instance
+from repro.core.memo import DerivationMemo
+from repro.geometry import polyhedron
+from repro.geometry.polyhedron import _tightest, canonical_int_row, feasible_int_rows
+from repro.symbolic import guard as guard_module
+from repro.systolic.designs import all_paper_designs
+from tests.symbolic.test_guard import _forget_symbolic_memos
 
 
 def row(coeffs, const):
@@ -82,3 +91,84 @@ class TestFeasibility:
         assert not feasible(infeasible, 3)
         consistent = base + [([-1, 0, 0], 0)]  # col <= 0
         assert feasible(consistent, 3)
+
+
+# ----------------------------------------------------------------------
+# elimination order: every order gives the fixed-order answer
+# ----------------------------------------------------------------------
+def _fixed_order_feasible(rows, dim):
+    """Fourier-Motzkin in index order, keeping every derived row: the
+    elimination :func:`feasible_int_rows` used before it picked the
+    cheapest variable and dropped the looser of two parallel rows."""
+    work = list(rows)
+    for var in range(dim):
+        lowers = [r for r in work if r[var] > 0]
+        uppers = [r for r in work if r[var] < 0]
+        work = [r for r in work if r[var] == 0]
+        for lo in lowers:
+            for hi in uppers:
+                new = tuple(-hi[var] * a + lo[var] * b for a, b in zip(lo, hi))
+                if any(new[:-1]):
+                    work.append(new)
+                elif new[-1] < 0:
+                    return False
+    return all(r[-1] >= 0 for r in work)
+
+
+_coeff = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def int_systems(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(
+        st.lists(
+            st.tuples(*([_coeff] * dim), st.integers(min_value=-6, max_value=6)),
+            max_size=8,
+        )
+    )
+    return rows, dim
+
+
+class TestEliminationOrder:
+    @settings(max_examples=300)
+    @given(int_systems())
+    def test_agrees_with_fixed_order(self, system):
+        rows, dim = system
+        assert feasible_int_rows(rows, dim) == _fixed_order_feasible(rows, dim)
+
+    def test_parallel_rows_keep_the_tightest(self):
+        loose, tight = (1, 1, 0), (1, 1, -5)  # x + y >= 0, x + y >= 5
+        assert _tightest([loose, tight, loose]) == [tight]
+        upper = (-1, -1, 3)  # x + y <= 3
+        assert feasible_int_rows([loose, upper], 2)
+        assert not feasible_int_rows([loose, tight, upper], 2)
+        assert not feasible_int_rows([tight, loose, upper], 2)
+
+    def test_derivation_queries_agree_with_fixed_order(self, monkeypatch):
+        """Every feasibility query compiling the paper designs and fuzz
+        seeds 0-19 asks gets the fixed-order answer."""
+        queries = set()
+
+        def recording(rows, dim):
+            queries.add((tuple(sorted(set(rows))), dim))
+            return feasible_int_rows(rows, dim)
+
+        monkeypatch.setattr(guard_module, "feasible_int_rows", recording)
+        monkeypatch.setattr(polyhedron, "_fm_cache", {})
+        monkeypatch.setattr(
+            DerivationMemo, "get", lambda self, table, key, compute: compute()
+        )
+        _forget_symbolic_memos()
+        designs = [(p, a) for _, p, a in all_paper_designs()]
+        for seed in range(20):
+            inst = generate_instance(seed)
+            if inst is not None:
+                designs.append((inst.program, inst.array))
+        for program, array in designs:
+            compile_systolic(program, array)
+        monkeypatch.setattr(guard_module, "feasible_int_rows", feasible_int_rows)
+        assert len(queries) > 300
+        answers = [feasible_int_rows(rows, dim) for rows, dim in queries]
+        assert answers == [_fixed_order_feasible(rows, dim) for rows, dim in queries]
+        assert 0 < sum(answers) < len(answers)

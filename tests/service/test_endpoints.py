@@ -290,6 +290,24 @@ class TestErrorMapping:
 
         service_run(scenario)
 
+    def test_array_with_pygen_422_before_compile(self, service_run):
+        """The refusal does not depend on the design, so nothing is
+        compiled or stored for it."""
+        _, source, design = paper_requests()[0]
+
+        async def scenario(client, service):
+            status, payload = await client.execute(
+                source=source, design=design, sizes={"n": 3},
+                backend="pygen", array=[2]
+            )
+            assert status == 422, payload
+            assert "no partitioned execution mode" in payload["error"]
+            snapshot = service.store.snapshot()
+            assert snapshot["designs"] == 0
+            assert snapshot["misses"] == 0
+
+        service_run(scenario)
+
     @pytest.mark.parametrize(
         "backend",
         [

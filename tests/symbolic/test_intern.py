@@ -8,6 +8,7 @@ agree with the interpretive walk, and pickling -- the substrate of
 """
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,59 @@ class TestStructuralEqualityIsIdentity:
         assert g_ab == g_ba
         assert g_ab.constraints == (a, b)
         assert g_ba.constraints == (b, a)
+
+
+class TestCanonicalNumbers:
+    """Every coefficient and constant is an ``int`` when integral and a
+    ``Fraction`` only when it is not, however it was built."""
+
+    def test_integral_numbers_are_ints(self):
+        a = Affine({"n": Fraction(4, 2), "col": -1}, Fraction(6, 3))
+        built = Affine.var("n") * Fraction(3, 2) + Affine.var("n") / 2 - 1
+        for expr in (a, built, Affine.constant(Fraction(5, 5)), -a, a - a):
+            assert all(type(c) is int for c in expr.coeffs.values())
+            assert type(expr.const) is int
+        assert type(a.coeff("absent")) is int
+
+    def test_integral_fraction_interns_with_int(self):
+        a = Affine({"n": Fraction(4, 2)})
+        assert a is Affine({"n": 2})
+        assert type(a.coeffs["n"]) is int
+        assert Affine({}, Fraction(-3)) is Affine.constant(-3)
+
+    def test_division_keeps_fraction_until_integral(self):
+        half = Affine.var("n") / 2
+        assert type(half.coeffs["n"]) is Fraction
+        assert half.coeffs["n"] == Fraction(1, 2)
+        back = half * 2
+        assert type(back.coeffs["n"]) is int
+        assert back is Affine.var("n")
+
+    def test_pickle_keeps_types(self):
+        for a in (Affine({"n": 2}, -1), Affine.var("n") / 2 + Fraction(1, 3)):
+            b = pickle.loads(pickle.dumps(a))
+            assert b is a
+            assert [type(c) for c in b.coeffs.values()] == [
+                type(c) for c in a.coeffs.values()
+            ]
+            assert type(b.const) is type(a.const)
+        assert type(pickle.loads(pickle.dumps(Affine({"n": 2}))).coeffs["n"]) is int
+
+    def test_evaluate_returns_int_when_integral(self):
+        half = Affine.var("n") / 2
+        assert type(half.evaluate({"n": 4})) is int
+        assert half.evaluate({"n": 3}) == Fraction(3, 2)
+        assert type(Affine({"n": 2}, 1).evaluate({"n": Fraction(6, 2)})) is int
+        assert type(Affine.constant(Fraction(8, 4)).evaluate({})) is int
+
+    def test_compiled_leaf_returns_evaluates_type(self):
+        pw = Piecewise.single(Affine.var("n") / 2 + 1)
+        for n in (2, 3, 4):
+            env = {"n": n}
+            got = pw.evaluate(env)
+            want = pw._evaluate_interp(env)
+            assert got == want and type(got) is type(want)
+        assert type(pw.evaluate({"n": 4})) is int
 
 
 class TestImmutability:
