@@ -9,8 +9,9 @@ Two layers share the same mathematics (group the index space by
 * **The wavefront schedule** -- :func:`wavefront_schedule` emits the same
   grouping as packed integer arrays: for every logical time step, the
   active index points, the active cells of ``PS``, and one precomputed
-  *gather/scatter index map* per stream (the affine index map ``M . x``
-  lowered to flat positions in the variable's dense storage).  This is the
+  *gather/scatter index row* (every stream's affine index map ``M . x``
+  lowered to flat positions in one dense buffer that holds all variables
+  back to back).  This is the
   execution plan of the vectorized NumPy backend
   (:mod:`repro.target.npgen`): Kahn determinism plus the dependence-respect
   check (``step`` strictly increases along every dependence) guarantee that
@@ -114,13 +115,16 @@ def render_wavefront_film(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class VariableLayout:
-    """Dense row-major storage layout of one variable space ``VS.v``."""
+    """Dense row-major storage layout of one variable space ``VS.v``:
+    its elements sit at ``base .. base + size - 1`` of the schedule's one
+    dense buffer."""
 
     name: str
     lo: tuple[int, ...]
     shape: tuple[int, ...]
     strides: tuple[int, ...]
     size: int
+    base: int
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,16 @@ class WavefrontStep:
 
     ``points`` is the ``(r, W)`` matrix of active index points, ``cells``
     the ``((r-1), W)`` matrix of active ``PS`` cells (the wavefront
-    picture), and ``gather[name]`` the ``(W,)`` flat positions of the
-    element each statement reads/writes in stream ``name``'s dense storage
-    -- the same array serves gather (inputs) and scatter (outputs).
+    picture), and ``rows`` the ``(S * W,)`` buffer positions of the
+    elements the statements read/write: the ``W`` positions of the ``k``-th
+    stream of :attr:`WavefrontSchedule.streams` at ``rows[k*W:(k+1)*W]``.
+    The same row serves gather (inputs) and scatter (outputs).
     """
 
     t: int
     points: object  # np.ndarray (r, W) int64
     cells: object  # np.ndarray (r-1, W) int64
-    gather: Mapping[str, object]  # name -> np.ndarray (W,) int64
+    rows: object  # np.ndarray (S * W,) int64, a view into one schedule array
 
     @property
     def width(self) -> int:
@@ -159,6 +164,8 @@ class WavefrontSchedule:
     coords: tuple[str, ...]
     indices: tuple[str, ...]
     layouts: dict[str, VariableLayout]
+    #: every stream, in the order of each step's index row
+    streams: tuple[str, ...]
     streams_read: tuple[str, ...]
     streams_written: tuple[str, ...]
     steps: tuple[WavefrontStep, ...]
@@ -174,11 +181,16 @@ class WavefrontSchedule:
     def max_width(self) -> int:
         return max((s.width for s in self.steps), default=0)
 
+    @property
+    def elements(self) -> int:
+        """Length of the dense buffer holding every variable."""
+        return sum(layout.size for layout in self.layouts.values())
+
     def env_of(self) -> dict[str, int]:
         return dict(self.sizes)
 
 
-def _layout_of(variable, env) -> VariableLayout:
+def _layout_of(variable, env, base: int) -> VariableLayout:
     space = variable.space(env)
     lo = tuple(int(c) for c in space.lo)
     hi = tuple(int(c) for c in space.hi)
@@ -192,6 +204,7 @@ def _layout_of(variable, env) -> VariableLayout:
         shape=shape,
         strides=tuple(strides),
         size=space.size,
+        base=base,
     )
 
 
@@ -236,48 +249,57 @@ def build_wavefront_schedule(
     )
     cells = place_rows @ x
 
-    layouts = {v.name: _layout_of(v, ienv) for v in source.variables}
+    layouts = {}
+    base = 0
+    for v in source.variables:
+        layouts[v.name] = _layout_of(v, ienv, base)
+        base += layouts[v.name].size
     written = tuple(sorted(source.body.streams_written()))
     read = tuple(sorted(source.body.streams_read()))
+    ordered = sorted(source.streams, key=lambda s: s.name)
+    streams = tuple(s.name for s in ordered)
 
-    gathers: dict[str, object] = {}
-    for s in source.streams:
-        layout = layouts[s.name]
+    # (S, N) buffer positions of every stream's element at every point.
+    flat = np.empty((len(streams), x.shape[1]), dtype=np.int64)
+    for k, s in enumerate(ordered):
+        name, layout = s.name, layouts[s.name]
         rows = np.asarray(
             [[int(c) for c in row] for row in s.index_map.rows], dtype=np.int64
         )
         elements = rows @ x  # (dim, N)
-        flat = np.zeros(elements.shape[1], dtype=np.int64)
+        flat[k] = layout.base
         for axis in range(elements.shape[0]):
             coords = elements[axis]
             low, high = int(coords.min()), int(coords.max())
             if low < layout.lo[axis] or high > layout.lo[axis] + layout.shape[axis] - 1:
                 raise CompilationError(
-                    f"stream {s.name}: accessed elements [{low}, {high}] fall "
+                    f"stream {name}: accessed elements [{low}, {high}] fall "
                     f"outside the variable space on axis {axis} at size {ienv}"
                 )
-            flat += (coords - layout.lo[axis]) * layout.strides[axis]
-        gathers[s.name] = flat
+            flat[k] += (coords - layout.lo[axis]) * layout.strides[axis]
 
-    # Cut the sorted arrays into per-step views.
+    # Cut the sorted positions into per-step index rows.  The rows are laid
+    # out step-major in one array, so each is a contiguous slice of it.
     uniq, starts = np.unique(t, return_index=True)
-    bounds = list(starts) + [t.shape[0]]
+    bounds = np.append(starts, t.shape[0]).tolist()
+    n_streams = len(streams)
+    packed = np.empty(flat.size, dtype=np.int64)
     steps = []
-    for i, tv in enumerate(uniq):
-        a, b = bounds[i], bounds[i + 1]
-        gather = {name: g[a:b] for name, g in gathers.items()}
-        for name in written:
-            idx = gather[name]
-            if np.unique(idx).shape[0] != idx.shape[0]:
+    slots = [streams.index(name) for name in written]
+    for tv, a, b in zip(uniq.tolist(), bounds, bounds[1:]):
+        w = b - a
+        row = packed[n_streams * a : n_streams * b]
+        row.reshape(n_streams, w)[:] = flat[:, a:b]
+        for name, k in zip(written, slots):
+            idx = row[k * w : (k + 1) * w]
+            if np.unique(idx).shape[0] != w:
                 raise CompilationError(
-                    f"wavefront t={int(tv)} touches an element of written "
+                    f"wavefront t={tv} touches an element of written "
                     f"stream {name} twice: the design violates dependence "
                     "respect (step must separate same-element accesses)"
                 )
         steps.append(
-            WavefrontStep(
-                t=int(tv), points=x[:, a:b], cells=cells[:, a:b], gather=gather
-            )
+            WavefrontStep(t=tv, points=x[:, a:b], cells=cells[:, a:b], rows=row)
         )
 
     from repro.target.pygen import design_fingerprint  # lazy: import cycle
@@ -288,6 +310,7 @@ def build_wavefront_schedule(
         coords=tuple(sp.coords),
         indices=tuple(source.indices),
         layouts=layouts,
+        streams=streams,
         streams_read=read,
         streams_written=written,
         steps=tuple(steps),

@@ -59,14 +59,18 @@ class Rectangle:
             return False
         return all(l <= c <= h for l, c, h in zip(self.lo, point, self.hi))
 
+    def ranges(self) -> list[range]:
+        """One ``range`` per axis; their product is the box's points, as
+        plain tuples, in the lexicographic order of :meth:`__iter__`."""
+        return [range(int(l), int(h) + 1) for l, h in zip(self.lo, self.hi)]
+
     def __iter__(self) -> Iterator[Point]:
         """Enumerate all lattice points in lexicographic order."""
-        ranges = [
-            range(int(l), int(h) + 1) for l, h in zip(self.lo, self.hi)
-        ]
         # The coordinates are plain ints, so bypass Point's per-coordinate
         # normalization; enumeration is the cost stage's inner loop.
-        return map(tuple.__new__, itertools.repeat(Point), itertools.product(*ranges))
+        return map(
+            tuple.__new__, itertools.repeat(Point), itertools.product(*self.ranges())
+        )
 
     def corners(self) -> Iterator[Point]:
         """The ``2^dim`` vertices of the box."""

@@ -9,11 +9,13 @@ interpreter's results (``repro.verify``).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import chain
+from collections.abc import Iterable, Iterator
+from itertools import chain, product
+from operator import eq
 from typing import Mapping
 
 from repro.geometry.point import Point
+from repro.geometry.rectangle import Rectangle
 from repro.lang.expr import RuntimeValue
 from repro.lang.program import SourceProgram
 from repro.symbolic.affine import Numeric
@@ -23,33 +25,43 @@ from repro.util.errors import SourceProgramError
 VariableState = dict[str, dict[Point, RuntimeValue]]
 
 
-def initial_state(
+def checked_values(
     program: SourceProgram,
     env: Mapping[str, Numeric],
     inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None = None,
-) -> VariableState:
-    """Build a full variable state at problem size ``env``.
+) -> dict[str, list[RuntimeValue]]:
+    """Check ``inputs`` at problem size ``env``; each variable's values in
+    the row-major order of its space.
 
     ``inputs`` may give, per variable, either a mapping from element points
     to values or a single fill value; unmentioned variables are zero-filled
     and a name the program does not declare is refused.  Every element of
     every variable space must be given exactly once, at exact (``int`` or
-    integral ``Fraction``) coordinates.  Each variable's elements come back
-    keyed by space points in the row-major order of its space, which is the
-    order of :class:`~repro.analysis.wavefront.VariableLayout`'s storage.
+    integral ``Fraction``) coordinates.  The row-major order is the order
+    of :class:`~repro.analysis.wavefront.VariableLayout`'s storage, so a
+    dense backend loads each list as it is.
     """
+    return {name: values for name, _space, values in _checked(program, env, inputs)}
+
+
+def _checked(
+    program: SourceProgram,
+    env: Mapping[str, Numeric],
+    inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None,
+) -> Iterator[tuple[str, Rectangle, list[RuntimeValue]]]:
+    """:func:`checked_values` with each variable's space, which costs a
+    bound evaluation per variable, so it is worked out once."""
     inputs = dict(inputs or {})
     undeclared = set(inputs) - {var.name for var in program.variables}
     if undeclared:
         raise SourceProgramError(
             f"inputs for undeclared variable(s) {sorted(map(str, undeclared))}"
         )
-    state: VariableState = {}
     for var in program.variables:
         space = var.space(env)
         spec = inputs.get(var.name, 0)
         if not isinstance(spec, Mapping):
-            state[var.name] = dict.fromkeys(space, spec)
+            yield var.name, space, [spec] * space.size
             continue
         try:
             exact = set(map(type, chain.from_iterable(spec))) <= {int}
@@ -58,13 +70,20 @@ def initial_state(
                 f"variable {var.name}: element keys must be index tuples, "
                 f"got {next(k for k in spec if not isinstance(k, Iterable))!r}"
             ) from None
+        # Fast path: int keys given in row-major order need no lookup.
+        if (
+            exact
+            and len(spec) == space.size
+            and all(map(eq, spec, product(*space.ranges())))
+        ):
+            yield var.name, space, list(spec.values())
+            continue
         if not exact:
             spec = {Point(k): v for k, v in spec.items()}
-        points = list(space)
         try:
-            values = dict(zip(points, map(spec.__getitem__, points)))
+            values = list(map(spec.__getitem__, product(*space.ranges())))
         except KeyError:
-            missing = [p for p in points if p not in spec]
+            missing = [p for p in space if p not in spec]
             raise SourceProgramError(
                 f"variable {var.name}: missing values for {missing[:3]}..."
             ) from None
@@ -73,8 +92,24 @@ def initial_state(
             raise SourceProgramError(
                 f"variable {var.name}: values outside its space: {extra[:3]}..."
             )
-        state[var.name] = values
-    return state
+        yield var.name, space, values
+
+
+def initial_state(
+    program: SourceProgram,
+    env: Mapping[str, Numeric],
+    inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None = None,
+) -> VariableState:
+    """Build a full variable state at problem size ``env``.
+
+    The inputs are checked as :func:`checked_values` checks them; each
+    variable's elements come back keyed by space points in the row-major
+    order of its space.
+    """
+    return {
+        name: dict(zip(space, values))
+        for name, space, values in _checked(program, env, inputs)
+    }
 
 
 def run_sequential(

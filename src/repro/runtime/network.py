@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro import profiling
@@ -173,7 +174,7 @@ class NetworkPlan:
             "compute": 0, "buffer": 0, "latch": 0, "input": 0, "output": 0
         }
         self.chain_totals: dict[tuple[str, Point], int] = {}
-        self.amounts: dict[Point, tuple[int, dict[str, tuple[int, int]]]] = {}
+        self.amounts: dict[Point, tuple[int, Mapping[str, tuple[int, int]]]] = {}
         self._validated = False
         _PlanBuilder(self).build()
 
@@ -241,9 +242,11 @@ class NetworkPlan:
             host=host,
             scheduler=scheduler,
             channel_capacity=channel_capacity,
-            node_counts=self.node_counts,
-            chain_totals=self.chain_totals,
-            amounts=self.amounts,
+            # Own copies: the plan is shared through PLAN_CACHE, so a write
+            # into one network's tables must not reach the next execution.
+            node_counts=dict(self.node_counts),
+            chain_totals=dict(self.chain_totals),
+            amounts=dict(self.amounts),
             interband_channels=interband,
         )
 
@@ -439,7 +442,10 @@ class _PlanBuilder:
             )
             for p in sp.streams
         }
-        self.plan.amounts[y] = (_as_count(sp.count.evaluate(binding)), amounts)
+        # Read-only: the processes below read this very dict on every run.
+        self.plan.amounts[y] = (
+            _as_count(sp.count.evaluate(binding)), MappingProxyType(amounts)
+        )
         in_idx = {p.name: self.in_chan[p.name][y] for p in sp.streams}
         out_idx = {p.name: self.out_chan[p.name][y] for p in sp.streams}
 

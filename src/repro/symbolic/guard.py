@@ -278,47 +278,35 @@ class Guard:
         self._memo[key] = result
         return result
 
-    def implies(self, other: "Guard | Constraint", assumptions: "Guard | None" = None) -> bool:
-        """Sound implication test: ``self => other`` under the assumptions.
+    def implies(self, c: Constraint) -> bool:
+        """Sound implication test: ``self => c``.
 
-        ``base = self /\\ assumptions`` implies a constraint ``e >= 0`` over
-        the integers iff ``base /\\ -(l*e) - 1 >= 0`` has no integer point,
-        where ``l`` clears the denominators of ``e``; the rational
-        relaxation of that system is decided on ``base``'s cached integer
-        rows plus the constraint's cached negated row.  A conjunct of
-        ``base`` is implied outright: ``c /\\ -(l*c) - 1 >= 0`` is always
-        infeasible, so Fourier-Motzkin would only confirm it.
+        A guard implies ``e >= 0`` over the integers iff ``self /\\
+        -(l*e) - 1 >= 0`` has no integer point, where ``l`` clears the
+        denominators of ``e``; the rational relaxation of that system is
+        decided on the guard's cached integer rows plus the constraint's
+        cached negated row.  A conjunct of the guard is implied outright:
+        ``c /\\ -(l*c) - 1 >= 0`` is always infeasible, so Fourier-Motzkin
+        would only confirm it.
         """
-        key = (2, other, assumptions)
+        key = (2, c)
         found = self._memo.get(key, _MISSING)
         if found is not _MISSING:
             _IMPLIES_STATS.hits += 1
             return found
         _IMPLIES_STATS.misses += 1
-        if isinstance(other, Constraint):
-            others: tuple[Constraint, ...] = (other,)
-        else:
-            others = other.constraints
-        base = self if assumptions is None else self.and_(assumptions)
-        conjuncts, base_symbols, base_order = base._shape()
+        conjuncts, symbols, order = self._shape()
         result = True
-        for c in others:
-            if c in conjuncts:
-                continue
-            symbols = base_order
-            if not base_symbols.issuperset(c.expr.coeffs):
-                symbols = tuple(sorted(base_symbols | c.free_symbols))
-            rows = base._int_rows(symbols)
-            if rows is None:
-                break  # base itself is infeasible: it implies everything
-            negation = c.negated_int_row(symbols)
-            if negation is False:
-                continue  # c is trivially true
-            if negation is not True:
-                rows += (negation,)
-            if feasible_int_rows(rows, len(symbols)):
-                result = False
-                break
+        if c not in conjuncts:
+            if not symbols.issuperset(c.expr.coeffs):
+                order = tuple(sorted(symbols | c.free_symbols))
+            rows = self._int_rows(order)
+            if rows is not None:  # an infeasible guard implies everything
+                negation = c.negated_int_row(order)
+                if negation is not False:  # a trivially true c is implied
+                    if negation is not True:
+                        rows += (negation,)
+                    result = not feasible_int_rows(rows, len(order))
         self._memo[key] = result
         return result
 

@@ -12,33 +12,33 @@ compilation scheme already guarantees:
   are independent and may execute *simultaneously*.
 
 Execution therefore reduces to the wavefront schedule of
-:mod:`repro.analysis.wavefront`: for each logical time step, **gather**
-the current element of every stream through the precomputed integer index
-maps (the affine maps ``M . x`` lowered by
-:func:`repro.symbolic.compile.lower_affine_int`), apply the basic
-statement **once** as vectorized ufuncs over the whole wavefront (guards
-become boolean masks, index expressions become precomputed integer
-arrays), and **scatter** the written streams back.  Soak/drain phases and
-``PS \\ CS`` pass-through processes move values without changing them, so
-on the dense variable arrays they are the identity and vanish entirely --
-the array *is* the pipe contents at every instant.
+:mod:`repro.analysis.wavefront`.  Every variable lives in one dense
+``(elements, B)`` buffer, and for each logical time step the backend
+**gathers** the current element of every stream with one ``take`` of the
+step's precomputed index row (the affine maps ``M . x`` lowered to buffer
+positions), applies the basic statement **once** as vectorized ufuncs over
+the whole wavefront (guards become boolean masks, index expressions
+become precomputed integer arrays), and **scatters** each written stream
+back.  Soak/drain phases and ``PS \\ CS`` pass-through processes move values
+without changing them, so on the dense buffer they are the identity and
+vanish entirely -- the buffer *is* the pipe contents at every instant.
 
-A leading **batch axis** amortizes one schedule across ``B`` independent
-input sets (:func:`execute_numpy_batch`): the gather/scatter maps and
-masks are shape ``(W,)`` and broadcast against value arrays of shape
-``(B, W)``, so batching costs one extra array dimension, not another
+A trailing **batch axis** amortizes one schedule across ``B`` independent
+input sets (:func:`execute_numpy_batch`): index values and masks are
+``(W, 1)`` columns that broadcast against stream values of shape
+``(W, B)``, so batching costs one extra array dimension, not another
 pass.
 
 Values are lowered to ``int64`` when a magnitude bound on every value
 the run can produce (interval propagation of the basic statement over the
 schedule's steps) fits in it, and to exact ``object`` arrays otherwise, so
 results never wrap.  Inputs come from
-:func:`~repro.lang.interpreter.initial_state` already in each variable's
-row-major layout order, so loading and unloading a variable is one
-``fromiter`` and one ``zip``.  Programs outside the backend's value
-domain -- fractional constants or index-expression coefficients -- raise
-:class:`~repro.util.errors.BackendUnsupportedError` so callers can fall
-back to pygen.  NumPy itself is an optional extra (``pip install
+:func:`~repro.lang.interpreter.checked_values` already in each variable's
+row-major layout order, so loading the buffer is one ``fromiter`` and
+unloading a batch entry one ``zip`` per variable.  Programs outside the
+backend's value domain -- fractional constants or index-expression
+coefficients -- raise :class:`~repro.util.errors.BackendUnsupportedError`
+so callers can fall back to pygen.  NumPy itself is an optional extra (``pip install
 repro[np]``); importing this module without it is fine, calling into it
 raises a :class:`~repro.util.errors.MissingDependencyError` with the
 install hint.
@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 
 from repro.core.program import SystolicProgram
 from repro.lang.expr import RELATIONS, BinOp, Body, Const, Expr, IndexExpr, StreamRead
-from repro.lang.interpreter import initial_state
+from repro.lang.interpreter import checked_values
 from repro.symbolic.affine import Numeric
 from repro.symbolic.compile import lower_affine_int
 from repro.util import require_numpy
@@ -104,9 +104,9 @@ def _const_int(value) -> int:
 def _compile_expr(e: Expr, affine_ix: dict, ops) -> object:
     """Lower one expression tree into ``fn(cur, aff) -> array``.
 
-    ``cur`` maps stream names to their gathered current values,
-    ``aff`` is the list of precomputed index-expression arrays of the
-    wavefront being executed.
+    ``cur`` maps stream names to their gathered current values (``(W, B)``),
+    ``aff`` is the list of precomputed index-expression columns (``(W, 1)``)
+    of the wavefront being executed.
     """
     if isinstance(e, Const):
         v = _const_int(e.value)
@@ -156,13 +156,16 @@ class _BodyPlan:
 
     ``branches`` holds ``(branch_index, [(stream, closure), ...])`` in
     source order; ``step_affs[s]`` / ``step_masks[s]`` hold, for wavefront
-    ``s``, the precomputed index-expression value arrays and the per-branch
-    guard masks (``None`` for unconditional branches).  ``bound_fns`` holds
-    every assignment again, lowered onto magnitude bounds (``_BOUND_OPS``).
+    ``s``, the precomputed ``(W, 1)`` index-expression value columns and
+    the per-branch guard masks (``None`` for unconditional branches).
+    ``read`` / ``written`` pair each stream the body reads / writes with
+    its slot in the step's index row.  ``bound_fns`` holds every
+    assignment again, lowered onto magnitude bounds (``_BOUND_OPS``).
     """
 
     __slots__ = (
-        "branches", "bound_fns", "step_affs", "step_masks", "active", "int64_fits"
+        "branches", "bound_fns", "step_affs", "step_masks", "active", "read",
+        "written", "int64_fits",
     )
 
     def __init__(self, schedule, body: Body) -> None:
@@ -214,6 +217,9 @@ class _BodyPlan:
         self.active = tuple(
             sorted(set(schedule.streams_read) | set(schedule.streams_written))
         )
+        slot = schedule.streams.index
+        self.read = tuple((name, slot(name)) for name in self.active)
+        self.written = tuple((name, slot(name)) for name in schedule.streams_written)
 
         self.bound_fns = [
             (a.stream, _compile_expr(a.expr, affine_ix, _BOUND_OPS))
@@ -224,7 +230,9 @@ class _BodyPlan:
         self.step_affs = []
         self.step_masks = []
         for step in schedule.steps:
-            aff = [coeffs @ step.points + const for coeffs, const in lowered]
+            aff = [
+                (coeffs @ step.points + const)[:, None] for coeffs, const in lowered
+            ]
             masks = []
             for branch in body.branches:
                 if branch.condition is None:
@@ -266,11 +274,11 @@ def _plan_for(schedule, body: Body) -> _BodyPlan:
 
 
 # ----------------------------------------------------------------------
-# dense storage <-> interpreter variable states
+# the dense buffer <-> checked input values and final contents
 # ----------------------------------------------------------------------
-def _pick_dtype(plan: _BodyPlan, dense_states) -> object:
+def _pick_dtype(plan: _BodyPlan, batch_values) -> object:
     """``int64`` when the run provably stays in range, else exact ``object``."""
-    rows = [values.values() for state in dense_states for values in state.values()]
+    rows = [row for values in batch_values for row in values.values()]
     if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         magnitude = max(max(max(row), -min(row)) for row in rows)
         if plan.fits_int64(magnitude.bit_length()):
@@ -278,20 +286,21 @@ def _pick_dtype(plan: _BodyPlan, dense_states) -> object:
     return object
 
 
-def _states_to_arrays(schedule, dense_states, dtype) -> dict:
-    """Load each variable's rows; ``initial_state`` yields them in layout order."""
-    batch = len(dense_states)
-    return {
-        name: _np.fromiter(
-            itertools.chain.from_iterable(s[name].values() for s in dense_states),
-            dtype,
-            count=batch * layout.size,
-        ).reshape(batch, layout.size)
-        for name, layout in schedule.layouts.items()
-    }
+def _load(schedule, batch_values, dtype) -> object:
+    """The ``(elements, B)`` buffer: column ``b`` holds batch entry ``b``'s
+    variables back to back in layout order."""
+    names = list(schedule.layouts)
+    flat = _np.fromiter(
+        itertools.chain.from_iterable(
+            values[name] for values in batch_values for name in names
+        ),
+        dtype,
+        count=len(batch_values) * schedule.elements,
+    )
+    return flat.reshape(len(batch_values), schedule.elements).T.copy()
 
 
-def _arrays_to_state(schedule, arrays, b: int) -> dict:
+def _unload(schedule, buf, b: int) -> dict:
     """Batch entry ``b``'s contents, keyed by plain tuples in layout order."""
     keys = schedule.runtime_cache.get("npgen_keys")
     if keys is None:
@@ -303,26 +312,75 @@ def _arrays_to_state(schedule, arrays, b: int) -> dict:
             )
             for name, layout in schedule.layouts.items()
         }
-    return {name: dict(zip(k, arrays[name][b].tolist())) for name, k in keys.items()}
+    # zip stops at the end of each variable's keys without taking a value,
+    # so one iterator walks the column variable by variable.
+    column = iter(buf[:, b].tolist())
+    return {name: dict(zip(k, column)) for name, k in keys.items()}
 
 
 # ----------------------------------------------------------------------
 # the executor
 # ----------------------------------------------------------------------
-def _run(schedule, plan: _BodyPlan, arrays: dict, waves) -> None:
-    """Execute ``(gather, index values, masks)`` waves in order."""
-    written = schedule.streams_written
-    active = plan.active
+def _waves(schedule, plan: _BodyPlan, partition) -> list:
+    """``(index row, width, index values, masks)`` per wave, in run order.
+
+    Each wavefront step is cut into its tile bands' slabs, mirroring how a
+    fixed ``p``-band array executes a wavefront -- one band at a time, each
+    computing only the columns whose leading place coordinate it owns.  An
+    unbanded run (``partition`` is ``None``) is one band owning every
+    column, and a band that owns a whole step reuses the step's arrays.
+    Bit-identical to the unbanded run: within one step the written-stream
+    scatter indices are globally unique (the duplicate-write guard of the
+    schedule builder), so no band can write an element another band of the
+    same step reads.  Cached in the schedule's ``runtime_cache`` per
+    band-edge vector.
+    """
+    if partition is None:
+        key, bands = "npgen_waves", [None]
+    else:
+        key, bands = ("npgen_band_cols", partition.lead_edges), partition.bands
+    waves = schedule.runtime_cache.get(key)
+    if waves is not None:
+        return waves
+    n_streams = len(schedule.streams)
+    waves = []
+    for step, aff, masks in zip(schedule.steps, plan.step_affs, plan.step_masks):
+        lead = step.cells[0]
+        for band in bands:
+            if band is None:
+                width = step.width
+            else:
+                cols = _np.nonzero((lead >= band.lo) & (lead <= band.hi))[0]
+                width = cols.shape[0]
+            if width == step.width:
+                waves.append((step.rows, width, aff, masks))
+            elif width:
+                waves.append((
+                    step.rows.reshape(n_streams, -1)[:, cols].ravel(),
+                    width,
+                    [a[cols] for a in aff],
+                    [None if m is None else m[cols] for m in masks],
+                ))
+    schedule.runtime_cache[key] = waves
+    return waves
+
+
+def _run(plan: _BodyPlan, buf, waves) -> None:
+    """Execute the waves in order on the ``(elements, B)`` buffer."""
+    take = buf.take
     where = _np.where
-    for gather, aff, masks in waves:
-        cur = {name: arrays[name][:, gather[name]] for name in active}
+    for rows, width, aff, masks in waves:
+        values = take(rows, axis=0)
+        cur = {
+            name: values[k * width : (k + 1) * width] for name, k in plan.read
+        }
         for bi, assigns in plan.branches:
             mask = masks[bi]
             for name, fn in assigns:
                 new = fn(cur, aff)
                 cur[name] = new if mask is None else where(mask, new, cur[name])
-        for name in written:
-            arrays[name][:, gather[name]] = cur[name]
+        for name, k in plan.written:
+            buf[rows[k * width : (k + 1) * width]] = cur[name]
 
 
 def execute_numpy_batch(
@@ -359,48 +417,13 @@ def execute_numpy_batch(
 
         partition = partitioned_schedule(sp, env, shape)
     schedule = wavefront_schedule(sp, env)
-    dense_states = [
-        initial_state(sp.source, env, inputs) for inputs in inputs_batch
+    batch_values = [
+        checked_values(sp.source, env, inputs) for inputs in inputs_batch
     ]
     plan = _plan_for(schedule, sp.source.body)
-    arrays = _states_to_arrays(schedule, dense_states, _pick_dtype(plan, dense_states))
-    if partition is None:
-        waves = zip(
-            (step.gather for step in schedule.steps), plan.step_affs, plan.step_masks
-        )
-    else:
-        waves = _band_waves(schedule, plan, partition)
-    _run(schedule, plan, arrays, waves)
-    return [_arrays_to_state(schedule, arrays, b) for b in range(len(dense_states))]
-
-
-def _band_waves(schedule, plan: _BodyPlan, partition) -> list:
-    """The banded (LSGP) waves: each step cut into its tile bands' slabs.
-
-    Mirrors how a fixed ``p``-band array executes a wavefront -- one band
-    at a time, each computing only the columns whose leading place
-    coordinate it owns.  Bit-identical to the unbanded run: within one step
-    the written-stream scatter indices are globally unique (the
-    duplicate-write guard of the schedule builder), so no band can write an
-    element another band of the same step reads.  Cached in the schedule's
-    ``runtime_cache`` per band-edge vector.
-    """
-    key = ("npgen_band_cols", partition.lead_edges)
-    waves = schedule.runtime_cache.get(key)
-    if waves is None:
-        waves = []
-        for step, aff, masks in zip(schedule.steps, plan.step_affs, plan.step_masks):
-            lead = step.cells[0]
-            for band in partition.bands:
-                cols = _np.nonzero((lead >= band.lo) & (lead <= band.hi))[0]
-                if cols.shape[0]:
-                    waves.append((
-                        {name: g[cols] for name, g in step.gather.items()},
-                        [a[cols] for a in aff],
-                        [None if m is None else m[cols] for m in masks],
-                    ))
-        schedule.runtime_cache[key] = waves
-    return waves
+    buf = _load(schedule, batch_values, _pick_dtype(plan, batch_values))
+    _run(plan, buf, _waves(schedule, plan, partition))
+    return [_unload(schedule, buf, b) for b in range(len(batch_values))]
 
 
 def schedule_cache_stats() -> dict:

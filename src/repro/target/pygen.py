@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from repro import profiling
 from repro.core.program import SystolicProgram
 from repro.geometry.point import exact
 from repro.lang.expr import Affine, BinOp, Body, Const, IndexExpr, StreamRead
-from repro.lang.interpreter import initial_state
+from repro.lang.interpreter import checked_values
 from repro.symbolic.affine import AffineVec
 from repro.symbolic.compile import (
     closure_num,
@@ -614,10 +615,10 @@ def run_rendered(
     """:func:`execute_python` on ``source``, the already rendered module
     of ``sp`` (a :class:`~repro.compilation.Compilation` holds one)."""
     module = module_for(source)
-    state = initial_state(sp.source, env, inputs)
+    values = checked_values(sp.source, env, inputs)
     dense = {
-        name: {tuple(p): v for p, v in values.items()}
-        for name, values in state.items()
+        var.name: dict(zip(product(*var.space(env).ranges()), values[var.name]))
+        for var in sp.source.variables
     }
     sizes = {k: int(v) for k, v in env.items()}
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import compile_systolic
+from repro import compile_systolic, run_sequential
 from repro.analysis.wavefront import (
     activity_histogram,
     render_wavefront_film,
@@ -11,6 +11,7 @@ from repro.analysis.wavefront import (
 )
 from repro.geometry import Point
 from repro.runtime import build_network
+from repro.runtime.network import PLAN_CACHE, _plan_key, execute, network_plan
 from repro.runtime.trace import Trace, trace_run
 from repro.systolic import all_paper_designs
 from repro.util.errors import ReproError, RuntimeSimulationError
@@ -123,3 +124,23 @@ class TestValidateTopology:
         net.chain_totals[key] += 1
         with pytest.raises(RuntimeSimulationError):
             net.validate_topology()
+
+    def test_corrupted_network_leaves_the_cached_plan_clean(self):
+        """A network's tables once were the cached plan's own dicts, so
+        the corruption above failed the next execution of D1 n=2."""
+        exp, prog, arr = ALL[0]
+        sp = compile_systolic(prog, arr)
+        env = {"n": 2}
+        PLAN_CACHE.discard(_plan_key(sp, env))  # a plan not yet validated
+        inputs = random_inputs(prog, env)
+        net = build_network(sp, env, inputs)
+        for table in (net.chain_totals, net.node_counts):
+            key = next(iter(table))
+            table[key] += 1
+        count, per_stream = next(iter(net.amounts.values()))
+        with pytest.raises(TypeError):  # the processes read these per run
+            per_stream["a"] = (count, count)
+        final, _ = execute(sp, env, inputs)
+        assert final == run_sequential(prog, env, inputs)
+        plan = network_plan(sp, env)
+        assert plan.node_counts["compute"] == len(plan.amounts) == 3

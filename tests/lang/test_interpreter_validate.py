@@ -12,7 +12,7 @@ from repro.lang import (
     run_sequential,
     validate_program,
 )
-from repro.lang.interpreter import initial_state
+from repro.lang.interpreter import checked_values, initial_state
 from repro.util.errors import (
     GeometryError,
     RequirementViolation,
@@ -134,6 +134,100 @@ for j = 0 <- 1 -> n
         final = run_sequential(p, {"n": 2}, {"b": {Point.of(j): j for j in range(3)}, "a": 7})
         # a[i] is reset at j=0 then accumulates b[0]+b[1]+b[2] = 3
         assert all(final["a"][Point.of(i)] == 3 for i in range(3))
+
+
+def _refusal(program, inputs):
+    with pytest.raises((SourceProgramError, GeometryError)) as info:
+        initial_state(program, {"n": 2}, inputs)
+    return type(info.value).__name__, str(info.value)
+
+
+class TestCheckedValues:
+    """``checked_values``: one input check, row-major values; the fast path
+    (int keys in row-major order) and the lookup path agree."""
+
+    def test_fast_path_and_fallbacks_agree(self):
+        p = parse_program(MATMUL)
+        env = {"n": 2}
+        rows = [((i, k), 3 * i + k - 4) for i in range(3) for k in range(3)]
+        fast = checked_values(p, env, {"a": dict(rows), "b": 7})
+        assert fast["a"] == [v for _, v in rows]
+        assert fast["b"] == [7] * 9 and fast["c"] == [0] * 9
+        variants = [
+            {"a": dict(reversed(rows)), "b": 7},
+            {"a": {(Fraction(i), k): v for (i, k), v in rows}, "b": 7},
+            {
+                "a": {Point(key): v for key, v in rows},
+                "b": {(i, k): 7 for i in range(3) for k in range(3)},
+            },
+        ]
+        for inputs in variants:
+            assert checked_values(p, env, inputs) == fast
+            assert initial_state(p, env, inputs) == initial_state(
+                p, env, {"a": dict(rows), "b": 7}
+            )
+
+    def test_initial_state_is_the_point_keyed_view(self):
+        p = parse_program(POLYPROD)
+        env = {"n": 2}
+        inputs = poly_inputs(2)
+        values = checked_values(p, env, inputs)
+        state = initial_state(p, env, inputs)
+        for var in p.variables:
+            assert list(state[var.name]) == list(var.space(env))
+            assert list(state[var.name].values()) == values[var.name]
+            assert all(type(k) is Point for k in state[var.name])
+
+    def test_fast_path_returns_the_given_objects(self):
+        p = parse_program(POLYPROD)
+        big = [10**40 + i for i in range(3)]
+        a = {(i,): big[i] for i in range(3)}
+        values = checked_values(p, {"n": 2}, {"a": a})["a"]
+        assert all(x is y for x, y in zip(values, big))
+
+    def test_in_order_keys_with_one_wrong_element_take_the_lookup_path(self):
+        p = parse_program(POLYPROD)
+        a = {(0,): 1, (1,): 2, (3,): 3}  # right length, one key outside
+        assert _refusal(p, {"a": a}) == (
+            "SourceProgramError", "variable a: missing values for [(2)]..."
+        )
+
+    @pytest.mark.parametrize(
+        "program, inputs, refusal",
+        [
+            (POLYPROD, {"a": {(0,): 1}},
+             ("SourceProgramError", "variable a: missing values for [(1), (2)]...")),
+            (MATMUL, {"a": {(0, 0): 1}},
+             ("SourceProgramError",
+              "variable a: missing values for [(0, 1), (0, 2), (1, 0)]...")),
+            (POLYPROD, {"a": {(i,): 0 for i in range(5)}},
+             ("SourceProgramError", "variable a: values outside its space: [(3,), (4,)]...")),
+            (POLYPROD, {"a": {(Fraction(i),): 0 for i in range(5)}},
+             ("SourceProgramError", "variable a: values outside its space: [(3), (4)]...")),
+            (POLYPROD, {"a": {(0,): 0, (1.0,): 0, (2,): 0}},
+             ("GeometryError", "expected an exact number, got 1.0")),
+            (POLYPROD, {"a": {(0,): 0, (True,): 0, (2,): 0}},
+             ("GeometryError", "expected an exact number, got True")),
+            (POLYPROD, {"a": {0: 1, 1: 2, 2: 3}},
+             ("SourceProgramError",
+              "variable a: element keys must be index tuples, got 0")),
+            (POLYPROD, {"aa": {(i,): 1 for i in range(3)}, "zz": 0},
+             ("SourceProgramError", "inputs for undeclared variable(s) ['aa', 'zz']")),
+            (POLYPROD, {"a": {(i, 0): 1 for i in range(3)}},
+             ("SourceProgramError", "variable a: missing values for [(0), (1), (2)]...")),
+        ],
+        ids=["missing", "missing-2d", "extra", "extra-fraction", "float", "bool",
+             "bare-int", "undeclared", "wrong-dimension"],
+    )
+    def test_refusal_messages(self, program, inputs, refusal):
+        assert _refusal(parse_program(program), inputs) == refusal
+
+    def test_numpy_key_refusal_message(self):
+        np = pytest.importorskip("numpy")
+        a = {(np.int64(i),): 0 for i in range(3)}
+        assert _refusal(parse_program(POLYPROD), {"a": a}) == (
+            "GeometryError", f"expected an exact number, got {np.int64(0)!r}"
+        )
 
 
 class TestValidate:

@@ -227,5 +227,5 @@ class TestGuardProperties:
 
     @given(guards(), guards(), envs())
     def test_implies_sound(self, g, h, env):
-        if g.implies(h) and g.evaluate(env):
+        if all(g.implies(c) for c in h.constraints) and g.evaluate(env):
             assert h.evaluate(env)

@@ -119,12 +119,12 @@ class TestImplication:
 
     def test_implies_guard(self):
         g = interval(2, col, 3)
-        assert g.implies(interval(0, col, 5))
+        assert all(g.implies(c) for c in interval(0, col, 5).constraints)
 
     def test_implication_with_assumptions(self):
         g = interval(0, col, n)
         assumptions = Guard([Constraint.ge(n, 0)])
-        assert g.implies(Constraint.ge(n - col, 0), assumptions)
+        assert g.and_(assumptions).implies(Constraint.ge(n - col, 0))
 
     def test_fractional_coefficients_scaled(self):
         g = Guard([Constraint.ge(col / 2, 1)])  # col >= 2
@@ -136,7 +136,7 @@ class TestImplication:
         fm = counter("fm_feasible")
         before = (fm.hits, fm.misses)
         assert Guard([c1, c2]).implies(c1)
-        assert Guard([c2]).implies(c1, Guard([c1]))
+        assert Guard([c2]).and_(Guard([c1])).implies(c1)
         assert (fm.hits, fm.misses) == before
 
 
@@ -195,6 +195,8 @@ def test_implies_matches_reference_on_derivations(monkeypatch):
             rest = Guard(x for x in guard.constraints if x is not c)
             implied = assumptions.implies(c)
             assert implied == _reference_implies(assumptions, c, None)
-            assert rest.implies(c, assumptions) == _reference_implies(rest, c, assumptions)
+            assert rest.and_(assumptions).implies(c) == _reference_implies(
+                rest, c, assumptions
+            )
             answers.append(implied)
     assert len(answers) > 1000 and 0 < sum(answers) < len(answers)

@@ -282,6 +282,161 @@ class TestBoundary:
             assert list(got[name]) == list(keys[name])
 
 
+def assert_bit_identical(got, want):
+    """Same elements, values and value types: ``1 == Fraction(1)`` and
+    ``1 == 1.0`` would hide a value that changed representation."""
+    assert got == want
+    for name, values in want.items():
+        assert [type(v) for v in got[name].values()] == [
+            type(v) for v in values.values()
+        ], name
+
+
+GUARDED_POLYPROD = """
+program guarded
+size n
+var a[0..n], b[0..n], c[0..2*n]
+for i = 0 <- 1 -> n
+for j = 0 <- 1 -> n
+    c[i+j] := c[i+j] + a[i] * b[j]
+    if i - j >= 1 -> c[i+j] := c[i+j] * 2
+    if j == 0 -> c[i+j] := c[i+j] - i
+"""
+
+
+class TestWaveKernel:
+    """One ``take`` per wave over the ``(elements, B)`` buffer."""
+
+    @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_batch_sizes_match_oracle(self, exp_id, batch):
+        prog, sp = compiled(exp_id)
+        env = {"n": 3}
+        sets = [
+            random_inputs(prog, env, seed=k, zero_for_written=False)
+            for k in range(batch)
+        ]
+        got = execute_numpy_batch(sp, env, sets)
+        assert len(got) == batch
+        for inputs, state in zip(sets, got):
+            assert_bit_identical(state, oracle_state(prog, env, inputs))
+
+    @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
+    def test_object_dtype_large_integers(self, exp_id):
+        prog, sp = compiled(exp_id)
+        env = {"n": 2}
+        sets = [
+            {
+                v: {p: x * 10**30 + k for p, x in m.items()}
+                for v, m in random_inputs(
+                    prog, env, seed=k, zero_for_written=False
+                ).items()
+            }
+            for k in range(2)
+        ]
+        got = execute_numpy_batch(sp, env, sets)
+        plan = wavefront_schedule(sp, env).runtime_cache["npgen_body_plan"]
+        assert list(plan.int64_fits.values()) == [False]
+        for inputs, state in zip(sets, got):
+            assert_bit_identical(state, oracle_state(prog, env, inputs))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_masked_branches(self, n):
+        from repro import parse_program
+
+        prog = parse_program(GUARDED_POLYPROD)
+        sp = compile_systolic(prog, DESIGNS["D1"][1])
+        env = {"n": n}
+        sets = [random_inputs(prog, env, seed=k) for k in range(3)]
+        for inputs, state in zip(sets, execute_numpy_batch(sp, env, sets)):
+            assert_bit_identical(state, oracle_state(prog, env, inputs))
+        plan = wavefront_schedule(sp, env).runtime_cache["npgen_body_plan"]
+        assert any(m is not None and not m.all() for ms in plan.step_masks for m in ms)
+
+    def test_fuzz_bodies_writing_two_streams(self):
+        from repro.fuzz.generator import generate_instance
+
+        checked = 0
+        for seed in range(6):
+            inst = generate_instance(seed, feature="multi_branch")
+            if inst is None:
+                continue
+            assert len(inst.program.body.streams_written()) == 2
+            sp = compile_systolic(inst.program, inst.array)
+            sets = [
+                random_inputs(inst.program, inst.env, seed=k, zero_for_written=False)
+                for k in range(2)
+            ]
+            got = execute_numpy_batch(sp, inst.env, sets)
+            for inputs, state in zip(sets, got):
+                assert_bit_identical(state, oracle_state(inst.program, inst.env, inputs))
+            checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize(
+        "exp_id, shape", [("D1", (2,)), ("D2", (2,)), ("E1", (2, 2)), ("E2", (2, 2))]
+    )
+    def test_banded_shapes(self, exp_id, shape):
+        prog, sp = compiled(exp_id)
+        env = {"n": 4}
+        sets = [
+            random_inputs(prog, env, seed=k, zero_for_written=False) for k in range(2)
+        ]
+        banded = execute_numpy_batch(sp, env, sets, shape=shape)
+        for inputs, state in zip(sets, banded):
+            assert_bit_identical(state, oracle_state(prog, env, inputs))
+        schedule = wavefront_schedule(sp, env)
+        waves = [v for k, v in schedule.runtime_cache.items() if k[0] == "npgen_band_cols"]
+        assert len(waves) == 1 and len(waves[0]) > schedule.n_steps
+
+    @pytest.mark.parametrize("shape", [(2,), (3,)])
+    def test_banded_masked_branches(self, shape):
+        """Guards and index values are cut with the same columns as the rows."""
+        from repro import parse_program
+
+        prog = parse_program(GUARDED_POLYPROD)
+        sp = compile_systolic(prog, DESIGNS["D1"][1])
+        env = {"n": 5}
+        sets = [random_inputs(prog, env, seed=k) for k in range(2)]
+        banded = execute_numpy_batch(sp, env, sets, shape=shape)
+        for inputs, state in zip(sets, banded):
+            assert_bit_identical(state, oracle_state(prog, env, inputs))
+
+    @pytest.mark.parametrize("exp_id", sorted(DESIGNS))
+    def test_index_rows_are_one_array_without_copies(self, exp_id):
+        """The rows replace per-stream index arrays: streams x points x 8
+        bytes, all views of one array."""
+        prog, sp = compiled(exp_id)
+        schedule = wavefront_schedule(sp, {"n": 5})
+        n_streams = len(schedule.streams)
+        assert schedule.streams == tuple(sorted(s.name for s in prog.streams))
+        assert sum(step.rows.nbytes for step in schedule.steps) == (
+            n_streams * schedule.total_points * 8
+        )
+        (base,) = {id(step.rows.base) for step in schedule.steps}
+        assert schedule.steps[0].rows.base.nbytes == (
+            n_streams * schedule.total_points * 8
+        )
+        for step in schedule.steps:
+            assert step.rows.dtype == numpy.int64
+            assert step.rows.shape == (n_streams * step.width,)
+
+    def test_index_rows_address_each_variables_block(self):
+        prog, sp = compiled("E2")
+        schedule = wavefront_schedule(sp, {"n": 3})
+        bases = [layout.base for layout in schedule.layouts.values()]
+        sizes = [layout.size for layout in schedule.layouts.values()]
+        assert bases == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert schedule.elements == sum(sizes)
+        for step in schedule.steps:
+            w = step.width
+            for k, name in enumerate(schedule.streams):
+                layout = schedule.layouts[name]
+                part = step.rows[k * w : (k + 1) * w]
+                assert part.min() >= layout.base
+                assert part.max() < layout.base + layout.size
+
+
 class TestCorpusReplayWithNpgen:
     CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
