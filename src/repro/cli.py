@@ -266,7 +266,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             max_shrink_steps=args.max_shrink_steps,
             corpus_dir=args.corpus_dir,
             feature=args.feature,
-            batch_size=args.batch_size,
             log=lambda message: print(message, file=sys.stderr),
         )
     requested = resolve_jobs(args.jobs)
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-budget",
         type=float,
         default=None,
-        help="stop after this many seconds (checked between batches)",
+        help="stop after this many seconds (checked after each instance)",
     )
     p.add_argument(
         "--jobs",
@@ -511,14 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(MUTATIONS),
         default=None,
         help="plant a known bug (harness self-test; the run must fail)",
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the pool fan-out size (default: adapt to measured "
-        "per-instance cost)",
     )
     p.add_argument(
         "--input-sets",

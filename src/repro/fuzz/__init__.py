@@ -15,15 +15,16 @@ those shapes:
   instance through the sequential oracle, the coroutine simulator, the
   compiled Python backend and the enumerative cross-check, checks that a
   pickle round-trip re-interns to the same program, and optionally runs
-  the NumPy and partitioned engines, larger channel capacities and
-  pool-vs-serial sweeps;
+  the NumPy engine (unfolded and folded onto 2 bands) and a larger
+  channel capacity;
 * :mod:`repro.fuzz.shrink` -- a greedy shrinker that minimizes failing
   instances (drop loops, shrink bounds and sizes, drop branches/streams,
   simplify expressions) and writes deterministic reproducers;
 * :mod:`repro.fuzz.corpus` -- JSON (de)serialization of instances and the
   ``tests/fuzz_corpus/`` reproducer format;
 * :mod:`repro.fuzz.driver` -- the ``repro fuzz`` campaign loop (seeds,
-  iteration/time budgets, worker pool fan-out, shrinking, summaries).
+  iteration/time budgets, one ordered worker fan-out, shrinking,
+  summaries).
 """
 
 from repro.fuzz.corpus import (

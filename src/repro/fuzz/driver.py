@@ -1,27 +1,29 @@
 """The fuzz campaign driver behind ``repro fuzz``.
 
 Iterations are independent (iteration ``i`` of base seed ``S`` always
-fuzzes instance seed ``S * 1_000_003 + i``), so a campaign fans out over
-the shared process-pool helper (:func:`repro.parallel.pool_map`) exactly
-like a design sweep: workers generate + run the harness, the driver
-collects results in iteration order, then shrinks any failures serially
-(shrinking re-runs the harness many times and wants the warm caches of one
-process).  Results are byte-identical for every ``--jobs`` value.
+fuzzes instance seed ``S * 1_000_003 + i``), so a campaign is one ordered
+fan-out (:func:`repro.parallel.fan_out`), exactly like a design sweep:
+workers generate + run the harness, and the driver consumes the records
+in iteration order, checking the time budget and the failure cap after
+each one, then shrinks any failures serially (shrinking re-runs the
+harness many times and wants the warm caches of one process).  Results are
+byte-identical for every ``--jobs`` value.
 
 Expensive checks are *sampled* on a deterministic schedule so a default
 campaign stays fast but still covers them: the NumPy wavefront backend
-every 3rd iteration, partitioned execution every 4th, capacity invariance
-every 5th and the pool-vs-serial sweep comparison every 25th.  The
-simulator, pygen, the enumerative cross-check and the pickle round-trip
-run on every instance.  A failure is shrunk with the sampled checks that
-caught it still on, and its reproducer records every ``HarnessConfig``
-field, so the minimized file replays the same failure.
+every 3rd iteration, the banded npgen fold every 4th and capacity
+invariance every 5th.  The simulator, pygen, the enumerative cross-check
+and the pickle round-trip run on every instance.  A failure is shrunk with
+the sampled checks that caught it still on, and its reproducer records
+every ``HarnessConfig`` field, so the minimized file replays the same
+failure.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from repro import profiling
@@ -35,25 +37,17 @@ from repro.util.errors import ReproError
 SEED_STRIDE = 1_000_003
 
 CAPACITY_EVERY = 5
-POOL_EVERY = 25
 #: npgen is cheap (one vectorized pass) but needs the optional NumPy extra
 NPGEN_EVERY = 3
-#: partitioned execution re-runs the whole folded simulation (plus the
-#: banded npgen pass) -- comparable cost to the plain simulator check
+#: the banded npgen fold onto 2 bands (also needs NumPy)
 PARTITION_EVERY = 4
 
 #: sampled ``HarnessConfig`` flag -> the checks it switches on
 _SAMPLED_CHECKS = {
     "check_capacity": {"capacity"},
-    "check_partition": {"partition", "partition_npgen"},
-    "check_pool": {"pool_sweep"},
+    "check_partition": {"partition_npgen"},
     "check_npgen": {"npgen"},
 }
-
-#: adaptive batching aims for roughly this much work per pool fan-out --
-#: long enough to amortize dispatch, short enough that the time budget and
-#: the failure cap are honoured promptly
-BATCH_TARGET_SECONDS = 2.0
 
 #: per-instance network phase stages recorded by repro.runtime.network
 _NETWORK_STAGES = ("network.build", "network.execute")
@@ -138,7 +132,6 @@ def iteration_config(base: HarnessConfig, iteration: int) -> HarnessConfig:
         base,
         check_capacity=base.check_capacity
         or iteration % CAPACITY_EVERY == CAPACITY_EVERY - 1,
-        check_pool=base.check_pool or iteration % POOL_EVERY == POOL_EVERY - 1,
         check_npgen=base.check_npgen
         or iteration % NPGEN_EVERY == NPGEN_EVERY - 1,
         check_partition=base.check_partition
@@ -208,32 +201,24 @@ def fuzz_run(
     corpus_dir: str | None = None,
     max_failures: int = 5,
     feature: str | None = None,
-    batch_size: int | None = None,
     log=None,
 ) -> FuzzSummary:
     """Run a fuzz campaign; returns the summary (never raises on findings).
 
-    ``time_budget`` (seconds) stops the campaign between batches once
-    exceeded.  At most ``max_failures`` failing iterations are shrunk and
-    written to ``corpus_dir`` (when given); the campaign also stops early
-    once that many failures have been collected.  ``feature`` restricts the
-    campaign to one generator stratum (see ``generator.FEATURES``): each
-    iteration resamples until its program carries that feature tag.
+    ``time_budget`` (seconds) and ``max_failures`` are checked after every
+    instance: the campaign stops early once the budget is exceeded or that
+    many failing iterations have been collected, so at most
+    ``max_failures`` are shrunk and written to ``corpus_dir`` (when given),
+    whatever ``jobs`` is.  ``feature`` restricts the campaign to one
+    generator stratum (see ``generator.FEATURES``): each iteration
+    resamples until its program carries that feature tag.
 
-    ``batch_size`` pins the pool fan-out size; by default it adapts --
-    starting from :func:`resolve_batch`'s jobs-scaled floor, then resized
-    from the measured per-instance cost so each fan-out covers roughly
-    :data:`BATCH_TARGET_SECONDS` of work.  The automatic garbage collector
-    is paused for the duration of the campaign (the caches at work here are
-    all bounded) and restored afterwards.
+    The automatic garbage collector is paused for the duration of the
+    campaign (the caches at work here are all bounded) and restored
+    afterwards.
     """
-    from repro.parallel import pool_map
+    from repro.parallel import fan_out
 
-    if batch_size is not None and batch_size < 1:
-        raise ReproError(
-            f"fuzz batch size must be >= 1, got {batch_size} "
-            "(--batch-size / fuzz_run(batch_size=...))"
-        )
     if iterations < 1:
         raise ReproError(
             f"fuzz iterations must be >= 1, got {iterations} "
@@ -248,98 +233,29 @@ def fuzz_run(
     summary = FuzzSummary(seed=seed, feature=feature)
     t0 = time.perf_counter()
 
-    # Batches keep the pool busy while letting the driver honour the time
-    # budget and the failure cap between fan-outs.
-    current_batch = batch_size or resolve_batch(jobs)
-    next_iteration = 0
-    effective_jobs = 1
+    summary.jobs, records = fan_out(
+        _fuzz_task,
+        range(iterations),
+        jobs=jobs,
+        initializer=_init_fuzz_worker,
+        initargs=(seed, base_config, feature),
+    )
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        while next_iteration < iterations:
-            if (
-                time_budget is not None
-                and time.perf_counter() - t0 > time_budget
-            ):
-                summary.stopped_early = True
-                break
-            if len(summary.failures) >= max_failures:
-                summary.stopped_early = True
-                break
-            batch = list(
-                range(
-                    next_iteration, min(iterations, next_iteration + current_batch)
-                )
-            )
-            next_iteration = batch[-1] + 1
-            records, effective_jobs = pool_map(
-                _fuzz_task,
-                batch,
-                jobs=jobs,
-                initializer=_init_fuzz_worker,
-                initargs=(seed, base_config, feature),
-            )
+        with closing(records):
             for record in records:
-                summary.iterations += 1
-                summary.phase_seconds["generate"] = summary.phase_seconds.get(
-                    "generate", 0.0
-                ) + record.get("generate_s", 0.0)
-                if record["status"] == "skipped":
-                    summary.skipped += 1
-                    continue
-                summary.generated += 1
-                for name in record["checks_run"]:
-                    summary.check_counts[name] = (
-                        summary.check_counts.get(name, 0) + 1
-                    )
-                check_total = 0.0
-                for name, dt in record["timings"].items():
-                    summary.check_seconds[name] = (
-                        summary.check_seconds.get(name, 0.0) + dt
-                    )
-                    if name == "compile":
-                        summary.phase_seconds["compile"] = (
-                            summary.phase_seconds.get("compile", 0.0) + dt
-                        )
-                    else:
-                        check_total += dt
-                summary.phase_seconds["check"] = (
-                    summary.phase_seconds.get("check", 0.0) + check_total
-                )
-                for stage, dt in record.get("stages", {}).items():
-                    name = _STAGE_PHASE[stage]
-                    summary.phase_seconds[name] = (
-                        summary.phase_seconds.get(name, 0.0) + dt
-                    )
-                for tag in record.get("features", ()):
-                    summary.feature_counts[tag] = (
-                        summary.feature_counts.get(tag, 0) + 1
-                    )
-                if record["status"] == "failed":
-                    summary.failures.append(
-                        FailureRecord(
-                            iteration=record["iteration"],
-                            instance_seed=record["instance_seed"],
-                            checks=record["checks"],
-                            messages=record["messages"],
-                            original_json=record["instance_json"],
-                        )
-                    )
-                    if log:
-                        log(
-                            f"iteration {record['iteration']}: FAILED "
-                            f"{record['checks']}"
-                        )
-            if batch_size is None and summary.generated:
-                per_instance = (time.perf_counter() - t0) / max(
-                    1, summary.iterations
-                )
-                current_batch = resolve_batch(jobs, per_instance)
+                _tally(summary, record, log)
+                if len(summary.failures) >= max_failures or (
+                    time_budget is not None
+                    and time.perf_counter() - t0 > time_budget
+                ):
+                    summary.stopped_early = summary.iterations < iterations
+                    break
     finally:
         if gc_was_enabled:
             gc.enable()
-    summary.jobs = effective_jobs
 
     if shrink and summary.failures:
         from repro.fuzz.corpus import instance_from_json
@@ -372,20 +288,44 @@ def fuzz_run(
     return summary
 
 
-def resolve_batch(jobs: int | None, per_instance_s: float | None = None) -> int:
-    """Pick a pool fan-out size from the worker count *and* instance cost.
-
-    With no cost measurement yet (campaign start), fall back to four batches
-    of work per worker.  Once ``per_instance_s`` is known, size the batch so
-    one fan-out covers roughly :data:`BATCH_TARGET_SECONDS` of wall-clock --
-    cheap instances get large batches (amortizing pool dispatch), expensive
-    ones get small batches (so the time budget and failure cap stay
-    responsive) -- clamped to ``[workers, 64 * workers]``.
-    """
-    from repro.parallel import resolve_jobs
-
-    workers = resolve_jobs(jobs)
-    if per_instance_s is None or per_instance_s <= 0:
-        return 4 * workers
-    target = int(BATCH_TARGET_SECONDS / per_instance_s)
-    return max(workers, min(target, 64 * workers))
+def _tally(summary: FuzzSummary, record: dict, log) -> None:
+    """Fold one iteration's record into the campaign summary."""
+    summary.iterations += 1
+    summary.phase_seconds["generate"] = summary.phase_seconds.get(
+        "generate", 0.0
+    ) + record.get("generate_s", 0.0)
+    if record["status"] == "skipped":
+        summary.skipped += 1
+        return
+    summary.generated += 1
+    for name in record["checks_run"]:
+        summary.check_counts[name] = summary.check_counts.get(name, 0) + 1
+    check_total = 0.0
+    for name, dt in record["timings"].items():
+        summary.check_seconds[name] = summary.check_seconds.get(name, 0.0) + dt
+        if name == "compile":
+            summary.phase_seconds["compile"] = (
+                summary.phase_seconds.get("compile", 0.0) + dt
+            )
+        else:
+            check_total += dt
+    summary.phase_seconds["check"] = (
+        summary.phase_seconds.get("check", 0.0) + check_total
+    )
+    for stage, dt in record.get("stages", {}).items():
+        name = _STAGE_PHASE[stage]
+        summary.phase_seconds[name] = summary.phase_seconds.get(name, 0.0) + dt
+    for tag in record.get("features", ()):
+        summary.feature_counts[tag] = summary.feature_counts.get(tag, 0) + 1
+    if record["status"] == "failed":
+        summary.failures.append(
+            FailureRecord(
+                iteration=record["iteration"],
+                instance_seed=record["instance_seed"],
+                checks=record["checks"],
+                messages=record["messages"],
+                original_json=record["instance_json"],
+            )
+        )
+        if log:
+            log(f"iteration {record['iteration']}: FAILED {record['checks']}")

@@ -9,17 +9,15 @@ For a :class:`~repro.fuzz.generator.FuzzInstance` the harness
 2. runs every engine of :data:`ENGINE_RUNS` -- the **coroutine
    simulator**, the **compiled Python backend** (the handle's one rendered
    module, on capacity-1 channels) and, sampled by the driver, the
-   vectorized NumPy backend, channel capacity 3 and the partitioned
-   executors -- through :meth:`Compilation.run`, and compares every
-   element of every variable with the oracle;
+   vectorized NumPy backend, channel capacity 3 and the banded npgen
+   fold onto 2 bands -- through :meth:`Compilation.run`, and compares
+   every element of every variable with the oracle;
 3. runs the **enumerative cross-check**
    (:func:`repro.verify.enumerative.cross_check`) of every symbolic closed
    form against its brute-force definition;
 4. checks that a **pickle round-trip** (what ``parallel.sweep_designs``
    does to ship work) re-interns to the identical rendering and identical
-   :class:`~repro.systolic.explore.DesignCost`;
-5. optionally (sampled, it dominates runtime): a real pool-vs-serial
-   ``sweep_designs`` comparison.
+   :class:`~repro.systolic.explore.DesignCost`.
 
 Which checks exist is decided by a kill matrix
 (``tests/fuzz/test_kill_matrix.py``): every planted fault x every check,
@@ -179,11 +177,8 @@ class HarnessConfig:
     #: re-run the simulator with channel capacity 3 (capacity invariance)
     check_capacity: bool = False
     #: fold the run onto a fixed 2-band array (symbolic LSGP partition)
-    #: through both the partitioned simulator and, when NumPy is present,
-    #: the banded npgen executor -- results must stay bit-identical
+    #: through the banded npgen executor (skipped without NumPy)
     check_partition: bool = False
-    #: full pool-vs-serial ``sweep_designs`` comparison (expensive)
-    check_pool: bool = False
     #: mismatches quoted per failure
     max_mismatches: int = 5
 
@@ -209,7 +204,6 @@ ENGINE_RUNS = (
     EngineCheck("pygen", "pygen", None, 1, True, None),
     EngineCheck("npgen", "npgen", None, 1, True, "check_npgen"),
     EngineCheck("capacity", "sim", None, 3, False, "check_capacity"),
-    EngineCheck("partition", "sim", (2,), 1, False, "check_partition"),
     EngineCheck("partition_npgen", "npgen", (2,), 1, False, "check_partition"),
 )
 
@@ -347,42 +341,5 @@ def run_instance(instance, config: HarnessConfig | None = None) -> InstanceRepor
             raise AssertionError("pickle round-trip changes the design cost")
 
     checked("pickle_reintern", check_round_trip)
-
-    if config.check_pool:
-
-        def check_pool():
-            from repro.parallel import sweep_designs
-
-            # A capped sweep: the invariant under test is serial/pool
-            # agreement (task order, memo shipping, rank merging), which a
-            # deterministic prefix of the candidate space exercises just as
-            # well as the full space at a fraction of the cost.
-            cap = 4
-            serial = sweep_designs(
-                program,
-                instance.array.step,
-                [env],
-                bound=1,
-                max_candidates=cap,
-                jobs=1,
-            )
-            pooled = sweep_designs(
-                program,
-                instance.array.step,
-                [env],
-                bound=1,
-                max_candidates=cap,
-                jobs=2,
-                force_pool=True,
-            )
-            a = [c.row() for c in serial.by_size[0][1]]
-            b = [c.row() for c in pooled.by_size[0][1]]
-            if a != b:
-                raise AssertionError(
-                    f"pool sweep diverges from serial: {len(a)} vs {len(b)} "
-                    "rows or differing contents"
-                )
-
-        checked("pool_sweep", check_pool)
 
     return report

@@ -41,16 +41,20 @@ def checked_values(
     of :class:`~repro.analysis.wavefront.VariableLayout`'s storage, so a
     dense backend loads each list as it is.
     """
-    return {name: values for name, _space, values in _checked(program, env, inputs)}
+    return {name: values for name, _space, values, _ in _checked(program, env, inputs)}
 
 
 def _checked(
     program: SourceProgram,
     env: Mapping[str, Numeric],
     inputs: Mapping[str, Mapping[Point, RuntimeValue] | int] | None,
-) -> Iterator[tuple[str, Rectangle, list[RuntimeValue]]]:
+) -> Iterator[
+    tuple[str, Rectangle, list[RuntimeValue], Mapping[Point, RuntimeValue] | None]
+]:
     """:func:`checked_values` with each variable's space, which costs a
-    bound evaluation per variable, so it is worked out once."""
+    bound evaluation per variable, so it is worked out once, and the
+    caller's mapping when its keys are already the space's ``Point`` keys
+    in row-major order (else ``None``)."""
     inputs = dict(inputs or {})
     undeclared = set(inputs) - {var.name for var in program.variables}
     if undeclared:
@@ -61,7 +65,7 @@ def _checked(
         space = var.space(env)
         spec = inputs.get(var.name, 0)
         if not isinstance(spec, Mapping):
-            yield var.name, space, [spec] * space.size
+            yield var.name, space, [spec] * space.size, None
             continue
         try:
             exact = set(map(type, chain.from_iterable(spec))) <= {int}
@@ -76,7 +80,8 @@ def _checked(
             and len(spec) == space.size
             and all(map(eq, spec, product(*space.ranges())))
         ):
-            yield var.name, space, list(spec.values())
+            points = spec if all(type(k) is Point for k in spec) else None
+            yield var.name, space, list(spec.values()), points
             continue
         if not exact:
             spec = {Point(k): v for k, v in spec.items()}
@@ -92,7 +97,7 @@ def _checked(
             raise SourceProgramError(
                 f"variable {var.name}: values outside its space: {extra[:3]}..."
             )
-        yield var.name, space, values
+        yield var.name, space, values, None
 
 
 def initial_state(
@@ -104,11 +109,13 @@ def initial_state(
 
     The inputs are checked as :func:`checked_values` checks them; each
     variable's elements come back keyed by space points in the row-major
-    order of its space.
+    order of its space.  A variable given with ``Point`` keys in that
+    order (as :func:`~repro.verify.equivalence.random_inputs` gives them)
+    is a copy of the caller's mapping, keys and all.
     """
     return {
-        name: dict(zip(space, values))
-        for name, space, values in _checked(program, env, inputs)
+        name: dict(zip(space, values)) if points is None else dict(points)
+        for name, space, values, points in _checked(program, env, inputs)
     }
 
 

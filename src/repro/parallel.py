@@ -25,8 +25,7 @@ single-CPU machine (jobs=2 measured 0.93x serial there), and workers
 beyond the candidate count are pure overhead.
 ``sweep_designs`` therefore clamps the worker count to the task count and
 falls back to the serial path (with a :class:`RuntimeWarning`) when only
-one CPU is available; ``force_pool=True`` overrides the CPU check for
-tests and measurements.
+one CPU is available.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro import profiling
 from repro.core.memo import MEMO
@@ -49,7 +48,7 @@ from repro.systolic.schedule import candidate_tasks
 __all__ = [
     "SweepTimings",
     "SweepResult",
-    "pool_map",
+    "fan_out",
     "resolve_jobs",
     "sweep_designs",
 ]
@@ -127,48 +126,41 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def pool_map(
-    task_fn,
-    tasks: Sequence,
-    *,
-    jobs: int | None = 1,
-    force_pool: bool = False,
-    initializer=None,
-    initargs: tuple = (),
-) -> tuple[list, int]:
-    """Map picklable tasks over a clamped process pool; the shared engine
-    behind :func:`sweep_designs` and ``repro fuzz``.
+def fan_out(
+    task_fn, tasks: Sequence, *, jobs: int | None, initializer, initargs: tuple
+) -> tuple[int, Iterator]:
+    """Map picklable tasks over worker processes; the one fan-out behind
+    :func:`sweep_designs` and ``repro fuzz``.
 
-    Returns ``(results in task order, effective worker count)``.  The
-    worker count is clamped to the task count, and the call falls back to
-    the serial path -- emitting a :class:`RuntimeWarning` -- when only one
-    CPU is available (``force_pool=True`` overrides, for measurements and
-    cross-process tests).  The serial path runs ``initializer`` in-process
-    and then applies ``task_fn`` directly, so results are identical for
-    every ``jobs`` value.
+    Returns ``(effective worker count, results)``: the results are yielded
+    lazily and in task order.  The worker count is clamped to the task
+    count, and falls back to 1 -- emitting a :class:`RuntimeWarning` --
+    when only one CPU is available.  One worker runs ``initializer`` and
+    the tasks in-process, so results are identical for every ``jobs``
+    value.  Otherwise one pool serves the whole call, and it is terminated
+    as soon as the consumer stops: close the iterator (or exhaust it) to
+    leave no worker running.
     """
     n_jobs = resolve_jobs(jobs)
-    pool_jobs = min(n_jobs, len(tasks)) if tasks else 1
-    if pool_jobs > 1 and not force_pool and (os.cpu_count() or 1) == 1:
+    workers = max(1, min(n_jobs, len(tasks)))
+    if workers > 1 and (os.cpu_count() or 1) == 1:
         warnings.warn(
             f"requested jobs={n_jobs} but only 1 CPU is available; using "
-            "the serial path (pass force_pool=True to override)",
+            "the serial path",
             RuntimeWarning,
             stacklevel=3,
         )
-        pool_jobs = 1
-    if pool_jobs > 1:
-        ctx = multiprocessing.get_context()
-        chunksize = max(1, len(tasks) // (pool_jobs * 4))
-        with ctx.Pool(
-            processes=pool_jobs,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            return pool.map(task_fn, tasks, chunksize=chunksize), pool_jobs
-    if initializer is not None:
+        workers = 1
+    return workers, _results(task_fn, tasks, workers, initializer, initargs)
+
+
+def _results(task_fn, tasks, workers, initializer, initargs) -> Iterator:
+    if workers == 1:
         initializer(*initargs)
-    return [task_fn(t) for t in tasks], pool_jobs
+        yield from map(task_fn, tasks)
+        return
+    with multiprocessing.get_context().Pool(workers, initializer, initargs) as pool:
+        yield from pool.imap(task_fn, tasks, chunksize=1)
 
 
 def sweep_designs(
@@ -178,9 +170,7 @@ def sweep_designs(
     *,
     bound: int = 1,
     limit: int | None = None,
-    max_candidates: int | None = None,
     jobs: int | None = None,
-    force_pool: bool = False,
 ) -> SweepResult:
     """Cost the whole bounded place design space at every requested size.
 
@@ -189,39 +179,27 @@ def sweep_designs(
     per-size tables are ranked exactly like serial
     :func:`repro.systolic.explore.explore_designs` output.
 
-    ``max_candidates`` truncates the candidate space to its deterministic
-    enumeration prefix -- a cost cap for callers (like the fuzz harness's
-    pool-vs-serial comparison) that need a representative sweep, not an
-    exhaustive one.  ``timings.candidates`` reports the truncated count.
-
     The effective worker count is clamped to the candidate count, and the
     sweep falls back to the serial path -- emitting a
     :class:`RuntimeWarning` -- when ``os.cpu_count()`` is 1 (process
     parallelism can only add overhead there); ``timings.jobs`` records the
-    effective count.  Pass ``force_pool=True`` to keep the pool regardless
-    (measurements, cross-process tests).
+    effective count.
     """
     if not envs:
         raise ValueError("sweep_designs needs at least one size environment")
     t_start = time.perf_counter()
     size_envs = [dict(e) for e in envs]
     tasks = candidate_tasks(program, step, bound=bound)
-    if max_candidates is not None:
-        if max_candidates < 1:
-            raise ValueError(
-                f"max_candidates must be >= 1, got {max_candidates}"
-            )
-        tasks = tasks[:max_candidates]
     t_synth = time.perf_counter()
 
-    results, pool_jobs = pool_map(
+    pool_jobs, results = fan_out(
         _sweep_task,
         tasks,
         jobs=jobs,
-        force_pool=force_pool,
         initializer=_init_worker,
         initargs=(program, step.rows, size_envs, MEMO.export_state()),
     )
+    results = list(results)
     t_cost = time.perf_counter()
 
     compiled = 0

@@ -35,7 +35,7 @@ from repro import profiling
 from repro.core.program import SystolicProgram
 from repro.geometry.point import exact
 from repro.lang.expr import Affine, BinOp, Body, Const, IndexExpr, StreamRead
-from repro.lang.interpreter import checked_values
+from repro.lang.interpreter import _checked
 from repro.symbolic.affine import AffineVec
 from repro.symbolic.compile import (
     closure_num,
@@ -615,10 +615,9 @@ def run_rendered(
     """:func:`execute_python` on ``source``, the already rendered module
     of ``sp`` (a :class:`~repro.compilation.Compilation` holds one)."""
     module = module_for(source)
-    values = checked_values(sp.source, env, inputs)
     dense = {
-        var.name: dict(zip(product(*var.space(env).ranges()), values[var.name]))
-        for var in sp.source.variables
+        name: dict(zip(product(*space.ranges()), values))
+        for name, space, values, _points in _checked(sp.source, env, inputs)
     }
     sizes = {k: int(v) for k, v in env.items()}
     try:

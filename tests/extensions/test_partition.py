@@ -1,5 +1,6 @@
 """The LSGP fold: per-band wavefront activity, the banded NumPy executor,
-and folds through ``verify_design`` and the fuzz harness.
+and folds through ``verify_design`` and ``Compilation.run`` on fuzz-generated
+programs.
 
 The fold itself is pure Python; only the npgen cases need NumPy.
 """
@@ -182,20 +183,31 @@ class TestVerifyDesignPartition:
             verify_design(prog, arr, {"n": 3}, backend="pygen", partition=(2,))
 
 
-@needs_numpy  # asserts the partition_npgen count
-class TestFuzzFolds:
-    def test_fuzz_programs_fold_onto_two_bands(self):
-        """120 generated programs folded onto a 2-band array -- through the
-        partitioned simulator and the banded npgen executor -- each equal
-        to the sequential oracle on every element of every variable."""
-        from repro.fuzz import HarnessConfig, fuzz_run
+@pytest.fixture(scope="module")
+def fuzz_handles():
+    """The fuzz instances of seeds 0-119 (unschedulable seeds skipped),
+    each compiled once."""
+    from repro.compilation import Compilation
+    from repro.fuzz.generator import generate_instance
 
-        summary = fuzz_run(
-            seed=0,
-            iterations=120,
-            config=HarnessConfig(check_partition=True),
-            shrink=False,
-        )
-        assert summary.ok, [f.messages for f in summary.failures]
-        assert summary.check_counts["partition"] == 120
-        assert summary.check_counts["partition_npgen"] == 120
+    instances = filter(None, map(generate_instance, range(120)))
+    return [(Compilation.compile(i.program, i.array), i.env) for i in instances]
+
+
+def _fold_onto_two_bands(handles, backend):
+    for handle, env in handles:
+        execution = handle.run(env, backend=backend, shape=(2,))
+        assert execution.mismatched == 0, (handle.program.name, execution.mismatches)
+
+
+class TestFuzzFolds:
+    """Generated programs folded onto a 2-band array, each equal to the
+    sequential oracle on every element of every variable."""
+
+    def test_fuzz_programs_fold_onto_two_bands(self, fuzz_handles):
+        assert len(fuzz_handles) == 120  # every seed is schedulable
+        _fold_onto_two_bands(fuzz_handles, "sim")
+
+    @needs_numpy
+    def test_fuzz_programs_fold_onto_two_bands_npgen(self, fuzz_handles):
+        _fold_onto_two_bands(fuzz_handles, "npgen")

@@ -23,10 +23,12 @@ CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
 def test_retired_harness_field_still_loads(tmp_path):
     """A reproducer naming a retired check flag (``check_threaded``, whose
-    thread-per-process engine is gone) loads and replays on the checks
+    thread-per-process engine is gone, or ``check_pool``, whose
+    pool-vs-serial sweep caught nothing) loads and replays on the checks
     that remain."""
     raw = json.loads((CORPUS / "seed_1e31eacfe4c2.json").read_text())
     raw["harness"]["check_threaded"] = True
+    raw["harness"]["check_pool"] = True
     path = tmp_path / "old.json"
     path.write_text(json.dumps(raw))
     instance, config, _raw = load_reproducer(path)

@@ -30,9 +30,13 @@ from repro.fuzz.harness import (
 )
 from repro.fuzz.shrink import shrink_instance
 from repro.systolic.designs import all_paper_designs
+from repro.target.npgen import HAVE_NUMPY
 from repro.util.errors import ReproError
 
 ENGINE_CHECKS = {"simulator", "pygen", "cross_check"}
+
+#: the fold's check runs the banded npgen executor
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
 
 
 def _skip_if_unschedulable(instance):
@@ -59,7 +63,7 @@ class TestHarnessClean:
             HarnessConfig(check_capacity=True, check_partition=True),
         )
         assert report.ok, str(report)
-        assert "partition" in report.checks_run
+        assert ("partition_npgen" in report.checks_run) == HAVE_NUMPY
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_generated_instances_pass(self, seed):
@@ -68,18 +72,19 @@ class TestHarnessClean:
         assert report.ok, str(report)
         assert {"compile", "oracle"} | ENGINE_CHECKS <= set(report.checks_run)
 
+    @needs_numpy
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_generated_instances_pass_partitioned(self, seed):
         """The symbolic 2-band fold stays bit-identical on fuzz-generated
-        programs, through both the folded simulator and banded npgen."""
+        programs through banded npgen."""
         instance = _skip_if_unschedulable(generate_instance(seed))
         report = run_instance(instance, HarnessConfig(check_partition=True))
         assert report.ok, str(report)
-        assert "partition" in report.checks_run
+        assert "partition_npgen" in report.checks_run
 
+    @needs_numpy
     def test_partition_catches_planted_bug(self):
-        """The partitioned engines replay the planted-mutation corpus: a
-        drain bump that deadlocks or corrupts the fold is detected."""
+        """The banded npgen fold catches a planted index-map shear."""
         for seed in range(6):
             instance = generate_instance(seed)
             if instance is None:
@@ -88,7 +93,7 @@ class TestHarnessClean:
                 instance,
                 HarnessConfig(mutate="map_shear", check_partition=True),
             )
-            if "partition" in report.failed_checks:
+            if "partition_npgen" in report.failed_checks:
                 return
         pytest.skip("no seed produced a partition-visible shear")
 
@@ -224,6 +229,44 @@ class TestDriver:
         assert raw["failure"]["checks"] == ["capacity"]
         assert raw["harness"]["check_capacity"] is True
         assert run_instance(loaded, cfg).failed_checks == {"capacity"}
+
+    def test_jobs_do_not_change_the_campaign(self, tmp_path, monkeypatch):
+        """A pooled campaign equals the serial one, the failure cap is exact
+        for every ``jobs`` value, and no worker outlives the call."""
+        import multiprocessing
+
+        import repro.parallel as par
+
+        monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
+        clean, capped = {}, {}
+        for jobs in (1, 2):
+            summary = fuzz_run(seed=0, iterations=12, shrink=False, jobs=jobs)
+            assert summary.jobs == jobs
+            clean[jobs] = (
+                summary.generated,
+                summary.skipped,
+                summary.check_counts,
+                summary.feature_counts,
+            )
+            assert not multiprocessing.active_children()
+            corpus = tmp_path / f"jobs{jobs}"
+            summary = fuzz_run(
+                seed=0,
+                iterations=30,
+                config=HarnessConfig(mutate="drain_plus_one"),
+                max_failures=2,
+                corpus_dir=corpus,
+                jobs=jobs,
+            )
+            assert summary.stopped_early
+            assert len(list(corpus.iterdir())) == 2
+            capped[jobs] = [
+                (f.iteration, f.instance_seed, f.checks) for f in summary.failures
+            ]
+            assert not multiprocessing.active_children()
+        assert clean[1] == clean[2]
+        assert len(capped[1]) == 2
+        assert capped[1] == capped[2]
 
     def test_time_budget_stops_early(self):
         summary = fuzz_run(seed=0, iterations=500, time_budget=0.0, shrink=False)

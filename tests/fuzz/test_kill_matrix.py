@@ -1,22 +1,24 @@
 """The kill matrix: every planted fault x every harness check.
 
-Rows are the five :data:`~repro.fuzz.harness.MUTATIONS` plus four faults:
-three in the cache layers the derived program passes through and one in
-the simulator's channels that only a capacity above 1 can reach.  The
-faults are functions local to this file that monkeypatch one component,
-not mutations: ``repro fuzz --mutate`` offers no way to plant them.
-Columns are every check ``run_instance`` can run except ``pool_sweep``,
-whose process pool is out of this budget.
+Rows are the five :data:`~repro.fuzz.harness.MUTATIONS` plus five faults:
+three in the cache layers the derived program passes through, one in the
+simulator's channels that only a capacity above 1 can reach and one in
+the band splitter of the 2-band fold.  The faults are functions local to
+this file that monkeypatch one component, not mutations: ``repro fuzz
+--mutate`` offers no way to plant them.  Columns are every check
+``run_instance`` can run.
 
-The pinned counts decide which checks stay.  An engine check (one engine
-each) stays because it is its engine's only check.  Any other check must
-be the only catcher of some planted fault; a check that catches nothing
-another check does not catch is deleted, as the memo on/off A/B, the
-repeated execution and the on-disk render-cache checks were (the
-thread-per-process pygen check went with its engine once pygen itself ran
-capacity-1 channels).  Known blind spot: skipping the re-interning on
-unpickle changes identity and speed, never values, so no check can see it
-and it is not planted.
+The pinned counts decide which checks stay.  An engine check that is its
+engine's only check stays for that reason.  Any other check must be the
+only catcher of some planted fault; a check that catches nothing another
+check does not catch is deleted, as the memo on/off A/B, the repeated
+execution, the on-disk render-cache, the pool-vs-serial sweep and the
+folded-simulator checks were (the thread-per-process pygen check went
+with its engine once pygen itself ran capacity-1 channels; a fold changes
+placement and timing, never values, so the folded simulator caught
+exactly what the simulator caught).  Known blind spot: skipping the
+re-interning on unpickle changes identity and speed, never values, so no
+check can see it and it is not planted.
 
 :class:`TestChannelDiscipline` plants a fault in the generated module's
 own runner; it fires on two corpus pins and on no matrix seed.
@@ -51,7 +53,7 @@ SEEDS = range(8, 16)
 ROUND_ROBIN_PINS = ("seed_1e31eacfe4c2", "seed_7551259922cb")
 CORPUS = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 
-#: every check run with all sampled extras on, pool_sweep aside
+#: every check run with all sampled extras on
 COLUMNS = (
     "compile",
     "oracle",
@@ -61,17 +63,11 @@ COLUMNS = (
     "npgen",
     "pickle_reintern",
     "capacity",
-    "partition",
     "partition_npgen",
 )
 
-ENGINE_CHECKS = {
-    "simulator",
-    "pygen",
-    "npgen",
-    "partition",
-    "partition_npgen",
-}
+#: checks that are their engine's only check
+ENGINE_CHECKS = {"simulator", "pygen", "npgen"}
 
 CONFIG = dict(
     check_npgen=True,
@@ -138,9 +134,27 @@ def newest_first(mp):
     mp.setattr(Channel, "__init__", init)
 
 
+def band_edges_short(mp):
+    """The band splitter's last edge is one short, so no band owns the
+    last leading column."""
+    real = partition.band_edges
+
+    def short(lo, hi, bands):
+        *edges, last = real(lo, hi, bands)
+        return (*edges, last - 1)
+
+    mp.setattr(partition, "band_edges", short)
+
+
 FAULTS = {
     f.__name__: f
-    for f in (memo_collision, module_collision, pickle_corrupt, newest_first)
+    for f in (
+        memo_collision,
+        module_collision,
+        pickle_corrupt,
+        newest_first,
+        band_edges_short,
+    )
 }
 ROWS = ("honest", *sorted(MUTATIONS), *FAULTS)
 
@@ -152,22 +166,18 @@ EXPECTED = {
         "pygen": 7,
         "cross_check": 8,
         "capacity": 7,
-        # the partitioned run shares execute's conservation pre-flight
-        "partition": 7,
     },
     "drain_plus_one": {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
         "capacity": 8,
-        "partition": 8,
     },
     "map_shear": {
         "simulator": 7,
         "pygen": 7,
         "npgen": 7,
         "capacity": 7,
-        "partition": 7,
         "partition_npgen": 7,
     },
     "pass_plus_one": {
@@ -175,27 +185,25 @@ EXPECTED = {
         "pygen": 8,
         "cross_check": 8,
         "capacity": 8,
-        "partition": 8,
     },
     "soak_plus_one": {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
         "capacity": 8,
-        "partition": 8,
     },
     "memo_collision": {
         "simulator": 8,
         "pygen": 8,
         "cross_check": 8,
         "capacity": 8,
-        "partition": 8,
     },
     # the first module cached is the right one for its own instance
     "module_collision": {"pygen": 7},
     "pickle_corrupt": {"pickle_reintern": 8},
     # a channel holds two messages only above capacity 1
     "newest_first": {"capacity": 7},
+    "band_edges_short": {"partition_npgen": 6},
 }
 
 

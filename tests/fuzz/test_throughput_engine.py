@@ -137,8 +137,8 @@ class TestCompileOnce:
     def test_one_compile_one_render_per_harness_run(self, pinned_instance, calls):
         """A full harness pass compiles and renders exactly once.
 
-        The sampled engine checks (all but the pool sweep) are forced on so
-        every consumer of the handle runs.  The oracle runs once per input
+        The sampled engine checks are forced on so every consumer of the
+        handle runs.  The oracle runs once per input
         seed, pygen runs every seed on the handle's one rendering, and the
         only other render is the pickled copy's.
         """

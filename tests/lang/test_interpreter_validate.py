@@ -185,6 +185,19 @@ class TestCheckedValues:
         values = checked_values(p, {"n": 2}, {"a": a})["a"]
         assert all(x is y for x, y in zip(values, big))
 
+    def test_point_keys_in_order_are_the_callers_keys(self):
+        from repro.verify.equivalence import random_inputs
+
+        p = parse_program(MATMUL)
+        env = {"n": 2}
+        inputs = random_inputs(p, env, seed=3)
+        state = initial_state(p, env, inputs)
+        for name, given in inputs.items():
+            assert state[name] == given and state[name] is not given
+            assert all(x is y for x, y in zip(state[name], given))
+        run_sequential(p, env, inputs)  # mutates its own copy only
+        assert inputs == random_inputs(p, env, seed=3)
+
     def test_in_order_keys_with_one_wrong_element_take_the_lookup_path(self):
         p = parse_program(POLYPROD)
         a = {(0,): 1, (1,): 2, (3,): 3}  # right length, one key outside

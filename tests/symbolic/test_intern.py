@@ -225,14 +225,16 @@ class TestPicklingReinterns:
         assert pickle.loads(pickle.dumps(g)) is g
         assert pickle.loads(pickle.dumps(pw)) is pw
 
-    def test_through_sweep_workers(self):
+    def test_through_sweep_workers(self, monkeypatch):
         # The real cross-process path: workers rebuild interned objects via
         # __reduce__ and send DesignCosts back; the pooled table must equal
-        # the serial one exactly.
+        # the serial one exactly.  Two CPUs keep the pool on any machine.
+        import repro.parallel as par
+
+        monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
         prog = polynomial_product_program()
         step = Matrix([[2, 1]])
         serial = explore_designs(prog, step, {"n": 3}, bound=1)
-        pooled = sweep_designs(
-            prog, step, [{"n": 3}], bound=1, jobs=2, force_pool=True
-        ).costs_at({"n": 3})
-        assert pooled == serial
+        pooled = sweep_designs(prog, step, [{"n": 3}], bound=1, jobs=2)
+        assert pooled.timings.jobs == 2
+        assert pooled.costs_at({"n": 3}) == serial

@@ -49,6 +49,26 @@ class TestAgainstOracle:
         assert got == _tupled(oracle)
 
 
+    def test_one_space_evaluation_per_variable(self, design, monkeypatch):
+        """Each variable's space is worked out once per run, by the input
+        check, not again for the generated module's tuple keys."""
+        from repro.lang.variables import IndexedVariable
+
+        exp, prog, sp = design
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=5)
+        source = pygen.render_python(sp)
+        real = IndexedVariable.space
+        calls = []
+
+        def space(self, env):
+            calls.append(self.name)
+            return real(self, env)
+
+        monkeypatch.setattr(IndexedVariable, "space", space)
+        pygen.run_rendered(source, sp, env, inputs)
+        assert sorted(calls) == sorted(v.name for v in prog.variables)
+
 class TestAgainstSimulator:
     def test_matches_runtime_execute(self, design):
         exp, prog, sp = design

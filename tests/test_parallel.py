@@ -1,7 +1,6 @@
 """Tests for the parallel/batched design-space sweep layer."""
 
 import pickle
-import warnings
 
 import pytest
 
@@ -146,34 +145,34 @@ class TestSweepDesigns:
 class TestParallelMatchesSerial:
     """`--jobs N` must produce the same ranked table as serial, any N.
 
-    These run with a real pool: ``force_pool=True`` bypasses the 1-CPU
-    serial fallback so the cross-process path is exercised even on
-    single-core machines (where the fallback would otherwise kick in).
+    These run with a real pool: ``os.cpu_count`` is patched to 2 so the
+    1-CPU serial fallback cannot kick in on a single-core machine.
     """
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        import repro.parallel as par
+
+        monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
 
     def test_polyprod_jobs2(self):
         prog = polynomial_product_program()
         serial = explore_designs(prog, POLY_STEP, {"n": 3}, bound=1)
         parallel = sweep_designs(
-            prog, POLY_STEP, [{"n": 3}], bound=1, jobs=2, force_pool=True
+            prog, POLY_STEP, [{"n": 3}], bound=1, jobs=2
         ).costs_at({"n": 3})
         assert parallel == serial
 
     def test_explore_designs_jobs_kwarg(self):
         prog = polynomial_product_program()
         serial = explore_designs(prog, POLY_STEP, {"n": 3}, bound=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert explore_designs(
-                prog, POLY_STEP, {"n": 3}, bound=1, jobs=2
-            ) == serial
+        assert explore_designs(prog, POLY_STEP, {"n": 3}, bound=1, jobs=2) == serial
 
     def test_parallel_sweep_multi_size(self):
         prog = polynomial_product_program()
         serial = sweep_designs(prog, POLY_STEP, [{"n": 2}, {"n": 4}], bound=1)
         parallel = sweep_designs(
-            prog, POLY_STEP, [{"n": 2}, {"n": 4}], bound=1, jobs=2,
-            force_pool=True,
+            prog, POLY_STEP, [{"n": 2}, {"n": 4}], bound=1, jobs=2
         )
         assert parallel.by_size == serial.by_size
         assert parallel.timings.jobs == 2
@@ -193,18 +192,6 @@ class TestSerialFallback:
         assert result.costs_at({"n": 3}) == explore_designs(
             prog, POLY_STEP, {"n": 3}, bound=1
         )
-
-    def test_force_pool_overrides_single_cpu(self, monkeypatch):
-        import repro.parallel as par
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 1)
-        prog = polynomial_product_program()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = sweep_designs(
-                prog, POLY_STEP, [{"n": 3}], bound=1, jobs=2, force_pool=True
-            )
-        assert result.timings.jobs == 2
 
     def test_jobs_clamped_to_candidate_count(self, monkeypatch):
         import repro.parallel as par
