@@ -8,17 +8,17 @@ arrays -- 1-d shapes ``(p,)`` (bands of the leading place coordinate) and
 2-d shapes ``(p, q)`` (tiles) -- and reports the folded makespans: results
 are bit-identical at every shape, only time changes.
 
-It then specializes one symbolic partition, compiled once for a fixed 2x2
-array, to several problem sizes (cached formula evaluation, never a
-re-derivation -- the cross-design memo counters prove it).
+It then folds the one compiled design onto a fixed 2x2 array at several
+problem sizes: each size is folded once, and the fold cache's counters
+show every later lookup of that size is a hit.
 
 Run:  python examples/partitioned_execution.py
 """
 
 from repro import compile_systolic, matrix_product_program, run_sequential
 from repro.analysis import format_table
-from repro.core.memo import MEMO
 from repro.extensions import partitioned_execute, partitioned_schedule
+from repro.extensions.partition import PARTITION_CACHE
 from repro.systolic import matmul_design_e2
 from repro.verify import random_inputs
 
@@ -55,11 +55,11 @@ def main() -> None:
     print("clamps to one band (or tile) per cell column, which the workers")
     print("column shows.")
 
-    # -- the symbolic partition: one compile, many problem sizes ----------
+    # -- one compiled design, one fixed array, many problem sizes ---------
     shape = (2, 2)
     print()
-    print(f"Symbolic partition for a fixed {shape[0]}x{shape[1]} array:")
-    hits0, misses0 = MEMO.table_counters("partition_symbolic")
+    print(f"One compiled design on a fixed {shape[0]}x{shape[1]} array:")
+    PARTITION_CACHE.clear()
     for size in (3, 4, 5):
         sized_inputs = random_inputs(program, {"n": size}, seed=7)
         sized_oracle = run_sequential(program, {"n": size}, sized_inputs)
@@ -70,10 +70,8 @@ def main() -> None:
         assert final == sized_oracle, "the banded fold must not change results"
         print(f"  n={size}: makespan {stats.makespan}, "
               f"soak {schedule.soak}, drain {schedule.drain}")
-    hits, misses = MEMO.table_counters("partition_symbolic")
-    print(f"  symbolic memo: {hits - hits0} hits, {misses - misses0} misses --")
-    print("  the 2x2 fold compiled in the sweep above is only evaluated for")
-    print("  new sizes, never re-derived.")
+    print(f"  fold cache: {PARTITION_CACHE.stats()} --")
+    print("  one miss per new size; the run at that size reuses the fold.")
 
 
 if __name__ == "__main__":

@@ -12,12 +12,11 @@ re-running the Fourier-Motzkin simplification behind it).
 
 Only *successful* derivations are cached: exceptions such as
 ``RestrictionViolation`` are part of candidate filtering and always
-propagate uncached.  Tables are bounded (cleared wholesale on overflow --
-the working set of one sweep fits comfortably) and the whole state is
-picklable via :meth:`DerivationMemo.export_state` /
-:meth:`DerivationMemo.import_state`, which is how
-``parallel.sweep_designs`` ships the warm driver-side memo to its worker
-processes once per batch.
+propagate uncached.  Each table is a bounded LRU (the working set of one
+sweep fits comfortably) and the whole state is picklable via
+:meth:`DerivationMemo.export_state` / :meth:`DerivationMemo.import_state`,
+which is how ``parallel.sweep_designs`` ships the warm driver-side memo to
+its worker processes once per pool.
 
 ``validate_program`` keeps its own ``validate`` table here, keyed by the
 program fingerprint alone, so the coverage check runs once per program
@@ -30,18 +29,13 @@ This module must stay import-light: it is imported from ``core``,
 from __future__ import annotations
 
 import hashlib
-import threading
 import weakref
 from typing import Any, Callable, Hashable
 
 from repro import profiling
+from repro.util.cache import BoundedLRU
 
 __all__ = ["DerivationMemo", "MEMO", "program_fingerprint", "stable_key"]
-
-_MISSING = object()
-
-#: Per-table entry bound; one sweep's working set is a few hundred entries.
-_TABLE_LIMIT = 4096
 
 
 _skey_cache: dict[int, str] = {}
@@ -69,87 +63,68 @@ def stable_key(form) -> str:
 class DerivationMemo:
     """Named memo tables for derivation steps, keyed structurally.
 
-    Task/thread safety: the compile service runs derivations on executor
-    threads, so every table mutation happens under one re-entrant lock.
-    ``compute()`` itself runs *outside* the lock -- two threads missing the
-    same key may both derive the value, but derivations are pure and their
-    results interned, so the second insert is the same (or an equal) object
-    and last-write-wins is benign.  Holding the lock through ``compute()``
-    would instead serialize every distinct compile behind the slowest one.
-    A cancelled service request simply abandons the executor thread; the
-    derivation still runs to completion there and only a *successful*
-    result is inserted, so cancellation can never leave a partial entry.
+    Each table is one :class:`~repro.util.cache.BoundedLRU` of 4096
+    entries, created on first use; one sweep's working set is a few
+    hundred.  Task/thread safety is the LRU's: ``compute()`` runs *outside*
+    its lock, so two threads missing the same key may both derive the
+    value, but derivations are pure and their results interned, and the
+    first insert wins.  Holding a lock through ``compute()`` would instead
+    serialize every distinct compile behind the slowest one.  A cancelled
+    service request simply abandons the executor thread; the derivation
+    still runs to completion there and only a *successful* result is
+    inserted, so cancellation can never leave a partial entry.
     """
 
-    def __init__(self, limit: int = _TABLE_LIMIT) -> None:
-        self.tables: dict[str, dict[Hashable, Any]] = {}
-        self.limit = limit
-        self._stats = profiling.counter("derivation_memo")
-        #: per-table (hits, misses) -- lets callers prove a specific
-        #: derivation (e.g. the symbolic partition compilation) was reused
-        #: rather than re-run, independent of unrelated memo traffic
-        self._table_stats: dict[str, list[int]] = {}
-        self._lock = threading.RLock()
+    def __init__(self) -> None:
+        self.tables: dict[str, BoundedLRU] = {}
 
-    def table_counters(self, table: str) -> tuple[int, int]:
-        """``(hits, misses)`` recorded for one memo table."""
-        with self._lock:
-            hits, misses = self._table_stats.get(table, (0, 0))
-        return (hits, misses)
+    def _table(self, name: str) -> BoundedLRU:
+        table = self.tables.get(name)
+        if table is None:  # setdefault is atomic: racing creators share one
+            table = self.tables.setdefault(name, BoundedLRU(4096))
+        return table
 
     def get(self, table: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The memoized value of ``compute()`` under ``(table, key)``."""
-        with self._lock:
-            entries = self.tables.get(table)
-            if entries is None:
-                entries = self.tables[table] = {}
-            stats = self._table_stats.setdefault(table, [0, 0])
-            found = entries.get(key, _MISSING)
-            if found is not _MISSING:
-                self._stats.hits += 1
-                stats[0] += 1
-                return found
-            self._stats.misses += 1
-            stats[1] += 1
-        value = compute()  # outside the lock: pure, may run concurrently
-        with self._lock:
-            if len(entries) >= self.limit:
-                entries.clear()
-            entries[key] = value
-        return value
+        return self._table(table).get_or_build(key, compute)
+
+    def table_counters(self, table: str) -> tuple[int, int]:
+        """``(hits, misses)`` recorded for one memo table."""
+        entries = self.tables.get(table)
+        return (0, 0) if entries is None else (entries.hits, entries.misses)
 
     def clear(self) -> None:
-        with self._lock:
-            self.tables.clear()
-            self._table_stats.clear()
+        """Drop every table, with its entries and counters."""
+        self.tables.clear()
 
     def export_state(self) -> dict[str, dict[Hashable, Any]]:
         """A picklable snapshot (values are interned symbolic objects)."""
-        with self._lock:
-            return {name: dict(entries) for name, entries in self.tables.items()}
+        return {name: dict(t.items()) for name, t in list(self.tables.items())}
 
     def import_state(self, state: dict[str, dict[Hashable, Any]]) -> None:
         """Merge a snapshot (e.g. shipped from the sweep driver)."""
-        with self._lock:
-            for name, entries in state.items():
-                self.tables.setdefault(name, {}).update(entries)
+        for name, entries in state.items():
+            table = self._table(name)
+            for key, value in entries.items():
+                table.put(key, value)
 
     def counters_snapshot(self) -> dict[str, tuple[int, int]]:
         """All per-table ``(hits, misses)`` pairs."""
-        with self._lock:
-            return {name: (s[0], s[1]) for name, s in self._table_stats.items()}
+        return {name: (t.hits, t.misses) for name, t in list(self.tables.items())}
 
     def stats_snapshot(self) -> dict[str, int]:
-        with self._lock:
-            out = {
-                "hits": self._stats.hits,
-                "misses": self._stats.misses,
-            }
-            for name, entries in sorted(self.tables.items()):
-                out[f"table_{name}"] = len(entries)
-            for name, (hits, misses) in sorted(self._table_stats.items()):
-                out[f"table_{name}_hits"] = hits
-                out[f"table_{name}_misses"] = misses
+        """Hit/miss totals over the tables, then each table's size and
+        counters."""
+        tables = sorted((name, t.stats()) for name, t in list(self.tables.items()))
+        out = {
+            "hits": sum(s["hits"] for _, s in tables),
+            "misses": sum(s["misses"] for _, s in tables),
+        }
+        for name, s in tables:
+            out[f"table_{name}"] = s["size"]
+        for name, s in tables:
+            out[f"table_{name}_hits"] = s["hits"]
+            out[f"table_{name}_misses"] = s["misses"]
         return out
 
 

@@ -4,7 +4,7 @@ Section 8 lists the refinements "actual machines impose": partitioning when
 there are not enough processors [23], re-routing, projection.  This package
 implements the first as an execution-model extension
 (:mod:`repro.extensions.partition`): the LSGP fold onto a fixed ``(p,)``
-or ``(p, q)`` physical array is compiled once per design, every process is
+or ``(p, q)`` physical array is cached per design and size, every process is
 pinned to the worker its process-space position folds onto, and the
 virtual-time accounting serializes each worker, quantifying how the
 generated programs degrade when folded onto a smaller machine.
@@ -17,11 +17,8 @@ from repro.extensions.pipelining import (
 )
 from repro.extensions.partition import (
     PartitionedSchedule,
-    StreamFold,
-    SymbolicPartition,
     TileBand,
     band_edges,
-    compile_partition,
     partitioned_execute,
     partitioned_schedule,
 )
@@ -31,11 +28,8 @@ __all__ = [
     "LiftedStream",
     "pipeline_program",
     "PartitionedSchedule",
-    "StreamFold",
-    "SymbolicPartition",
     "TileBand",
     "band_edges",
-    "compile_partition",
     "partitioned_execute",
     "partitioned_schedule",
 ]

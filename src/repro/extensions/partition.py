@@ -4,19 +4,17 @@ The abstract systolic program spawns one process per process-space point --
 fine for the paper's idealisation, impossible on a 4-node transputer box.
 Moldovan & Fortes's partitioning (the paper's reference [23]) folds the
 virtual array onto a fixed machine.  This module implements the fold in
-two layers:
+one step and two execution paths:
 
-* a **symbolic partitioned compilation** (:func:`compile_partition`): for a
-  fixed ``p`` (band) or ``p x q`` (tile) physical array the fold is derived
-  *once per design* -- the tiled place-coordinate rows, the per-stream
-  boundary-crossing analysis (which streams move across band boundaries,
-  with how many interposed latches), and the inter-band buffer capacity --
-  and memoized in the cross-design memo (:data:`repro.core.memo.MEMO`)
-  keyed by ``(design_fingerprint, shape)``, exactly like the unbounded
-  closed forms.  Specializing to a concrete problem size
-  (:func:`partitioned_schedule`) only evaluates the cached formulas and
-  bins the wavefronts: no per-band derivation is re-run, so a warm
-  symbolic compilation serves any problem size in milliseconds.
+* **the fold** (:func:`partitioned_schedule`): for a fixed ``p`` (band) or
+  ``p x q`` (tile) physical array and one problem size, the band edges of
+  the tiled place coordinates, the streams that cross band boundaries and
+  the inter-band buffer capacity are read off the derived program ``sp``
+  -- a few integers, cheaper to recompute than to key a cross-size memo
+  on -- into one :class:`PartitionedSchedule`, cached per
+  ``(design fingerprint, shape, sizes)``.  Its per-band wavefront
+  activity (soak / busy / drain) is binned only when first read, so a
+  fold used only for execution never enumerates the index space.
 
 * two **partitioned execution** paths, both bit-identical to the unbounded
   oracle: the simulator fold (:func:`partitioned_execute` -- the one
@@ -25,19 +23,19 @@ two layers:
   the worker its plan position folds onto, every channel crossing a band
   boundary becomes an inter-band buffer, and each worker is serialized),
   and the banded vectorized path
-  (:func:`repro.target.npgen.execute_numpy_batch` with ``shape=`` -- the
-  per-band activity masks of the :class:`PartitionedSchedule` drive banded
-  batched wavefront steps).
+  (:func:`repro.target.npgen.execute_numpy_batch` with ``shape=`` -- at
+  every wavefront step each band of :attr:`PartitionedSchedule.lead_edges`
+  computes the columns it owns).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from repro import profiling
-from repro.core.memo import MEMO
 from repro.core.program import SystolicProgram
 from repro.geometry.point import Point
 from repro.runtime.network import execute
@@ -45,9 +43,6 @@ from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
 from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import RuntimeSimulationError, SystolicSpecError
-
-#: cross-design memo table holding the symbolic partitioned compilations
-PARTITION_MEMO_TABLE = "partition_symbolic"
 
 
 # ----------------------------------------------------------------------
@@ -138,134 +133,6 @@ class TileBand:
         )
 
 
-# ----------------------------------------------------------------------
-# the symbolic partitioned compilation (compile once per design + shape)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StreamFold:
-    """Size-independent fold analysis of one stream.
-
-    A stream whose one-hop vector has a non-zero leading component moves
-    *across* band boundaries: every channel it owns between neighbouring
-    bands becomes an inter-band buffer.  ``denominator`` is the stream's
-    flow denominator (``denominator - 1`` interposed latches per link),
-    which bounds the elements in flight on one link.
-    """
-
-    name: str
-    lead_hop: int
-    denominator: int
-    stationary: bool
-
-    @property
-    def crosses(self) -> bool:
-        return self.lead_hop != 0
-
-
-@dataclass(frozen=True)
-class SymbolicPartition:
-    """Everything the fold derives that does *not* depend on problem size.
-
-    Memoized per ``(design_fingerprint, shape)`` in the cross-design memo;
-    :meth:`specialize` turns it into a concrete
-    :class:`PartitionedSchedule` for one problem size by evaluating the
-    stored formulas -- it never re-derives them.
-    """
-
-    fingerprint: str
-    #: ``(p,)`` for a band fold, ``(p, q)`` for a p x q tile fold
-    shape: tuple[int, ...]
-    coords: tuple[str, ...]
-    #: integer place-matrix rows of the tiled coordinates (leading row
-    #: always present; second row only for a 2-d shape)
-    tiled_rows: tuple[tuple[int, ...], ...]
-    streams: tuple[StreamFold, ...]
-    #: buffer slots given to every boundary-crossing channel: enough for a
-    #: full link of the deepest crossing stream (denominator latches) + 1
-    interband_capacity: int
-
-    def coordinate_range(
-        self, row: tuple[int, ...], lows: list[int], highs: list[int]
-    ) -> tuple[int, int]:
-        """Closed-form range of ``row . x`` over the loop box.
-
-        The extrema of an affine form over a box sit at box corners chosen
-        per-coefficient by sign -- the formula the symbolic compilation
-        derived; specialization just plugs in the concrete loop bounds.
-        """
-        lo = sum(min(g * a, g * b) for g, a, b in zip(row, lows, highs))
-        hi = sum(max(g * a, g * b) for g, a, b in zip(row, lows, highs))
-        return int(lo), int(hi)
-
-    def specialize(
-        self, sp: SystolicProgram, env: Mapping[str, Numeric]
-    ) -> PartitionedSchedule:
-        """Instantiate the fold at one problem size (pure evaluation)."""
-        from repro.analysis.wavefront import synchronous_wavefronts
-
-        ienv = {k: int(v) for k, v in env.items()}
-        lows = [lp.lower.evaluate_int(ienv) for lp in sp.source.loops]
-        highs = [lp.upper.evaluate_int(ienv) for lp in sp.source.loops]
-        if any(a > b for a, b in zip(lows, highs)):
-            raise RuntimeSimulationError(
-                f"empty loop range at size {ienv}: {list(zip(lows, highs))}"
-            )
-        lead_lo, lead_hi = self.coordinate_range(self.tiled_rows[0], lows, highs)
-        lead_edges = band_edges(lead_lo, lead_hi, self.shape[0])
-        second_edges: tuple[int, ...] | None = None
-        if len(self.shape) == 2:
-            lo2, hi2 = self.coordinate_range(self.tiled_rows[1], lows, highs)
-            second_edges = band_edges(lo2, hi2, self.shape[1])
-
-        fronts = synchronous_wavefronts(sp, ienv)
-        n_bands = len(lead_edges) - 1
-        works = [[0] * len(fronts) for _ in range(n_bands)]
-        for s, cells in enumerate(fronts.values()):
-            for cell in cells:
-                works[band_of(lead_edges, int(cell[0]))][s] += 1
-        return PartitionedSchedule(
-            symbolic=self,
-            sizes=tuple(sorted(ienv.items())),
-            lead_edges=lead_edges,
-            second_edges=second_edges,
-            bands=tuple(
-                TileBand(
-                    index=k,
-                    lo=lead_edges[k],
-                    hi=lead_edges[k + 1] - 1,
-                    active_steps=tuple(w > 0 for w in work),
-                    work=tuple(work),
-                )
-                for k, work in enumerate(works)
-            ),
-            total_work=sum(len(cells) for cells in fronts.values()),
-        )
-
-
-def _derive_partition(sp: SystolicProgram, shape: tuple[int, ...]) -> SymbolicPartition:
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
-    rows = [tuple(int(c) for c in sp.array.place.rows[axis]) for axis in range(len(shape))]
-    folds = tuple(
-        StreamFold(
-            name=plan.name,
-            lead_hop=int(plan.hop[0]),
-            denominator=plan.denominator,
-            stationary=plan.stationary,
-        )
-        for plan in sp.streams
-    )
-    deepest = max((f.denominator for f in folds if f.crosses), default=1)
-    return SymbolicPartition(
-        fingerprint=design_fingerprint(sp),
-        shape=shape,
-        coords=tuple(sp.coords),
-        tiled_rows=tuple(rows),
-        streams=folds,
-        interband_capacity=max(2, deepest + 1),
-    )
-
-
 def array_extents(shape) -> tuple[int, ...]:
     """``shape`` as a tuple of positive ints, before any design is known.
 
@@ -302,52 +169,48 @@ def _checked_shape(sp: SystolicProgram, shape) -> tuple[int, ...]:
     return dims
 
 
-def compile_partition(
-    sp: SystolicProgram, shape: tuple[int, ...]
-) -> SymbolicPartition:
-    """The symbolic partitioned compilation of ``sp`` for a fixed array.
-
-    Derived once per ``(design_fingerprint, shape)`` and memoized in the
-    cross-design memo (table :data:`PARTITION_MEMO_TABLE`) -- compiling a
-    design for a ``3``-band or ``2x2`` machine happens exactly once, after
-    which every problem size specializes from the cached result.  The
-    memo's per-table hit counters (``MEMO.table_counters``) prove the
-    reuse.
-    """
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
-    shape = _checked_shape(sp, shape)
-    key = (design_fingerprint(sp), shape)
-    return MEMO.get(
-        PARTITION_MEMO_TABLE, key, lambda: _derive_partition(sp, shape)
-    )
-
-
 # ----------------------------------------------------------------------
-# the specialized schedule (one design + shape + problem size)
+# the fold (one design + shape + problem size)
 # ----------------------------------------------------------------------
+def _coordinate_range(
+    row: tuple[int, ...], lows: list[int], highs: list[int]
+) -> tuple[int, int]:
+    """The range of ``row . x`` over the loop box: the extrema of an affine
+    form over a box sit at corners chosen per coefficient by sign."""
+    lo = sum(min(g * a, g * b) for g, a, b in zip(row, lows, highs))
+    hi = sum(max(g * a, g * b) for g, a, b in zip(row, lows, highs))
+    return int(lo), int(hi)
+
+
 @dataclass(frozen=True)
 class PartitionedSchedule:
-    """A symbolic partition specialized to one problem size.
+    """A design folded onto a fixed physical array at one problem size.
 
-    Carries the concrete band edges, the per-band wavefront activity
-    (soak / busy / drain, reusing :class:`TileBand`) and the worker map
-    that folds every process-space point onto the fixed physical array.
+    Carries the concrete band edges, the streams crossing band boundaries
+    with the inter-band buffer capacity, and the worker map that folds
+    every process-space point onto the array.  The per-band wavefront
+    activity (:attr:`bands`, reusing :class:`TileBand`) is binned on first
+    read.
     """
 
-    symbolic: SymbolicPartition
+    sp: SystolicProgram = field(repr=False, compare=False)
     sizes: tuple[tuple[str, int], ...]
     lead_edges: tuple[int, ...]
     second_edges: tuple[int, ...] | None
-    bands: tuple[TileBand, ...]
-    total_work: int
+    #: streams whose one-hop vector has a non-zero leading component: every
+    #: channel they own between neighbouring bands is an inter-band buffer
+    crossing: tuple[str, ...]
+    #: buffer slots given to every boundary-crossing channel: a full link
+    #: of the deepest crossing stream (its flow denominator) + 1, at least 2
+    interband_capacity: int
 
     @property
     def shape(self) -> tuple[int, ...]:
         """The *effective* shape after clamping to the coordinate spans."""
+        bands = len(self.lead_edges) - 1
         if self.second_edges is None:
-            return (len(self.bands),)
-        return (len(self.bands), len(self.second_edges) - 1)
+            return (bands,)
+        return (bands, len(self.second_edges) - 1)
 
     @property
     def workers(self) -> int:
@@ -356,9 +219,41 @@ class PartitionedSchedule:
             out *= s
         return out
 
+    @cached_property
+    def _activity(self) -> tuple[tuple[TileBand, ...], int, int]:
+        """``(bands, steps, statements)``: the synchronous wavefronts binned
+        by the band of their leading coordinate."""
+        from repro.analysis.wavefront import synchronous_wavefronts
+
+        fronts = synchronous_wavefronts(self.sp, dict(self.sizes))
+        edges = self.lead_edges
+        works = [[0] * len(fronts) for _ in range(len(edges) - 1)]
+        for s, cells in enumerate(fronts.values()):
+            for cell in cells:
+                works[band_of(edges, int(cell[0]))][s] += 1
+        bands = tuple(
+            TileBand(
+                index=k,
+                lo=edges[k],
+                hi=edges[k + 1] - 1,
+                active_steps=tuple(w > 0 for w in work),
+                work=tuple(work),
+            )
+            for k, work in enumerate(works)
+        )
+        return bands, len(fronts), sum(len(cells) for cells in fronts.values())
+
+    @property
+    def bands(self) -> tuple[TileBand, ...]:
+        return self._activity[0]
+
     @property
     def n_steps(self) -> int:
-        return len(self.bands[0].active_steps) if self.bands else 0
+        return self._activity[1]
+
+    @property
+    def total_work(self) -> int:
+        return self._activity[2]
 
     @property
     def soak(self) -> tuple[int, ...]:
@@ -385,18 +280,45 @@ class PartitionedSchedule:
         ]
         for b in self.bands:
             lines.append(f"  {b} (soak {b.soak}, drain {b.drain})")
-        crossing = [f.name for f in self.symbolic.streams if f.crosses]
         lines.append(
-            f"  crossing streams: {', '.join(crossing) if crossing else 'none'}"
-            f" (inter-band buffer capacity {self.symbolic.interband_capacity})"
+            f"  crossing streams: {', '.join(self.crossing) or 'none'}"
+            f" (inter-band buffer capacity {self.interband_capacity})"
         )
         return "\n".join(lines)
 
 
-#: specialized partitioned schedules keyed by (design fingerprint, shape,
-#: sizes).  The symbolic stage underneath is memoized separately (per design
-#: + shape, size-free), so a miss on a *new size* is a pure specialization --
-#: formula evaluation plus wavefront binning -- never a re-derivation.
+def _fold(
+    sp: SystolicProgram, env: Mapping[str, Numeric], shape: tuple[int, ...]
+) -> PartitionedSchedule:
+    ienv = {k: int(v) for k, v in env.items()}
+    lows = [lp.lower.evaluate_int(ienv) for lp in sp.source.loops]
+    highs = [lp.upper.evaluate_int(ienv) for lp in sp.source.loops]
+    if any(a > b for a, b in zip(lows, highs)):
+        raise RuntimeSimulationError(
+            f"empty loop range at size {ienv}: {list(zip(lows, highs))}"
+        )
+    edges = [
+        band_edges(
+            *_coordinate_range(
+                tuple(int(c) for c in sp.array.place.rows[axis]), lows, highs
+            ),
+            extent,
+        )
+        for axis, extent in enumerate(shape)
+    ]
+    crossing = [plan for plan in sp.streams if plan.hop[0] != 0]
+    deepest = max((plan.denominator for plan in crossing), default=1)
+    return PartitionedSchedule(
+        sp=sp,
+        sizes=tuple(sorted(ienv.items())),
+        lead_edges=edges[0],
+        second_edges=edges[1] if len(edges) == 2 else None,
+        crossing=tuple(plan.name for plan in crossing),
+        interband_capacity=max(2, deepest + 1),
+    )
+
+
+#: folds keyed by (design fingerprint, shape, sizes)
 PARTITION_CACHE = BoundedLRU(32)
 profiling.register("partition_schedules", PARTITION_CACHE.stats)
 
@@ -412,7 +334,7 @@ def partitioned_schedule(
 
     return PARTITION_CACHE.get_or_build(
         (design_fingerprint(sp), shape, size_key(env)),
-        lambda: compile_partition(sp, shape).specialize(sp, env),
+        lambda: _fold(sp, env, shape),
     )
 
 

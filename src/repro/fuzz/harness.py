@@ -176,7 +176,7 @@ class HarnessConfig:
     check_npgen: bool = False
     #: re-run the simulator with channel capacity 3 (capacity invariance)
     check_capacity: bool = False
-    #: fold the run onto a fixed 2-band array (symbolic LSGP partition)
+    #: fold the run onto a fixed 2-band array (LSGP partition)
     #: through the banded npgen executor (skipped without NumPy)
     check_partition: bool = False
     #: mismatches quoted per failure

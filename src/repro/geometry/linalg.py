@@ -18,8 +18,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar
 
+from repro import profiling
 from repro.geometry.point import Point, Scalar
-from repro.profiling import counter
+from repro.util.cache import BoundedLRU
 from repro.util.errors import GeometryError, SingularMatrixError
 
 T = TypeVar("T")
@@ -29,21 +30,13 @@ T = TypeVar("T")
 #: constantly (every place candidate shares rows with its neighbours, and
 #: fuzz instances draw coefficients from the same tiny set), so rank /
 #: null-space / inverse results are cached globally keyed on the rows.
-#: Bounded like the flow cache: cleared wholesale at the limit.
-_ELIM_CACHE_LIMIT = 16384
-_rank_cache: dict = {}
-_null_basis_cache: dict = {}
-_inverse_cache: dict = {}
-_rank_stats = counter("linalg_rank")
-_null_stats = counter("linalg_null")
-_inverse_stats = counter("linalg_inverse")
-
-
-def _elim_cache_put(cache: dict, key, value):
-    if len(cache) >= _ELIM_CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-    return value
+#: A singular matrix's inverse raises afresh each time, uncached.
+RANK_CACHE = BoundedLRU(16384)
+NULL_CACHE = BoundedLRU(16384)
+INVERSE_CACHE = BoundedLRU(16384)
+profiling.register("linalg_rank", RANK_CACHE.stats)
+profiling.register("linalg_null", NULL_CACHE.stats)
+profiling.register("linalg_inverse", INVERSE_CACHE.stats)
 
 
 class Matrix:
@@ -187,13 +180,10 @@ class Matrix:
     @property
     def rank(self) -> int:
         """The rank of the matrix (exact; memoized on the rows)."""
-        cached = _rank_cache.get(self.rows)
-        if cached is not None:
-            _rank_stats.hits += 1
-            return cached
-        _rank_stats.misses += 1
-        result = sum(1 for row in self._echelon() if any(c != 0 for c in row))
-        return _elim_cache_put(_rank_cache, self.rows, result)
+        return RANK_CACHE.get_or_build(
+            self.rows,
+            lambda: sum(1 for row in self._echelon() if any(c != 0 for c in row)),
+        )
 
     def null_space_basis(self) -> list[Point]:
         """An exact basis of the null space, as integral vectors.
@@ -203,11 +193,9 @@ class Matrix:
         Memoized on the rows; a fresh list is returned each call (the
         :class:`Point` entries are immutable and shared).
         """
-        cached = _null_basis_cache.get(self.rows)
-        if cached is not None:
-            _null_stats.hits += 1
-            return list(cached)
-        _null_stats.misses += 1
+        return list(NULL_CACHE.get_or_build(self.rows, self._null_space_basis))
+
+    def _null_space_basis(self) -> tuple[Point, ...]:
         reduced = self._echelon()
         ncols = self.ncols
         pivots: dict[int, int] = {}
@@ -231,8 +219,7 @@ class Matrix:
             for v in ints:
                 g = math.gcd(g, abs(v))
             basis.append(Point(v // g for v in ints))
-        _elim_cache_put(_null_basis_cache, self.rows, tuple(basis))
-        return basis
+        return tuple(basis)
 
     def determinant(self) -> Fraction:
         """The exact determinant of a square matrix."""
@@ -261,11 +248,9 @@ class Matrix:
 
         Raises :class:`SingularMatrixError` if the matrix is singular.
         """
-        cached = _inverse_cache.get(self.rows)
-        if cached is not None:
-            _inverse_stats.hits += 1
-            return cached
-        _inverse_stats.misses += 1
+        return INVERSE_CACHE.get_or_build(self.rows, self._inverse)
+
+    def _inverse(self) -> "Matrix":
         n = self.nrows
         if n != self.ncols:
             raise GeometryError(f"inverse of non-square {self.shape} matrix")
@@ -284,9 +269,7 @@ class Matrix:
                 if r != col and work[r][col] != 0:
                     factor = work[r][col]
                     work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return _elim_cache_put(
-            _inverse_cache, self.rows, Matrix(row[n:] for row in work)
-        )
+        return Matrix(row[n:] for row in work)
 
 
 def identity(n: int) -> Matrix:

@@ -29,13 +29,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from repro.profiling import counter
+from repro import profiling
+from repro.util.cache import BoundedLRU
 
 #: global feasibility memo keyed by the canonicalized integer rows; see
 #: :func:`feasible_int_rows`
-_fm_cache: dict = {}
-_fm_stats = counter("fm_feasible")
-_FM_CACHE_LIMIT = 32768
+FM_CACHE = BoundedLRU(32768)
+profiling.register("fm_feasible", FM_CACHE.stats)
 
 
 def _reduce_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,12 +148,11 @@ def feasible_int_rows(rows: Sequence[tuple[int, ...]], dim: int) -> bool:
     feasibility, hence the sorted key.
     """
     key = (dim, tuple(sorted(set(rows))))
-    cached = _fm_cache.get(key)
-    if cached is not None:
-        _fm_stats.hits += 1
-        return cached
-    _fm_stats.misses += 1
-    work: list[tuple[int, ...]] | None = _tightest(key[1])
+    return FM_CACHE.get_or_build(key, lambda: _eliminate_all(key[1], dim))
+
+
+def _eliminate_all(rows: tuple[tuple[int, ...], ...], dim: int) -> bool:
+    work: list[tuple[int, ...]] | None = _tightest(rows)
     while work:
         var = _cheapest_var(work, dim)
         if var is None:
@@ -161,9 +160,5 @@ def feasible_int_rows(rows: Sequence[tuple[int, ...]], dim: int) -> bool:
         work = _eliminate(work, var)
     # Every surviving row is variable-free: rows derived variable-free are
     # discharged when made, an input row may still be one.
-    feasible = work is not None and all(row[-1] >= 0 for row in work)
-    if len(_fm_cache) >= _FM_CACHE_LIMIT:
-        _fm_cache.clear()
-    _fm_cache[key] = feasible
-    return feasible
+    return work is not None and all(row[-1] >= 0 for row in work)
 

@@ -7,18 +7,19 @@ itself is gated on the environment variable.
 
 Two kinds of counters feed the report:
 
-* hit/miss pairs from :func:`counter` -- the symbolic intern tables, the
-  compiled-form and guard/piecewise memos, the cross-design derivation
-  memo's total, the Fourier-Motzkin feasibility memo (``fm_feasible``) and
-  the linear-algebra elimination memos (``linalg_rank``, ``linalg_null``,
-  ``linalg_inverse``) -- all reported under the ``symbolic`` section;
+* hit/miss pairs from :func:`counter` -- the symbolic intern tables and the
+  per-instance compiled-form and guard/piecewise memos -- all reported
+  under the ``symbolic`` section;
 * named providers (a zero-argument callable returning a flat
   ``{counter: value}`` dict) passed to :func:`register`: each
   :class:`~repro.util.cache.BoundedLRU` registers its ``stats`` --
   ``pygen_modules``, ``wavefront_schedules``, ``partition_schedules``,
-  ``network_plans`` -- next to ``derivation_memo`` (per-table counters and
-  sizes) and, once a compile service exists, ``design_store`` (its
-  :class:`~repro.compilation.Compilation` handles).
+  ``network_plans``, the Fourier-Motzkin feasibility memo
+  (``fm_feasible``), the elimination memos (``linalg_rank``,
+  ``linalg_null``, ``linalg_inverse``), ``stream_flows`` and
+  ``place_searches`` -- next to ``derivation_memo`` (hit/miss totals plus
+  per-table counters and sizes) and, once a compile service exists,
+  ``design_store`` (its :class:`~repro.compilation.Compilation` handles).
 
 Providers are read at report time, so the report reflects live state, and
 importing this module never drags in the rest of the package.  The

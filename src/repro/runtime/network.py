@@ -218,7 +218,7 @@ class NetworkPlan:
                 channels.append(Channel(name, capacity=channel_capacity))
         else:
             worker_of = fold.worker_of
-            buffered = max(channel_capacity, fold.symbolic.interband_capacity)
+            buffered = max(channel_capacity, fold.interband_capacity)
             for name, (src, dst) in zip(self.channel_names, self.channel_ends):
                 capacity = channel_capacity
                 if (

@@ -15,31 +15,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from repro import profiling
 from repro.geometry.point import Point
 from repro.lang.program import SourceProgram
 from repro.lang.stream import Stream
-from repro.profiling import counter
 from repro.systolic.spec import SystolicArray
+from repro.util.cache import BoundedLRU
 from repro.util.errors import RequirementViolation, SystolicSpecError
 
-# Local cross-design cache: every sweep candidate shares `step` and the
-# stream index maps, so the flow of a stream only depends on the key below.
-# (A plain dict here, not core.memo's MEMO: systolic.flow loads before the
-# core package and must not import it.)  Failures are never cached -- an
-# inconsistent design raises afresh each time.
-_flow_cache: dict[tuple, Point] = {}
-_FLOW_STATS = counter("flow_memo")
-_FLOW_CACHE_LIMIT = 4096
+#: cross-design flow memo: every sweep candidate shares `step` and the
+#: stream index maps, so the flow of a stream only depends on the key
+#: below.  (Not core.memo's MEMO: systolic.flow loads before the core
+#: package and must not import it.)  Failures are never cached -- an
+#: inconsistent design raises afresh each time.
+FLOW_CACHE = BoundedLRU(4096)
+profiling.register("stream_flows", FLOW_CACHE.stats)
 
 
 def stream_flow(array: SystolicArray, stream: Stream) -> Point:
     """``flow.s`` as an exact rational vector in ``Q^{r-1}``."""
-    key = (array.step.rows, array.place.rows, stream.index_map.rows)
-    flow = _flow_cache.get(key)
-    if flow is not None:
-        _FLOW_STATS.hits += 1
-        return flow
-    _FLOW_STATS.misses += 1
+    return FLOW_CACHE.get_or_build(
+        (array.step.rows, array.place.rows, stream.index_map.rows),
+        lambda: _derive_flow(array, stream),
+    )
+
+
+def _derive_flow(array: SystolicArray, stream: Stream) -> Point:
     d = stream.null_direction()
     denominator = array.step.apply_point(d)[0]
     if denominator == 0:
@@ -47,12 +48,7 @@ def stream_flow(array: SystolicArray, stream: Stream) -> Point:
             f"stream {stream.name}: step maps its null direction {d} to 0 -- "
             "two accesses of one element would share a step (Eq. 1 violated)"
         )
-    numerator = array.place_of(d)
-    flow = numerator / denominator
-    if len(_flow_cache) >= _FLOW_CACHE_LIMIT:
-        _flow_cache.clear()
-    _flow_cache[key] = flow
-    return flow
+    return array.place_of(d) / denominator
 
 
 def all_flows(array: SystolicArray, program: SourceProgram) -> dict[str, Point]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping
 
+from repro import profiling
 from repro.geometry.linalg import Matrix, null_space_vector
 from repro.geometry.point import Point, dot
 from repro.lang.dependence import check_step_function, dependence_vectors
@@ -31,14 +32,15 @@ from repro.symbolic.affine import Numeric
 from repro.systolic.check import check_systolic_array
 from repro.systolic.flow import flow_denominator, is_stationary, stream_flow
 from repro.systolic.spec import SystolicArray
+from repro.util.cache import BoundedLRU
 from repro.util.errors import RequirementViolation, SystolicSpecError
 
 
 #: memoized place searches -- the fuzz generator re-runs the same bounded
 #: search for every attempt, and distinct programs share (step, index-map)
 #: signatures constantly
-_places_cache: dict = {}
-_PLACES_CACHE_LIMIT = 2048
+PLACES_CACHE = BoundedLRU(2048)
+profiling.register("place_searches", PLACES_CACHE.stats)
 
 
 def makespan(
@@ -119,20 +121,28 @@ def synthesize_places(
     Candidates are deduplicated up to row order.
     """
     check_step_function(program, step)
-    r = program.r
     # Everything below depends only on (r, bound, step rows, the streams'
     # index maps, the flow requirement) -- not on the loop bounds or body --
     # so the search is memoized across programs and fuzz instances.
     cache_key = (
-        r,
+        program.r,
         bound,
         step.rows,
         tuple(s.index_map.rows for s in program.streams),
         require_neighbour_flows,
     )
-    cached = _places_cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
+    return list(
+        PLACES_CACHE.get_or_build(
+            cache_key,
+            lambda: _search_places(program, step, bound, require_neighbour_flows),
+        )
+    )
+
+
+def _search_places(
+    program: SourceProgram, step: Matrix, bound: int, require_neighbour_flows: bool
+) -> tuple[Matrix, ...]:
+    r = program.r
     # Per-stream flow data for a fixed step: with ``d`` spanning
     # ``null(M)``, ``flow = place.d / (step.d)`` (Theorem 10), so only
     # ``place.d`` varies across candidates.
@@ -174,10 +184,7 @@ def synthesize_places(
             if not ok:
                 continue
         results.append(place)
-    if len(_places_cache) >= _PLACES_CACHE_LIMIT:
-        _places_cache.clear()
-    _places_cache[cache_key] = tuple(results)
-    return results
+    return tuple(results)
 
 
 def candidate_tasks(

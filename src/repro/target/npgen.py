@@ -325,20 +325,21 @@ def _waves(schedule, plan: _BodyPlan, partition) -> list:
     """``(index row, width, index values, masks)`` per wave, in run order.
 
     Each wavefront step is cut into its tile bands' slabs, mirroring how a
-    fixed ``p``-band array executes a wavefront -- one band at a time, each
-    computing only the columns whose leading place coordinate it owns.  An
-    unbanded run (``partition`` is ``None``) is one band owning every
-    column, and a band that owns a whole step reuses the step's arrays.
-    Bit-identical to the unbanded run: within one step the written-stream
-    scatter indices are globally unique (the duplicate-write guard of the
-    schedule builder), so no band can write an element another band of the
-    same step reads.  Cached in the schedule's ``runtime_cache`` per
-    band-edge vector.
+    fixed ``p``-band array executes a wavefront -- one band at a time, band
+    ``k`` computing only the columns whose leading place coordinate lies in
+    ``[lead_edges[k], lead_edges[k+1] - 1]``.  An unbanded run
+    (``partition`` is ``None``) is one band owning every column, and a band
+    that owns a whole step reuses the step's arrays.  Bit-identical to the
+    unbanded run: within one step the written-stream scatter indices are
+    globally unique (the duplicate-write guard of the schedule builder), so
+    no band can write an element another band of the same step reads.
+    Cached in the schedule's ``runtime_cache`` per band-edge vector.
     """
     if partition is None:
         key, bands = "npgen_waves", [None]
     else:
-        key, bands = ("npgen_band_cols", partition.lead_edges), partition.bands
+        edges = partition.lead_edges
+        key, bands = ("npgen_band_cols", edges), list(zip(edges, edges[1:]))
     waves = schedule.runtime_cache.get(key)
     if waves is not None:
         return waves
@@ -350,7 +351,7 @@ def _waves(schedule, plan: _BodyPlan, partition) -> list:
             if band is None:
                 width = step.width
             else:
-                cols = _np.nonzero((lead >= band.lo) & (lead <= band.hi))[0]
+                cols = _np.nonzero((lead >= band[0]) & (lead < band[1]))[0]
                 width = cols.shape[0]
             if width == step.width:
                 waves.append((step.rows, width, aff, masks))
@@ -399,12 +400,13 @@ def execute_numpy_batch(
     the sequential oracle on every input set separately.
 
     ``shape`` folds the run onto a fixed ``p``-band (or ``p x q``) array:
-    the symbolic partition (:func:`repro.extensions.partition.compile_partition`,
-    memoized per design + shape) is specialized to ``env`` and at every
-    wavefront step each tile band computes only the columns whose leading
-    place coordinate it owns.  The fold changes the execution order within
-    a step, never the dataflow, so results are bit-identical to the
-    unbanded run.
+    the fold (:func:`repro.extensions.partition.partitioned_schedule`,
+    cached per design, shape and size) supplies the band edges, and at
+    every wavefront step each band computes only the columns whose leading
+    place coordinate it owns.  Only the edges are read, so the fold's
+    wavefront binning never runs here.  The fold changes the execution
+    order within a step, never the dataflow, so results are bit-identical
+    to the unbanded run.
     """
     require_numpy("the npgen backend")
     from repro.analysis.wavefront import wavefront_schedule

@@ -1,13 +1,16 @@
-"""One bounded LRU for every compile-once, specialise-per-size cache.
+"""One bounded LRU for every bounded cache and memo of the package.
 
 The scheme derives a design's closed forms once and then specialises them
 to any problem size, so each engine keeps its size-specific artefacts --
 compiled pygen modules, wavefront schedules, partitioned schedules,
 network plans, the service's compiled designs -- in a cache keyed by a
-design fingerprint plus the sizes.  :class:`BoundedLRU` is that cache:
-bounded, least recently used first out, safe to share across the compile
-service's executor threads, with one ``stats()`` shape every caller
-registers with :mod:`repro.profiling`.
+design fingerprint plus the sizes.  The size-free derivations underneath
+-- the derivation memo's tables, stream flows, place searches,
+Fourier-Motzkin feasibility and the exact rank / null-space / inverse
+eliminations -- are memoized the same way.  :class:`BoundedLRU` is that
+cache: bounded, least recently used first out, safe to share across the
+compile service's executor threads, with one ``stats()`` shape every
+caller registers with :mod:`repro.profiling`.
 
 :func:`size_key` is the size part of those keys.
 """
@@ -83,6 +86,11 @@ class BoundedLRU:
                 value = self._entries.setdefault(key, built)
                 self._settle(key)
         return value
+
+    def items(self) -> list:
+        """A copy of the ``(key, value)`` pairs, least recent first."""
+        with self._lock:
+            return list(self._entries.items())
 
     def discard(self, key: Hashable) -> None:
         """Drop one entry if present (forces the next lookup to rebuild)."""

@@ -11,6 +11,7 @@ from repro.geometry import polyhedron
 from repro.geometry.polyhedron import _tightest, canonical_int_row, feasible_int_rows
 from repro.symbolic import guard as guard_module
 from repro.systolic.designs import all_paper_designs
+from repro.util.cache import BoundedLRU
 from tests.symbolic.test_guard import _forget_symbolic_memos
 
 
@@ -155,7 +156,7 @@ class TestEliminationOrder:
             return feasible_int_rows(rows, dim)
 
         monkeypatch.setattr(guard_module, "feasible_int_rows", recording)
-        monkeypatch.setattr(polyhedron, "_fm_cache", {})
+        monkeypatch.setattr(polyhedron, "FM_CACHE", BoundedLRU(32768))
         monkeypatch.setattr(
             DerivationMemo, "get", lambda self, table, key, compute: compute()
         )

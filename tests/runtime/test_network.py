@@ -82,25 +82,48 @@ class TestEndToEnd:
 
     def test_second_size_adds_no_symbolic_miss(self):
         """The derived program is symbolic in n: running it at a new size
-        only evaluates its compiled forms -- no derivation, guard or
-        piecewise table misses."""
+        only evaluates its compiled forms -- no derivation, guard,
+        piecewise, Fourier-Motzkin, elimination, flow or place-search
+        memo misses."""
+        memos = (
+            "symbolic",
+            "derivation_memo",
+            "fm_feasible",
+            "linalg_rank",
+            "linalg_null",
+            "linalg_inverse",
+            "stream_flows",
+            "place_searches",
+        )
+
+        def misses():
+            counters = profiling.snapshot()["counters"]
+            return {
+                (memo, key): value
+                for memo in memos
+                for key, value in counters[memo].items()
+                if key.endswith("misses")
+            }
+
         exp_id, prog, array = ALL[3]
         sp = compile_systolic(prog, array)
         execute(sp, {"n": 2}, inputs_for(exp_id, 2))
-        before = profiling.snapshot()["counters"]["symbolic"]
+        before = misses()
+        before_hits = profiling.snapshot()["counters"]["symbolic"]
         execute(sp, {"n": 5}, inputs_for(exp_id, 5))
-        after = profiling.snapshot()["counters"]["symbolic"]
-        misses = [k for k in after.keys() | before.keys() if k.endswith("_misses")]
-        assert "derivation_memo_misses" in misses
+        after = misses()
+        after_hits = profiling.snapshot()["counters"]["symbolic"]
+        assert ("derivation_memo", "misses") in after
+        assert ("fm_feasible", "misses") in after
         changed = {
             k: after.get(k, 0) - before.get(k, 0)
-            for k in misses
+            for k in after.keys() | before.keys()
             if after.get(k, 0) != before.get(k, 0)
         }
         assert changed == {}
         # the counters are live: the new size did evaluate compiled forms
         hits = "piecewise_compiled_cache_hits"
-        assert after[hits] > before[hits]
+        assert after_hits[hits] > before_hits[hits]
 
     def test_degenerate_n0(self):
         """n = 0: single-statement programs still work."""

@@ -5,7 +5,6 @@ import pytest
 from repro import compile_systolic, run_sequential
 from repro.extensions import (
     band_edges,
-    compile_partition,
     partitioned_execute,
     partitioned_schedule,
 )
@@ -242,9 +241,9 @@ class TestSymbolicPartitionedExecution:
     def test_shape_rejects_bad_shapes(self):
         sp, prog, inputs, oracle, n = setup_design(idx=0)  # 1-d coords
         with pytest.raises(SystolicSpecError):
-            compile_partition(sp, (2, 2))
+            partitioned_schedule(sp, {"n": n}, (2, 2))
         with pytest.raises(SystolicSpecError):
-            compile_partition(sp, (0,))
+            partitioned_schedule(sp, {"n": n}, (0,))
 
     @pytest.mark.parametrize("shape", [(2.5,), ("2",), (True,), (), 2])
     def test_non_integral_shape_is_not_truncated(self, shape):
@@ -262,34 +261,55 @@ class TestSymbolicPartitionedExecution:
         assert plan.instantiate(inputs).interband_channels == 0
         folded = plan.instantiate(inputs, fold=schedule)
         assert folded.interband_channels > 0
-        capacity = schedule.symbolic.interband_capacity
+        capacity = schedule.interband_capacity
         buffered = [c for c in folded.scheduler.channels if c.capacity == capacity]
         assert len(buffered) == folded.interband_channels
 
     def test_specialization_reuses_symbolic_compilation(self):
-        """Compile once for the fixed array, specialize to any size: after
-        the first size, the symbolic memo only records hits and the
-        specialized-schedule cache grows one entry per size."""
-        from repro.core.memo import MEMO
-
+        """One compiled design serves every size: the fold cache misses
+        once per new size and answers a repeated size from cache, with
+        the very same schedule object."""
         exp_id, prog, array = ALL[2]  # E1
         sp = compile_systolic(prog, array)
         PARTITION_CACHE.clear()
-        MEMO.tables.pop("partition_symbolic", None)  # forget prior compiles
-        h0, m0 = MEMO.table_counters("partition_symbolic")
-        partitioned_schedule(sp, {"n": 2}, (3,))
-        h1, m1 = MEMO.table_counters("partition_symbolic")
-        assert m1 == m0 + 1  # first compile for this (design, shape)
-        for n in (3, 4, 5):
+        for n in (2, 3, 4, 5):
             partitioned_schedule(sp, {"n": n}, (3,))
-        h2, m2 = MEMO.table_counters("partition_symbolic")
-        assert m2 == m1  # no re-derivation for new sizes
-        assert h2 == h1 + 3
         assert PARTITION_CACHE.stats()["misses"] == 4  # one per size
-        # same size again: pure cache hit, the memo is not even consulted
-        partitioned_schedule(sp, {"n": 4}, (3,))
-        assert PARTITION_CACHE.stats()["hits"] >= 1
-        assert MEMO.table_counters("partition_symbolic") == (h2, m2)
+        assert PARTITION_CACHE.stats()["hits"] == 0
+        # same size again: a pure cache hit on the same schedule object
+        again = partitioned_schedule(sp, {"n": 4}, (3,))
+        assert partitioned_schedule(sp, {"n": 4}, (3,)) is again
+        stats = PARTITION_CACHE.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (2, 4, 4)
+
+    def test_execution_never_bins_wavefronts(self, monkeypatch):
+        """Both folded engines read only the fold's edges, worker map and
+        buffer capacity; the per-band activity is binned on the first
+        ``summary()`` and kept."""
+        pytest.importorskip("numpy")
+        from repro.analysis import wavefront
+        from repro.target.npgen import execute_numpy_batch
+
+        calls = []
+        real = wavefront.synchronous_wavefronts
+
+        def spy(sp, env):
+            calls.append(dict(env))
+            return real(sp, env)
+
+        monkeypatch.setattr(wavefront, "synchronous_wavefronts", spy)
+        sp, prog, inputs, oracle, n = setup_design(idx=3, n=3)  # E2
+        env = {"n": n}
+        PARTITION_CACHE.clear()
+        unbanded = execute_numpy_batch(sp, env, [inputs])
+        assert execute_numpy_batch(sp, env, [inputs], shape=(2,)) == unbanded
+        assert calls == []
+        final, _ = partitioned_execute(sp, env, inputs, shape=(2,))
+        assert final == oracle
+        assert calls == []
+        fold = partitioned_schedule(sp, env, (2,))
+        assert fold.summary() == fold.summary()
+        assert calls == [env]
 
     @pytest.mark.parametrize("bad", [4.5, True])
     def test_non_integral_size_is_not_keyed_onto_a_neighbour(self, bad):

@@ -443,8 +443,9 @@ class TestOperationalEndpoints:
         service_run(scenario)
 
     def test_every_cache_is_reported(self, service_run):
-        """Each bounded cache, the Fourier-Motzkin memo and the design
-        store are read from the one registry, in-process and via /stats."""
+        """Every bounded cache and memo and the design store are read from
+        the one registry, in-process and via /stats; each cache reports
+        exactly the BoundedLRU ``stats()`` keys."""
         import importlib
 
         from repro import profiling
@@ -452,28 +453,35 @@ class TestOperationalEndpoints:
         for module in (
             "repro.analysis.wavefront",
             "repro.extensions.partition",
+            "repro.geometry.linalg",
             "repro.geometry.polyhedron",
             "repro.runtime.network",
             "repro.service.store",
+            "repro.systolic.flow",
+            "repro.systolic.schedule",
             "repro.target.pygen",
         ):
             importlib.import_module(module)
-        sections = {
+        caches = {
             "pygen_modules",
             "wavefront_schedules",
             "partition_schedules",
-            "network_plans",
-            "design_store",
+            "fm_feasible",
+            "linalg_rank",
+            "linalg_null",
+            "linalg_inverse",
+            "stream_flows",
+            "place_searches",
         }
+        lru_keys = {"capacity", "size", "hits", "misses", "evictions"}
 
         async def scenario(client, service):
             status, stats = await client.stats()
             assert status == 200
             for counters in (profiling.snapshot()["counters"], stats["counters"]):
-                assert sections <= set(counters)
-                assert {"fm_feasible_hits", "fm_feasible_misses"} <= set(
-                    counters["symbolic"]
-                )
+                assert caches | {"network_plans", "design_store"} <= set(counters)
+                for name in caches:
+                    assert set(counters[name]) == lru_keys, name
 
         service_run(scenario)
 

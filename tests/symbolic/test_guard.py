@@ -6,7 +6,7 @@ import pytest
 
 from repro import compile_systolic, generate_instance
 from repro.core.memo import DerivationMemo
-from repro.profiling import counter
+from repro.geometry.polyhedron import FM_CACHE
 from repro.symbolic import Affine, Constraint, Guard, Piecewise, interval
 from repro.systolic.designs import all_paper_designs
 from repro.util.errors import GuardError
@@ -133,11 +133,10 @@ class TestImplication:
     def test_own_conjunct_needs_no_fourier_motzkin(self):
         c1 = Constraint.ge(col, 7)
         c2 = Constraint.le(col, n + 5)
-        fm = counter("fm_feasible")
-        before = (fm.hits, fm.misses)
+        before = FM_CACHE.stats()
         assert Guard([c1, c2]).implies(c1)
         assert Guard([c2]).and_(Guard([c1])).implies(c1)
-        assert (fm.hits, fm.misses) == before
+        assert FM_CACHE.stats() == before
 
 
 def _reference_implies(g, c, assumptions):
