@@ -302,10 +302,8 @@ def build_wavefront_schedule(
             WavefrontStep(t=tv, points=x[:, a:b], cells=cells[:, a:b], rows=row)
         )
 
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
     return WavefrontSchedule(
-        fingerprint=design_fingerprint(sp),
+        fingerprint=sp.fingerprint,
         sizes=sizes,
         coords=tuple(sp.coords),
         indices=tuple(source.indices),
@@ -327,10 +325,8 @@ def wavefront_schedule(
     sp: SystolicProgram, env: Mapping[str, Numeric]
 ) -> WavefrontSchedule:
     """The (cached) vectorized execution plan of ``sp`` at size ``env``."""
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
     return SCHEDULE_CACHE.get_or_build(
-        (design_fingerprint(sp), size_key(env)),
+        (sp.fingerprint, size_key(env)),
         lambda: build_wavefront_schedule(sp, env),
     )
 

@@ -10,6 +10,7 @@ backends (:mod:`repro.target`) and to the executable runtime
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro.geometry.point import Point
@@ -101,6 +102,15 @@ class SystolicProgram:
     def repeater(self) -> Repeater:
         """The computation repeater ``{first last increment}``."""
         return Repeater(self.first, self.last, self.increment)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`repro.target.pygen.design_fingerprint`, rendered and hashed
+        once per instance: it keys the schedule and partition caches on
+        every lookup."""
+        from repro.target.pygen import fingerprint_of  # lazy: import cycle
+
+        return fingerprint_of(self.source, self.array)
 
     # ------------------------------------------------------------------
     # instantiation helpers

@@ -330,10 +330,8 @@ def partitioned_schedule(
 ) -> PartitionedSchedule:
     """The (cached) fold of ``sp`` onto a fixed array at size ``env``."""
     shape = _checked_shape(sp, shape)
-    from repro.target.pygen import design_fingerprint  # lazy: import cycle
-
     return PARTITION_CACHE.get_or_build(
-        (design_fingerprint(sp), shape, size_key(env)),
+        (sp.fingerprint, shape, size_key(env)),
         lambda: _fold(sp, env, shape),
     )
 

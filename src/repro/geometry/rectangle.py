@@ -36,6 +36,24 @@ class Rectangle:
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise GeometryError(f"empty rectangle: {self.lo} .. {self.hi}")
 
+    @classmethod
+    def of_ints(cls, lo: tuple[int, ...], hi: tuple[int, ...]) -> "Rectangle":
+        """The box between ``int`` corners of one dimension.
+
+        The coordinates are plain ints already, so this skips ``Point``'s
+        per-coordinate normalization and the dimension and integrality
+        checks, as :meth:`__iter__` does; an empty box still raises.
+        """
+        lo = tuple.__new__(Point, lo)
+        hi = tuple.__new__(Point, hi)
+        for l, h in zip(lo, hi):
+            if l > h:
+                raise GeometryError(f"empty rectangle: {lo} .. {hi}")
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
     @property
     def dim(self) -> int:
         return self.lo.dim

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 from repro.symbolic.affine import Numeric
 from repro.symbolic.minmax import Bound, BoundLike, as_bound, check_bound_kind
@@ -65,9 +64,10 @@ class IndexedVariable:
 
     def space(self, env: Mapping[str, Numeric]) -> Rectangle:
         """The concrete variable space ``VS.v`` at problem size ``env``."""
-        lo = Point(b[0].evaluate_int(env) for b in self.bounds)
-        hi = Point(b[1].evaluate_int(env) for b in self.bounds)
-        return Rectangle(lo, hi)
+        return Rectangle.of_ints(
+            [lo.evaluate_int(env) for lo, _ in self.bounds],
+            [hi.evaluate_int(env) for _, hi in self.bounds],
+        )
 
     def __str__(self) -> str:
         dims = ", ".join(f"{lo}..{hi}" for lo, hi in self.bounds)

@@ -22,8 +22,8 @@ from repro.util.errors import RuntimeSimulationError
 
 
 # slots=True: one Message per carried element; the scheduler also
-# constructs these directly when it inlines the push of a bare Send
-# (scheduler._single_send), so keep the two fields in sync with push().
+# constructs these directly where it inlines the push of a Send (bare or
+# Par member), so keep the two fields in sync with push().
 @dataclass(slots=True)
 class Message:
     value: Any

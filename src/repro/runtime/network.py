@@ -22,21 +22,24 @@ of its elements) and flow denominator ``m``:
   like the ``par pass a / pass b`` of the E.2.7 buffer code.
 
 Computation processes follow the appendix phase order: stationary loads,
-then moving soaks (in stream order); the repeater loop with par-receives
-and par-sends around the basic statement; then moving drains and stationary
-recoveries.
+then moving soaks (round-robin over the moving streams); the repeater loop
+with par-receives and par-sends around the basic statement; then moving
+drains and stationary recoveries.
 
 Construction is split in two so repeated executions of one design skip the
 symbolic work entirely:
 
 * a :class:`NetworkPlan` captures everything derivable from ``(sp, env)``
   alone -- chain enumeration, channel names and endpoints, per-node
-  amounts, pipe element lists, pre-bound process factories -- and is
-  memoized by content in a bounded LRU (:func:`network_plan`);
+  amounts, pipe element lists, and one process factory per process holding
+  its channel indices and, for a computation process, its soak and drain
+  pass order -- and is memoized by content in a bounded LRU
+  (:func:`network_plan`);
 * :meth:`NetworkPlan.instantiate` wires fresh channels and generators into
   a runnable :class:`ProcessNetwork` in one linear pass, preserving the
   exact channel/process creation order (and hence the deterministic FIFO
-  interleaving) of the original single-shot builder.
+  interleaving) of the original single-shot builder.  Each factory builds
+  its process's requests here, once: a run only sets ``Send.value``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,23 @@ def _as_count(value: Any) -> int:
     if value < 0:
         raise RuntimeSimulationError(f"negative count {value}")
     return value
+
+
+def _round_robin(amounts: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The round-robin pass order over streams with ``amounts`` passes each:
+    round ``r`` passes one element of every stream ``k`` with
+    ``amounts[k] >= r``, in stream order.
+
+    Compact: one ``(rounds, streams)`` segment per distinct non-zero amount,
+    so the order takes at most one segment per stream whatever the amounts.
+    """
+    order = []
+    done = 0
+    for level in sorted(set(amounts) - {0}):
+        streams = tuple(k for k, amount in enumerate(amounts) if amount >= level)
+        order.append((level - done, streams))
+        done = level
+    return tuple(order)
 
 
 def _check_conservation(
@@ -147,14 +167,140 @@ class ProcessNetwork:
 _Factory = Callable[[list[Channel], Host], Any]
 
 
+# ----------------------------------------------------------------------
+# process bodies
+# ----------------------------------------------------------------------
+# Each process is one of the generators below, started by its factory with
+# requests the factory built: one Recv and one Send per channel end, and
+# one Par of each for a repeater, reused for every message.  A process
+# never has two outstanding requests, and a parked Send's value is read
+# before its process resumes to set the next one.
+
+
+def _forward(recv: Recv, send: Send, count: int):
+    """A latch, or one stream's pass loop of an external buffer."""
+    for _ in range(count):
+        send.value = yield recv
+        yield send
+
+
+def _feed(send: Send, host: Host, var: str, elements: list[Point]):
+    """An input process: the pipe's elements, read from the host."""
+    read = host.read_element
+    for element in elements:
+        send.value = read(var, element)
+        yield send
+
+
+def _collect(recv: Recv, host: Host, var: str, elements: list[Point]):
+    """An output process: the pipe's elements, written back to the host."""
+    write = host.write_element
+    for element in elements:
+        value = yield recv
+        write(var, element, value)
+
+
+class _ComputeProcess:
+    """The factory of one computation process, holding what the plan fixed
+    for it: the channel indices of its streams (``moving + stationary``
+    order, so request ``k`` serves that stream ``k``), its per-statement
+    index environments, and its pass order."""
+
+    __slots__ = ("moving", "stationary", "ins", "outs", "holds",
+                 "soak_order", "drain_order", "index_envs", "execute")
+
+    def __init__(self, *, moving, stationary, ins, outs, amounts, index_envs,
+                 execute) -> None:
+        self.moving = moving
+        self.stationary = stationary
+        self.ins = ins
+        self.outs = outs
+        #: per stationary stream: (name, request index, soak, drain)
+        self.holds = tuple(
+            (n, k, *amounts[n]) for k, n in enumerate(stationary, len(moving))
+        )
+        self.soak_order = _round_robin([amounts[n][0] for n in moving])
+        self.drain_order = _round_robin([amounts[n][1] for n in moving])
+        self.index_envs = index_envs
+        self.execute = execute
+
+    def __call__(self, channels: list[Channel], host: Host):
+        recvs = [Recv(channels[i]) for i in self.ins]
+        sends = [Send(channels[i], None) for i in self.outs]
+        m = len(self.moving)
+        if not m:
+            return self._body(recvs, sends, None, None)
+        return self._body(recvs, sends, Par(recvs[:m]), Par(sends[:m]))
+
+    def _body(self, recvs: list[Recv], sends: list[Send],
+              par_recv: Par | None, par_send: Par | None):
+        moving, stationary, holds = self.moving, self.stationary, self.holds
+        execute = self.execute
+        local: dict[str, RuntimeValue] = {}
+        # -- pre phase: stationary loads, then moving soaks ------------------
+        for n, k, _, drain in holds:
+            recv, send = recvs[k], sends[k]
+            local[n] = yield recv
+            for _ in range(drain):  # loading passes = drain (Sect. 6.5)
+                send.value = yield recv
+                yield send
+        # Soak passes are interleaved round-robin across the moving streams
+        # (one element per stream per round, in declaration order) rather
+        # than one stream at a time.  With bounded channels, a node that
+        # insists on finishing stream A's soak can deadlock against a
+        # neighbour that is blocked mid-way through stream B: the
+        # neighbour's repeater (which emits one element of *every* stream
+        # per statement) never runs, so A's supply dries up.  Round-robin
+        # keeps every node's demand aligned with the one-per-stream-per-tick
+        # order in which the repeaters upstream produce.  Per-stream FIFO
+        # order -- and hence every computed value -- is unchanged.
+        for rounds, streams in self.soak_order:
+            for _ in range(rounds):
+                for k in streams:
+                    send = sends[k]
+                    send.value = yield recvs[k]
+                    yield send
+        # -- the repeater: the basic statements of this process --------------
+        for indices in self.index_envs:
+            if par_recv is not None:
+                values = dict(zip(moving, (yield par_recv)))
+                values.update(local)
+            else:
+                values = dict(local)
+            updated = execute(values, indices)
+            for n in stationary:
+                local[n] = updated[n]
+            if par_send is not None:
+                for n, send in zip(moving, sends):
+                    send.value = updated[n]
+                yield par_send
+        # -- post phase: moving drains, then stationary recoveries -----------
+        # Drain passes round-robin for the same reason as the soaks: the
+        # node upstream may still be in its repeater, emitting one element
+        # of every stream per statement.
+        for rounds, streams in self.drain_order:
+            for _ in range(rounds):
+                for k in streams:
+                    send = sends[k]
+                    send.value = yield recvs[k]
+                    yield send
+        for n, k, soak, _ in holds:
+            recv, send = recvs[k], sends[k]
+            for _ in range(soak):  # recovery passes = soak (Sect. 6.5)
+                send.value = yield recv
+                yield send
+            send.value = local[n]
+            yield send
+
+
 class NetworkPlan:
     """Everything :func:`build_network` can derive from ``(sp, env)`` alone.
 
     The plan holds channel *specs* (name + process-space endpoints) and
-    process *specs* (name, process-space position, and a factory closing
-    over precomputed amounts, element lists and channel indices);
-    :meth:`instantiate` binds them to fresh :class:`Channel`/generator
-    objects.  One plan serves any number of executions, any channel
+    process *specs* (name, process-space position, and a factory holding
+    precomputed amounts, element lists, channel indices and pass orders);
+    :meth:`instantiate` binds them to fresh :class:`Channel`, request and
+    generator objects.  One plan serves any number of executions, any channel
     capacity, and any LSGP fold -- those are instantiation-time choices.
     """
 
@@ -212,11 +358,10 @@ class NetworkPlan:
             host = Host(self.sp.source, self.env, inputs)
         scheduler = Scheduler()
         interband = 0
-        channels: list[Channel] = []
         if fold is None:
-            for name in self.channel_names:
-                channels.append(Channel(name, capacity=channel_capacity))
+            channels = [Channel(name, channel_capacity) for name in self.channel_names]
         else:
+            channels = []
             worker_of = fold.worker_of
             buffered = max(channel_capacity, fold.interband_capacity)
             for name, (src, dst) in zip(self.channel_names, self.channel_ends):
@@ -228,7 +373,7 @@ class NetworkPlan:
                 ):
                     capacity = buffered
                     interband += 1
-                channels.append(Channel(name, capacity=capacity))
+                channels.append(Channel(name, capacity))
             scheduler.assign_workers(
                 {name: worker_of(position) for name, position, _ in self.processes}
             )
@@ -305,15 +450,7 @@ class _PlanBuilder:
     @staticmethod
     def _latch_factory(cin: int, cout: int, count: int) -> _Factory:
         def make(channels: list[Channel], host: Host):
-            recv = Recv(channels[cin])
-            chan_out = channels[cout]
-
-            def body():
-                for _ in range(count):
-                    value = yield recv
-                    yield Send(chan_out, value)
-
-            return body()
+            return _forward(Recv(channels[cin]), Send(channels[cout], None), count)
 
         return make
 
@@ -365,23 +502,10 @@ class _PlanBuilder:
             var = name
 
             def make_input(channels, host, *, _chan=head_channel, _elems=elements, _var=var):
-                chan = channels[_chan]
-
-                def body():
-                    for element in _elems:
-                        yield Send(chan, host.read_element(_var, element))
-
-                return body()
+                return _feed(Send(channels[_chan], None), host, _var, _elems)
 
             def make_output(channels, host, *, _chan=tail, _elems=elements, _var=var):
-                recv = Recv(channels[_chan])
-
-                def body():
-                    for element in _elems:
-                        value = yield recv
-                        host.write_element(_var, element, value)
-
-                return body()
+                return _collect(Recv(channels[_chan]), host, _var, _elems)
 
             self.plan.processes.append((f"IN:{name}{start}", start, make_input))
             self.plan.processes.append((f"OUT:{name}{end}", end, make_output))
@@ -442,84 +566,19 @@ class _PlanBuilder:
             )
             for p in sp.streams
         }
-        # Read-only: the processes below read this very dict on every run.
+        # Read-only: every network's ``amounts`` table shares this mapping.
         self.plan.amounts[y] = (
             _as_count(sp.count.evaluate(binding)), MappingProxyType(amounts)
         )
-        in_idx = {p.name: self.in_chan[p.name][y] for p in sp.streams}
-        out_idx = {p.name: self.out_chan[p.name][y] for p in sp.streams}
-
-        def make(channels: list[Channel], host: Host):
-            in_ch = {n: channels[i] for n, i in in_idx.items()}
-            out_ch = {n: channels[i] for n, i in out_idx.items()}
-            # One reusable Recv per input channel (and one Par of them for
-            # the repeater): requests carry no per-use state, and a process
-            # never has two outstanding requests, so reuse is safe and
-            # saves an allocation per communication.
-            recv = {n: Recv(c) for n, c in in_ch.items()}
-            par_recv = Par([recv[n] for n in moving]) if moving else None
-
-            def body():
-                local: dict[str, RuntimeValue] = {}
-                # -- pre phase: stationary loads, then moving soaks ----------
-                for n in stationary:
-                    soak, drain = amounts[n]
-                    local[n] = yield recv[n]
-                    for _ in range(drain):  # loading passes = drain (Sect. 6.5)
-                        value = yield recv[n]
-                        yield Send(out_ch[n], value)
-                # Soak passes are interleaved round-robin across the moving
-                # streams (one element per stream per round, in declaration
-                # order) rather than one stream at a time.  With bounded
-                # channels, a node that insists on finishing stream A's soak
-                # can deadlock against a neighbour that is blocked mid-way
-                # through stream B: the neighbour's repeater (which emits one
-                # element of *every* stream per statement) never runs, so A's
-                # supply dries up.  Round-robin keeps every node's demand
-                # aligned with the one-per-stream-per-tick order in which the
-                # repeaters upstream produce.  Per-stream FIFO order -- and
-                # hence every computed value -- is unchanged.
-                soak_left = {n: amounts[n][0] for n in moving}
-                while any(soak_left.values()):
-                    for n in moving:
-                        if soak_left[n]:
-                            soak_left[n] -= 1
-                            value = yield recv[n]
-                            yield Send(out_ch[n], value)
-                # -- the repeater: the basic statements of this process ------
-                for indices in index_envs:
-                    if par_recv is not None:
-                        received = yield par_recv
-                    else:
-                        received = []
-                    values = dict(zip(moving, received))
-                    values.update(local)
-                    updated = body_ast.execute(values, indices)
-                    for n in stationary:
-                        local[n] = updated[n]
-                    if moving:
-                        yield Par([Send(out_ch[n], updated[n]) for n in moving])
-                # -- post phase: moving drains, then stationary recoveries ---
-                # Drain passes round-robin for the same reason as the soaks:
-                # the node upstream may still be in its repeater, emitting one
-                # element of every stream per statement.
-                drain_left = {n: amounts[n][1] for n in moving}
-                while any(drain_left.values()):
-                    for n in moving:
-                        if drain_left[n]:
-                            drain_left[n] -= 1
-                            value = yield recv[n]
-                            yield Send(out_ch[n], value)
-                for n in stationary:
-                    soak, _ = amounts[n]
-                    for _ in range(soak):  # recovery passes = soak (Sect. 6.5)
-                        value = yield recv[n]
-                        yield Send(out_ch[n], value)
-                    yield Send(out_ch[n], local[n])
-
-            return body()
-
-        self.plan.processes.append((f"P{y}", y, make))
+        self.plan.processes.append((f"P{y}", y, _ComputeProcess(
+            moving=moving,
+            stationary=stationary,
+            ins=tuple(self.in_chan[n][y] for n in moving + stationary),
+            outs=tuple(self.out_chan[n][y] for n in moving + stationary),
+            amounts=amounts,
+            index_envs=index_envs,
+            execute=body_ast.execute,
+        )))
         self.plan.node_counts["compute"] += 1
 
     # ------------------------------------------------------------------

@@ -21,20 +21,28 @@ array's synchronous step count.  (Backpressure stalls -- a sender waiting
 for channel space -- are not charged to the clock; the metric tracks data
 dependences only.)
 
-Two request paths share the channel machinery:
+The ``run`` loop resumes a generator and dispatches what it yields on the
+request's class.  Two request shapes share one set of channel transitions
+-- rendezvous with a parked partner, push into free space, pop from the
+queue, or park:
 
 * a bare ``Send`` or ``Recv`` -- the pass-throughs of latches, buffers and
-  i/o processes, and about three quarters of all yields on a paper design
-  -- completes or parks directly against its channel through one reused
-  slot per process, with rendezvous, push and drain transitions inlined;
+  i/o processes and of compute processes' soaks and drains, about three
+  quarters of all yields on a paper design -- completes or parks through
+  one reused slot per process;
 * a ``Par`` -- the paper's ``par ... end par`` around the basic
-  statement's communications -- is validated, then dispatched member by
-  member into a reused slot vector; a counter of its not-yet-completed
-  members decides when the process is ready again.
+  statement's communications -- has its member tuple validated unless the
+  same tuple object is one of the last two its process yielded and
+  passed, then each member runs the same transitions in order into a
+  reused slot vector; a counter of its not-yet-completed members decides
+  when the process is ready again.
 
-The two paths interoperate on the same channels: a parked ``Par`` member
-is woken by a bare sender and vice versa.  The resulting values, stats,
-trace streams and deadlock reports are pinned by digest in
+A parked ``Par`` member is woken by a bare partner and vice versa.
+Requests carry no per-use state beyond ``Send.value``, so processes build
+theirs once (``runtime/network.py``) and the scheduler allocates nothing
+per request but the ``Message`` a push queues and the result list a
+``Par`` resumes with.  The resulting values, stats, trace streams and
+deadlock reports are pinned by digest in
 ``tests/runtime/test_sched_golden.py``; the sequential oracle stays the
 reference for values.
 """
@@ -51,6 +59,10 @@ from repro.util.errors import DeadlockError, RuntimeSimulationError
 
 ProcessBody = Generator[Op, Any, None]
 
+#: trace kinds of a process's current request; the resume path tests
+#: ``kind is _PAR`` to pick the result shape
+_SEND, _RECV, _PAR = "send", "recv", "par"
+
 
 class _Slot:
     """One sub-operation of a pending request."""
@@ -65,8 +77,8 @@ class _Slot:
 
 class _ProcState:
     __slots__ = ("name", "gen", "slots", "clock", "yield_clock", "finished",
-                 "own_slot", "own_list", "single", "is_send", "par_slots",
-                 "pending")
+                 "own_slot", "own_list", "kind", "par_slots", "pending",
+                 "checked", "checked_before")
 
     def __init__(self, name: str, gen: ProcessBody) -> None:
         self.name = name
@@ -80,17 +92,20 @@ class _ProcState:
         # request resets these no live reference can remain (see _drain_*).
         self.own_slot = _Slot(None)
         self.own_list = [self.own_slot]
-        #: current request is a bare Send/Recv (else a Par); the resume
-        #: loop then reads ``own_slot`` directly
-        self.single = False
-        #: trace kind of the current bare request without an isinstance
-        #: test at resume time
-        self.is_send = False
+        #: the current request's trace kind: ``_SEND``/``_RECV`` for a bare
+        #: request (the resume reads ``own_slot``), ``_PAR`` for a Par
+        self.kind = _RECV
         #: reusable slot vector for Pars (the Par analogue of own_slot --
         #: safe for the same reason) and the count of its not-yet-completed
         #: slots, which decides when the process is ready again
         self.par_slots: list[_Slot] | None = None
         self.pending = 0
+        #: the last two Par member tuples that passed validation (a compute
+        #: process alternates between its receive and its send Par).  The
+        #: references keep them alive, so an ``is`` match proves the same
+        #: immutable tuple passed before.
+        self.checked: tuple | None = None
+        self.checked_before: tuple | None = None
 
 
 @dataclass
@@ -165,55 +180,8 @@ class Scheduler:
         self._procs.append(_ProcState(name, gen))
 
     # ------------------------------------------------------------------
-    # communication machinery (Par members, drain sweeps)
+    # drain sweeps and wake-up
     # ------------------------------------------------------------------
-    def _try_send(self, proc: _ProcState, slot: _Slot) -> bool:
-        """Complete a send: direct handoff to a parked receiver (rendezvous)
-        or a push into free channel space."""
-        chan: Channel = slot.op.channel
-        stamp = proc.yield_clock + 1
-        while chan.waiting_receivers:
-            other, rslot = chan.waiting_receivers[0]
-            chan.waiting_receivers.popleft()
-            if rslot.done:
-                continue
-            rslot.done = True
-            rslot.result = slot.op.value
-            chan.messages_carried += 1
-            other.clock = max(other.clock, stamp)
-            slot.done = True
-            self._maybe_wake(other)
-            return True
-        if chan.has_room():
-            chan.push(slot.op.value, stamp)
-            slot.done = True
-            self._drain_receivers(chan)
-            return True
-        return False
-
-    def _try_recv(self, proc: _ProcState, slot: _Slot) -> bool:
-        chan: Channel = slot.op.channel
-        if chan.queue:
-            msg = chan.pop()
-            slot.done = True
-            slot.result = msg.value
-            proc.clock = max(proc.clock, msg.timestamp)
-            self._drain_senders(chan)
-            return True
-        while chan.waiting_senders:
-            other, sslot = chan.waiting_senders[0]
-            chan.waiting_senders.popleft()
-            if sslot.done:
-                continue
-            sslot.done = True
-            slot.done = True
-            slot.result = sslot.op.value
-            chan.messages_carried += 1
-            proc.clock = max(proc.clock, other.yield_clock + 1)
-            self._maybe_wake(other)
-            return True
-        return False
-
     def _drain_senders(self, chan: Channel) -> None:
         """Space appeared: complete parked sends in FIFO order."""
         while chan.waiting_senders and chan.has_room():
@@ -240,11 +208,12 @@ class Scheduler:
         """Move a parked process back to ready when its request completed.
 
         Every caller has just completed exactly one of ``proc``'s slots, so
-        for a ``Par`` the test is a counter decrement.
+        for a ``Par`` the test is a counter decrement.  The request paths
+        below inline this.
         """
         if proc.slots is None:
             return
-        if proc.single:
+        if proc.kind is not _PAR:
             if proc.own_slot.done:
                 self._ready.append(proc)
             return
@@ -254,17 +223,16 @@ class Scheduler:
             self._ready.append(proc)
 
     # ------------------------------------------------------------------
-    # bare requests: complete or park against the channel directly
+    # requests: complete or park against the channel directly
     # ------------------------------------------------------------------
     def _single_send(self, proc: _ProcState, op) -> None:
-        """Inlined ``_try_send`` + park for a bare ``Send``.
+        """A bare ``Send``: rendezvous, push, or park.
 
         The counterpart (or drained receivers) enqueue *before* this
         process, exactly as for a ``Par`` member, so a send behaves the
         same whichever request shape carries it.
         """
-        proc.single = True
-        proc.is_send = True
+        proc.kind = _SEND
         slot = proc.own_slot
         slot.result = None
         proc.slots = proc.own_list
@@ -286,7 +254,7 @@ class Scheduler:
             # inlined _maybe_wake: rslot just completed, so a bare-request
             # peer is ready by construction; a Par peer decrements its
             # pending counter exactly as _maybe_wake would
-            if other.single:
+            if other.kind is not _PAR:
                 ready.append(other)
             elif other.slots is not None:
                 pending = other.pending - 1
@@ -316,9 +284,8 @@ class Scheduler:
         chan.waiting_senders.append((proc, slot))
 
     def _single_recv(self, proc: _ProcState, op) -> None:
-        """Inlined ``_try_recv`` + park for a bare ``Recv``."""
-        proc.single = True
-        proc.is_send = False
+        """A bare ``Recv``: pop, rendezvous, or park."""
+        proc.kind = _RECV
         slot = proc.own_slot
         proc.slots = proc.own_list
         chan: Channel = op.channel
@@ -348,7 +315,7 @@ class Scheduler:
             if stamp > proc.clock:
                 proc.clock = stamp
             # inlined _maybe_wake, as in _single_send
-            if other.single:
+            if other.kind is not _PAR:
                 ready.append(other)
             elif other.slots is not None:
                 pending = other.pending - 1
@@ -362,15 +329,10 @@ class Scheduler:
         slot.result = None
         chan.waiting_receivers.append((proc, slot))
 
-    def _request_par(self, proc: _ProcState, op: Any) -> None:
-        """Validate a ``Par`` (any other non-bare yield is an error), then
-        dispatch its members and park the incomplete ones.
-
-        The slot vector is reused across requests (the Par analogue of
-        ``own_slot`` -- every slot is completed and unparked before the
-        process resumes, so no live reference remains), and completion is
-        tracked by the ``pending`` counter consumed in :meth:`_maybe_wake`.
-        """
+    def _check_par(self, proc: _ProcState, op: Any) -> tuple:
+        """Validate a yield that is neither a bare ``Send`` nor ``Recv``: it
+        must be a ``Par`` of at least one ``Send``/``Recv``.  A valid
+        member tuple is remembered, so its next yields skip this."""
         if not isinstance(op, Par):
             raise RuntimeSimulationError(
                 f"process {proc.name} yielded {op!r}, expected Send/Recv/Par"
@@ -387,31 +349,110 @@ class Scheduler:
                     f"process {proc.name} yielded Par containing {sub!r}; "
                     "every Par member must be a Send or Recv"
                 )
-        k = len(ops)
+        if type(ops) is tuple:
+            proc.checked_before = proc.checked
+            proc.checked = ops
+        return ops
+
+    def _request_par(self, proc: _ProcState, op: Any) -> None:
+        """Dispatch a ``Par``'s members in order and park the incomplete
+        ones.
+
+        Each member runs the bare paths' transitions, but the process
+        itself is made ready only once, after the last member, when none
+        is pending.  The slot vector is reused across requests (the Par
+        analogue of ``own_slot`` -- every slot is completed and unparked
+        before the process resumes, so no live reference remains), and
+        completion is tracked by the ``pending`` counter consumed in
+        :meth:`_maybe_wake`.
+        """
+        ops = op.ops if op.__class__ is Par else None
+        if ops is None or (
+            ops is not proc.checked and ops is not proc.checked_before
+        ):
+            ops = self._check_par(proc, op)
         slots = proc.par_slots
-        if slots is None or len(slots) != k:
-            slots = proc.par_slots = [_Slot(None) for _ in range(k)]
-        proc.single = False
+        if slots is None or len(slots) != len(ops):
+            slots = proc.par_slots = [_Slot(None) for _ in ops]
+        proc.kind = _PAR
         proc.slots = slots
+        ready = self._ready
+        stamp = proc.yield_clock + 1
         pending = 0
-        for i, sub in enumerate(ops):
-            slot = slots[i]
+        for slot, sub in zip(slots, ops):
             slot.op = sub
-            slot.done = False
             slot.result = None
+            chan: Channel = sub.channel
             if sub.__class__ is Send:
-                if not self._try_send(proc, slot):
-                    pending += 1
-            elif not self._try_recv(proc, slot):
-                pending += 1
+                waiting = chan.waiting_receivers
+                while waiting:
+                    other, rslot = waiting.popleft()
+                    if rslot.done:
+                        continue
+                    rslot.done = True
+                    rslot.result = sub.value
+                    chan.messages_carried += 1
+                    if stamp > other.clock:
+                        other.clock = stamp
+                    if other.kind is not _PAR:
+                        ready.append(other)
+                    elif other.slots is not None:
+                        other.pending -= 1
+                        if other.pending == 0:
+                            ready.append(other)
+                    break
+                else:
+                    queue = chan.queue
+                    if len(queue) >= chan.capacity:
+                        slot.done = False
+                        pending += 1
+                        continue
+                    # nobody to drain: the loop above emptied the waiters
+                    queue.append(Message(sub.value, stamp))
+                    chan.messages_carried += 1
+                    if len(queue) > chan.max_occupancy:
+                        chan.max_occupancy = len(queue)
+            else:
+                queue = chan.queue
+                if queue:
+                    msg = queue.popleft()
+                    slot.result = msg.value
+                    if msg.timestamp > proc.clock:
+                        proc.clock = msg.timestamp
+                    if chan.waiting_senders:
+                        self._drain_senders(chan)
+                else:
+                    waiting = chan.waiting_senders
+                    while waiting:
+                        other, sslot = waiting.popleft()
+                        if sslot.done:
+                            continue
+                        sslot.done = True
+                        slot.result = sslot.op.value
+                        chan.messages_carried += 1
+                        sent = other.yield_clock + 1
+                        if sent > proc.clock:
+                            proc.clock = sent
+                        if other.kind is not _PAR:
+                            ready.append(other)
+                        elif other.slots is not None:
+                            other.pending -= 1
+                            if other.pending == 0:
+                                ready.append(other)
+                        break
+                    else:
+                        slot.done = False
+                        pending += 1
+                        continue
+            slot.done = True
         proc.pending = pending
         if pending == 0:
-            self._ready.append(proc)
+            ready.append(proc)
             return
         for slot in slots:
             if slot.done:
                 continue
-            chan: Channel = slot.op.channel
+            chan = slot.op.channel
             if slot.op.__class__ is Send:
                 chan.waiting_senders.append((proc, slot))
             else:
@@ -420,22 +461,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def _advance(self, proc: _ProcState, value: Any) -> None:
-        """Drive one generator step and handle the yielded request."""
-        try:
-            op = proc.gen.send(value)
-        except StopIteration:
-            proc.finished = True
-            return
-        proc.yield_clock = proc.clock
-        tp = op.__class__
-        if tp is Send:
-            self._single_send(proc, op)
-        elif tp is Recv:
-            self._single_recv(proc, op)
-        else:
-            self._request_par(proc, op)
-
     def run(self, max_rounds: int | None = None) -> SchedulerStats:
         """Run all processes to completion; returns aggregate stats.
 
@@ -465,38 +490,59 @@ class Scheduler:
         ready = self._ready
         worker_of = self._worker_of
         worker_clock = self._worker_clock
+        single_send = self._single_send
+        single_recv = self._single_recv
+        request_par = self._request_par
         rounds = 0
-        advance = self._advance
-        for proc in self._procs:
-            advance(proc, None)
-        while ready:
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
-                raise RuntimeSimulationError(f"exceeded {max_rounds} scheduler rounds")
-            proc = ready.popleft()
-            if proc.finished or proc.slots is None:
+        # Every process is stepped to its first request in spawn order;
+        # after that, each round resumes the head of the ready queue.
+        starting = deque(self._procs)
+        while True:
+            if starting:
+                proc = starting.popleft()
+                value = None
+            elif ready:
+                rounds += 1
+                if max_rounds is not None and rounds > max_rounds:
+                    raise RuntimeSimulationError(
+                        f"exceeded {max_rounds} scheduler rounds"
+                    )
+                proc = ready.popleft()
+                if proc.finished or proc.slots is None:
+                    continue
+                if proc.kind is not _PAR:
+                    slot = proc.own_slot
+                    incomplete = not slot.done
+                    value = slot.result
+                else:
+                    incomplete = proc.pending
+                    value = [s.result for s in proc.slots]
+                if incomplete:
+                    raise RuntimeSimulationError(
+                        f"process {proc.name} resumed with incomplete request"
+                    )
+                proc.slots = None
+                if worker_of is None:
+                    proc.clock += 1
+                else:
+                    self._charge_worker(proc, worker_of, worker_clock)
+                if trace is not None:
+                    trace(proc.name, proc.clock, proc.kind)
+            else:
+                break
+            try:
+                op = proc.gen.send(value)
+            except StopIteration:
+                proc.finished = True
                 continue
-            if proc.single:
-                slot = proc.own_slot
-                incomplete = not slot.done
-                value = slot.result
-                kind = "send" if proc.is_send else "recv"
+            proc.yield_clock = proc.clock
+            tp = op.__class__
+            if tp is Send:
+                single_send(proc, op)
+            elif tp is Recv:
+                single_recv(proc, op)
             else:
-                incomplete = proc.pending
-                value = [s.result for s in proc.slots]
-                kind = "par"
-            if incomplete:
-                raise RuntimeSimulationError(
-                    f"process {proc.name} resumed with incomplete request"
-                )
-            proc.slots = None
-            if worker_of is None:
-                proc.clock += 1
-            else:
-                self._charge_worker(proc, worker_of, worker_clock)
-            if trace is not None:
-                trace(proc.name, proc.clock, kind)
-            advance(proc, value)
+                request_par(proc, op)
         unfinished = [p for p in self._procs if not p.finished]
         if unfinished:
             raise DeadlockError(self._deadlock_report(unfinished))

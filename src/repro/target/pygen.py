@@ -569,8 +569,9 @@ def design_fingerprint(sp: SystolicProgram) -> str:
     Built from the canonical ``to_source()`` text and the exact step/place/
     loading numbers, so it is reproducible across processes -- the key of
     the compile service's design store and of the schedule caches.
+    Computed once per ``sp`` (:attr:`SystolicProgram.fingerprint`).
     """
-    return fingerprint_of(sp.source, sp.array)
+    return sp.fingerprint
 
 
 def fingerprint_of(program, array) -> str:

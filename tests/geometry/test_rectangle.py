@@ -30,6 +30,15 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rectangle(Point.of(Fraction(1, 2)), Point.of(1))
 
+    def test_of_ints_equals_checked_constructor(self):
+        r = Rectangle.of_ints([0, 1], [2, 3])
+        assert r == Rectangle(Point.of(0, 1), Point.of(2, 3))
+        assert type(r.lo) is type(r.hi) is Point
+
+    def test_of_ints_empty_rejected(self):
+        with pytest.raises(GeometryError, match=r"empty rectangle: \(0, 2\) .. \(1, 1\)"):
+            Rectangle.of_ints([0, 2], [1, 1])
+
 
 class TestMembership:
     def test_contains(self):

@@ -11,7 +11,8 @@ from repro import profiling
 from repro.core import compile_systolic
 from repro.geometry import Point
 from repro.lang import run_sequential
-from repro.runtime import build_network, execute
+from repro.extensions.partition import partitioned_schedule
+from repro.runtime import Par, Recv, Send, build_network, execute
 from repro.runtime.network import network_plan
 from repro.systolic import all_paper_designs
 from repro.util.errors import RuntimeSimulationError
@@ -217,6 +218,36 @@ class TestNetworkShape:
         net.run()
         for chan in net.scheduler._channels:
             assert chan.max_occupancy <= 1
+
+
+class TestRequestReuse:
+    """Every process builds its requests when the network is instantiated
+    and only sets ``Send.value`` afterwards, so a run builds none."""
+
+    @pytest.mark.parametrize("design_idx", [0, 1, 2, 3])
+    @pytest.mark.parametrize("variant", ["capacity1", "capacity3", "fold2"])
+    def test_run_builds_no_request(self, monkeypatch, design_idx, variant):
+        exp_id, prog, array = ALL[design_idx]
+        sp = compile_systolic(prog, array)
+        env = {"n": 4}
+        inputs = inputs_for(exp_id, 4)
+        instantiate = {
+            "capacity1": {},
+            "capacity3": {"channel_capacity": 3},
+            "fold2": {"fold": partitioned_schedule(sp, env, (2,))},
+        }[variant]
+        network = network_plan(sp, env).instantiate(inputs, **instantiate)
+        built = []
+        for cls in (Send, Recv, Par):
+            def spy(self, *args, _cls=cls, _init=cls.__init__):
+                built.append(_cls.__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        network.run()
+        monkeypatch.undo()
+        assert built == []
+        assert network.host.final == run_sequential(prog, env, inputs)
 
 
 class TestHostChecks:

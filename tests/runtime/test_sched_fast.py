@@ -21,7 +21,7 @@ class TestParValidation:
     ``Par.__init__`` already validates, so the malformed shapes are built
     via ``__new__`` -- modelling a corrupted or hand-rolled request object,
     which would otherwise fall through to a raw ``AttributeError`` inside
-    ``_try_recv``.
+    the channel transitions.
     """
 
     @staticmethod
@@ -66,6 +66,24 @@ class TestParValidation:
 
         sched.spawn("offender", proc())
         with pytest.raises(RuntimeSimulationError, match="offender.*empty Par"):
+            sched.run()
+
+    def test_reassigned_member_tuple_is_checked_again(self):
+        """A member tuple is validated once per tuple object: a Par that
+        passed and then had its ``ops`` replaced is validated again."""
+        sched = Scheduler()
+        chan = sched.add_channel(Channel("c"))
+        par = Par([Send(chan, 1)])
+
+        def proc():
+            yield par
+            par.ops = (Recv(chan), "not an op")
+            yield par
+
+        sched.spawn("offender", proc())
+        with pytest.raises(
+            RuntimeSimulationError, match="offender.*not an op"
+        ):
             sched.run()
 
 

@@ -311,6 +311,31 @@ class TestSymbolicPartitionedExecution:
         assert fold.summary() == fold.summary()
         assert calls == [env]
 
+    def test_fingerprint_rendered_once_per_program(self, monkeypatch):
+        """The schedule and partition caches key on the design fingerprint;
+        it renders ``to_source()`` once per ``SystolicProgram``, not once
+        per cache lookup (two per banded run)."""
+        pytest.importorskip("numpy")
+        from dataclasses import replace
+
+        from repro.lang.program import SourceProgram
+        from repro.target.npgen import execute_numpy_batch
+
+        sp, prog, inputs, oracle, n = setup_design(idx=3, n=3)  # E2
+        sp = replace(sp)  # a fresh instance: nothing cached on it yet
+        env = {"n": n}
+        calls = []
+        real = SourceProgram.to_source
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SourceProgram, "to_source", spy)
+        first = execute_numpy_batch(sp, env, [inputs], shape=(2,))
+        assert execute_numpy_batch(sp, env, [inputs], shape=(2,)) == first
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bad", [4.5, True])
     def test_non_integral_size_is_not_keyed_onto_a_neighbour(self, bad):
         """``int()`` in the key once served the n=4 schedule for n=4.5."""
