@@ -15,10 +15,11 @@ compilation bug and raises :class:`CompilationError`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, vector_quotient
 from repro.symbolic.affine import Affine, AffineVec, Numeric
 from repro.symbolic.piecewise import Piecewise
 from repro.util.errors import CompilationError
@@ -90,23 +91,24 @@ class Repeater:
         endpoints = self.endpoints_at(env)
         if endpoints is None:
             return 0
-        first, last = endpoints
-        from repro.geometry.point import vector_quotient
+        return self._count(*endpoints)
 
+    def _count(self, first: Point, last: Point) -> int:
         return vector_quotient(last - first, self.increment) + 1
 
-    def enumerate_at(self, env: Mapping[str, Numeric]) -> Iterator[Point]:
-        """The concrete sequence ``first, first+increment, ..., last``."""
+    def enumerate_at(self, env: Mapping[str, Numeric]) -> Iterator[tuple[int, ...]]:
+        """The concrete sequence ``first, first+increment, ..., last``, as
+        plain int tuples (each equal to the :class:`Point` it stands for)."""
         endpoints = self.endpoints_at(env)
         if endpoints is None:
             return
         first, last = endpoints
-        steps = self.count_at(env)
-        current = first
-        for _ in range(steps):
+        increment = tuple(self.increment)
+        current = tuple(first)
+        for _ in range(self._count(first, last)):
             yield current
-            current = current + self.increment
-        if current - self.increment != last:
+            current = tuple(map(operator.add, current, increment))
+        if tuple(map(operator.sub, current, increment)) != last:
             raise CompilationError(
                 f"repeater enumeration did not land on last: {last}"
             )

@@ -49,11 +49,12 @@ _SAMPLED_CHECKS = {
     "check_npgen": {"npgen"},
 }
 
-#: per-instance network phase stages recorded by repro.runtime.network
-_NETWORK_STAGES = ("network.build", "network.execute")
-
-#: profiling stage -> phase_seconds key in the campaign summary
+#: profiling stage -> phase_seconds key in the campaign summary: the
+#: generator's sub-phases (repro.fuzz.generator) and the network's
+#: (repro.runtime.network)
 _STAGE_PHASE = {
+    "generate.synthesize": "synthesize",
+    "generate.trial_compile": "trial_compile",
     "network.build": "build_network",
     "network.execute": "execute",
 }
@@ -87,9 +88,11 @@ class FuzzSummary:
     check_counts: dict = field(default_factory=dict)
     check_seconds: dict = field(default_factory=dict)
     #: wall-clock per pipeline phase: ``generate`` (instance synthesis),
-    #: ``compile`` (scheme derivation), ``check`` (all detectors), plus the
-    #: network sub-phases ``build_network``/``execute`` (accounted *inside*
-    #: ``check``, broken out so regressions are attributable)
+    #: ``compile`` (scheme derivation), ``check`` (all detectors), plus
+    #: sub-phases broken out so regressions are attributable: the step and
+    #: place search ``synthesize`` and the design's ``trial_compile``
+    #: (accounted *inside* ``generate``), and the network's
+    #: ``build_network``/``execute`` (accounted *inside* ``check``)
     phase_seconds: dict = field(default_factory=dict)
     feature_counts: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
@@ -156,6 +159,7 @@ def _fuzz_task(iteration: int) -> dict:
     base_seed = _WORKER["base_seed"]
     config = iteration_config(_WORKER["config"], iteration)
     instance_seed = base_seed * SEED_STRIDE + iteration
+    stages_before = profiling.snapshot()["stages"]
     t0 = time.perf_counter()
     instance = generate_instance(instance_seed, feature=_WORKER.get("feature"))
     generate_s = time.perf_counter() - t0
@@ -164,10 +168,9 @@ def _fuzz_task(iteration: int) -> dict:
             "iteration": iteration,
             "status": "skipped",
             "generate_s": generate_s,
+            "stages": _stages_since(stages_before),
         }
-    stages_before = profiling.snapshot()["stages"]
     report = run_instance(instance, config)
-    stages_after = profiling.snapshot()["stages"]
     record = {
         "iteration": iteration,
         "status": "ok" if report.ok else "failed",
@@ -175,10 +178,7 @@ def _fuzz_task(iteration: int) -> dict:
         "checks_run": list(report.checks_run),
         "timings": dict(report.timings),
         "generate_s": generate_s,
-        "stages": {
-            name: stages_after.get(name, 0.0) - stages_before.get(name, 0.0)
-            for name in _NETWORK_STAGES
-        },
+        "stages": _stages_since(stages_before),
         "features": sorted(program_features(instance.program)),
     }
     if not report.ok:
@@ -186,6 +186,14 @@ def _fuzz_task(iteration: int) -> dict:
         record["messages"] = [str(f) for f in report.failures[:6]]
         record["instance_json"] = instance_to_json(instance)
     return record
+
+
+def _stages_since(before: dict) -> dict:
+    """Seconds each stage of :data:`_STAGE_PHASE` gained since ``before``."""
+    after = profiling.snapshot()["stages"]
+    return {
+        name: after.get(name, 0.0) - before.get(name, 0.0) for name in _STAGE_PHASE
+    }
 
 
 # -- driver side -----------------------------------------------------------
@@ -294,6 +302,9 @@ def _tally(summary: FuzzSummary, record: dict, log) -> None:
     summary.phase_seconds["generate"] = summary.phase_seconds.get(
         "generate", 0.0
     ) + record.get("generate_s", 0.0)
+    for stage, dt in record.get("stages", {}).items():
+        name = _STAGE_PHASE[stage]
+        summary.phase_seconds[name] = summary.phase_seconds.get(name, 0.0) + dt
     if record["status"] == "skipped":
         summary.skipped += 1
         return
@@ -312,9 +323,6 @@ def _tally(summary: FuzzSummary, record: dict, log) -> None:
     summary.phase_seconds["check"] = (
         summary.phase_seconds.get("check", 0.0) + check_total
     )
-    for stage, dt in record.get("stages", {}).items():
-        name = _STAGE_PHASE[stage]
-        summary.phase_seconds[name] = summary.phase_seconds.get(name, 0.0) + dt
     for tag in record.get("features", ()):
         summary.feature_counts[tag] = summary.feature_counts.get(tag, 0) + 1
     if record["status"] == "failed":

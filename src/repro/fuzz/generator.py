@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro import profiling
 from repro.core.scheme import compile_systolic
 from repro.geometry.linalg import Matrix
 from repro.lang.expr import (
@@ -282,28 +283,30 @@ def generate_design(
 ) -> SystolicArray | None:
     """A random consistent, *compiling* design -- or ``None`` if the
     bounded synthesis space holds no compilable candidate for this program."""
-    try:
-        steps = synthesize_step(program, bound=step_bound)
-    except ReproError:
-        return None
-    step = steps[rng.randrange(len(steps))]
-    places = synthesize_places(program, step, bound=place_bound)
+    with profiling.stage("generate.synthesize"):
+        try:
+            steps = synthesize_step(program, bound=step_bound)
+        except ReproError:
+            return None
+        step = steps[rng.randrange(len(steps))]
+        places = synthesize_places(program, step, bound=place_bound)
     if not places:
         return None
-    order = rng.sample(range(len(places)), len(places))
-    for pi in order[:max_places]:
-        place = places[pi]
-        loadings = list(loading_candidates(program, step, place))
-        rng.shuffle(loadings)
-        for loading in loadings:
-            array = SystolicArray(
-                step=step, place=place, loading_vectors=loading, name="fuzzed"
-            )
-            try:
-                compile_systolic(program, array)
-            except ReproError:
-                continue
-            return array
+    with profiling.stage("generate.trial_compile"):
+        order = rng.sample(range(len(places)), len(places))
+        for pi in order[:max_places]:
+            place = places[pi]
+            loadings = list(loading_candidates(program, step, place))
+            rng.shuffle(loadings)
+            for loading in loadings:
+                array = SystolicArray(
+                    step=step, place=place, loading_vectors=loading, name="fuzzed"
+                )
+                try:
+                    compile_systolic(program, array)
+                except ReproError:
+                    continue
+                return array
     return None
 
 

@@ -218,19 +218,22 @@ def vector_quotient(x: Point, y: Point) -> int:
     """
     if len(x) != len(y):
         raise GeometryError(f"dimension mismatch in {x} // {y}")
-    m: Scalar | None = None
+    # The quotient a/b of the first pair with b != 0; every later pair must
+    # give the same ratio (compared by cross-multiplication, so integral
+    # vectors never leave machine ints).
+    ratio: tuple[Scalar, Scalar] | None = None
     for a, b in zip(x, y):
         if b == 0:
             if a != 0:
                 raise GeometryError(f"{x} is not a multiple of {y}")
             continue
-        q = Fraction(a, 1) / Fraction(b, 1)
-        if m is None:
-            m = q
-        elif m != q:
+        if ratio is None:
+            ratio = (a, b)
+        elif a * ratio[1] != ratio[0] * b:
             raise GeometryError(f"{x} is not a multiple of {y}")
-    if m is None:  # y == 0 and x == 0
+    if ratio is None:  # y == 0 and x == 0
         return 0
-    if isinstance(m, Fraction) and m.denominator != 1:
-        raise GeometryError(f"{x} // {y} is not an integer (got {m})")
-    return int(m)
+    a, b = ratio
+    if a % b:
+        raise GeometryError(f"{x} // {y} is not an integer (got {Fraction(a, b)})")
+    return int(a // b)

@@ -23,6 +23,7 @@ A.2  each element of each variable is accessed by some statement
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, Sequence
 
 from repro.lang.program import SourceProgram
@@ -141,13 +142,17 @@ def _check_coverage(program: SourceProgram, env: Mapping[str, Numeric]) -> None:
     index_space = program.index_space(env)
     for s in program.streams:
         space = s.variable.space(env)
+        rows = s.index_map.rows
         touched = set()
+        # ``M.x`` on int tuples: the index map and the index points are
+        # integral, so only a reported element becomes a Point.
         for x in index_space:
-            el = s.element_of(x)
+            el = tuple([sum(map(operator.mul, row, x)) for row in rows])
             if el not in space:
                 raise RestrictionViolation(
-                    f"stream {s.name}: statement {x} accesses element {el} "
-                    f"outside {space.lo}..{space.hi} at size {dict(env)}"
+                    f"stream {s.name}: statement {x} accesses element "
+                    f"{s.element_of(x)} outside {space.lo}..{space.hi} at "
+                    f"size {dict(env)}"
                 )
             touched.add(el)
         if len(touched) != space.size:

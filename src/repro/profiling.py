@@ -31,7 +31,9 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-from typing import Callable, Mapping
+import time
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "Counter",
@@ -39,6 +41,7 @@ __all__ = [
     "enabled",
     "register",
     "add_stage",
+    "stage",
     "reset_stages",
     "snapshot",
     "format_report",
@@ -98,6 +101,16 @@ register("symbolic", _counter_snapshot)
 def add_stage(name: str, seconds: float) -> None:
     """Accumulate wall-clock time into a named stage."""
     _stages[name] = _stages.get(name, 0.0) + seconds
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Accumulate the wall-clock time of a ``with`` block into a stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        add_stage(name, time.perf_counter() - t0)
 
 
 def reset_stages() -> None:

@@ -44,6 +44,7 @@ symbolic work entirely:
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -405,7 +406,13 @@ class _PlanBuilder:
         self.plan = plan
         self.sp = plan.sp
         self.env = plan.env
-        self.space = self.sp.process_space(self.env)
+        #: every process-space point, found by its int tuple: chains are
+        #: walked on plain tuples and mapped back to the point here
+        self.nodes = {y: y for y in self.sp.process_space(self.env)}
+        self.labels = {y: repr(y) for y in self.nodes}
+        self.moving = tuple(p.name for p in self.sp.streams if not p.stationary)
+        self.stationary = tuple(p.name for p in self.sp.streams if p.stationary)
+        self.index_base = {k: int(v) for k, v in self.env.items()}
         #: per stream name: {point: channel index} for links INTO / OUT OF a node
         self.in_chan: dict[str, dict[Point, int]] = {}
         self.out_chan: dict[str, dict[Point, int]] = {}
@@ -436,14 +443,15 @@ class _PlanBuilder:
         return len(self.plan.channel_names) - 1
 
     def _chains(self, hop: Point) -> Iterator[list[Point]]:
-        for y in self.space:
-            if (y - hop) in self.space:
+        nodes = self.nodes
+        for y in nodes:
+            if tuple(map(operator.sub, y, hop)) in nodes:
                 continue
             chain = []
             z = y
-            while z in self.space:
+            while z is not None:
                 chain.append(z)
-                z = z + hop
+                z = nodes.get(tuple(map(operator.add, z, hop)))
             yield chain
 
     # ------------------------------------------------------------------
@@ -460,6 +468,7 @@ class _PlanBuilder:
         self.in_chan[name] = {}
         self.out_chan[name] = {}
         latches = plan.internal_buffers()
+        labels = self.labels
         for chain in self._chains(plan.hop):
             start, end = chain[0], chain[-1]
             binding = self._bind(start)
@@ -471,9 +480,10 @@ class _PlanBuilder:
                 self.plan.chain_totals[(name, z)] = total
             # channels along the chain; latches on every link into a node
             for idx, y in enumerate(chain):
-                src = f"{name}_in" if idx == 0 else f"{name}{chain[idx - 1]}"
+                label = labels[y]
+                src = f"{name}_in" if idx == 0 else f"{name}{labels[chain[idx - 1]]}"
                 link_in = self._channel(
-                    f"{name}_chan[{src}->{y}]",
+                    f"{name}_chan[{src}->{label}]",
                     src=None if idx == 0 else chain[idx - 1],
                     dst=y,
                 )
@@ -483,10 +493,10 @@ class _PlanBuilder:
                     self.out_chan[name][chain[idx - 1]] = link_in
                 feed = link_in
                 for k in range(latches):
-                    buffered = self._channel(f"{name}_buff[{y}#{k}]")
+                    buffered = self._channel(f"{name}_buff[{label}#{k}]")
                     self.plan.processes.append(
                         (
-                            f"L:{name}{y}#{k}",
+                            f"L:{name}{label}#{k}",
                             y,
                             self._latch_factory(feed, buffered, total),
                         )
@@ -494,7 +504,7 @@ class _PlanBuilder:
                     self.plan.node_counts["latch"] += 1
                     feed = buffered
                 self.in_chan[name][y] = feed
-            tail = self._channel(f"{name}_chan[{end}->out]")
+            tail = self._channel(f"{name}_chan[{labels[end]}->out]")
             self.out_chan[name][end] = tail
             # i/o processes (null pipes still get processes that do nothing,
             # like the paper's null communications)
@@ -507,8 +517,8 @@ class _PlanBuilder:
             def make_output(channels, host, *, _chan=tail, _elems=elements, _var=var):
                 return _collect(Recv(channels[_chan]), host, _var, _elems)
 
-            self.plan.processes.append((f"IN:{name}{start}", start, make_input))
-            self.plan.processes.append((f"OUT:{name}{end}", end, make_output))
+            self.plan.processes.append((f"IN:{name}{labels[start]}", start, make_input))
+            self.plan.processes.append((f"OUT:{name}{labels[end]}", end, make_output))
             self.plan.node_counts["input"] += 1
             self.plan.node_counts["output"] += 1
 
@@ -526,10 +536,13 @@ class _PlanBuilder:
             raise RuntimeSimulationError(
                 f"stream {plan.name}: non-integral first_s {first}"
             )
+        # Integral coordinates need no normalization: each element is built
+        # as a Point straight from its int tuple.
+        increment = plan.increment_s
         current = first
         for _ in range(total):
             yield current
-            current = current + plan.increment_s
+            current = tuple.__new__(Point, map(operator.add, current, increment))
 
     # ------------------------------------------------------------------
     def _build_buffer_node(self, y: Point) -> None:
@@ -539,24 +552,21 @@ class _PlanBuilder:
             cin = self.in_chan[plan.name][y]
             cout = self.out_chan[plan.name][y]
             self.plan.processes.append(
-                (f"B:{plan.name}{y}", y, self._latch_factory(cin, cout, amount))
+                (f"B:{plan.name}{self.labels[y]}", y,
+                 self._latch_factory(cin, cout, amount))
             )
         self.plan.node_counts["buffer"] += 1
 
     def _build_compute_node(self, y: Point) -> None:
-        sp, env = self.sp, self.env
+        sp = self.sp
         binding = self._bind(y)
-        source = sp.source
-        body_ast = source.body
-        stationary = tuple(p.name for p in sp.streams if p.stationary)
-        moving = tuple(p.name for p in sp.streams if not p.stationary)
-        index_base = {k: int(v) for k, v in env.items()}
+        index_env, index_base = sp.source.index_env, self.index_base
+        moving, stationary = self.moving, self.stationary
         # Body.execute treats the index binding as read-only, so the merged
         # per-statement index environments are computed once per plan and
         # shared by every execution.
         index_envs = [
-            dict(index_base, **source.index_env(x))
-            for x in sp.repeater.enumerate_at(binding)
+            dict(index_base, **index_env(x)) for x in sp.repeater.enumerate_at(binding)
         ]
 
         amounts = {
@@ -570,14 +580,14 @@ class _PlanBuilder:
         self.plan.amounts[y] = (
             _as_count(sp.count.evaluate(binding)), MappingProxyType(amounts)
         )
-        self.plan.processes.append((f"P{y}", y, _ComputeProcess(
+        self.plan.processes.append((f"P{self.labels[y]}", y, _ComputeProcess(
             moving=moving,
             stationary=stationary,
             ins=tuple(self.in_chan[n][y] for n in moving + stationary),
             outs=tuple(self.out_chan[n][y] for n in moving + stationary),
             amounts=amounts,
             index_envs=index_envs,
-            execute=body_ast.execute,
+            execute=sp.source.body.execute,
         )))
         self.plan.node_counts["compute"] += 1
 
@@ -585,7 +595,7 @@ class _PlanBuilder:
     def build(self) -> None:
         for plan in self.sp.streams:
             self._build_stream(plan)
-        for y in self.space:
+        for y in self.nodes:
             if self._in_cs(y):
                 self._build_compute_node(y)
             else:

@@ -15,25 +15,30 @@ substrate substitute, this module synthesises them directly:
 
 The search space grows as ``O((2*bound+1)^(r*(r-1)))`` for places, so bounds
 are kept small; for the nested-loop programs in the paper's class (r = 2, 3)
-this is instantaneous and already contains all four appendix designs.
+the default bounds already contain all four appendix designs.  The search
+is not free: every fuzz instance is a new program, so its place search
+misses ``PLACES_CACHE``.  Each candidate is decided in machine integers, by
+one determinant and a few flow magnitudes, and a miss costs about 1 ms for
+r = 3 (325 candidates; median over generated programs on a 2-core host).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Mapping
 
 from repro import profiling
-from repro.geometry.linalg import Matrix, null_space_vector
+from repro.geometry.linalg import Matrix
 from repro.geometry.point import Point, dot
 from repro.lang.dependence import check_step_function, dependence_vectors
 from repro.lang.program import SourceProgram
 from repro.symbolic.affine import Numeric
 from repro.systolic.check import check_systolic_array
-from repro.systolic.flow import flow_denominator, is_stationary, stream_flow
+from repro.systolic.flow import is_stationary, stream_flow
 from repro.systolic.spec import SystolicArray
 from repro.util.cache import BoundedLRU
-from repro.util.errors import RequirementViolation, SystolicSpecError
+from repro.util.errors import SystolicSpecError
 
 
 #: memoized place searches -- the fuzz generator re-runs the same bounded
@@ -56,10 +61,10 @@ def makespan(
     return int(max(values) - min(values)) + 1
 
 
-def _candidate_rows(r: int, bound: int) -> Iterator[Point]:
+def _candidate_rows(r: int, bound: int) -> Iterator[tuple[int, ...]]:
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=r):
-        if any(c != 0 for c in coeffs):
-            yield Point(coeffs)
+        if any(coeffs):
+            yield coeffs
 
 
 def synthesize_step(
@@ -118,7 +123,13 @@ def synthesize_places(
     (``step . null_p != 0``), and -- when ``require_neighbour_flows`` --
     every moving stream's flow meets the neighbour requirement.  Stationary
     streams are accepted (the caller chooses loading vectors later).
-    Candidates are deduplicated up to row order.
+
+    The first two conditions together are ``det([step; place]) != 0``: the
+    cofactors of ``step``'s row span ``null(place)`` when ``place`` has rank
+    ``r-1`` and vanish otherwise.  Candidates are the combinations of
+    distinct rows in ``itertools.combinations`` order, so each row set
+    appears once, and the list's order is part of the contract (the fuzz
+    generator samples from it).
     """
     check_step_function(program, step)
     # Everything below depends only on (r, bound, step rows, the streams'
@@ -139,52 +150,88 @@ def synthesize_places(
     )
 
 
+def _det(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    head, tail = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * _det(tuple(row[:j] + row[j + 1:] for row in tail))
+        for j, a in enumerate(head)
+        if a
+    )
+
+
+def _last_row_cofactors(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """``c`` with ``det(rows + (q,)) == c . q`` for every row ``q``: the
+    cofactors of the missing last row of an ``r x r`` matrix."""
+    r = len(rows) + 1
+    return tuple(
+        (-1) ** (r - 1 + j) * _det(tuple(row[:j] + row[j + 1:] for row in rows))
+        for j in range(r)
+    )
+
+
 def _search_places(
     program: SourceProgram, step: Matrix, bound: int, require_neighbour_flows: bool
 ) -> tuple[Matrix, ...]:
     r = program.r
-    # Per-stream flow data for a fixed step: with ``d`` spanning
-    # ``null(M)``, ``flow = place.d / (step.d)`` (Theorem 10), so only
-    # ``place.d`` varies across candidates.
-    stream_data = []
-    for s in program.streams:
-        d = s.null_direction()
-        denominator = step.apply_point(d)[0]
-        stream_data.append((d, denominator))
-    seen: set[frozenset] = set()
-    results: list[Matrix] = []
+    tau = step.rows[0]
     rows = list(_candidate_rows(r, bound))
-    for combo in itertools.combinations(rows, r - 1):
-        key = frozenset(combo)
-        if key in seen:
-            continue
-        seen.add(key)
-        place = Matrix(combo)
-        if place.rank != r - 1:
-            continue
-        try:
-            null_p = null_space_vector(place)
-        except Exception:
-            continue
-        if step.apply_point(null_p)[0] == 0:
-            continue
+    # Flow data for a fixed step: with ``d`` spanning ``null(M)``,
+    # ``flow = place.d / (step.d)`` (Theorem 10).  It meets the neighbour
+    # requirement (A.1) iff it is zero (stationary) or every non-zero
+    # ``|row . d|`` over the place rows is one value dividing ``|step.d|``
+    # (then ``flow = y/n`` with ``nb.y``).  ``|row . d|`` is tabulated once
+    # per candidate row and stream.
+    nulls = [s.null_direction() for s in program.streams]
+    dens = [abs(dot(tau, d)) for d in nulls]
+    if require_neighbour_flows and 0 in dens:
+        return ()  # Eq. 1 violated for every candidate (see stream_flow)
+    mags = [tuple(abs(dot(row, d)) for d in nulls) for row in rows]
+    divides = [
+        all(den % m == 0 for m, den in zip(row_mags, dens) if m)
+        for row_mags in mags
+    ]
+    results: list[Matrix] = []
+    # Candidates in ``itertools.combinations(rows, r - 1)`` order: every
+    # prefix of r-2 rows, then each later row as the last one.
+    for prefix in itertools.combinations(range(len(rows)), r - 2):
+        common: tuple[int, ...] | None = (0,) * len(nulls)
         if require_neighbour_flows:
-            ok = True
-            for d, denominator in stream_data:
-                if denominator == 0:  # Eq. 1 violated (see stream_flow)
-                    ok = False
+            for i in prefix:
+                common = _merge_magnitudes(common, mags[i]) if divides[i] else None
+                if common is None:
                     break
-                flow = place.apply_point(d) / denominator
-                if not is_stationary(flow):
-                    try:
-                        flow_denominator(flow)
-                    except RequirementViolation:
-                        ok = False
-                        break
-            if not ok:
+            if common is None:
                 continue
-        results.append(place)
+        # det([step; place]) != 0 is rank and Eq. 1 (see synthesize_places);
+        # expanded along place's last row it is one dot product per candidate.
+        cofactors = _last_row_cofactors((tau,) + tuple(rows[i] for i in prefix))
+        for last in range(prefix[-1] + 1 if prefix else 0, len(rows)):
+            if not sum(map(operator.mul, cofactors, rows[last])):
+                continue
+            if require_neighbour_flows and not (
+                divides[last]
+                and _merge_magnitudes(common, mags[last]) is not None
+            ):
+                continue
+            results.append(Matrix(rows[i] for i in prefix + (last,)))
     return tuple(results)
+
+
+def _merge_magnitudes(
+    common: tuple[int, ...], row_mags: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Per stream, the one non-zero flow magnitude of ``common`` and
+    ``row_mags`` (0 while both are 0), or ``None`` when they differ: a flow
+    with mixed component magnitudes."""
+    merged = []
+    for c, m in zip(common, row_mags):
+        if c and m and c != m:
+            return None
+        merged.append(c or m)
+    return tuple(merged)
 
 
 def candidate_tasks(

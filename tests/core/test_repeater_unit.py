@@ -5,7 +5,7 @@ import pytest
 from repro.core import Repeater, affine_vector_quotient
 from repro.geometry import Point
 from repro.symbolic import Affine, AffineVec, Case, Guard, Piecewise, interval
-from repro.util.errors import CompilationError
+from repro.util.errors import CompilationError, GeometryError
 
 n = Affine.var("n")
 col = Affine.var("col")
@@ -93,6 +93,43 @@ class TestRepeater:
         )
         pts = list(rep.enumerate_at({"n": 2}))
         assert pts == [Point.of(2), Point.of(1), Point.of(0)]
+
+    def test_enumerate_evaluates_each_endpoint_once(self, monkeypatch):
+        calls = []
+        evaluate = Piecewise.evaluate
+        monkeypatch.setattr(
+            Piecewise,
+            "evaluate",
+            lambda self, env: (calls.append(self), evaluate(self, env))[1],
+        )
+        rep = self.simple()
+        assert len(list(rep.enumerate_at({"col": 1, "n": 3}))) == 4
+        assert calls == [rep.first, rep.last]
+
+    def test_enumerate_yields_plain_int_tuples(self):
+        pts = list(self.simple().enumerate_at({"col": 1, "n": 2}))
+        assert all(type(p) is tuple for p in pts)
+
+    def test_enumeration_must_land_on_last(self):
+        # last - first = -2 * increment: no step lands on last
+        rep = Repeater(
+            Piecewise.single(AffineVec.of(0)),
+            Piecewise.single(AffineVec.of(-2)),
+            Point.of(1),
+        )
+        with pytest.raises(CompilationError, match="did not land on last"):
+            list(rep.enumerate_at({}))
+
+    def test_count_needs_a_multiple_of_the_increment(self):
+        rep = Repeater(
+            Piecewise.single(AffineVec.of(0, 0)),
+            Piecewise.single(AffineVec.of(3, 0)),
+            Point.of(2, 0),
+        )
+        with pytest.raises(GeometryError, match=r"not an integer \(got 3/2\)"):
+            rep.count_at({})
+        with pytest.raises(GeometryError, match="not an integer"):
+            list(rep.enumerate_at({}))
 
     def test_str(self):
         assert "{" in str(self.simple()) and "}" in str(self.simple())

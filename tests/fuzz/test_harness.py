@@ -190,6 +190,10 @@ class TestDriver:
         assert summary.iterations == 8
         assert summary.generated + summary.skipped == 8
         assert summary.check_counts.get("compile", 0) == summary.generated
+        # each sub-phase is timed inside its phase
+        phases = summary.phase_seconds
+        assert 0 < phases["synthesize"] + phases["trial_compile"] <= phases["generate"]
+        assert 0 < phases["build_network"] + phases["execute"] <= phases["check"]
 
     def test_campaign_catches_and_shrinks(self, tmp_path):
         summary = fuzz_run(
