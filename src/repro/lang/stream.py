@@ -12,6 +12,7 @@ constants is structural -- a pure linear map cannot encode an affine offset.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.geometry.linalg import Matrix, null_space_vector
@@ -64,8 +65,14 @@ class Stream:
             )
 
     def element_of(self, x: Point) -> Point:
-        """The identity ``M.x`` of the element accessed by basic statement x."""
-        return self.index_map.apply_point(x)
+        """The identity ``M.x`` of the element accessed by basic statement x.
+
+        Integer dot products: the index map and the index points are
+        integral, so the result needs no re-normalisation.
+        """
+        return tuple.__new__(
+            Point, [sum(map(operator.mul, row, x)) for row in self.index_map.rows]
+        )
 
     def null_direction(self) -> Point:
         """The spanning vector of ``null.M`` (rank r-1 guarantees dim 1).

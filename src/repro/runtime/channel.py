@@ -7,15 +7,17 @@ the link.  The simulator makes that explicit: a :class:`Channel` has a
 ``capacity`` (default 1, the paper's counting; 0 gives a pure rendezvous
 where a send only completes when a receive takes the value directly).
 
-Channels are mutually independent, as Section 4 requires; each records the
-number of messages carried and the timestamp bookkeeping used for the
-virtual-time (makespan) metric.
+Channels are mutually independent and point to point, as Section 4
+requires: one process sends on a channel and one receives from it, so each
+end holds at most one parked waiter.  Each channel records the number of
+messages carried and the timestamp bookkeeping used for the virtual-time
+(makespan) metric.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.util.errors import RuntimeSimulationError
@@ -37,8 +39,8 @@ class Channel:
         "name",
         "capacity",
         "queue",
-        "waiting_senders",
-        "waiting_receivers",
+        "sender",
+        "receiver",
         "messages_carried",
         "max_occupancy",
     )
@@ -49,10 +51,10 @@ class Channel:
         self.name = name
         self.capacity = capacity
         self.queue: deque[Message] = deque()
-        #: (process, Send) pairs blocked on this channel
-        self.waiting_senders: deque = deque()
-        #: (process, Recv) pairs blocked on this channel
-        self.waiting_receivers: deque = deque()
+        #: the (process, Send slot) pair parked on the sending end, or None
+        self.sender: tuple | None = None
+        #: the (process, Recv slot) pair parked on the receiving end, or None
+        self.receiver: tuple | None = None
         self.messages_carried = 0
         self.max_occupancy = 0
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -100,67 +100,29 @@ def _round_robin(amounts: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(order)
 
 
-def _check_conservation(
-    sp: SystolicProgram,
-    amounts: Mapping[Point, tuple[int, Mapping[str, tuple[int, int]]]],
-    chain_totals: Mapping[tuple[str, Point], int],
-) -> None:
-    """At every computation process, the derived per-node amounts account
-    exactly for its chain's elements:
-
-    * moving stream:     soak + count + drain == chain total,
-    * stationary stream: soak +   1   + drain == chain total.
-
-    A violation means the symbolic derivations disagree with the pipe
-    enumeration and the run would deadlock; raising here gives a much
-    better diagnostic.
-    """
-    for y, (count, per_stream) in amounts.items():
-        for plan in sp.streams:
-            total = chain_totals.get((plan.name, y))
-            if total is None:
-                raise RuntimeSimulationError(f"no chain covers {plan.name} at {y}")
-            soak, drain = per_stream[plan.name]
-            middle = 1 if plan.stationary else count
-            if soak + middle + drain != total:
-                raise RuntimeSimulationError(
-                    f"conservation violated for {plan.name} at {y}: "
-                    f"{soak} + {middle} + {drain} != {total}"
-                )
-
-
 @dataclass
 class ProcessNetwork:
-    """A fully instantiated network, ready to run."""
+    """A fully instantiated network, ready to run.
 
-    program: SystolicProgram
-    env: dict[str, Numeric]
+    It copies nothing from its :attr:`plan`, which one cache entry shares
+    with every other run; the plan's conservation check is
+    :meth:`NetworkPlan.validate`.
+    """
+
+    plan: NetworkPlan
     host: Host
     scheduler: Scheduler
-    channel_capacity: int
-    node_counts: dict[str, int] = field(default_factory=dict)
     #: channels whose endpoints were folded onto different physical
     #: workers and therefore carry inter-band buffer space (LSGP fold)
     interband_channels: int = 0
-    #: (stream name, PS point) -> whole-pipe element count of its chain
-    chain_totals: dict = field(default_factory=dict)
-    #: CS point -> (step count, {stream: (soak, drain)}) -- the per-node
-    #: amounts the builder evaluated once while wiring the compute nodes
-    amounts: dict = field(default_factory=dict)
+
+    @property
+    def node_counts(self) -> Mapping[str, int]:
+        """Processes per kind: a read-only view of the plan's table."""
+        return MappingProxyType(self.plan.node_counts)
 
     def run(self, max_rounds: int | None = None) -> SchedulerStats:
         return self.scheduler.run(max_rounds=max_rounds)
-
-    def validate_topology(self) -> None:
-        """Pre-flight :func:`_check_conservation` of this network.
-        (Per-channel producer/consumer uniqueness holds by construction of
-        the builder.)
-
-        The per-node amounts come from :attr:`amounts`, evaluated once by
-        the builder while wiring the compute nodes; the chain totals are
-        read live so later corruption is still caught.
-        """
-        _check_conservation(self.program, self.amounts, self.chain_totals)
 
 
 #: a process factory: given the instantiation's channel list and host,
@@ -327,11 +289,33 @@ class NetworkPlan:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """:func:`_check_conservation`, run once per plan instead of once
-        per execution."""
+        """The conservation law, checked once per plan: at every
+        computation process, the derived per-node amounts account exactly
+        for its chain's elements:
+
+        * moving stream:     soak + count + drain == chain total,
+        * stationary stream: soak +   1   + drain == chain total.
+
+        A violation means the symbolic derivations disagree with the pipe
+        enumeration and the run would deadlock; raising here gives a much
+        better diagnostic.
+        """
         if self._validated:
             return
-        _check_conservation(self.sp, self.amounts, self.chain_totals)
+        for y, (count, per_stream) in self.amounts.items():
+            for stream in self.sp.streams:
+                total = self.chain_totals.get((stream.name, y))
+                if total is None:
+                    raise RuntimeSimulationError(
+                        f"no chain covers {stream.name} at {y}"
+                    )
+                soak, drain = per_stream[stream.name]
+                middle = 1 if stream.stationary else count
+                if soak + middle + drain != total:
+                    raise RuntimeSimulationError(
+                        f"conservation violated for {stream.name} at {y}: "
+                        f"{soak} + {middle} + {drain} != {total}"
+                    )
         self._validated = True
 
     def instantiate(
@@ -340,7 +324,6 @@ class NetworkPlan:
         *,
         channel_capacity: int = 1,
         fold: PartitionedSchedule | None = None,
-        host: Host | None = None,
     ) -> ProcessNetwork:
         """Wire fresh channels and processes; linear in the network size.
 
@@ -355,26 +338,17 @@ class NetworkPlan:
         buffer space never changes results (Kahn determinism) -- only the
         timing model.
         """
-        if host is None:
-            host = Host(self.sp.source, self.env, inputs)
+        host = Host(self.sp.source, self.env, inputs)
         scheduler = Scheduler()
+        channels = [Channel(name, channel_capacity) for name in self.channel_names]
         interband = 0
-        if fold is None:
-            channels = [Channel(name, channel_capacity) for name in self.channel_names]
-        else:
-            channels = []
+        if fold is not None:
             worker_of = fold.worker_of
             buffered = max(channel_capacity, fold.interband_capacity)
-            for name, (src, dst) in zip(self.channel_names, self.channel_ends):
-                capacity = channel_capacity
-                if (
-                    src is not None
-                    and dst is not None
-                    and worker_of(src) != worker_of(dst)
-                ):
-                    capacity = buffered
+            for chan, (src, dst) in zip(channels, self.channel_ends):
+                if None not in (src, dst) and worker_of(src) != worker_of(dst):
+                    chan.capacity = buffered
                     interband += 1
-                channels.append(Channel(name, capacity))
             scheduler.assign_workers(
                 {name: worker_of(position) for name, position, _ in self.processes}
             )
@@ -382,19 +356,7 @@ class NetworkPlan:
             scheduler.add_channel(chan)
         for name, _position, factory in self.processes:
             scheduler.spawn(name, factory(channels, host))
-        return ProcessNetwork(
-            program=self.sp,
-            env=self.env,
-            host=host,
-            scheduler=scheduler,
-            channel_capacity=channel_capacity,
-            # Own copies: the plan is shared through PLAN_CACHE, so a write
-            # into one network's tables must not reach the next execution.
-            node_counts=dict(self.node_counts),
-            chain_totals=dict(self.chain_totals),
-            amounts=dict(self.amounts),
-            interband_channels=interband,
-        )
+        return ProcessNetwork(self, host, scheduler, interband)
 
 
 class _PlanBuilder:
@@ -576,7 +538,7 @@ class _PlanBuilder:
             )
             for p in sp.streams
         }
-        # Read-only: every network's ``amounts`` table shares this mapping.
+        # Read-only: the plan, and so this mapping, is shared by every run.
         self.plan.amounts[y] = (
             _as_count(sp.count.evaluate(binding)), MappingProxyType(amounts)
         )

@@ -2,12 +2,16 @@
 
 Processes are generators yielding :class:`Send`/:class:`Recv`/:class:`Par`
 requests.  The scheduler advances ready processes round-robin; a request
-that cannot complete parks the process on the channels involved, and any
-communication that frees space / delivers data immediately retries the
-parked counterparts, so progress is work-driven rather than poll-driven.
+that cannot complete parks the process on the channel ends involved, and
+any communication that frees space / delivers data immediately completes
+the parked counterpart, so progress is work-driven rather than
+poll-driven.
 
-Determinism: the ready queue is FIFO and channel wait lists are FIFO, so a
-given network always executes the same interleaving -- failures reproduce.
+Determinism: the ready queue is FIFO and each channel end holds at most
+one parked waiter, so a given network always executes the same
+interleaving -- failures reproduce.  A channel links two processes
+(Section 4): parking on an end another waiter holds would lose one, so it
+raises :class:`RuntimeSimulationError` naming the channel and both.
 
 Deadlock: when no process is ready and at least one is blocked, the
 scheduler raises :class:`DeadlockError` with a dump of who waits on what.
@@ -180,57 +184,50 @@ class Scheduler:
         self._procs.append(_ProcState(name, gen))
 
     # ------------------------------------------------------------------
-    # drain sweeps and wake-up
+    # drain
     # ------------------------------------------------------------------
-    def _drain_senders(self, chan: Channel) -> None:
-        """Space appeared: complete parked sends in FIFO order."""
-        while chan.waiting_senders and chan.has_room():
-            other, sslot = chan.waiting_senders.popleft()
-            if sslot.done:
-                continue
+    def _drain_sender(self, chan: Channel) -> None:
+        """A receive freed space: complete the parked send, if any.
+
+        (Data never appears beside a parked receiver: every send hands its
+        value to one instead of pushing, so receives need no drain.)
+        """
+        waiter = chan.sender
+        if waiter is not None and chan.has_room():
+            chan.sender = None
+            other, sslot = waiter
             chan.push(sslot.op.value, other.yield_clock + 1)
             sslot.done = True
-            self._maybe_wake(other)
-
-    def _drain_receivers(self, chan: Channel) -> None:
-        """Data appeared: complete parked receives in FIFO order."""
-        while chan.waiting_receivers and chan.queue:
-            other, rslot = chan.waiting_receivers.popleft()
-            if rslot.done:
-                continue
-            msg = chan.pop()
-            rslot.done = True
-            rslot.result = msg.value
-            other.clock = max(other.clock, msg.timestamp)
-            self._maybe_wake(other)
-
-    def _maybe_wake(self, proc: _ProcState) -> None:
-        """Move a parked process back to ready when its request completed.
-
-        Every caller has just completed exactly one of ``proc``'s slots, so
-        for a ``Par`` the test is a counter decrement.  The request paths
-        below inline this.
-        """
-        if proc.slots is None:
-            return
-        if proc.kind is not _PAR:
-            if proc.own_slot.done:
-                self._ready.append(proc)
-            return
-        pending = proc.pending - 1
-        proc.pending = pending
-        if pending == 0:
-            self._ready.append(proc)
+            # wake: a bare request just completed; a Par counts down, as in
+            # the request paths below
+            if other.kind is not _PAR:
+                self._ready.append(other)
+            elif other.slots is not None:
+                other.pending -= 1
+                if other.pending == 0:
+                    self._ready.append(other)
 
     # ------------------------------------------------------------------
     # requests: complete or park against the channel directly
     # ------------------------------------------------------------------
+    @staticmethod
+    def _second_waiter(
+        chan: Channel, proc: _ProcState, sending: bool
+    ) -> RuntimeSimulationError:
+        held = chan.sender if sending else chan.receiver
+        verb = "send on" if sending else "receive from"
+        return RuntimeSimulationError(
+            f"channel {chan.name}: {proc.name} would wait to {verb} it while "
+            f"{held[0].name} already waits there; a channel links one sender "
+            "and one receiver"
+        )
+
     def _single_send(self, proc: _ProcState, op) -> None:
         """A bare ``Send``: rendezvous, push, or park.
 
-        The counterpart (or drained receivers) enqueue *before* this
-        process, exactly as for a ``Par`` member, so a send behaves the
-        same whichever request shape carries it.
+        A parked counterpart enqueues *before* this process, exactly as
+        for a ``Par`` member, so a send behaves the same whichever request
+        shape carries it.
         """
         proc.kind = _SEND
         slot = proc.own_slot
@@ -238,11 +235,10 @@ class Scheduler:
         proc.slots = proc.own_list
         chan: Channel = op.channel
         ready = self._ready
-        waiting = chan.waiting_receivers
-        while waiting:
-            other, rslot = waiting.popleft()
-            if rslot.done:
-                continue
+        waiter = chan.receiver
+        if waiter is not None:
+            chan.receiver = None
+            other, rslot = waiter
             # rendezvous: hand the value straight to the parked receiver
             rslot.done = True
             rslot.result = op.value
@@ -251,9 +247,8 @@ class Scheduler:
             if stamp > other.clock:
                 other.clock = stamp
             slot.done = True
-            # inlined _maybe_wake: rslot just completed, so a bare-request
-            # peer is ready by construction; a Par peer decrements its
-            # pending counter exactly as _maybe_wake would
+            # wake: rslot just completed, so a bare-request peer is ready
+            # by construction; a Par peer decrements its pending counter
             if other.kind is not _PAR:
                 ready.append(other)
             elif other.slots is not None:
@@ -265,23 +260,22 @@ class Scheduler:
             return
         queue = chan.queue
         if len(queue) < chan.capacity:
-            # push into free space (inlined Channel.push); the rendezvous
-            # loop above emptied waiting_receivers, so there is nobody to
-            # drain -- the guard keeps the no-op call off the hot path
+            # push into free space (inlined Channel.push); no receiver is
+            # parked, so there is nobody to hand it to
             queue.append(Message(op.value, proc.yield_clock + 1))
             chan.messages_carried += 1
             if len(queue) > chan.max_occupancy:
                 chan.max_occupancy = len(queue)
             slot.done = True
-            if chan.waiting_receivers:
-                self._drain_receivers(chan)
             ready.append(proc)
             return
         # park: only now does anyone else read the slot's op (the drain
-        # sweeps take the value from it; the deadlock report names it)
+        # takes the value from it; the deadlock report names it)
+        if chan.sender is not None:
+            raise self._second_waiter(chan, proc, True)
         slot.op = op
         slot.done = False
-        chan.waiting_senders.append((proc, slot))
+        chan.sender = (proc, slot)
 
     def _single_recv(self, proc: _ProcState, op) -> None:
         """A bare ``Recv``: pop, rendezvous, or park."""
@@ -297,15 +291,14 @@ class Scheduler:
             slot.result = msg.value
             if msg.timestamp > proc.clock:
                 proc.clock = msg.timestamp
-            if chan.waiting_senders:
-                self._drain_senders(chan)
+            if chan.sender is not None:
+                self._drain_sender(chan)
             ready.append(proc)
             return
-        waiting = chan.waiting_senders
-        while waiting:
-            other, sslot = waiting.popleft()
-            if sslot.done:
-                continue
+        waiter = chan.sender
+        if waiter is not None:
+            chan.sender = None
+            other, sslot = waiter
             # rendezvous: take the value straight from the parked sender
             sslot.done = True
             slot.done = True
@@ -314,7 +307,7 @@ class Scheduler:
             stamp = other.yield_clock + 1
             if stamp > proc.clock:
                 proc.clock = stamp
-            # inlined _maybe_wake, as in _single_send
+            # wake, as in _single_send
             if other.kind is not _PAR:
                 ready.append(other)
             elif other.slots is not None:
@@ -324,10 +317,12 @@ class Scheduler:
                     ready.append(other)
             ready.append(proc)
             return
+        if chan.receiver is not None:
+            raise self._second_waiter(chan, proc, False)
         slot.op = op
         slot.done = False
         slot.result = None
-        chan.waiting_receivers.append((proc, slot))
+        chan.receiver = (proc, slot)
 
     def _check_par(self, proc: _ProcState, op: Any) -> tuple:
         """Validate a yield that is neither a bare ``Send`` nor ``Recv``: it
@@ -363,8 +358,8 @@ class Scheduler:
         is pending.  The slot vector is reused across requests (the Par
         analogue of ``own_slot`` -- every slot is completed and unparked
         before the process resumes, so no live reference remains), and
-        completion is tracked by the ``pending`` counter consumed in
-        :meth:`_maybe_wake`.
+        completion is tracked by the ``pending`` counter its partners'
+        wake-ups count down.
         """
         ops = op.ops if op.__class__ is Par else None
         if ops is None or (
@@ -384,11 +379,10 @@ class Scheduler:
             slot.result = None
             chan: Channel = sub.channel
             if sub.__class__ is Send:
-                waiting = chan.waiting_receivers
-                while waiting:
-                    other, rslot = waiting.popleft()
-                    if rslot.done:
-                        continue
+                waiter = chan.receiver
+                if waiter is not None:
+                    chan.receiver = None
+                    other, rslot = waiter
                     rslot.done = True
                     rslot.result = sub.value
                     chan.messages_carried += 1
@@ -400,14 +394,12 @@ class Scheduler:
                         other.pending -= 1
                         if other.pending == 0:
                             ready.append(other)
-                    break
                 else:
                     queue = chan.queue
                     if len(queue) >= chan.capacity:
                         slot.done = False
                         pending += 1
                         continue
-                    # nobody to drain: the loop above emptied the waiters
                     queue.append(Message(sub.value, stamp))
                     chan.messages_carried += 1
                     if len(queue) > chan.max_occupancy:
@@ -419,31 +411,28 @@ class Scheduler:
                     slot.result = msg.value
                     if msg.timestamp > proc.clock:
                         proc.clock = msg.timestamp
-                    if chan.waiting_senders:
-                        self._drain_senders(chan)
+                    if chan.sender is not None:
+                        self._drain_sender(chan)
                 else:
-                    waiting = chan.waiting_senders
-                    while waiting:
-                        other, sslot = waiting.popleft()
-                        if sslot.done:
-                            continue
-                        sslot.done = True
-                        slot.result = sslot.op.value
-                        chan.messages_carried += 1
-                        sent = other.yield_clock + 1
-                        if sent > proc.clock:
-                            proc.clock = sent
-                        if other.kind is not _PAR:
-                            ready.append(other)
-                        elif other.slots is not None:
-                            other.pending -= 1
-                            if other.pending == 0:
-                                ready.append(other)
-                        break
-                    else:
+                    waiter = chan.sender
+                    if waiter is None:
                         slot.done = False
                         pending += 1
                         continue
+                    chan.sender = None
+                    other, sslot = waiter
+                    sslot.done = True
+                    slot.result = sslot.op.value
+                    chan.messages_carried += 1
+                    sent = other.yield_clock + 1
+                    if sent > proc.clock:
+                        proc.clock = sent
+                    if other.kind is not _PAR:
+                        ready.append(other)
+                    elif other.slots is not None:
+                        other.pending -= 1
+                        if other.pending == 0:
+                            ready.append(other)
             slot.done = True
         proc.pending = pending
         if pending == 0:
@@ -454,9 +443,13 @@ class Scheduler:
                 continue
             chan = slot.op.channel
             if slot.op.__class__ is Send:
-                chan.waiting_senders.append((proc, slot))
+                if chan.sender is not None:
+                    raise self._second_waiter(chan, proc, True)
+                chan.sender = (proc, slot)
             else:
-                chan.waiting_receivers.append((proc, slot))
+                if chan.receiver is not None:
+                    raise self._second_waiter(chan, proc, False)
+                chan.receiver = (proc, slot)
 
     # ------------------------------------------------------------------
     # main loop

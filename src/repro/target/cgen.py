@@ -6,14 +6,17 @@ mechanically.  Unlike the occam renderer it lowers every scalar closed form
 (count, soak, drain, Eq. 10) *and* every component of the repeater start
 points into guarded flat C functions, so the emitted file is complete
 modulo the channel primitives (``chan_send`` / ``chan_recv``), which the
-target machine's communication library provides.
+target machine's communication library provides.  It declares only the loop
+indices the basic statement reads, so it compiles under
+``-std=c99 -Wall -Wshadow -Werror``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.symbolic.affine import Affine, AffineVec
+from repro.lang.expr import BinOp, Const, IndexExpr, StreamRead
+from repro.symbolic.affine import Affine
 from repro.symbolic.piecewise import Piecewise
 from repro.target.ast import (
     ComputeLoop,
@@ -81,20 +84,7 @@ def _c_scalar_body(value, depth: int) -> list[str]:
     return out
 
 
-def _c_vec_fns(prefix: str, pw, dim: int, params: str) -> list[str]:
-    """Per-component functions for a piecewise affine-vector closed form."""
-    lines: list[str] = []
-    for axis in range(dim):
-        component = pw.map_values(
-            lambda v, axis=axis: None if v is None else v[axis]
-        )
-        lines.extend(_c_scalar_fn(f"{prefix}_{axis}", component, params))
-    return lines
-
-
 def _c_expr(expr) -> str:
-    from repro.lang.expr import BinOp, Const, IndexExpr, StreamRead
-
     if isinstance(expr, Const):
         return _c_num(expr.value) if hasattr(expr.value, "denominator") else str(expr.value)
     if isinstance(expr, StreamRead):
@@ -137,9 +127,11 @@ def render_c(tp: TargetProgram) -> str:
     ]
     loop = next(p for p in tp.compute.phases if isinstance(p, ComputeLoop))
     lines.extend(_c_scalar_fn("count_steps", _count_of(loop), params))
-    lines.extend(
-        _c_vec_fns("first", loop.repeater.first, len(loop.indices), params)
-    )
+    for axis, _ in _read_indices(loop):
+        component = loop.repeater.first.map_values(
+            lambda v, axis=axis: None if v is None else v[axis]
+        )
+        lines.extend(_c_scalar_fn(f"first_{axis}", component, params))
     for phase in tp.compute.phases:
         if isinstance(phase, LoadPhase):
             lines.extend(_c_scalar_fn(f"{phase.stream}_load_passes", phase.passes, params))
@@ -202,6 +194,27 @@ def render_c(tp: TargetProgram) -> str:
     return "\n".join(lines)
 
 
+def _index_reads(expr) -> frozenset[str]:
+    """The symbols (loop indices, sizes) a value expression reads."""
+    if isinstance(expr, IndexExpr):
+        return expr.affine.free_symbols
+    if isinstance(expr, BinOp):
+        return _index_reads(expr.left) | _index_reads(expr.right)
+    return frozenset()
+
+
+def _read_indices(loop: ComputeLoop) -> list[tuple[int, str]]:
+    """``(axis, name)`` of each loop index the basic statement reads: only
+    these get a C variable (and a ``first_<axis>`` start function)."""
+    reads: set[str] = set()
+    for branch in loop.body.branches:
+        if branch.condition is not None:
+            reads |= branch.condition.affine.free_symbols
+        for a in branch.assigns:
+            reads |= _index_reads(a.expr)
+    return [(axis, name) for axis, name in enumerate(loop.indices) if name in reads]
+
+
 def _count_of(loop: ComputeLoop):
     """The step count (Eq. 4) -- recovered as ((last - first) // inc) + 1
     is already folded into the compiled program's ``count``; the target AST
@@ -240,10 +253,17 @@ def _c_phase(phase, args: str) -> list[str]:
         return [f"{pad}pass_elems(amt({s}_soak({args})), {s}_in, {s}_out);"]
     if isinstance(phase, ComputeLoop):
         out = [f"{pad}/* repeater {format_repeater(phase.repeater)} */"]
-        for axis, name in enumerate(phase.indices):
+        indices = _read_indices(phase)
+        for axis, name in indices:
             out.append(f"{pad}long {name} = first_{axis}({args});")
-        out.append(f"{pad}long steps = count_steps({args});")
-        out.append(f"{pad}for (long k = 0; k < steps; ++k) {{")
+        # the step counter must not shadow an index the body reads
+        taken = {name for _, name in indices} | set(args.split(", "))
+        steps = "steps"
+        while steps in taken:
+            steps += "_"
+        out.append(
+            f"{pad}for (long {steps} = count_steps({args}); {steps} > 0; --{steps}) {{"
+        )
         inner = f"{pad}    "
         for s in phase.recv_streams:
             out.append(f"{inner}v_{s} = chan_recv({s}_in);")
@@ -259,7 +279,7 @@ def _c_phase(phase, args: str) -> list[str]:
                 out.append(f"{inner}}}")
         for s in phase.send_streams:
             out.append(f"{inner}chan_send({s}_out, v_{s});")
-        for axis, name in enumerate(phase.indices):
+        for axis, name in indices:
             inc = phase.repeater.increment[axis]
             if inc != 0:
                 out.append(f"{inner}{name} += {inc};")

@@ -11,7 +11,13 @@ from repro.analysis.wavefront import (
 )
 from repro.geometry import Point
 from repro.runtime import build_network
-from repro.runtime.network import PLAN_CACHE, _plan_key, execute, network_plan
+from repro.runtime.network import (
+    PLAN_CACHE,
+    NetworkPlan,
+    _plan_key,
+    execute,
+    network_plan,
+)
 from repro.runtime.trace import Trace, trace_run
 from repro.systolic import all_paper_designs
 from repro.util.errors import ReproError, RuntimeSimulationError
@@ -112,35 +118,34 @@ class TestActivityHistogram:
 class TestValidateTopology:
     def test_all_designs_validate(self):
         for exp, prog, arr in ALL:
-            sp = compile_systolic(prog, arr)
-            net = build_network(sp, {"n": 2}, random_inputs(prog, {"n": 2}))
-            net.validate_topology()
+            NetworkPlan(compile_systolic(prog, arr), {"n": 2}).validate()
 
     def test_corrupted_totals_detected(self):
+        """A fresh plan, not the cached one: the corruption stays here."""
         exp, prog, arr = ALL[0]
-        sp = compile_systolic(prog, arr)
-        net = build_network(sp, {"n": 2}, random_inputs(prog, {"n": 2}))
-        key = next(iter(net.chain_totals))
-        net.chain_totals[key] += 1
-        with pytest.raises(RuntimeSimulationError):
-            net.validate_topology()
+        plan = NetworkPlan(compile_systolic(prog, arr), {"n": 2})
+        key = next(iter(plan.chain_totals))
+        plan.chain_totals[key] += 1
+        with pytest.raises(RuntimeSimulationError, match="conservation violated"):
+            plan.validate()
 
     def test_corrupted_network_leaves_the_cached_plan_clean(self):
         """A network's tables once were the cached plan's own dicts, so
-        the corruption above failed the next execution of D1 n=2."""
+        writing into one failed the next execution of D1 n=2.  A network
+        now reads its plan's tables through read-only views."""
         exp, prog, arr = ALL[0]
         sp = compile_systolic(prog, arr)
         env = {"n": 2}
         PLAN_CACHE.discard(_plan_key(sp, env))  # a plan not yet validated
         inputs = random_inputs(prog, env)
         net = build_network(sp, env, inputs)
-        for table in (net.chain_totals, net.node_counts):
-            key = next(iter(table))
-            table[key] += 1
-        count, per_stream = next(iter(net.amounts.values()))
+        with pytest.raises(TypeError):
+            net.node_counts["compute"] += 1
+        count, per_stream = next(iter(net.plan.amounts.values()))
         with pytest.raises(TypeError):  # the processes read these per run
             per_stream["a"] = (count, count)
         final, _ = execute(sp, env, inputs)
         assert final == run_sequential(prog, env, inputs)
         plan = network_plan(sp, env)
+        assert plan is net.plan
         assert plan.node_counts["compute"] == len(plan.amounts) == 3

@@ -1,9 +1,11 @@
 """Tests for the sequential oracle, validator and dependence analysis."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from repro.fuzz.corpus import corpus_files, load_reproducer
 from repro.geometry import Matrix, Point
 from repro.lang import (
     check_step_function,
@@ -13,6 +15,7 @@ from repro.lang import (
     validate_program,
 )
 from repro.lang.interpreter import checked_values, initial_state
+from repro.systolic import all_paper_designs
 from repro.util.errors import (
     GeometryError,
     RequirementViolation,
@@ -20,6 +23,7 @@ from repro.util.errors import (
     SourceProgramError,
     SystolicSpecError,
 )
+from repro.verify import random_inputs
 from tests.lang.test_parser_program import MATMUL, POLYPROD
 
 
@@ -339,3 +343,38 @@ for j = 0 <- -1 -> n
     def test_bad_shape(self):
         with pytest.raises(SystolicSpecError):
             check_step_function(parse_program(POLYPROD), Matrix([[1, 1, 1]]))
+
+
+class TestElementOf:
+    """``Stream.element_of`` is ``M.x`` in integer arithmetic, so the
+    oracle's per-statement lookups build no rational ``Point``."""
+
+    def test_run_sequential_calls_no_apply_point(self, monkeypatch):
+        prog = next(p for eid, p, _ in all_paper_designs() if eid == "E2")
+        env = {"n": 3}
+        inputs = random_inputs(prog, env, seed=0)
+        calls = []
+        real = Matrix.apply_point
+
+        def spy(self, vector):
+            calls.append(vector)
+            return real(self, vector)
+
+        monkeypatch.setattr(Matrix, "apply_point", spy)
+        run_sequential(prog, env, inputs)
+        assert calls == []
+
+    def test_agrees_with_apply_point(self):
+        cases = [(p, {"n": 4}) for _, p, _ in all_paper_designs()]
+        corpus = Path(__file__).resolve().parent.parent / "fuzz_corpus"
+        for path in corpus_files(corpus):
+            instance, _config, _raw = load_reproducer(path)
+            cases.append((instance.program, instance.env))
+        assert len(cases) == 10
+        for prog, env in cases:
+            for s in prog.streams:
+                for x in prog.index_space(env):
+                    el = s.element_of(x)
+                    assert el == s.index_map.apply_point(x)
+                    assert type(el) is Point
+                    assert all(type(c) is int for c in el)

@@ -166,16 +166,18 @@ def test_golden(case_id):
 
 
 def test_hand_built_mixed_deadlock_report():
-    """A bare op and a half-completed Par parked on one channel."""
+    """A parked bare op beside a half-completed Par, each on its own
+    channel (a channel end holds one waiter)."""
     sched = Scheduler()
     c1 = sched.add_channel(Channel("c1"))
     c2 = sched.add_channel(Channel("c2"))
+    c3 = sched.add_channel(Channel("c3"))
 
     def starved():
         yield Recv(c1)
 
     def stuck_par():
-        yield Par([Send(c2, 7), Recv(c1)])
+        yield Par([Send(c2, 7), Recv(c3)])
 
     sched.spawn("starved", starved())
     sched.spawn("stuck", stuck_par())
@@ -184,5 +186,5 @@ def test_hand_built_mixed_deadlock_report():
     assert str(info.value) == (
         "deadlock: 2 process(es) cannot progress\n"
         "  starved: waiting on recv c1\n"
-        "  stuck: waiting on recv c1"
+        "  stuck: waiting on recv c3"
     )

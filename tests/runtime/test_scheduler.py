@@ -257,6 +257,58 @@ class TestDeadlock:
             sched.run(max_rounds=10)
 
 
+class TestPointToPoint:
+    """A channel end holds one parked waiter: a second process (or a second
+    member of one Par) that would park there raises a named error, not a
+    deadlock, since the first waiter would otherwise be lost."""
+
+    def _assert_second_waiter(self, sched, text):
+        with pytest.raises(RuntimeSimulationError, match=text) as err:
+            sched.run()
+        assert not isinstance(err.value, DeadlockError)
+
+    def test_two_receivers(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c"))
+
+        def reader():
+            yield Recv(chan)
+
+        sched.spawn("a", reader())
+        sched.spawn("b", reader())
+        self._assert_second_waiter(
+            sched, "channel c: b would wait to receive from it while a "
+            "already waits there"
+        )
+
+    def test_par_with_two_receives_on_one_channel(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c"))
+
+        def greedy():
+            yield Par([Recv(chan), Recv(chan)])
+
+        sched.spawn("greedy", greedy())
+        self._assert_second_waiter(
+            sched, "channel c: greedy would wait to receive from it while "
+            "greedy already waits there"
+        )
+
+    def test_two_senders_on_a_rendezvous_channel(self):
+        sched = make_sched()
+        chan = sched.add_channel(Channel("c", capacity=0))
+
+        def writer(value):
+            yield Send(chan, value)
+
+        sched.spawn("a", writer(1))
+        sched.spawn("b", writer(2))
+        self._assert_second_waiter(
+            sched, "channel c: b would wait to send on it while a already "
+            "waits there"
+        )
+
+
 class TestVirtualTime:
     def test_pipeline_makespan_linear(self):
         """A k-stage pipeline of m messages has makespan ~ k + m, not k*m."""

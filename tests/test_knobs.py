@@ -22,7 +22,7 @@ from repro.extensions.partition import partitioned_schedule
 from repro.fuzz.driver import fuzz_run
 from repro.fuzz.harness import HarnessConfig
 from repro.parallel import sweep_designs
-from repro.runtime.network import execute
+from repro.runtime.network import NetworkPlan, execute
 from repro.runtime.scheduler import Scheduler
 from repro.target.npgen import execute_numpy_batch
 from repro.verify.equivalence import run_backend
@@ -35,6 +35,7 @@ KNOBS = {"REPRO_PROFILE"}
 #: entry point -> its parameters that have a default (the settable options)
 RUN_OPTIONS = {
     execute: {"inputs", "channel_capacity", "fold", "max_rounds"},
+    NetworkPlan.instantiate: {"inputs", "channel_capacity", "fold"},
     Scheduler.run: {"max_rounds"},
     run_backend: {"backend", "shape", "channel_capacity", "rendered"},
     Compilation.run: {
