@@ -20,7 +20,8 @@ its worker processes once per pool.
 
 ``validate_program`` keeps its own ``validate`` table here, keyed by the
 program fingerprint alone, so the coverage check runs once per program
-however many callers validate it.
+however many callers validate it.  ``compile_systolic`` keeps its whole
+result in the ``design`` table, so a repeated compile is one lookup.
 
 This module must stay import-light: it is imported from ``core``,
 ``systolic`` and ``lang`` and may not import any of them.

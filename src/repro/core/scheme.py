@@ -12,6 +12,10 @@ systolic array and produces the :class:`SystolicProgram`:
 5. prune vacuous alternatives under the standing assumptions
    ``lb_i <= rb_i`` (the mechanical counterpart of the paper's
    hand-simplifications).
+
+The derived program is size-free, so the whole of it is memoized under
+the ``design`` table of :data:`~repro.core.memo.MEMO`, on top of the
+per-step tables the derivation itself consults.
 """
 
 from __future__ import annotations
@@ -66,14 +70,59 @@ def compile_systolic(
     validate: bool = True,
     prune: bool = True,
 ) -> SystolicProgram:
-    """Compile a source program and systolic array into a systolic program."""
+    """Compile a source program and systolic array into a systolic program.
+
+    The result depends on the program and the design alone, never on a
+    problem size, so it is memoized whole in the ``design`` table of
+    :data:`~repro.core.memo.MEMO`: a repeated compile is one lookup and
+    returns the identical :class:`SystolicProgram` (whose cached
+    ``fingerprint`` then keys the schedule and plan caches for free).  The
+    key is the program fingerprint, the ``step``/``place`` rows, the
+    loading vectors, the array's name, ``coords``, ``validate`` and
+    ``prune``.  A miss derives as below; a failing compile inserts nothing
+    and raises again on every call.
+    """
+    if not isinstance(program, SourceProgram):
+        raise CompilationError(
+            f"compile_systolic needs a SourceProgram, got {type(program).__name__}"
+        )
+    if not isinstance(array, SystolicArray):
+        raise CompilationError(
+            f"compile_systolic needs a SystolicArray, got {type(array).__name__}"
+        )
     if validate:
         # validate_program memoizes its own costly part per program, so a
         # sweep's candidates and a caller that already validated pay it
-        # once.  The array check is per-design and stays unmemoized.
+        # once.  Its structural checks make the fingerprint safe to render.
         validate_program(program)
-        check_systolic_array(array, program)
     fp = program_fingerprint(program)
+    key = (
+        fp,
+        array.step.rows,
+        array.place.rows,
+        tuple(sorted((name, tuple(vec)) for name, vec in array.loading_vectors.items())),
+        array.name,
+        None if coords is None else tuple(coords),
+        validate,
+        prune,
+    )
+    return MEMO.get(
+        "design", key, lambda: _derive(program, array, fp, coords, validate, prune)
+    )
+
+
+def _derive(
+    program: SourceProgram,
+    array: SystolicArray,
+    fp: str,
+    coords: Sequence[str] | None,
+    validate: bool,
+    prune: bool,
+) -> SystolicProgram:
+    """The derivation behind :func:`compile_systolic`, run on a memo miss."""
+    if validate:
+        # the array check is per-design: the design memo holds only passes
+        check_systolic_array(array, program)
 
     dim = program.r - 1
     coord_names = tuple(coords) if coords is not None else default_coords(dim)

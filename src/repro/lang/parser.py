@@ -27,6 +27,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from repro import profiling
 from repro.geometry.linalg import Matrix
 from repro.lang.expr import (
     Assign,
@@ -43,7 +44,16 @@ from repro.lang.stream import Stream
 from repro.lang.variables import IndexedVariable
 from repro.symbolic.affine import Affine
 from repro.symbolic.minmax import Bound, bound_args, extremum
+from repro.util.cache import BoundedLRU
 from repro.util.errors import SourceProgramError
+
+#: Parsed programs by source text.  A job that re-sends the same text (a
+#: paper design, a service request, a corpus pin) parses it once and gets
+#: the same frozen program back, so every cache keyed on that program --
+#: its fingerprint, the derivation memo -- answers at once.  A text that
+#: fails to parse inserts nothing and raises again on every call.
+PARSED_PROGRAMS = BoundedLRU(256)
+profiling.register("parsed_programs", PARSED_PROGRAMS.stats)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)"
@@ -378,7 +388,20 @@ def _parse_loop(
 
 
 def parse_program(text: str) -> SourceProgram:
-    """Parse a complete source program from its textual form."""
+    """Parse a complete source program from its textual form.
+
+    A repeated text is answered from :data:`PARSED_PROGRAMS` with the same
+    :class:`SourceProgram` object.  Anything but a ``str`` is refused with a
+    :class:`SourceProgramError` before the cache is consulted.
+    """
+    if not isinstance(text, str):
+        raise SourceProgramError(
+            f"source text must be a str, got {type(text).__name__}"
+        )
+    return PARSED_PROGRAMS.get_or_build(text, lambda: _parse(text))
+
+
+def _parse(text: str) -> SourceProgram:
     name = "program"
     sizes: list[str] = []
     variables: dict[str, IndexedVariable] = {}

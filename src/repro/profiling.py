@@ -16,10 +16,11 @@ Two kinds of counters feed the report:
   ``pygen_modules``, ``wavefront_schedules``, ``partition_schedules``,
   ``network_plans``, the Fourier-Motzkin feasibility memo
   (``fm_feasible``), the elimination memos (``linalg_rank``,
-  ``linalg_null``, ``linalg_inverse``), ``stream_flows`` and
-  ``place_searches`` -- next to ``derivation_memo`` (hit/miss totals plus
-  per-table counters and sizes) and, once a compile service exists,
-  ``design_store`` (its :class:`~repro.compilation.Compilation` handles).
+  ``linalg_null``, ``linalg_inverse``), ``stream_flows``,
+  ``place_searches`` and ``parsed_programs`` -- next to
+  ``derivation_memo`` (hit/miss totals plus per-table counters and sizes)
+  and, once a compile service exists, ``design_store`` (its
+  :class:`~repro.compilation.Compilation` handles).
 
 Providers are read at report time, so the report reflects live state, and
 importing this module never drags in the rest of the package.  The

@@ -1,14 +1,24 @@
 """The derivation memo and the size-free memos are bounded LRUs."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.memo import DerivationMemo
+from repro.core.memo import MEMO, DerivationMemo
+from repro.core.scheme import compile_systolic
+from repro.fuzz.harness import apply_mutation
 from repro.geometry import linalg
 from repro.geometry.linalg import Matrix
+from repro.geometry.point import Point
 from repro.systolic import flow
-from repro.systolic.designs import polynomial_product_program
+from repro.systolic.designs import polynomial_product_program, polyprod_design_d1
 from repro.systolic.spec import SystolicArray
-from repro.util.errors import SingularMatrixError, SystolicSpecError
+from repro.util.errors import (
+    CompilationError,
+    InconsistentDistributionError,
+    SingularMatrixError,
+    SystolicSpecError,
+)
 
 
 def _fill(memo, table, keys):
@@ -97,3 +107,79 @@ class TestSizeFreeMemos:
                 singular.inverse()
         assert len(linalg.INVERSE_CACHE) == size
         assert singular.rows not in linalg.INVERSE_CACHE
+
+
+class TestDesignMemo:
+    """``compile_systolic`` is memoized whole under the ``design`` table."""
+
+    def test_a_repeat_compile_is_one_design_hit(self):
+        program, array = polynomial_product_program(), polyprod_design_d1()
+        sp = compile_systolic(program, array)
+        before = MEMO.counters_snapshot()
+        assert compile_systolic(program, array) is sp
+        after = MEMO.counters_snapshot()
+        assert after["design"] == (before["design"][0] + 1, before["design"][1])
+        assert {name: misses for name, (_, misses) in after.items()} == {
+            name: misses for name, (_, misses) in before.items()
+        }
+
+    def test_each_part_of_the_design_key_gives_its_own_entry(self):
+        program, d1 = polynomial_product_program(), polyprod_design_d1()
+        variants = [
+            d1,
+            dataclasses.replace(d1, name="renamed"),
+            dataclasses.replace(d1, loading_vectors={"a": Point.of(-1)}),
+        ]
+        sps = [compile_systolic(program, array) for array in variants]
+        sps.append(compile_systolic(program, d1, coords=("p",)))
+        sps.append(compile_systolic(program, d1, prune=False))
+        sps.append(compile_systolic(program, d1, validate=False))
+        assert len({id(sp) for sp in sps}) == len(sps)
+        assert sps[1].array.name == "renamed"
+        assert sps[2].array.loading_vector("a") == Point.of(-1)
+        assert sps[3].coords == ("p",)
+
+    def test_an_unchecked_compile_does_not_answer_a_checked_one(self):
+        program = polynomial_product_program()
+        # step (1, 2) orders the accumulation of c backwards
+        array = SystolicArray(
+            step=Matrix([[1, 2]]),
+            place=Matrix([[1, 0]]),
+            loading_vectors={"a": Point.of(1)},
+        )
+        compile_systolic(program, array, validate=False)
+        with pytest.raises(SystolicSpecError, match="dependence"):
+            compile_systolic(program, array)
+
+    def test_an_eq1_violation_raises_on_every_call_and_inserts_nothing(self):
+        program = polynomial_product_program()
+        # step (1, 0) vanishes on null.place = (0, 1)
+        array = SystolicArray(step=Matrix([[1, 0]]), place=Matrix([[1, 0]]))
+        compile_systolic(program, polyprod_design_d1())  # the table exists
+        size = len(MEMO.tables["design"])
+        for _ in range(2):
+            with pytest.raises(InconsistentDistributionError, match="Eq. 1"):
+                compile_systolic(program, array)
+        assert len(MEMO.tables["design"]) == size
+
+    def test_clear_empties_the_table(self):
+        compile_systolic(polynomial_product_program(), polyprod_design_d1())
+        assert len(MEMO.tables["design"]) >= 1
+        MEMO.clear()
+        assert "design" not in MEMO.tables
+
+    def test_a_mutation_leaves_the_memoized_program_alone(self):
+        program, array = polynomial_product_program(), polyprod_design_d1()
+        sp = compile_systolic(program, array)
+        count = sp.count
+        mutant = apply_mutation(sp, "count_plus_one")
+        assert mutant.count != count
+        assert compile_systolic(program, array) is sp
+        assert sp.count is count
+
+    def test_a_non_program_or_non_array_is_refused(self):
+        program, array = polynomial_product_program(), polyprod_design_d1()
+        with pytest.raises(CompilationError, match="needs a SourceProgram, got str"):
+            compile_systolic("x", array)
+        with pytest.raises(CompilationError, match="needs a SystolicArray, got NoneType"):
+            compile_systolic(program, None)

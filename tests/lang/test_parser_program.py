@@ -4,6 +4,7 @@ import pytest
 
 from repro.geometry import Matrix, Point
 from repro.lang import parse_affine, parse_program
+from repro.lang import parser
 from repro.lang.program import Loop
 from repro.lang.variables import IndexedVariable
 from repro.symbolic import Affine
@@ -273,6 +274,23 @@ for j = 0 <- 1 -> min(n, i + 2)
 """
         with pytest.raises(SourceProgramError, match="loop ind"):
             parse_program(bad)
+
+
+class TestParseCache:
+    def test_a_repeated_text_returns_the_same_program(self):
+        assert parse_program(POLYPROD) is parse_program(POLYPROD)
+
+    def test_a_failing_text_raises_every_time_and_inserts_nothing(self):
+        size = len(parser.PARSED_PROGRAMS)
+        for _ in range(2):
+            with pytest.raises(SourceProgramError, match="no loops"):
+                parse_program("program empty\nsize n\n")
+        assert len(parser.PARSED_PROGRAMS) == size
+
+    @pytest.mark.parametrize("text", [None, ["for i = 0 <- 1 -> n"], 3, POLYPROD.encode()])
+    def test_a_non_str_is_refused(self, text):
+        with pytest.raises(SourceProgramError, match="source text must be a str"):
+            parse_program(text)
 
 
 class TestLoop:

@@ -9,6 +9,7 @@ blind the differential harness.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import threading
 import weakref
@@ -77,7 +78,8 @@ def test_bounded_and_releases_programs():
     """More distinct programs than the bound: old plans are evicted and the
     programs they held are collected (the cache once pinned them all)."""
     (_, prog, d1), (_, _, d2) = all_paper_designs()[:2]
-    sp = compile_systolic(prog, d1)
+    # a copy no memo holds: the design memo keeps the compiled program itself
+    sp = dataclasses.replace(compile_systolic(prog, d1))
     first = weakref.ref(sp)
     execute(sp, {"n": 1}, random_inputs(prog, {"n": 1}))
     del sp

@@ -455,6 +455,7 @@ class TestOperationalEndpoints:
             "repro.extensions.partition",
             "repro.geometry.linalg",
             "repro.geometry.polyhedron",
+            "repro.lang.parser",
             "repro.runtime.network",
             "repro.service.store",
             "repro.systolic.flow",
@@ -472,6 +473,7 @@ class TestOperationalEndpoints:
             "linalg_inverse",
             "stream_flows",
             "place_searches",
+            "parsed_programs",
         }
         lru_keys = {"capacity", "size", "hits", "misses", "evictions"}
 
