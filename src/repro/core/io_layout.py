@@ -48,6 +48,24 @@ class IOPoint:
     role: str        # "input" | "output"
 
 
+def io_process_count(space: Rectangle, transport: Point) -> int:
+    """``len(concrete_io_points(space, transport))``, without enumerating.
+
+    Per role the i/o processes are the union of one face per i/o axis, and
+    faces of distinct axes always meet.  Inclusion-exclusion counts that
+    union as the sum over non-empty axis sets ``S`` of
+    ``(-1)^(|S|+1) * prod_{j not in S} extent_j``, which adds up to
+    ``|PS|`` less the points on no face:
+    ``prod_{j in axes} (extent_j - 1) * prod_{j not in axes} extent_j``.
+    The input and output faces of an axis have the same extent, so both
+    roles count the same.
+    """
+    off_faces = 1
+    for c, lo, hi in zip(transport, space.lo, space.hi):
+        off_faces *= hi - lo if c else hi - lo + 1
+    return 2 * (space.size - off_faces)
+
+
 def concrete_io_points(
     space: Rectangle, transport: Point
 ) -> list[IOPoint]:

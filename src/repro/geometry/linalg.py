@@ -110,12 +110,19 @@ class Matrix:
         Works for :class:`Point` (returns rationals) and for vectors of
         symbolic affine expressions (returns affine expressions): each
         component is ``sum_j rows[i][j] * vector[j]``, computed with the
-        vector element's own ``+``/``*``.
+        vector element's own ``+``/``*``.  An all-:class:`Affine` vector
+        sums each row as one linear combination, interning only the result.
         """
         if len(vector) != self.ncols:
             raise GeometryError(
                 f"cannot apply {self.shape} matrix to {len(vector)}-vector"
             )
+        if not isinstance(vector[0], (int, Fraction)):
+            # symbolic imports geometry, so the import is deferred
+            from repro.symbolic.affine import Affine, linear_combination
+
+            if all(type(elem) is Affine for elem in vector):
+                return [linear_combination(zip(vector, row)) for row in self.rows]
         out: list[T] = []
         for row in self.rows:
             acc = None

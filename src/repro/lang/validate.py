@@ -23,12 +23,17 @@ A.2  each element of each variable is accessed by some statement
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Sequence
 
 from repro.lang.program import SourceProgram
 from repro.symbolic.affine import Numeric
 from repro.symbolic.minmax import bound_args
 from repro.util.errors import RequirementViolation, RestrictionViolation
+
+
+#: ids of the live programs whose structural checks passed.
+_structure_passed: set[int] = set()
 
 
 def validate_program(
@@ -48,8 +53,15 @@ def validate_program(
     with the driver's own validation.  Only a passing check is cached, so an
     invalid program raises on every call.  The fingerprint renders the
     program's source text, which needs the structural checks to pass first.
+    The structural checks run once per program instance: a passed check is
+    remembered by ``id`` until the program is garbage-collected, and a
+    failing one raises on every call.
     """
-    _check_structure(program)
+    ident = id(program)
+    if ident not in _structure_passed:
+        _check_structure(program)
+        _structure_passed.add(ident)
+        weakref.finalize(program, _structure_passed.discard, ident)
     if sample_sizes is not None:
         for env in sample_sizes:
             _check_coverage(program, env)

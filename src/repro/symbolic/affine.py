@@ -58,6 +58,7 @@ class Affine:
     __slots__ = ("coeffs", "const", "_hash", "__weakref__")
 
     _intern: "WeakValueDictionary[tuple, Affine]" = WeakValueDictionary()
+    _refs = _intern.data  # the table's own dict: see _interned
     _stats = counter("affine_intern")
 
     def __new__(
@@ -70,20 +71,7 @@ class Affine:
             c = exact(c, SymbolicError)
             if c:
                 clean[sym] = c
-        const = exact(const, SymbolicError)
-        key = (frozenset(clean.items()), const)
-        stats = cls._stats
-        self = cls._intern.get(key)
-        if self is not None:
-            stats.hits += 1
-            return self
-        stats.misses += 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "_hash", hash(key))
-        cls._intern[key] = self
-        return self
+        return _interned(clean, exact(const, SymbolicError))
 
     @classmethod
     def _make(cls, coeffs: dict[str, Numeric], const: Numeric) -> "Affine":
@@ -96,25 +84,10 @@ class Affine:
         the public constructor's per-item validation matters because
         arithmetic dominates large sweeps.
         """
-        clean = {
-            s: c if type(c) is int else exact(c)
-            for s, c in coeffs.items() if c
-        }
-        if type(const) is not int:
-            const = exact(const)
-        key = (frozenset(clean.items()), const)
-        stats = cls._stats
-        self = cls._intern.get(key)
-        if self is not None:
-            stats.hits += 1
-            return self
-        stats.misses += 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "_hash", hash(key))
-        cls._intern[key] = self
-        return self
+        return _interned(
+            {s: c if type(c) is int else exact(c) for s, c in coeffs.items() if c},
+            const,
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Affine is immutable")
@@ -129,6 +102,8 @@ class Affine:
     # ------------------------------------------------------------------
     @staticmethod
     def constant(value: Numeric) -> "Affine":
+        if type(value) is int:
+            return Affine._make({}, value)
         return Affine({}, value)
 
     @staticmethod
@@ -173,7 +148,12 @@ class Affine:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
+    # A plain ``int`` operand (``type(x) is int``, so never a ``bool``) is
+    # used as is: lifting it would intern a constant only to read its
+    # ``const`` back.  Every result is the object the lifted path returns.
     def __add__(self, other: AffineLike) -> "Affine":
+        if type(other) is int:
+            return _interned(self.coeffs, self.const + other) if other else self
         if isinstance(other, _VEC_PASSTHROUGH):
             return NotImplemented  # defer to Extremum.__radd__
         o = Affine.lift(other)
@@ -186,6 +166,8 @@ class Affine:
     __radd__ = __add__
 
     def __sub__(self, other: AffineLike) -> "Affine":
+        if type(other) is int:
+            return _interned(self.coeffs, self.const - other) if other else self
         if isinstance(other, _VEC_PASSTHROUGH):
             return NotImplemented  # defer to Extremum.__rsub__
         o = Affine.lift(other)
@@ -203,28 +185,40 @@ class Affine:
             {s: -c for s, c in self.coeffs.items()}, -self.const
         )
 
+    def _scaled(self, k: Numeric) -> "Affine":
+        if k == 1:
+            return self
+        if k == -1:
+            return -self
+        return Affine._make(
+            {s: c * k for s, c in self.coeffs.items()}, self.const * k
+        )
+
     def __mul__(self, other: AffineLike) -> "Affine":
+        if type(other) is int:
+            return self._scaled(other)
         if isinstance(other, _VEC_PASSTHROUGH):
             return NotImplemented  # defer to Extremum.__rmul__
         o = Affine.lift(other)
         if o.is_constant:
-            k = o.const
-            return Affine._make(
-                {s: c * k for s, c in self.coeffs.items()}, self.const * k
-            )
+            return self._scaled(o.const)
         if self.is_constant:
-            return o * self.const
+            return o._scaled(self.const)
         raise SymbolicError(f"non-affine product: ({self}) * ({o})")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: AffineLike) -> "Affine":
-        o = Affine.lift(other)
-        if not o.is_constant:
-            raise SymbolicError(f"division by symbolic expression: ({self}) / ({o})")
-        if o.const == 0:
+        if type(other) is int:
+            k = other
+        else:
+            o = Affine.lift(other)
+            if not o.is_constant:
+                raise SymbolicError(f"division by symbolic expression: ({self}) / ({o})")
+            k = o.const
+        if k == 0:
             raise SymbolicError(f"division by zero: ({self}) / 0")
-        return self * (Fraction(1) / o.const)
+        return self._scaled(Fraction(1) / k)
 
     # ------------------------------------------------------------------
     # substitution / evaluation
@@ -303,6 +297,54 @@ class Affine:
 
     def __repr__(self) -> str:
         return f"Affine({self})"
+
+
+def _interned(clean: dict[str, Numeric], const: Numeric) -> Affine:
+    """The interned :class:`Affine` for ``clean`` (non-zero canonical
+    coefficients) and the exact number ``const``.
+
+    One ``dict.get`` on the table's underlying dict and one weakref call:
+    a dead reference still in the table (its removal deferred during
+    iteration) reads as a miss, and the insert replaces it.
+    """
+    if type(const) is not int:
+        const = exact(const)
+    key = (frozenset(clean.items()), const)
+    stats = Affine._stats
+    ref = Affine._refs.get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            stats.hits += 1
+            return self
+    stats.misses += 1
+    self = object.__new__(Affine)
+    object.__setattr__(self, "coeffs", clean)
+    object.__setattr__(self, "const", const)
+    object.__setattr__(self, "_hash", hash(key))
+    Affine._intern[key] = self
+    return self
+
+
+def linear_combination(terms: Iterable[tuple[Affine, Numeric]]) -> Affine:
+    """``sum(a * k for a, k in terms)``, built as one coefficient dict and
+    interned once (the term-by-term sum interns every product and partial
+    sum).  A symbol whose partial sum cancels leaves the dict, as it does
+    from an interned partial sum, so a later term re-appends it."""
+    coeffs: dict[str, Numeric] = {}
+    const: Numeric = 0
+    for a, k in terms:
+        if not k:
+            continue
+        for sym, c in a.coeffs.items():
+            prev = coeffs.get(sym)
+            total = c * k if prev is None else prev + c * k
+            if total:
+                coeffs[sym] = total
+            else:
+                del coeffs[sym]
+        const += a.const * k
+    return Affine._make(coeffs, const)
 
 
 class AffineVec(tuple):

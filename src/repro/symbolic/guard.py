@@ -42,12 +42,14 @@ class Constraint:
     __slots__ = ("expr", "_hash", "_introw", "__weakref__")
 
     _intern: "WeakValueDictionary[Affine, Constraint]" = WeakValueDictionary()
+    _refs = _intern.data  # see repro.symbolic.affine._interned
     _stats = counter("constraint_intern")
 
     def __new__(cls, expr: AffineLike) -> "Constraint":
         e = Affine.lift(expr)
         stats = cls._stats
-        self = cls._intern.get(e)
+        ref = cls._refs.get(e)
+        self = None if ref is None else ref()
         if self is not None:
             stats.hits += 1
             return self
@@ -158,6 +160,7 @@ class Guard:
     TRUE: "Guard"
 
     _intern: "WeakValueDictionary[tuple, Guard]" = WeakValueDictionary()
+    _refs = _intern.data  # see repro.symbolic.affine._interned
     _stats = counter("guard_intern")
 
     def __new__(cls, constraints: Iterable[Constraint] = ()) -> "Guard":
@@ -172,7 +175,8 @@ class Guard:
                 seen.setdefault(c, None)
         key = tuple(seen)
         stats = cls._stats
-        self = cls._intern.get(key)
+        ref = cls._refs.get(key)
+        self = None if ref is None else ref()
         if self is not None:
             stats.hits += 1
             return self

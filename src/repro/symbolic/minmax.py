@@ -56,12 +56,14 @@ class Extremum:
     __slots__ = ("kind", "args", "_hash", "__weakref__")
 
     _intern: "WeakValueDictionary[tuple, Extremum]" = WeakValueDictionary()
+    _refs = _intern.data  # see repro.symbolic.affine._interned
     _stats = counter("extremum_intern")
 
     def __new__(cls, kind: str, args: tuple[Affine, ...]) -> "Extremum":
         key = (kind, args)
         stats = cls._stats
-        self = cls._intern.get(key)
+        ref = cls._refs.get(key)
+        self = None if ref is None else ref()
         if self is not None:
             stats.hits += 1
             return self

@@ -72,6 +72,7 @@ class Case:
     __slots__ = ("guard", "value", "_hash", "__weakref__")
 
     _intern: "WeakValueDictionary[tuple, Case]" = WeakValueDictionary()
+    _refs = _intern.data  # see repro.symbolic.affine._interned
     _stats = counter("case_intern")
 
     def __new__(cls, guard: Guard, value: Value = None) -> "Case":
@@ -82,7 +83,8 @@ class Case:
         # key components, so their ids stay valid while the entry lives.
         try:
             key = (id(guard), _value_intern_key(value))
-            self = cls._intern.get(key)
+            ref = cls._refs.get(key)
+            self = None if ref is None else ref()
         except TypeError:
             key = None
             self = None
@@ -161,6 +163,7 @@ class Piecewise:
     )
 
     _intern: "WeakValueDictionary[tuple, Piecewise]" = WeakValueDictionary()
+    _refs = _intern.data  # see repro.symbolic.affine._interned
     _stats = counter("piecewise_intern")
 
     def __new__(
@@ -186,7 +189,8 @@ class Piecewise:
                 _value_intern_key(default),
                 has_default,
             )
-            self = cls._intern.get(key)
+            ref = cls._refs.get(key)
+            self = None if ref is None else ref()
         except TypeError:
             key = None
             self = None

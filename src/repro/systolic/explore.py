@@ -12,7 +12,8 @@ of the compiler would actually pick one:
 * stationary stream count (memory per cell vs pure pipelining).
 
 Candidates are deduplicated up to row order (coordinate renaming).  Costing
-is exact: the candidate is compiled and its concrete spaces enumerated.
+is exact: the candidate is compiled and its closed forms evaluated at each
+concrete size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from repro.core.io_layout import concrete_io_points
+from repro.core.io_layout import io_process_count
 from repro.geometry.linalg import Matrix
 from repro.geometry.point import Point
 from repro.lang.program import SourceProgram
@@ -127,6 +128,12 @@ def cost_of_compiled(sp, env: Mapping[str, Numeric]) -> DesignCost:
     Splitting this off :func:`cost_of` lets a multi-size sweep compile each
     design *once* and evaluate the symbolic closed forms at every requested
     size -- compilation dominates, so this is the batching win.
+
+    Only the null processes need a walk over ``PS`` (and only when ``first``
+    has a default).  Process and latch counts come from ``|PS|``, and each
+    stream's i/o processes are counted by face arithmetic
+    (:func:`~repro.core.io_layout.io_process_count`), equal to the length of
+    the enumerating :func:`~repro.core.io_layout.concrete_io_points`.
     """
     space = sp.process_space(env)
     first = sp.first
@@ -148,7 +155,7 @@ def cost_of_compiled(sp, env: Mapping[str, Numeric]) -> DesignCost:
     latches = 0
     stationary = 0
     for plan in sp.streams:
-        io_total += len(concrete_io_points(space, plan.transport))
+        io_total += io_process_count(space, plan.transport)
         latches += plan.internal_buffers() * space.size
         if plan.stationary:
             stationary += 1

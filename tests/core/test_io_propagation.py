@@ -1,10 +1,17 @@
 """Tests for i/o layout/communications (7.3-7.4), soak/drain (7.5) and
 buffers (7.6), pinned to the closed forms printed in Appendices D and E."""
 
+import itertools
+
 import pytest
 
 from repro.core import compile_systolic
-from repro.core.io_layout import concrete_io_points, io_axes, io_boundary_sides
+from repro.core.io_layout import (
+    concrete_io_points,
+    io_axes,
+    io_boundary_sides,
+    io_process_count,
+)
 from repro.geometry import Point, Rectangle
 from repro.symbolic import Affine, AffineVec
 from repro.systolic import (
@@ -60,6 +67,25 @@ class TestIOLayout:
         assert len(claimed) == 1 and claimed[0].axis == 0
         # counts: each side has 5, minus 1 duplicate corner per role
         assert len(inputs) == 9 and len(outputs) == 9
+
+
+    def test_count_equals_enumeration(self):
+        """The face-arithmetic count is the enumerating reference's length
+        for every box of dims 1-3 (corners at -1 or 0, 1-3 points per
+        axis, so single-point axes too) and every non-zero transport."""
+        cases = 0
+        for dim in (1, 2, 3):
+            for lo in itertools.product((-1, 0), repeat=dim):
+                for ext in itertools.product((0, 1, 2), repeat=dim):
+                    space = Rectangle(Point(lo), Point(l + e for l, e in zip(lo, ext)))
+                    for t in itertools.product((-1, 0, 1, 2), repeat=dim):
+                        if not any(t):
+                            continue
+                        transport = Point(t)
+                        expected = len(concrete_io_points(space, transport))
+                        assert io_process_count(space, transport) == expected, (space, t)
+                        cases += 1
+        assert cases == 14166
 
 
 class TestD1IO:

@@ -269,6 +269,50 @@ class TestValidate:
         with pytest.raises((RequirementViolation, RestrictionViolation)):
             validate_program(prog)
 
+    def test_structure_checked_once_per_program(self, monkeypatch):
+        import dataclasses
+
+        from repro.core import compile_systolic
+        from repro.lang import validate
+        from repro.systolic import polynomial_product_program, polyprod_design_d1
+
+        calls = []
+        check = validate._check_structure
+
+        def spy(program):
+            calls.append(program)
+            check(program)
+
+        monkeypatch.setattr(validate, "_check_structure", spy)
+        prog = dataclasses.replace(polynomial_product_program())
+        compile_systolic(prog, polyprod_design_d1())
+        compile_systolic(prog, polyprod_design_d1())
+        assert calls == [prog]
+
+    def test_invalid_structure_raises_every_call(self, monkeypatch):
+        from repro.lang import validate
+
+        calls = []
+        check = validate._check_structure
+
+        def spy(program):
+            calls.append(program)
+            check(program)
+
+        monkeypatch.setattr(validate, "_check_structure", spy)
+        text = """
+size n
+var a[0..n, 0..n], b[0..n, 0..n]
+for i = 0 <- 1 -> n
+for j = 0 <- 1 -> n
+  a[i,j] := a[i,j] + b[j,i]
+"""
+        prog = parse_program(text)
+        for _ in range(2):
+            with pytest.raises((RequirementViolation, RestrictionViolation)):
+                validate_program(prog)
+        assert calls == [prog, prog]
+
     def test_wrong_variable_dimension(self):
         text = """
 size n

@@ -175,3 +175,90 @@ class TestAffineVec:
         m = Matrix([[1, 0, -1], [0, 1, -1]])
         out = AffineVec(m.apply(AffineVec.of(0, row - col, -col)))
         assert out == AffineVec.of(col, row)
+
+
+class TestNumericOperands:
+    """A plain ``int`` operand is used without lifting it to an interned
+    constant; every result is the very object the lifted path returns."""
+
+    EXPRS = (col, 2 * n - col + 3, row - col + n, Affine({"n": Fraction(1, 2)}, Fraction(-1, 3)))
+    KS = (0, 1, -1, 2, -3)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("a", EXPRS, ids=str)
+    def test_results_are_the_lifted_objects(self, a, k):
+        lk = Affine.lift(k)
+        assert a + k is a + lk
+        assert k + a is lk + a
+        assert a - k is a - lk
+        assert k - a is lk - a
+        assert a * k is a * lk
+        assert k * a is lk * a
+        scaled = Affine({s: c * k for s, c in a.coeffs.items()}, a.const * k)
+        assert a * k is scaled
+        if k:
+            assert a / k is a / lk
+            assert a / k is Affine(
+                {s: Fraction(c, 1) / k for s, c in a.coeffs.items()}, Fraction(a.const) / k
+            )
+        else:
+            with pytest.raises(SymbolicError):
+                a / k
+
+    def test_neutral_operands_return_self(self):
+        a = 2 * n - col
+        assert a + 0 is a and 0 + a is a and a - 0 is a
+        assert a * 1 is a and 1 * a is a and a / 1 is a
+        assert a * -1 is -a and a / -1 is -a
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(4, 2), True, False])
+    def test_fraction_and_bool_take_the_lifted_path(self, monkeypatch, k):
+        lifted = []
+        lift = Affine.lift
+
+        def spy(value):
+            lifted.append(value)
+            return lift(value)
+
+        monkeypatch.setattr(Affine, "lift", staticmethod(spy))
+        a = n + 1
+        for op in (lambda: a + k, lambda: a - k, lambda: a * k, lambda: a / k):
+            lifted.clear()
+            if type(k) is bool:
+                # the lifted path refuses a bool, as it always has
+                with pytest.raises(SymbolicError):
+                    op()
+            else:
+                op()
+            assert lifted == [k]
+        lifted.clear()
+        a + 3, 3 + a, a - 3, a * 3, 3 * a, a / 3
+        assert lifted == []
+
+    def test_int_product_makes_one_intern_lookup(self):
+        stats = Affine._stats
+        a = 2 * n - col + 1
+        before = stats.hits + stats.misses
+        a * 3
+        assert stats.hits + stats.misses == before + 1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, -1], [0, 1, -1]],
+            [[1, 1, 0], [-1, 1, 0], [0, 0, 1]],
+            [[Fraction(1, 2), Fraction(1, 2), 0], [Fraction(-1, 2), Fraction(1, 2), 0]],
+            [[0, 0, 1], [1, -1, 0]],
+        ],
+    )
+    def test_matrix_apply_is_the_term_by_term_sum(self, rows):
+        m = Matrix(rows)
+        vec = AffineVec.of(col - row, row + col + n, n - col - row + 2)
+        out = m.apply(vec)
+        for row_coeffs, got in zip(m.rows, out):
+            acc = None
+            for elem, k in zip(vec, row_coeffs):
+                term = elem * Affine.lift(k)
+                acc = term if acc is None else acc + term
+            assert got is acc
+            assert str(got) == str(acc)
