@@ -31,35 +31,7 @@ Quickstart::
     assert report.matched
 """
 
-from repro.compilation import Compilation
-from repro.core.program import StreamPlan, SystolicProgram
-from repro.core.scheme import compile_systolic
-from repro.fuzz import FuzzInstance, FuzzSummary, fuzz_run, generate_instance
-from repro.lang.interpreter import run_sequential
-from repro.lang.parser import parse_affine, parse_program
-from repro.lang.program import Loop, SourceProgram
-from repro.lang.validate import validate_program
-from repro.parallel import SweepResult, SweepTimings, sweep_designs
-from repro.runtime.network import build_network, execute
-from repro.systolic.designs import (
-    all_paper_designs,
-    matmul_design_e1,
-    matmul_design_e2,
-    matrix_product_program,
-    polynomial_product_program,
-    polyprod_design_d1,
-    polyprod_design_d2,
-)
-from repro.systolic.explore import DesignCost, explore_designs
-from repro.systolic.schedule import synthesize_array, synthesize_places, synthesize_step
-from repro.systolic.spec import SystolicArray
-from repro.target.build import build_target_program
-from repro.target.cgen import render_c
-from repro.target.occam import render_occam
-from repro.target.pretty import render_paper
-from repro.target.pygen import render_python
-from repro.verify.equivalence import random_inputs, verify_design
-from repro.verify.theorems import check_all_theorems
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -106,3 +78,45 @@ __all__ = [
     "check_all_theorems",
     "__version__",
 ]
+
+#: public names by defining module; each module is imported on first access,
+#: so ``import repro`` loads neither NumPy nor the fuzz stack
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.compilation": ("Compilation",),
+        "repro.core.program": ("StreamPlan", "SystolicProgram"),
+        "repro.core.scheme": ("compile_systolic",),
+        "repro.fuzz.driver": ("FuzzSummary", "fuzz_run"),
+        "repro.fuzz.generator": ("FuzzInstance", "generate_instance"),
+        "repro.lang.interpreter": ("run_sequential",),
+        "repro.lang.parser": ("parse_affine", "parse_program"),
+        "repro.lang.program": ("Loop", "SourceProgram"),
+        "repro.lang.validate": ("validate_program",),
+        "repro.parallel": ("SweepResult", "SweepTimings", "sweep_designs"),
+        "repro.runtime.network": ("build_network", "execute"),
+        "repro.systolic.designs": (
+            "all_paper_designs",
+            "matmul_design_e1",
+            "matmul_design_e2",
+            "matrix_product_program",
+            "polynomial_product_program",
+            "polyprod_design_d1",
+            "polyprod_design_d2",
+        ),
+        "repro.systolic.explore": ("DesignCost", "explore_designs"),
+        "repro.systolic.schedule": (
+            "synthesize_array",
+            "synthesize_places",
+            "synthesize_step",
+        ),
+        "repro.systolic.spec": ("SystolicArray",),
+        "repro.target.build": ("build_target_program",),
+        "repro.target.cgen": ("render_c",),
+        "repro.target.occam": ("render_occam",),
+        "repro.target.pretty": ("render_paper",),
+        "repro.target.pygen": ("render_python",),
+        "repro.verify.equivalence": ("random_inputs", "verify_design"),
+        "repro.verify.theorems": ("check_all_theorems",),
+    },
+)

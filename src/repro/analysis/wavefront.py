@@ -32,6 +32,7 @@ from repro.core.program import SystolicProgram
 from repro.geometry.point import Point
 from repro.runtime.trace import Trace
 from repro.symbolic.affine import Numeric
+from repro.target import pygen  # noqa: F401 -- defines sp.fingerprint, the cache key
 from repro.util import require_numpy
 from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import CompilationError, ReproError

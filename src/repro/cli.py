@@ -43,12 +43,14 @@ import warnings
 from pathlib import Path
 
 from repro.compilation import EMITTERS, Compilation
+from repro.lang.features import FEATURES
 from repro.lang.parser import parse_program
 from repro.lang.program import SourceProgram
 from repro.systolic.schedule import makespan, synthesize_places, synthesize_step
 from repro.systolic.spec import array_from_spec
 from repro.util.errors import ReproError
 from repro.verify.equivalence import verify_design
+from repro.verify.mutations import MUTATIONS
 
 
 def _read(path: str) -> str:
@@ -503,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input-seed", type=int, default=0, help="stream input value seed"
     )
-    from repro.fuzz.harness import MUTATIONS
-
     p.add_argument(
         "--mutate",
         choices=sorted(MUTATIONS),
@@ -527,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tests/fuzz_corpus",
         help="where minimized reproducers are written",
     )
-    from repro.fuzz.generator import FEATURES
-
     p.add_argument(
         "--feature",
         choices=FEATURES,

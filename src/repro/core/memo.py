@@ -61,12 +61,21 @@ def stable_key(form) -> str:
     return sk
 
 
+#: entries per memo table
+TABLE_CAPACITY = 4096
+#: entries of the ``design`` table (whole compiled programs)
+DESIGN_CAPACITY = 256
+
+
 class DerivationMemo:
     """Named memo tables for derivation steps, keyed structurally.
 
-    Each table is one :class:`~repro.util.cache.BoundedLRU` of 4096
-    entries, created on first use; one sweep's working set is a few
-    hundred.  Task/thread safety is the LRU's: ``compute()`` runs *outside*
+    Each table is one :class:`~repro.util.cache.BoundedLRU` of
+    :data:`TABLE_CAPACITY` entries, created on first use; one sweep's
+    working set is a few hundred.  The ``design`` table holds whole
+    compiled programs, so it keeps only :data:`DESIGN_CAPACITY`; a sweep
+    compiles each candidate once and never asks for it again.
+    Task/thread safety is the LRU's: ``compute()`` runs *outside*
     its lock, so two threads missing the same key may both derive the
     value, but derivations are pure and their results interned, and the
     first insert wins.  Holding a lock through ``compute()`` would instead
@@ -82,7 +91,8 @@ class DerivationMemo:
     def _table(self, name: str) -> BoundedLRU:
         table = self.tables.get(name)
         if table is None:  # setdefault is atomic: racing creators share one
-            table = self.tables.setdefault(name, BoundedLRU(4096))
+            capacity = DESIGN_CAPACITY if name == "design" else TABLE_CAPACITY
+            table = self.tables.setdefault(name, BoundedLRU(capacity))
         return table
 
     def get(self, table: str, key: Hashable, compute: Callable[[], Any]) -> Any:

@@ -41,6 +41,7 @@ from repro.geometry.point import Point
 from repro.runtime.network import execute
 from repro.runtime.scheduler import SchedulerStats
 from repro.symbolic.affine import Numeric
+from repro.target import pygen  # noqa: F401 -- defines sp.fingerprint, the cache key
 from repro.util.cache import BoundedLRU, size_key
 from repro.util.errors import RuntimeSimulationError, SystolicSpecError
 

@@ -27,28 +27,7 @@ those shapes:
   summaries).
 """
 
-from repro.fuzz.corpus import (
-    instance_from_json,
-    instance_to_json,
-    load_reproducer,
-    write_reproducer,
-)
-from repro.fuzz.driver import FuzzSummary, fuzz_run
-from repro.fuzz.generator import (
-    FuzzInstance,
-    generate_design,
-    generate_instance,
-    generate_program,
-)
-from repro.fuzz.harness import (
-    MUTATIONS,
-    CheckFailure,
-    HarnessConfig,
-    InstanceReport,
-    apply_mutation,
-    run_instance,
-)
-from repro.fuzz.shrink import shrink_instance
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "CheckFailure",
@@ -69,3 +48,30 @@ __all__ = [
     "shrink_instance",
     "write_reproducer",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.fuzz.corpus": (
+            "instance_from_json",
+            "instance_to_json",
+            "load_reproducer",
+            "write_reproducer",
+        ),
+        "repro.fuzz.driver": ("FuzzSummary", "fuzz_run"),
+        "repro.fuzz.generator": (
+            "FuzzInstance",
+            "generate_design",
+            "generate_instance",
+            "generate_program",
+        ),
+        "repro.fuzz.harness": (
+            "CheckFailure",
+            "HarnessConfig",
+            "InstanceReport",
+            "run_instance",
+        ),
+        "repro.fuzz.shrink": ("shrink_instance",),
+        "repro.verify.mutations": ("MUTATIONS", "apply_mutation"),
+    },
+)

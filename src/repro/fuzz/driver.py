@@ -28,9 +28,11 @@ from dataclasses import dataclass, field, replace
 
 from repro import profiling
 from repro.fuzz.corpus import instance_to_json, write_reproducer
-from repro.fuzz.generator import generate_instance, program_features
+from repro.fuzz.generator import generate_instance
 from repro.fuzz.harness import HarnessConfig, run_instance
 from repro.fuzz.shrink import shrink_instance
+from repro.lang.features import program_features
+from repro.parallel import fan_out
 from repro.util.errors import ReproError
 
 #: spreads base seeds far apart so campaigns never share instance seeds
@@ -218,15 +220,13 @@ def fuzz_run(
     many failing iterations have been collected, so at most
     ``max_failures`` are shrunk and written to ``corpus_dir`` (when given),
     whatever ``jobs`` is.  ``feature`` restricts the campaign to one
-    generator stratum (see ``generator.FEATURES``): each iteration
-    resamples until its program carries that feature tag.
+    generator stratum (see :data:`~repro.lang.features.FEATURES`): each
+    iteration resamples until its program carries that feature tag.
 
     The automatic garbage collector is paused for the duration of the
     campaign (the caches at work here are all bounded) and restored
     afterwards.
     """
-    from repro.parallel import fan_out
-
     if iterations < 1:
         raise ReproError(
             f"fuzz iterations must be >= 1, got {iterations} "

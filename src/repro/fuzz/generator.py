@@ -51,6 +51,7 @@ from repro.lang.expr import (
     Expr,
     StreamRead,
 )
+from repro.lang.features import FEATURES, program_features
 from repro.lang.program import Loop, SourceProgram
 from repro.lang.stream import Stream
 from repro.lang.validate import validate_program
@@ -308,31 +309,6 @@ def generate_design(
                     continue
                 return array
     return None
-
-
-#: strata a campaign can be restricted to (`generate_instance(feature=...)`)
-FEATURES = ("negative_step", "all_negative", "minmax_bound", "multi_branch")
-
-
-def program_features(program: SourceProgram) -> frozenset[str]:
-    """The grammar-coverage tags of one program (see ``docs/fuzzing.md``)."""
-    from repro.symbolic.minmax import Extremum
-
-    tags = set()
-    steps = [lp.step for lp in program.loops]
-    if any(s < 0 for s in steps):
-        tags.add("negative_step")
-    if all(s < 0 for s in steps):
-        tags.add("all_negative")
-    if any(
-        isinstance(b, Extremum)
-        for lp in program.loops
-        for b in (lp.lower, lp.upper)
-    ):
-        tags.add("minmax_bound")
-    if len(program.body.streams_written()) > 1:
-        tags.add("multi_branch")
-    return frozenset(tags)
 
 
 def generate_instance(

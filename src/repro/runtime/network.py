@@ -268,7 +268,7 @@ class NetworkPlan:
     """
 
     __slots__ = (
-        "sp", "env", "channel_names", "channel_ends", "processes",
+        "sp", "env", "channel_names", "channel_ends", "processes", "names",
         "node_counts", "chain_totals", "amounts", "_validated",
         "__weakref__",
     )
@@ -286,6 +286,8 @@ class NetworkPlan:
         self.amounts: dict[Point, tuple[int, Mapping[str, tuple[int, int]]]] = {}
         self._validated = False
         _PlanBuilder(self).build()
+        #: the process names, checked unique here once for every instantiation
+        self.names = _checked_names(self.processes)
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -354,9 +356,24 @@ class NetworkPlan:
             )
         for chan in channels:
             scheduler.add_channel(chan)
-        for name, _position, factory in self.processes:
-            scheduler.spawn(name, factory(channels, host))
+        scheduler.spawn_network(
+            self.names,
+            (
+                (name, factory(channels, host))
+                for name, _position, factory in self.processes
+            ),
+        )
         return ProcessNetwork(self, host, scheduler, interband)
+
+
+def _checked_names(processes: list[tuple[str, Point, _Factory]]) -> frozenset[str]:
+    """The set of the process names; a duplicate raises."""
+    names: set[str] = set()
+    for name, _position, _factory in processes:
+        if name in names:
+            raise RuntimeSimulationError(f"duplicate process name {name!r}")
+        names.add(name)
+    return frozenset(names)
 
 
 class _PlanBuilder:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any, Generator, Iterable
 
 from repro.runtime.channel import Channel, Message
 from repro.runtime.ops import Op, Par, Recv, Send
@@ -129,7 +129,8 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._procs: list[_ProcState] = []
-        self._names: set[str] = set()
+        #: spawned process names; a network shares its plan's frozenset
+        self._names: set[str] | frozenset[str] = set()
         self._ready: deque[_ProcState] = deque()
         self._channels: list[Channel] = []
         #: optional finite-machine model: process name -> worker id; when
@@ -177,11 +178,28 @@ class Scheduler:
         return tuple(p.name for p in self._procs)
 
     def spawn(self, name: str, gen: ProcessBody) -> None:
-        """Register a process."""
-        if name in self._names:
+        """Register a process; a name already spawned raises."""
+        names = self._names
+        if name in names:
             raise RuntimeSimulationError(f"duplicate process name {name!r}")
-        self._names.add(name)
+        if type(names) is frozenset:  # a network's names: copy on first spawn
+            names = self._names = set(names)
+        names.add(name)
         self._procs.append(_ProcState(name, gen))
+
+    def spawn_network(
+        self, names: frozenset[str], processes: Iterable[tuple[str, ProcessBody]]
+    ) -> None:
+        """Register a whole network's processes, in order, into an empty
+        scheduler.
+
+        ``names`` are their names, which the network's plan checked for
+        duplicates once when it was built, so no name is checked here.
+        """
+        if self._procs:
+            raise RuntimeSimulationError("a network spawns into an empty scheduler")
+        self._names = names
+        self._procs = [_ProcState(name, gen) for name, gen in processes]
 
     # ------------------------------------------------------------------
     # drain

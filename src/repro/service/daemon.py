@@ -38,15 +38,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Awaitable, Callable, Mapping
 
-# the wavefront and partitioned engines /execute and /verify dispatch to,
-# loaded with the daemon so /stats lists their caches from the first request
-# (``array_extents`` below brings the partitioned one)
-import repro.analysis.wavefront  # noqa: F401
+# every engine a request dispatches to loads with the daemon, so no request
+# pays an import and /stats lists every cache from the first request: npgen
+# brings NumPy and the wavefront and partitioned schedules
+import repro.target.npgen  # noqa: F401
 from repro import profiling
 from repro.compilation import EMITTERS, Compilation
 from repro.extensions.partition import array_extents
+from repro.fuzz.corpus import find_reproducer, load_reproducer
+from repro.fuzz.harness import run_instance
+from repro.lang.parser import parse_program
+from repro.parallel import sweep_designs
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import DesignStore
+from repro.systolic.schedule import synthesize_step
 from repro.util.cache import size_key
 from repro.util.errors import ReproError, http_status
 from repro.verify.equivalence import checked_backend
@@ -577,10 +582,6 @@ class CompileService:
     def _explore(
         source: str, bound: int, limit: int, sizes: Any
     ) -> dict:
-        from repro.lang.parser import parse_program
-        from repro.parallel import sweep_designs
-        from repro.systolic.schedule import synthesize_step
-
         program = parse_program(source)
         steps = synthesize_step(program, bound=bound)
         if not steps:
@@ -632,9 +633,6 @@ class CompileService:
 
     @staticmethod
     def _fuzz_replay(ref: str, corpus_dir: str) -> dict:
-        from repro.fuzz.corpus import find_reproducer, load_reproducer
-        from repro.fuzz.harness import run_instance
-
         path = find_reproducer(ref, corpus_dir)
         instance, config, data = load_reproducer(path)
         report = run_instance(instance, config)

@@ -18,12 +18,7 @@ many independent input sets, and ``shape=`` for the banded run on a fixed
 physical array.
 """
 
-from repro.target.build import build_target_program
-from repro.target.cgen import render_c
-from repro.target.npgen import HAVE_NUMPY, execute_numpy_batch
-from repro.target.occam import render_occam
-from repro.target.pretty import format_piecewise, format_repeater, render_paper
-from repro.target.pygen import execute_python, render_python
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "HAVE_NUMPY",
@@ -37,3 +32,16 @@ __all__ = [
     "render_paper",
     "render_python",
 ]
+
+#: NumPy loads with ``repro.target.npgen``, on first access of its names
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.target.build": ("build_target_program",),
+        "repro.target.cgen": ("render_c",),
+        "repro.target.npgen": ("HAVE_NUMPY", "execute_numpy_batch"),
+        "repro.target.occam": ("render_occam",),
+        "repro.target.pretty": ("format_piecewise", "format_repeater", "render_paper"),
+        "repro.target.pygen": ("execute_python", "render_python"),
+    },
+)

@@ -51,7 +51,9 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from repro.analysis.wavefront import SCHEDULE_CACHE, wavefront_schedule
 from repro.core.program import SystolicProgram
+from repro.extensions.partition import partitioned_schedule
 from repro.lang.expr import RELATIONS, BinOp, Body, Const, Expr, IndexExpr, StreamRead
 from repro.lang.interpreter import checked_values
 from repro.symbolic.affine import Numeric
@@ -61,6 +63,7 @@ from repro.util.errors import BackendUnsupportedError, CompilationError
 
 try:  # NumPy is optional: keep the module importable without it
     import numpy as _np
+    import numpy.ma  # noqa: F401 -- np.unique loads it on a schedule's first build
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
@@ -409,14 +412,10 @@ def execute_numpy_batch(
     to the unbanded run.
     """
     require_numpy("the npgen backend")
-    from repro.analysis.wavefront import wavefront_schedule
-
     if not inputs_batch:
         raise CompilationError("execute_numpy_batch needs at least one input set")
     partition = None
     if shape is not None:
-        from repro.extensions.partition import partitioned_schedule
-
         partition = partitioned_schedule(sp, env, shape)
     schedule = wavefront_schedule(sp, env)
     batch_values = [
@@ -430,6 +429,4 @@ def execute_numpy_batch(
 
 def schedule_cache_stats() -> dict:
     """Hit/miss/eviction counters of the shared wavefront-schedule cache."""
-    from repro.analysis.wavefront import SCHEDULE_CACHE
-
     return SCHEDULE_CACHE.stats()

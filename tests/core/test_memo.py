@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.memo import MEMO, DerivationMemo
+from repro.core.memo import DESIGN_CAPACITY, MEMO, TABLE_CAPACITY, DerivationMemo
 from repro.core.scheme import compile_systolic
-from repro.fuzz.harness import apply_mutation
+from repro.verify.mutations import apply_mutation
 from repro.geometry import linalg
 from repro.geometry.linalg import Matrix
 from repro.geometry.point import Point
@@ -29,7 +29,7 @@ def _fill(memo, table, keys):
 class TestDerivationMemo:
     def test_past_capacity_only_the_least_recent_entry_of_one_table_goes(self):
         memo = DerivationMemo()
-        capacity = 4096
+        capacity = TABLE_CAPACITY
         _fill(memo, "a", range(capacity))
         _fill(memo, "b", range(3))
         memo.get("a", 0, lambda: pytest.fail("key 0 is cached"))  # now recent
@@ -176,6 +176,31 @@ class TestDesignMemo:
         assert mutant.count != count
         assert compile_systolic(program, array) is sp
         assert sp.count is count
+
+    def test_one_compile_past_the_capacity_evicts_the_least_recent_entry(self):
+        program, d1 = polynomial_product_program(), polyprod_design_d1()
+        MEMO.clear()
+        try:
+            sp = compile_systolic(program, d1)
+            table = MEMO.tables["design"]
+            assert table.capacity == DESIGN_CAPACITY < TABLE_CAPACITY
+            _fill(MEMO, "design", range(DESIGN_CAPACITY - 1))
+            assert len(table) == DESIGN_CAPACITY
+            assert compile_systolic(program, d1) is sp  # a hit: now the most recent
+            renamed = compile_systolic(program, dataclasses.replace(d1, name="renamed"))
+            assert len(table) == DESIGN_CAPACITY and table.evictions == 1
+            assert 0 not in table and 1 in table  # the least recent entry went
+            assert compile_systolic(program, d1) is sp
+            assert compile_systolic(program, renamed.array) is renamed
+        finally:
+            MEMO.clear()
+
+    def test_other_tables_keep_the_larger_capacity(self):
+        memo = DerivationMemo()
+        _fill(memo, "endpoint", [1])
+        _fill(memo, "design", [1])
+        assert memo.tables["endpoint"].capacity == TABLE_CAPACITY
+        assert memo.tables["design"].capacity == DESIGN_CAPACITY
 
     def test_a_non_program_or_non_array_is_refused(self):
         program, array = polynomial_product_program(), polyprod_design_d1()

@@ -122,3 +122,33 @@ def test_concurrent_executions_of_one_design():
     assert len(results) == 8
     assert all(final == want for final in results)
     assert plan_stats()["size"] == 1
+
+
+def test_plan_checks_process_names_once_and_instantiation_never(monkeypatch):
+    _, prog, array = D1
+    plan = network_plan(compile_systolic(prog, array), {"n": 4})
+    assert plan.names == {name for name, _position, _factory in plan.processes}
+    assert len(plan.names) == len(plan.processes)
+
+    def spawn(self, name, gen):
+        raise AssertionError("instantiate re-checks a process name")
+
+    monkeypatch.setattr(network.Scheduler, "spawn", spawn)
+    net = plan.instantiate()
+    assert net.scheduler._names is plan.names
+    assert net.scheduler.process_names == tuple(
+        name for name, _position, _factory in plan.processes
+    )
+
+
+def test_a_duplicate_process_name_fails_the_plan(monkeypatch):
+    _, prog, array = D1
+    build = network._PlanBuilder.build
+
+    def build_with_duplicate(self):
+        build(self)
+        self.plan.processes.append(self.plan.processes[0])
+
+    monkeypatch.setattr(network._PlanBuilder, "build", build_with_duplicate)
+    with pytest.raises(RuntimeSimulationError, match="duplicate process name"):
+        network.NetworkPlan(compile_systolic(prog, array), {"n": 3})

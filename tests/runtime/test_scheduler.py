@@ -401,6 +401,46 @@ class TestSpawnScaling:
             sched.spawn("p42", noop())
 
 
+class TestSpawnNetwork:
+    """A plan-built network hands over its names, checked once per plan."""
+
+    @staticmethod
+    def noop():
+        yield from ()
+
+    def test_names_are_shared_not_copied(self):
+        names = frozenset({"a", "b"})
+        sched = make_sched()
+        sched.spawn_network(names, [("a", self.noop()), ("b", self.noop())])
+        assert sched.process_names == ("a", "b")
+        assert sched._names is names
+
+    def test_a_later_spawn_still_checks_and_leaves_the_names_alone(self):
+        names = frozenset({"a", "b"})
+        sched = make_sched()
+        sched.spawn_network(names, [("a", self.noop()), ("b", self.noop())])
+        with pytest.raises(RuntimeSimulationError, match="duplicate process name 'a'"):
+            sched.spawn("a", self.noop())
+        sched.spawn("c", self.noop())
+        assert sched.process_names == ("a", "b", "c")
+        assert names == {"a", "b"}
+
+    def test_only_an_empty_scheduler_takes_a_network(self):
+        sched = make_sched()
+        sched.spawn("a", self.noop())
+        with pytest.raises(RuntimeSimulationError, match="empty scheduler"):
+            sched.spawn_network(frozenset({"b"}), [("b", self.noop())])
+
+    def test_worker_coverage_is_checked_against_the_network_names(self):
+        sched = make_sched()
+        sched.spawn_network(
+            frozenset({"a", "b"}), [("a", self.noop()), ("b", self.noop())]
+        )
+        sched.assign_workers({"a": 0})
+        with pytest.raises(RuntimeSimulationError, match="uncovered: b"):
+            sched.run()
+
+
 class TestParValidation:
     """Malformed Par requests fail before touching any channel.
 

@@ -300,6 +300,30 @@ class TestFuzzFlagValidation:
         assert err.startswith("error: ") and needle in err
 
 
+class TestFuzzChoices:
+    """The parser lists the planted mutations and generator strata."""
+
+    def test_mutate_and_feature_choices_are_pinned(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fuzz", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        mutations = (
+            "count_plus_one,drain_plus_one,map_shear,pass_plus_one,soak_plus_one"
+        )
+        features = "negative_step,all_negative,minmax_bound,multi_branch"
+        assert f"--mutate {{{mutations}}}" in out
+        assert f"--feature {{{features}}}" in out
+
+    def test_the_choices_are_the_harness_and_generator_names(self):
+        from repro.fuzz.generator import FEATURES
+        from repro.fuzz.harness import MUTATIONS
+        from repro.lang import features
+        from repro.verify import mutations
+
+        assert MUTATIONS is mutations.MUTATIONS
+        assert FEATURES is features.FEATURES
+
+
 class TestServeFlagValidation:
     """``repro serve`` flag validation: exit 2 naming the offending flag."""
 
