@@ -76,40 +76,6 @@ def _s0_pass(env):
         return env['n'] + 1
     return None
 
-def _s0_soak(env):
-    if (-env['col'] + env['row']) >= 0 and (env['col'] + env['n'] - env['row']) >= 0 and (-env['col']) >= 0:
-        return 0
-    if (env['col'] - env['row']) >= 0 and (-env['col'] + env['n'] + env['row']) >= 0 and (-env['row']) >= 0:
-        if (-env['col']) >= 0:
-            return env['col'] - env['row']
-        if (env['col']) >= 0:
-            return -env['row']
-        return None
-    if (env['col']) >= 0 and (env['row']) >= 0:
-        if (-env['col']) >= 0:
-            return env['col']
-        if True:
-            return 0
-        raise ValueError('no alternative holds for %r' % (env,))
-    return None
-
-def _s0_drain(env):
-    if (-env['col'] + env['n'] + env['row']) >= 0 and (env['col'] - env['row']) >= 0 and (env['col']) >= 0:
-        return 0
-    if (env['col'] + env['n'] - env['row']) >= 0 and (-env['col'] + env['row']) >= 0 and (env['row']) >= 0:
-        if (env['col']) >= 0:
-            return -env['col'] + env['row']
-        if (-env['col']) >= 0:
-            return env['row']
-        return None
-    if (-env['col']) >= 0 and (-env['row']) >= 0:
-        if (env['col']) >= 0:
-            return -env['col']
-        if True:
-            return 0
-        raise ValueError('no alternative holds for %r' % (env,))
-    return None
-
 def _s1_first_s(env):
     if (env['row']) >= 0:
         return (0, env['row'],)
@@ -126,40 +92,6 @@ def _s1_pass(env):
         return env['n'] + env['row'] + 1
     if (-env['row']) >= 0 and (env['row']) >= 0:
         return env['n'] + 1
-    return None
-
-def _s1_soak(env):
-    if (-env['col'] + env['row']) >= 0 and (env['col'] + env['n'] - env['row']) >= 0 and (-env['col']) >= 0:
-        if (env['row']) >= 0:
-            return -env['col']
-        if (-env['row']) >= 0:
-            return -env['col'] + env['row']
-        return None
-    if (env['col'] - env['row']) >= 0 and (-env['col'] + env['n'] + env['row']) >= 0 and (-env['row']) >= 0:
-        if (env['row']) >= 0:
-            return -env['row']
-        if True:
-            return 0
-        raise ValueError('no alternative holds for %r' % (env,))
-    if (env['col']) >= 0 and (env['row']) >= 0:
-        return 0
-    return None
-
-def _s1_drain(env):
-    if (-env['col'] + env['n'] + env['row']) >= 0 and (env['col'] - env['row']) >= 0 and (env['col']) >= 0:
-        if (-env['row']) >= 0:
-            return env['col']
-        if (env['row']) >= 0:
-            return env['col'] - env['row']
-        return None
-    if (env['col'] + env['n'] - env['row']) >= 0 and (-env['col'] + env['row']) >= 0 and (env['row']) >= 0:
-        if (-env['row']) >= 0:
-            return env['row']
-        if True:
-            return 0
-        raise ValueError('no alternative holds for %r' % (env,))
-    if (-env['col']) >= 0 and (-env['row']) >= 0:
-        return 0
     return None
 
 def _s2_first_s(env):
@@ -180,6 +112,46 @@ def _s2_pass(env):
         return env['n'] + 1
     return None
 
+STREAMS = [
+    {'name': 'a', 'hop': (0, 1), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s0_first_s, 'pass_amount': _s0_pass},
+    {'name': 'b', 'hop': (1, 0), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s1_first_s, 'pass_amount': _s1_pass},
+    {'name': 'c', 'hop': (-1, -1), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s2_first_s, 'pass_amount': _s2_pass},
+]
+
+def _s0_soak(env):
+    if (-env['col'] + env['row']) >= 0 and (env['col'] + env['n'] - env['row']) >= 0 and (-env['col']) >= 0:
+        return 0
+    if (env['col'] - env['row']) >= 0 and (-env['col'] + env['n'] + env['row']) >= 0 and (-env['row']) >= 0:
+        if (-env['col']) >= 0:
+            return env['col'] - env['row']
+        if (env['col']) >= 0:
+            return -env['row']
+        return None
+    if (env['col']) >= 0 and (env['row']) >= 0:
+        if (-env['col']) >= 0:
+            return env['col']
+        if True:
+            return 0
+        raise ValueError('no alternative holds for %r' % (env,))
+    return None
+
+def _s1_soak(env):
+    if (-env['col'] + env['row']) >= 0 and (env['col'] + env['n'] - env['row']) >= 0 and (-env['col']) >= 0:
+        if (env['row']) >= 0:
+            return -env['col']
+        if (-env['row']) >= 0:
+            return -env['col'] + env['row']
+        return None
+    if (env['col'] - env['row']) >= 0 and (-env['col'] + env['n'] + env['row']) >= 0 and (-env['row']) >= 0:
+        if (env['row']) >= 0:
+            return -env['row']
+        if True:
+            return 0
+        raise ValueError('no alternative holds for %r' % (env,))
+    if (env['col']) >= 0 and (env['row']) >= 0:
+        return 0
+    return None
+
 def _s2_soak(env):
     if (-env['col'] + env['row']) >= 0 and (env['col'] + env['n'] - env['row']) >= 0 and (-env['col']) >= 0:
         return 0
@@ -195,6 +167,40 @@ def _s2_soak(env):
         if (env['col'] - env['row']) >= 0:
             return env['row']
         return None
+    return None
+
+def _s0_drain(env):
+    if (-env['col'] + env['n'] + env['row']) >= 0 and (env['col'] - env['row']) >= 0 and (env['col']) >= 0:
+        return 0
+    if (env['col'] + env['n'] - env['row']) >= 0 and (-env['col'] + env['row']) >= 0 and (env['row']) >= 0:
+        if (env['col']) >= 0:
+            return -env['col'] + env['row']
+        if (-env['col']) >= 0:
+            return env['row']
+        return None
+    if (-env['col']) >= 0 and (-env['row']) >= 0:
+        if (env['col']) >= 0:
+            return -env['col']
+        if True:
+            return 0
+        raise ValueError('no alternative holds for %r' % (env,))
+    return None
+
+def _s1_drain(env):
+    if (-env['col'] + env['n'] + env['row']) >= 0 and (env['col'] - env['row']) >= 0 and (env['col']) >= 0:
+        if (-env['row']) >= 0:
+            return env['col']
+        if (env['row']) >= 0:
+            return env['col'] - env['row']
+        return None
+    if (env['col'] + env['n'] - env['row']) >= 0 and (-env['col'] + env['row']) >= 0 and (env['row']) >= 0:
+        if (-env['row']) >= 0:
+            return env['row']
+        if True:
+            return 0
+        raise ValueError('no alternative holds for %r' % (env,))
+    if (-env['col']) >= 0 and (-env['row']) >= 0:
+        return 0
     return None
 
 def _s2_drain(env):
@@ -214,11 +220,10 @@ def _s2_drain(env):
         return None
     return None
 
-STREAMS = [
-    {'name': 'a', 'stationary': False, 'hop': (0, 1), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s0_first_s, 'pass_amount': _s0_pass, 'soak': _s0_soak, 'drain': _s0_drain},
-    {'name': 'b', 'stationary': False, 'hop': (1, 0), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s1_first_s, 'pass_amount': _s1_pass, 'soak': _s1_soak, 'drain': _s1_drain},
-    {'name': 'c', 'stationary': False, 'hop': (-1, -1), 'latches': 0, 'inc_s': (1, 1), 'first_s': _s2_first_s, 'pass_amount': _s2_pass, 'soak': _s2_soak, 'drain': _s2_drain},
-]
+LOADS = []
+SOAK = [('a', _s0_soak), ('b', _s1_soak), ('c', _s2_soak)]
+DRAIN = [('a', _s0_drain), ('b', _s1_drain), ('c', _s2_drain)]
+RECOVERS = []
 
 # ---------------------------------------------------------------- runner --
 from collections import deque as _deque
@@ -293,11 +298,10 @@ def _drainer(chan, elements, sink):
 
 
 def _round_robin(moving_io, counts):
-    """``(cin, cout)`` of every soak (or drain) pass: one element per moving
-    stream per round, in declaration order.  One stream at a time can
-    deadlock on capacity-1 channels: a neighbour blocked midway through
-    another stream never reaches its repeater, which emits one element of
-    every stream per statement."""
+    """``(cin, cout)`` of every pass of a soak or drain phase, in order:
+    round ``r`` passes one element of every moving stream whose count
+    exceeds ``r``, in stream order.  ``moving_io`` holds ``(name, cin,
+    cout)`` per moving stream, ``counts`` its number of passes."""
     order, done = [], 0
     for limit in sorted(set(counts)):
         # rounds done .. limit-1 each pass one element of every stream
@@ -309,23 +313,14 @@ def _round_robin(moving_io, counts):
 
 
 def _compute(point, sizes, env, in_chan, out_chan):
-    stationary = [s for s in STREAMS if s['stationary']]
-    moving = [s for s in STREAMS if not s['stationary']]
     local = {}
-    # -- pre phase: stationary loads, then moving soaks --------------------
-    for s in stationary:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
+    # -- pre phase: stationary loads, then the moving soaks ----------------
+    for name, passes in LOADS:
+        cin = in_chan[name][point]
         local[name] = yield cin
-        for _ in range(_cnt(s['drain'](env))):  # loading passes = drain
-            value = yield cin
-            if cout.put(value):
-                yield cout.room
-    moving_io = [
-        (s['name'], in_chan[s['name']][point], out_chan[s['name']][point])
-        for s in moving
-    ]
-    for cin, cout in _round_robin(moving_io, [_cnt(s['soak'](env)) for s in moving]):
+        yield from _passer(cin, out_chan[name][point], _cnt(passes(env)))
+    moving_io = [(name, in_chan[name][point], out_chan[name][point]) for name, _ in SOAK]
+    for cin, cout in _round_robin(moving_io, [_cnt(amount(env)) for _, amount in SOAK]):
         value = yield cin
         if cout.put(value):
             yield cout.room
@@ -339,24 +334,20 @@ def _compute(point, sizes, env, in_chan, out_chan):
         for name, cin, _cout in moving_io:
             values[name] = yield cin
         values = _body(values, stmt_env)
-        for s in stationary:
-            local[s['name']] = values[s['name']]
+        for name, _ in LOADS:
+            local[name] = values[name]
         for name, _cin, cout in moving_io:
             if cout.put(values[name]):
                 yield cout.room
         x = _add(x, INCREMENT)
-    # -- post phase: moving drains, then stationary recoveries -------------
-    for cin, cout in _round_robin(moving_io, [_cnt(s['drain'](env)) for s in moving]):
+    # -- post phase: the moving drains, then stationary recoveries ---------
+    for cin, cout in _round_robin(moving_io, [_cnt(amount(env)) for _, amount in DRAIN]):
         value = yield cin
         if cout.put(value):
             yield cout.room
-    for s in stationary:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
-        for _ in range(_cnt(s['soak'](env))):  # recovery passes = soak
-            value = yield cin
-            if cout.put(value):
-                yield cout.room
+    for name, passes in RECOVERS:
+        cout = out_chan[name][point]
+        yield from _passer(in_chan[name][point], cout, _cnt(passes(env)))
         if cout.put(local[name]):
             yield cout.room
 

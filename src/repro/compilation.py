@@ -37,7 +37,7 @@ from repro.target.build import build_target_program
 from repro.target.cgen import render_c
 from repro.target.occam import render_occam
 from repro.target.pretty import render_paper
-from repro.util.errors import ReproError
+from repro.util.errors import InvalidArgumentError, ReproError
 from repro.verify.equivalence import oracle_mismatches, random_inputs, run_backend
 
 __all__ = ["EMITTERS", "Compilation", "Execution"]
@@ -115,6 +115,8 @@ class Compilation:
         :func:`~repro.verify.equivalence.run_backend`).  ``check=False``
         skips the sequential oracle.
         """
+        if batch < 1:
+            raise InvalidArgumentError(f"batch must be >= 1, got {batch}")
         if inputs is None:
             inputs = [
                 random_inputs(self.program, env, seed=seed + b) for b in range(batch)

@@ -112,6 +112,14 @@ class SystolicProgram:
 
         return fingerprint_of(self.source, self.array)
 
+    @cached_property
+    def target_program(self):
+        """The target program, arranged once per instance; never cached per
+        :attr:`fingerprint`, which a planted mutant shares."""
+        from repro.target.build import arrange  # lazy: import cycle
+
+        return arrange(self)
+
     # ------------------------------------------------------------------
     # instantiation helpers
     # ------------------------------------------------------------------

@@ -61,7 +61,7 @@ from repro.symbolic.minmax import Bound, extremum
 from repro.systolic.explore import loading_candidates
 from repro.systolic.schedule import synthesize_places, synthesize_step
 from repro.systolic.spec import SystolicArray
-from repro.util.errors import ReproError
+from repro.util.errors import InvalidArgumentError, ReproError
 
 INDEX_NAMES = ("i", "j", "k")
 SIZE_NAMES = ("n", "m")
@@ -322,7 +322,9 @@ def generate_instance(
     campaign spends its whole budget on that part of the grammar.
     """
     if feature is not None and feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}; choose from {FEATURES}")
+        raise InvalidArgumentError(
+            f"unknown feature {feature!r}; choose from {FEATURES}"
+        )
     rng = random.Random(seed)
     for attempt in range(max_attempts):
         program = generate_program(rng, name=f"fuzz_s{seed}")

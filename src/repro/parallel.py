@@ -44,6 +44,7 @@ from repro.lang.program import SourceProgram
 from repro.symbolic.affine import Numeric
 from repro.systolic.explore import DesignCost, rank_costs, sweep_candidate
 from repro.systolic.schedule import candidate_tasks
+from repro.util.errors import InvalidArgumentError
 
 __all__ = [
     "SweepTimings",
@@ -122,7 +123,7 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise InvalidArgumentError(f"jobs must be >= 0, got {jobs}")
     return jobs
 
 

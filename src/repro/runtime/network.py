@@ -21,10 +21,10 @@ of its elements) and flow denominator ``m``:
   buffers: one pass-loop process per stream, composed in parallel exactly
   like the ``par pass a / pass b`` of the E.2.7 buffer code.
 
-Computation processes follow the appendix phase order: stationary loads,
-then moving soaks (round-robin over the moving streams); the repeater loop
-with par-receives and par-sends around the basic statement; then moving
-drains and stationary recoveries.
+Computation processes run the phases of the target program
+(:mod:`repro.target.ast`): stationary loads, then the moving soaks; the
+repeater loop with par-receives and par-sends around the basic statement;
+then the moving drains and stationary recoveries.
 
 Construction is split in two so repeated executions of one design skip the
 symbolic work entirely:
@@ -33,7 +33,7 @@ symbolic work entirely:
   alone -- chain enumeration, channel names and endpoints, per-node
   amounts, pipe element lists, and one process factory per process holding
   its channel indices and, for a computation process, its soak and drain
-  pass order -- and is memoized by content in a bounded LRU
+  pass orders -- and is memoized by content in a bounded LRU
   (:func:`network_plan`);
 * :meth:`NetworkPlan.instantiate` wires fresh channels and generators into
   a runnable :class:`ProcessNetwork` in one linear pass, preserving the
@@ -61,6 +61,8 @@ from repro.runtime.host import Host
 from repro.runtime.ops import Par, Recv, Send
 from repro.runtime.scheduler import Scheduler, SchedulerStats
 from repro.symbolic.affine import Numeric
+from repro.target.ast import LoadPhase, PassPhase, RecoverPhase, _round_robin
+from repro.target.build import build_target_program
 from repro.util.cache import BoundedLRU
 from repro.util.errors import RuntimeSimulationError
 
@@ -81,23 +83,6 @@ def _as_count(value: Any) -> int:
     if value < 0:
         raise RuntimeSimulationError(f"negative count {value}")
     return value
-
-
-def _round_robin(amounts: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The round-robin pass order over streams with ``amounts`` passes each:
-    round ``r`` passes one element of every stream ``k`` with
-    ``amounts[k] >= r``, in stream order.
-
-    Compact: one ``(rounds, streams)`` segment per distinct non-zero amount,
-    so the order takes at most one segment per stream whatever the amounts.
-    """
-    order = []
-    done = 0
-    for level in sorted(set(amounts) - {0}):
-        streams = tuple(k for k, amount in enumerate(amounts) if amount >= level)
-        order.append((level - done, streams))
-        done = level
-    return tuple(order)
 
 
 @dataclass
@@ -167,10 +152,11 @@ class _ComputeProcess:
     """The factory of one computation process, holding what the plan fixed
     for it: the channel indices of its streams (``moving + stationary``
     order, so request ``k`` serves that stream ``k``), its per-statement
-    index environments, and its pass order."""
+    index environments, and its two pass phases as flat request-index
+    pairs."""
 
     __slots__ = ("moving", "stationary", "ins", "outs", "holds",
-                 "soak_order", "drain_order", "index_envs", "execute")
+                 "soak", "drain", "index_envs", "execute")
 
     def __init__(self, *, moving, stationary, ins, outs, amounts, index_envs,
                  execute) -> None:
@@ -182,8 +168,9 @@ class _ComputeProcess:
         self.holds = tuple(
             (n, k, *amounts[n]) for k, n in enumerate(stationary, len(moving))
         )
-        self.soak_order = _round_robin([amounts[n][0] for n in moving])
-        self.drain_order = _round_robin([amounts[n][1] for n in moving])
+        io = [(n, k, k) for k, n in enumerate(moving)]
+        self.soak = _round_robin(io, [amounts[n][0] for n in moving])
+        self.drain = _round_robin(io, [amounts[n][1] for n in moving])
         self.index_envs = index_envs
         self.execute = execute
 
@@ -200,53 +187,35 @@ class _ComputeProcess:
         moving, stationary, holds = self.moving, self.stationary, self.holds
         execute = self.execute
         local: dict[str, RuntimeValue] = {}
-        # -- pre phase: stationary loads, then moving soaks ------------------
+        # -- pre phase: stationary loads, then the moving soaks --------------
         for n, k, _, drain in holds:
             recv, send = recvs[k], sends[k]
             local[n] = yield recv
             for _ in range(drain):  # loading passes = drain (Sect. 6.5)
                 send.value = yield recv
                 yield send
-        # Soak passes are interleaved round-robin across the moving streams
-        # (one element per stream per round, in declaration order) rather
-        # than one stream at a time.  With bounded channels, a node that
-        # insists on finishing stream A's soak can deadlock against a
-        # neighbour that is blocked mid-way through stream B: the
-        # neighbour's repeater (which emits one element of *every* stream
-        # per statement) never runs, so A's supply dries up.  Round-robin
-        # keeps every node's demand aligned with the one-per-stream-per-tick
-        # order in which the repeaters upstream produce.  Per-stream FIFO
-        # order -- and hence every computed value -- is unchanged.
-        for rounds, streams in self.soak_order:
-            for _ in range(rounds):
-                for k in streams:
-                    send = sends[k]
-                    send.value = yield recvs[k]
-                    yield send
-        # -- the repeater: the basic statements of this process --------------
-        for indices in self.index_envs:
-            if par_recv is not None:
-                values = dict(zip(moving, (yield par_recv)))
-                values.update(local)
-            else:
-                values = dict(local)
-            updated = execute(values, indices)
-            for n in stationary:
-                local[n] = updated[n]
-            if par_send is not None:
-                for n, send in zip(moving, sends):
-                    send.value = updated[n]
-                yield par_send
-        # -- post phase: moving drains, then stationary recoveries -----------
-        # Drain passes round-robin for the same reason as the soaks: the
-        # node upstream may still be in its repeater, emitting one element
-        # of every stream per statement.
-        for rounds, streams in self.drain_order:
-            for _ in range(rounds):
-                for k in streams:
-                    send = sends[k]
-                    send.value = yield recvs[k]
-                    yield send
+        # the soak pass phase, then the repeater and the drain pass phase;
+        # a pass phase is flat (in, out) request-index pairs
+        for after_repeater, pairs in enumerate((self.soak, self.drain)):
+            if after_repeater:  # the basic statements of this process
+                for indices in self.index_envs:
+                    if par_recv is not None:
+                        values = dict(zip(moving, (yield par_recv)))
+                        values.update(local)
+                    else:
+                        values = dict(local)
+                    updated = execute(values, indices)
+                    for n in stationary:
+                        local[n] = updated[n]
+                    if par_send is not None:
+                        for n, send in zip(moving, sends):
+                            send.value = updated[n]
+                        yield par_send
+            for i, o in pairs:
+                send = sends[o]
+                send.value = yield recvs[i]
+                yield send
+        # -- post phase: stationary recoveries -------------------------------
         for n, k, soak, _ in holds:
             recv, send = recvs[k], sends[k]
             for _ in range(soak):  # recovery passes = soak (Sect. 6.5)
@@ -389,8 +358,13 @@ class _PlanBuilder:
         #: walked on plain tuples and mapped back to the point here
         self.nodes = {y: y for y in self.sp.process_space(self.env)}
         self.labels = {y: repr(y) for y in self.nodes}
-        self.moving = tuple(p.name for p in self.sp.streams if not p.stationary)
-        self.stationary = tuple(p.name for p in self.sp.streams if p.stationary)
+        #: the computation process's loads, pass phases and recoveries
+        phases = build_target_program(self.sp).compute.phases
+        self.loads = [p for p in phases if isinstance(p, LoadPhase)]
+        self.pass_phases = [p for p in phases if isinstance(p, PassPhase)]
+        self.recoveries = [p for p in phases if isinstance(p, RecoverPhase)]
+        self.moving = tuple(n for n, _ in self.pass_phases[0].passes)
+        self.stationary = tuple(p.stream for p in self.loads)
         self.index_base = {k: int(v) for k, v in self.env.items()}
         #: per stream name: {point: channel index} for links INTO / OUT OF a node
         self.in_chan: dict[str, dict[Point, int]] = {}
@@ -548,17 +522,16 @@ class _PlanBuilder:
             dict(index_base, **index_env(x)) for x in sp.repeater.enumerate_at(binding)
         ]
 
-        amounts = {
-            p.name: (
-                _as_count(p.soak.evaluate(binding)),
-                _as_count(p.drain.evaluate(binding)),
-            )
-            for p in sp.streams
-        }
+        def count(amount) -> int:
+            return _as_count(amount.evaluate(binding))
+
+        # per stream (soak, drain): stationary recovery and loading passes
+        soak, drain = ({n: count(a) for n, a in p.passes} for p in self.pass_phases)
+        soak.update((p.stream, count(p.passes)) for p in self.recoveries)
+        drain.update((p.stream, count(p.passes)) for p in self.loads)
+        amounts = {n: (soak[n], drain[n]) for n in soak}
         # Read-only: the plan, and so this mapping, is shared by every run.
-        self.plan.amounts[y] = (
-            _as_count(sp.count.evaluate(binding)), MappingProxyType(amounts)
-        )
+        self.plan.amounts[y] = (count(sp.count), MappingProxyType(amounts))
         self.plan.processes.append((f"P{self.labels[y]}", y, _ComputeProcess(
             moving=moving,
             stationary=stationary,

@@ -10,9 +10,10 @@ rendering to a concrete notation is the job of :mod:`repro.target.pretty`
 and :mod:`repro.target.pygen`.
 
 The computation process is a phase list in the appendix order: stationary
-loads (one receive plus the loading passes), moving soaks, the repeater
-loop around the basic statement, moving drains, and stationary recoveries
-(the recovery passes plus the final send of the resident element).
+loads (one receive plus the loading passes), the moving soaks, the repeater
+loop around the basic statement, the moving drains, and stationary
+recoveries (the recovery passes plus the final send of the resident
+element).  The soaks and the drains are one :class:`PassPhase` each.
 """
 
 from __future__ import annotations
@@ -44,11 +45,36 @@ class LoadPhase:
 
 
 @dataclass(frozen=True)
-class SoakPhase:
-    """Moving pre-phase: pass ``amount`` elements through (Eq. 8)."""
+class PassPhase:
+    """The moving streams' pass-through: the pre-phase soak (Eq. 8) or the
+    post-phase drain (Eq. 9) of every moving stream, in declaration order.
 
-    stream: str
-    amount: Piecewise
+    Every engine runs one interleaving, :func:`_round_robin` (the simulator
+    calls it, pygen splices its source): round ``r`` passes one element of
+    every stream whose amount exceeds ``r``, in stream order.  One stream
+    at a time deadlocks capacity-1 channels: a neighbour blocked midway
+    through another stream never reaches its repeater, which emits one
+    element of every stream per statement.  Values do not depend on the
+    order, and the ``par`` of the paper and occam renderings allows it.
+    """
+
+    kind: str  # "soak" (pre-phase) | "drain" (post-phase)
+    passes: tuple[tuple[str, Piecewise], ...]  # (moving stream, amount); may be ()
+
+
+def _round_robin(moving_io, counts):
+    """``(cin, cout)`` of every pass of a soak or drain phase, in order:
+    round ``r`` passes one element of every moving stream whose count
+    exceeds ``r``, in stream order.  ``moving_io`` holds ``(name, cin,
+    cout)`` per moving stream, ``counts`` its number of passes."""
+    order, done = [], 0
+    for limit in sorted(set(counts)):
+        # rounds done .. limit-1 each pass one element of every stream
+        # whose count reaches limit
+        live = [(cin, cout) for (_n, cin, cout), c in zip(moving_io, counts) if c >= limit]
+        order += live * (limit - done)
+        done = limit
+    return order
 
 
 @dataclass(frozen=True)
@@ -64,14 +90,6 @@ class ComputeLoop:
 
 
 @dataclass(frozen=True)
-class DrainPhase:
-    """Moving post-phase: pass ``amount`` elements through (Eq. 9)."""
-
-    stream: str
-    amount: Piecewise
-
-
-@dataclass(frozen=True)
 class RecoverPhase:
     """Stationary post-phase: forward ``passes`` recovered elements from
     upstream, then send the resident element itself."""
@@ -80,7 +98,7 @@ class RecoverPhase:
     passes: Piecewise  # = the stream's soak amount (Section 6.5)
 
 
-Phase = object  # LoadPhase | SoakPhase | ComputeLoop | DrainPhase | RecoverPhase
+Phase = object  # LoadPhase | PassPhase | ComputeLoop | RecoverPhase
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ target syntax (Appendix C).
 This is a pure re-arrangement: every symbolic closed form the scheme derived
 (first/last/count, soak/drain, the i/o repeaters, Eq. 10 pass amounts) is
 placed into the process structure of the paper's generated programs.  The
-renderers then only have to walk the structure.
+renderers and the engines then only have to walk the structure.
 """
 
 from __future__ import annotations
@@ -15,29 +15,30 @@ from repro.target.ast import (
     ChannelDecl,
     ComputeLoop,
     ComputeProcess,
-    DrainPhase,
     IOProcess,
     LoadPhase,
+    PassPhase,
     RecoverPhase,
-    SoakPhase,
     TargetProgram,
     TargetRepeater,
 )
 
 
 def build_target_program(sp: SystolicProgram) -> TargetProgram:
+    """``sp``'s target program, arranged once per ``sp`` instance."""
+    return sp.target_program
+
+
+def arrange(sp: SystolicProgram) -> TargetProgram:
     """Arrange the compiled closed forms into the abstract target program."""
     stationary = [p for p in sp.streams if p.stationary]
     moving = [p for p in sp.streams if not p.stationary]
 
-    phases: list = []
     # pre phase: stationary loads (receive + loading passes = drain), then
-    # moving soaks, both in stream declaration order -- exactly the order
-    # the runtime's compute processes execute (repro.runtime.network).
-    for p in stationary:
-        phases.append(LoadPhase(p.name, p.drain))
-    for p in moving:
-        phases.append(SoakPhase(p.name, p.soak))
+    # the moving soaks; post phase: the moving drains, then stationary
+    # recoveries (soak passes followed by the resident element).
+    phases: list = [LoadPhase(p.name, p.drain) for p in stationary]
+    phases.append(PassPhase("soak", tuple((p.name, p.soak) for p in moving)))
     phases.append(
         ComputeLoop(
             repeater=TargetRepeater(sp.first, sp.last, sp.increment),
@@ -47,12 +48,8 @@ def build_target_program(sp: SystolicProgram) -> TargetProgram:
             indices=sp.source.indices,
         )
     )
-    # post phase: moving drains, then stationary recoveries (soak passes
-    # followed by the resident element).
-    for p in moving:
-        phases.append(DrainPhase(p.name, p.drain))
-    for p in stationary:
-        phases.append(RecoverPhase(p.name, p.soak))
+    phases.append(PassPhase("drain", tuple((p.name, p.drain) for p in moving)))
+    phases.extend(RecoverPhase(p.name, p.soak) for p in stationary)
 
     channels = tuple(
         ChannelDecl(p.name, p.hop, p.stationary, p.internal_buffers())

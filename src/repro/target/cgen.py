@@ -20,10 +20,9 @@ from repro.symbolic.affine import Affine
 from repro.symbolic.piecewise import Piecewise
 from repro.target.ast import (
     ComputeLoop,
-    DrainPhase,
     LoadPhase,
+    PassPhase,
     RecoverPhase,
-    SoakPhase,
     TargetProgram,
 )
 from repro.target.pretty import format_repeater
@@ -135,10 +134,9 @@ def render_c(tp: TargetProgram) -> str:
     for phase in tp.compute.phases:
         if isinstance(phase, LoadPhase):
             lines.extend(_c_scalar_fn(f"{phase.stream}_load_passes", phase.passes, params))
-        elif isinstance(phase, SoakPhase):
-            lines.extend(_c_scalar_fn(f"{phase.stream}_soak", phase.amount, params))
-        elif isinstance(phase, DrainPhase):
-            lines.extend(_c_scalar_fn(f"{phase.stream}_drain", phase.amount, params))
+        elif isinstance(phase, PassPhase):
+            for stream, amount in phase.passes:
+                lines.extend(_c_scalar_fn(f"{stream}_{phase.kind}", amount, params))
         elif isinstance(phase, RecoverPhase):
             lines.extend(_c_scalar_fn(f"{phase.stream}_recover_passes", phase.passes, params))
     for stream, amount in tp.buffer.passes:
@@ -146,9 +144,7 @@ def render_c(tp: TargetProgram) -> str:
     lines.append("")
     lines.append("static long amt(long v) { return v == NULLV ? 0 : v; }")
     lines.append("")
-    lines.append("static void pass_elems(long count, Channel *in, Channel *out) {")
-    lines.append("    for (long k = 0; k < count; ++k) chan_send(out, chan_recv(in));")
-    lines.append("}")
+    lines.append(_PASS_ROUND_ROBIN)
     lines.append("")
     # ---------------------------------------------------------- compute --
     chan_params = ", ".join(f"Channel *{s}_in, Channel *{s}_out" for s in streams)
@@ -183,15 +179,31 @@ def render_c(tp: TargetProgram) -> str:
     buf_chans = ", ".join(
         f"Channel *{s}_in, Channel *{s}_out" for s, _ in tp.buffer.passes
     )
-    lines.append(f"/* PS \\ CS: Eq. 10 pass loops, conceptually parallel */")
+    lines.append("/* PS \\ CS: the Eq. 10 pass loops, round-robin */")
     lines.append(f"void buffer_node({params}, {buf_chans}) {{")
-    for stream, _ in tp.buffer.passes:
-        lines.append(
-            f"    pass_elems(amt({stream}_pass_amount({args})),"
-            f" {stream}_in, {stream}_out);"
-        )
+    lines.append(_c_passes(args, [(s, f"{s}_pass_amount") for s, _ in tp.buffer.passes]))
     lines.append("}")
     return "\n".join(lines)
+
+
+#: the C's one pass loop, in the engines' order (the target's PassPhase)
+_PASS_ROUND_ROBIN = """\
+/* round r passes one element of every stream whose count exceeds r */
+static void pass_round_robin(int m, const long counts[], Channel *ins[], Channel *outs[]) {
+    for (long r = 0, more = 1; more; ++r) {
+        more = 0;
+        for (int i = 0; i < m; ++i)
+            if (counts[i] > r) { chan_send(outs[i], chan_recv(ins[i])); more = 1; }
+    }
+}"""
+
+
+def _c_passes(args: str, passes: list[tuple[str, str]]) -> str:
+    """One ``pass_round_robin`` call over ``(stream, amount function)``."""
+    counts = ", ".join(f"amt({fn}({args}))" for _, fn in passes)
+    ins, outs = (", ".join(f"{s}_{end}" for s, _ in passes) for end in ("in", "out"))
+    return (f"    pass_round_robin({len(passes)}, (long[]){{{counts}}},"
+            f" (Channel *[]){{{ins}}}, (Channel *[]){{{outs}}});")
 
 
 def _index_reads(expr) -> frozenset[str]:
@@ -246,11 +258,11 @@ def _c_phase(phase, args: str) -> list[str]:
         return [
             f"{pad}/* load {s}, then forward the loading passes */",
             f"{pad}v_{s} = chan_recv({s}_in);",
-            f"{pad}pass_elems(amt({s}_load_passes({args})), {s}_in, {s}_out);",
+            _c_passes(args, [(s, f"{s}_load_passes")]),
         ]
-    if isinstance(phase, SoakPhase):
-        s = phase.stream
-        return [f"{pad}pass_elems(amt({s}_soak({args})), {s}_in, {s}_out);"]
+    if isinstance(phase, PassPhase):
+        passes = [(s, f"{s}_{phase.kind}") for s, _ in phase.passes]
+        return [_c_passes(args, passes)] if passes else []
     if isinstance(phase, ComputeLoop):
         out = [f"{pad}/* repeater {format_repeater(phase.repeater)} */"]
         indices = _read_indices(phase)
@@ -285,13 +297,10 @@ def _c_phase(phase, args: str) -> list[str]:
                 out.append(f"{inner}{name} += {inc};")
         out.append(f"{pad}}}")
         return out
-    if isinstance(phase, DrainPhase):
-        s = phase.stream
-        return [f"{pad}pass_elems(amt({s}_drain({args})), {s}_in, {s}_out);"]
     if isinstance(phase, RecoverPhase):
         s = phase.stream
         return [
-            f"{pad}pass_elems(amt({s}_recover_passes({args})), {s}_in, {s}_out);",
+            _c_passes(args, [(s, f"{s}_recover_passes")]),
             f"{pad}chan_send({s}_out, v_{s});",
         ]
     raise TypeError(f"unknown phase {phase!r}")

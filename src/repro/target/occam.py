@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from repro.target.ast import (
     ComputeLoop,
-    DrainPhase,
     LoadPhase,
+    PassPhase,
     RecoverPhase,
-    SoakPhase,
     TargetProgram,
 )
 from repro.target.pretty import format_piecewise, format_repeater
@@ -93,12 +92,7 @@ def render_occam(tp: TargetProgram) -> str:
     buf_chans = ", ".join(f"{s}.in, {s}.out" for s, _ in tp.buffer.passes)
     buf_counts = ", ".join(f"{s}.amount" for s, _ in tp.buffer.passes)
     lines.append(f"PROC buffer (VAL INT {buf_counts}, CHAN OF INT {buf_chans})")
-    lines.append("  PAR")
-    for stream, amount in tp.buffer.passes:
-        lines.append(
-            f"    pass.elems ({stream}.amount, {stream}.in, {stream}.out)"
-            f"  -- {format_piecewise(amount)}"
-        )
+    lines.extend(_par_pass_elems("  ", "amount", tp.buffer.passes))
     lines.append(":")
     lines.append("")
     # --------------------------------------------------------- top level --
@@ -116,6 +110,15 @@ def render_occam(tp: TargetProgram) -> str:
     return "\n".join(lines)
 
 
+def _par_pass_elems(pad: str, count: str, passes) -> list[str]:
+    """A ``PAR`` of ``pass.elems (<stream>.<count>, ..)`` per stream."""
+    return [f"{pad}PAR"] + [
+        f"{pad}  pass.elems ({s}.{count}, {s}.in, {s}.out)"
+        f"  -- {format_piecewise(amount)}"
+        for s, amount in passes
+    ]
+
+
 def _occam_phase(phase) -> list[str]:
     pad = "    "
     if isinstance(phase, LoadPhase):
@@ -125,12 +128,8 @@ def _occam_phase(phase) -> list[str]:
             f"{pad}{s}.in ? v.{s}",
             f"{pad}pass.elems ({s}.drain, {s}.in, {s}.out)",
         ]
-    if isinstance(phase, SoakPhase):
-        s = phase.stream
-        return [
-            f"{pad}-- soak {s} = {format_piecewise(phase.amount)}",
-            f"{pad}pass.elems ({s}.soak, {s}.in, {s}.out)",
-        ]
+    if isinstance(phase, PassPhase):
+        return _par_pass_elems(pad, phase.kind, phase.passes) if phase.passes else []
     if isinstance(phase, ComputeLoop):
         out = [f"{pad}-- repeater {format_repeater(phase.repeater)}"]
         out.append(f"{pad}SEQ k = 0 FOR steps")
@@ -159,12 +158,6 @@ def _occam_phase(phase) -> list[str]:
             for s in phase.send_streams:
                 out.append(f"{inner}  {s}.out ! v.{s}")
         return out
-    if isinstance(phase, DrainPhase):
-        s = phase.stream
-        return [
-            f"{pad}-- drain {s} = {format_piecewise(phase.amount)}",
-            f"{pad}pass.elems ({s}.drain, {s}.in, {s}.out)",
-        ]
     if isinstance(phase, RecoverPhase):
         s = phase.stream
         return [

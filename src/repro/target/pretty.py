@@ -12,10 +12,9 @@ from repro.symbolic.affine import AffineVec
 from repro.symbolic.piecewise import Piecewise
 from repro.target.ast import (
     ComputeLoop,
-    DrainPhase,
     LoadPhase,
+    PassPhase,
     RecoverPhase,
-    SoakPhase,
     TargetProgram,
     TargetRepeater,
 )
@@ -81,13 +80,19 @@ def render_paper(tp: TargetProgram) -> str:
     lines.append("")
     lines.append("  -- Buffer Processes (PS \\ CS)")
     lines.append(f"  parfor {coords} in PS \\ CS")
-    lines.append("    par")
-    for stream, amount in tp.buffer.passes:
-        lines.append(f"      pass {stream}, {format_piecewise(amount)}")
-    lines.append("    end par")
+    lines.extend(_par_passes("    ", tp.buffer.passes))
     lines.append("  end parfor")
     lines.append("end par")
     return "\n".join(lines)
+
+
+def _par_passes(pad: str, passes) -> list[str]:
+    """A ``par`` of one ``pass s, amount`` per ``(stream, amount)``."""
+    return [
+        f"{pad}par",
+        *(f"{pad}  pass {s}, {format_piecewise(amount)}" for s, amount in passes),
+        f"{pad}end par",
+    ]
 
 
 def _phase_lines(phase) -> list[str]:
@@ -97,8 +102,8 @@ def _phase_lines(phase) -> list[str]:
             f"{pad}load {phase.stream}",
             f"{pad}pass {phase.stream}, {format_piecewise(phase.passes)}",
         ]
-    if isinstance(phase, SoakPhase):
-        return [f"{pad}pass {phase.stream}, {format_piecewise(phase.amount)}"]
+    if isinstance(phase, PassPhase):
+        return _par_passes(pad, phase.passes) if phase.passes else []
     if isinstance(phase, ComputeLoop):
         out = [f"{pad}{format_repeater(phase.repeater)} :"]
         if phase.recv_streams:
@@ -113,8 +118,6 @@ def _phase_lines(phase) -> list[str]:
             sends = " || ".join(f"{s}!{s}" for s in phase.send_streams)
             out.append(f"{pad}    par {sends} end par")
         return out
-    if isinstance(phase, DrainPhase):
-        return [f"{pad}pass {phase.stream}, {format_piecewise(phase.amount)}"]
     if isinstance(phase, RecoverPhase):
         return [
             f"{pad}pass {phase.stream}, {format_piecewise(phase.passes)}",

@@ -27,6 +27,7 @@ runs the module on dense inputs, returning tuple-keyed final contents.
 from __future__ import annotations
 
 import hashlib
+import inspect
 from fractions import Fraction
 from itertools import product
 from typing import Mapping
@@ -45,6 +46,8 @@ from repro.symbolic.compile import (
 )
 from repro.symbolic.minmax import render_bound
 from repro.symbolic.piecewise import Piecewise
+from repro.target.ast import LoadPhase, PassPhase, RecoverPhase, _round_robin
+from repro.target.build import build_target_program
 from repro.util.cache import BoundedLRU
 from repro.util.errors import CompilationError, DeadlockError
 
@@ -171,26 +174,39 @@ def render_python(sp: SystolicProgram) -> str:
         body.append("")
         body.extend(r.piecewise_fn(f"{prefix}_pass", plan.pass_amount, r.scalar_leaf))
         body.append("")
-        body.extend(r.piecewise_fn(f"{prefix}_soak", plan.soak, r.scalar_leaf))
-        body.append("")
-        body.extend(r.piecewise_fn(f"{prefix}_drain", plan.drain, r.scalar_leaf))
-        body.append("")
         entries.append(
             "    {"
             + f"'name': {plan.name!r}, "
-            + f"'stationary': {plan.stationary!r}, "
             + f"'hop': {tuple(int(c) for c in plan.hop)!r}, "
             + f"'latches': {plan.internal_buffers()!r}, "
             + f"'inc_s': {tuple(int(c) for c in plan.increment_s)!r}, "
             + f"'first_s': {prefix}_first_s, "
-            + f"'pass_amount': {prefix}_pass, "
-            + f"'soak': {prefix}_soak, "
-            + f"'drain': {prefix}_drain"
+            + f"'pass_amount': {prefix}_pass"
             + "},"
         )
     body.append("STREAMS = [")
     body.extend(entries)
     body.append("]")
+    body.append("")
+
+    # The computation process's phases, from the target program: each
+    # table lists (stream, amount function) in the phase's stream order.
+    tp = build_target_program(sp)
+    index = {name: i for i, name in enumerate(tp.stream_names)}
+    tables: dict[str, list[str]] = {"LOADS": [], "SOAK": [], "DRAIN": [], "RECOVERS": []}
+    for phase in tp.compute.phases:
+        if isinstance(phase, PassPhase):
+            table, passes = phase.kind.upper(), phase.passes
+        elif isinstance(phase, (LoadPhase, RecoverPhase)):
+            table = "LOADS" if isinstance(phase, LoadPhase) else "RECOVERS"
+            passes = [(phase.stream, phase.passes)]
+        else:
+            continue
+        for stream, amount in passes:
+            fn = f"_s{index[stream]}_{table.lower()}"
+            body += [*r.piecewise_fn(fn, amount, r.scalar_leaf), ""]
+            tables[table].append(f"({stream!r}, {fn})")
+    body.extend(f"{table} = [{', '.join(items)}]" for table, items in tables.items())
 
     header = [
         f'"""Standalone systolic program for {sp.source.name!r} '
@@ -286,40 +302,17 @@ def _drainer(chan, elements, sink):
         sink[element] = yield chan
 
 
-def _round_robin(moving_io, counts):
-    """``(cin, cout)`` of every soak (or drain) pass: one element per moving
-    stream per round, in declaration order.  One stream at a time can
-    deadlock on capacity-1 channels: a neighbour blocked midway through
-    another stream never reaches its repeater, which emits one element of
-    every stream per statement."""
-    order, done = [], 0
-    for limit in sorted(set(counts)):
-        # rounds done .. limit-1 each pass one element of every stream
-        # whose count reaches limit
-        live = [(cin, cout) for (_n, cin, cout), c in zip(moving_io, counts) if c >= limit]
-        order += live * (limit - done)
-        done = limit
-    return order
-
+''' + inspect.getsource(_round_robin) + '''
 
 def _compute(point, sizes, env, in_chan, out_chan):
-    stationary = [s for s in STREAMS if s['stationary']]
-    moving = [s for s in STREAMS if not s['stationary']]
     local = {}
-    # -- pre phase: stationary loads, then moving soaks --------------------
-    for s in stationary:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
+    # -- pre phase: stationary loads, then the moving soaks ----------------
+    for name, passes in LOADS:
+        cin = in_chan[name][point]
         local[name] = yield cin
-        for _ in range(_cnt(s['drain'](env))):  # loading passes = drain
-            value = yield cin
-            if cout.put(value):
-                yield cout.room
-    moving_io = [
-        (s['name'], in_chan[s['name']][point], out_chan[s['name']][point])
-        for s in moving
-    ]
-    for cin, cout in _round_robin(moving_io, [_cnt(s['soak'](env)) for s in moving]):
+        yield from _passer(cin, out_chan[name][point], _cnt(passes(env)))
+    moving_io = [(name, in_chan[name][point], out_chan[name][point]) for name, _ in SOAK]
+    for cin, cout in _round_robin(moving_io, [_cnt(amount(env)) for _, amount in SOAK]):
         value = yield cin
         if cout.put(value):
             yield cout.room
@@ -333,24 +326,20 @@ def _compute(point, sizes, env, in_chan, out_chan):
         for name, cin, _cout in moving_io:
             values[name] = yield cin
         values = _body(values, stmt_env)
-        for s in stationary:
-            local[s['name']] = values[s['name']]
+        for name, _ in LOADS:
+            local[name] = values[name]
         for name, _cin, cout in moving_io:
             if cout.put(values[name]):
                 yield cout.room
         x = _add(x, INCREMENT)
-    # -- post phase: moving drains, then stationary recoveries -------------
-    for cin, cout in _round_robin(moving_io, [_cnt(s['drain'](env)) for s in moving]):
+    # -- post phase: the moving drains, then stationary recoveries ---------
+    for cin, cout in _round_robin(moving_io, [_cnt(amount(env)) for _, amount in DRAIN]):
         value = yield cin
         if cout.put(value):
             yield cout.room
-    for s in stationary:
-        name = s['name']
-        cin, cout = in_chan[name][point], out_chan[name][point]
-        for _ in range(_cnt(s['soak'](env))):  # recovery passes = soak
-            value = yield cin
-            if cout.put(value):
-                yield cout.room
+    for name, passes in RECOVERS:
+        cout = out_chan[name][point]
+        yield from _passer(in_chan[name][point], cout, _cnt(passes(env)))
         if cout.put(local[name]):
             yield cout.room
 

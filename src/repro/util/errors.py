@@ -75,6 +75,11 @@ class VerificationError(ReproError):
     """A generated program disagreed with the sequential oracle."""
 
 
+class InvalidArgumentError(ReproError, ValueError):
+    """A library call got an argument outside its domain, such as a negative
+    worker count or an empty batch.  Also a :class:`ValueError`."""
+
+
 class MissingDependencyError(ReproError):
     """An optional third-party dependency is required but not installed."""
 

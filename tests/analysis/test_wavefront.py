@@ -1,5 +1,7 @@
 """Tests for the wavefront visualisation and topology validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import compile_systolic, run_sequential
@@ -95,7 +97,7 @@ class TestRenderGrid:
         # monkey trick: ask for an unsupported dimensionality explicitly
         with pytest.raises(ReproError):
             render_wavefront_grid(
-                sp.__class__(**{**sp.__dict__, "coords": ("a", "b", "c")}),
+                replace(sp, coords=("a", "b", "c")),
                 {"n": 1},
                 0,
             )

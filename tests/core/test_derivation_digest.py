@@ -16,27 +16,27 @@ from repro import build_target_program, compile_systolic, generate_instance, ren
 from repro.systolic.designs import all_paper_designs
 
 PAPER_DIGESTS = {
-    "D1": "19605958b53ef24c",
-    "D2": "45f77bb3469b30c2",
-    "E1": "90789ed65c3c7891",
-    "E2": "241648b77e27d91d",
+    "D1": "dbec72c6e46d5176",
+    "D2": "9cd6d98641256ea4",
+    "E1": "0d1135da6e48646b",
+    "E2": "92347360e1900ee7",
 }
 
 FUZZ_DIGESTS = {
-    0: "27e34d4c7fc33475", 1: "8fde3967eac9678e", 2: "25f39e616191d700",
-    3: "f4172fc85a711a81", 4: "171d3e9aea1ae34d", 5: "ab9c66dae4b3cb3f",
-    6: "413bcbd548487e40", 7: "c0ec050f4b940a00", 8: "963ed4b830b3ca1f",
-    9: "614474eb98712b4b", 10: "7fc9b3d879b29c19", 11: "6759c0e3555a1f93",
-    12: "3103b401ad2faefe", 13: "082cb6935b7c90f4", 14: "13b915316a5ef617",
-    15: "9ff041c7b8a13bd7", 16: "ad3335d600b27c22", 17: "ed8b7880a87ea258",
-    18: "f62e00edd20998ea", 19: "b07fb57f51d15eaf", 20: "530f16b2f9c2b909",
-    21: "8dd97f229292e96d", 22: "30632740120da257", 23: "27b60fc85059e1e7",
-    24: "4072c4f0caf84178", 25: "11d98a30fea024b4", 26: "2be8ab21b9f419fd",
-    27: "d15ace01d878342d", 28: "aab2f445344f28cd", 29: "755a73c02da717e9",
-    30: "fe685cbe80ee2090", 31: "dc1806b64b3ed570", 32: "84409814cf3a3e97",
-    33: "7050d07930c66a57", 34: "da0c9f0e8d865646", 35: "3bfca6c9c5434b06",
-    36: "7a0264a848e8e2fa", 37: "9dd0e79c2700ea12", 38: "fc9d3e52fab1100f",
-    39: "284723d3d6e7f0b5",
+    0: "d43b71aaaaf8f090", 1: "b8c2425ae71dd1ed", 2: "41fb59a634f27215",
+    3: "27b198366f315dcd", 4: "e315909e36ede48f", 5: "15f734f4fada7934",
+    6: "8d36bfb3463070bf", 7: "b315113e08fe64ce", 8: "02b6ec58b838110b",
+    9: "b116b6d8a1ba8fec", 10: "55cade7b7fe061d0", 11: "33ab2f3730ab7a25",
+    12: "d40c7a5839af851e", 13: "3b23d7b0d0ddf0d9", 14: "d00e1a14ea7dfb53",
+    15: "9ff041c7b8a13bd7", 16: "83c85a6317479d41", 17: "03d2620f6d46f8ad",
+    18: "5799b07d005d0935", 19: "fb1b24b18d188e88", 20: "53be54e5601525aa",
+    21: "e93cd33d079aa5ab", 22: "a6c708ff2733879d", 23: "49d9359f3a50603b",
+    24: "f85bfec85ca7752a", 25: "f8ab28ea49b68131", 26: "1ae4023518cb37e9",
+    27: "17fab63aa2453875", 28: "73600d232480fe88", 29: "3b9e503413232827",
+    30: "9bdc687d5b5dae47", 31: "7de73c945a0fafad", 32: "f7540322df9d7cdf",
+    33: "f989845b661b862c", 34: "260c9366961c4686", 35: "1e7273ad4f8259b2",
+    36: "86cccfa4f090d657", 37: "d9c2aad496eb94cb", 38: "e17bc405ac6fa10c",
+    39: "9e51c2dd7b9e36a2",
 }
 
 

@@ -27,6 +27,7 @@ from repro.fuzz.generator import (
 from repro.lang.program import Loop
 from repro.lang.validate import validate_program
 from repro.symbolic.affine import Affine
+from repro.util.errors import InvalidArgumentError
 
 SEED_RANGE = range(120)
 
@@ -146,6 +147,10 @@ class TestFeatureStrata:
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError, match="feature"):
+            generate_instance(0, feature="exotic")
+
+    def test_unknown_feature_is_a_named_error(self):
+        with pytest.raises(InvalidArgumentError, match="'exotic'"):
             generate_instance(0, feature="exotic")
 
 

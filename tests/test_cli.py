@@ -286,6 +286,26 @@ class TestExecuteErrorPaths:
         assert "Traceback" not in err
 
 
+class TestArgumentDomains:
+    """A value outside its domain exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["execute", SOURCE, DESIGN, "-s", "n=3", "--backend", "sim",
+              "--batch", "0"], "batch must be >= 1, got 0"),
+            (["fuzz", "--jobs", "-3", "--iterations", "2"],
+             "jobs must be >= 0, got -3"),
+            (["explore", SOURCE, "-s", "n=3", "--jobs", "-1"],
+             "jobs must be >= 0, got -1"),
+        ],
+        ids=["batch-0", "fuzz-jobs-negative", "explore-jobs-negative"],
+    )
+    def test_exits_2_naming_the_value(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestFuzzFlagValidation:
     """A campaign that would check nothing is refused, not reported clean."""
 

@@ -16,6 +16,7 @@ from repro.symbolic.piecewise import Case, Piecewise
 from repro.systolic import explore_designs
 from repro.systolic.designs import polynomial_product_program
 from repro.systolic.schedule import candidate_tasks
+from repro.util.errors import InvalidArgumentError
 
 POLY_STEP = Matrix([[2, 1]])
 
@@ -68,6 +69,10 @@ class TestResolveJobs:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
+            resolve_jobs(-2)
+
+    def test_negative_is_a_named_error(self):
+        with pytest.raises(InvalidArgumentError, match="got -2"):
             resolve_jobs(-2)
 
 

@@ -25,11 +25,29 @@ class TestErrorHierarchy:
             errors.InconsistentDistributionError, errors.SystolicSpecError
         )
 
+    def test_invalid_argument_is_also_a_value_error(self):
+        assert issubclass(errors.InvalidArgumentError, errors.ReproError)
+        assert issubclass(errors.InvalidArgumentError, ValueError)
+
     def test_catching_base_catches_everything(self):
         with pytest.raises(errors.ReproError):
             raise errors.DeadlockError("x")
         with pytest.raises(errors.ReproError):
             raise errors.GuardError("x")
+
+
+class TestCompilationRun:
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_an_empty_batch_is_a_named_error(self, batch):
+        from repro.compilation import Compilation
+        from repro.systolic.designs import (
+            polynomial_product_program,
+            polyprod_design_d1,
+        )
+
+        handle = Compilation.compile(polynomial_product_program(), polyprod_design_d1())
+        with pytest.raises(errors.InvalidArgumentError, match=f"got {batch}$"):
+            handle.run({"n": 3}, batch=batch)
 
 
 class TestPublicAPI:
